@@ -96,8 +96,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Config file values fill in flags the user did not pass."""
+def _option_types(parser: argparse.ArgumentParser, command: str) -> dict[str, type]:
+    """Value type of each option of ``command`` that takes a value."""
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        a.dest: a.type or str
+        for a in subparsers.choices[command]._actions
+        if a.option_strings and a.nargs != 0
+    }
+
+
+def _merge_config(args: argparse.Namespace, types: dict[str, type]) -> dict:
+    """Config file values fill in flags the user did not pass.
+
+    A config value for an option must have the option's type: JSON integers
+    (not booleans) for integer options, JSON strings for the others.
+    """
     merged = {}
     if args.config:
         try:
@@ -107,6 +123,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ValueError(f"cannot read config {args.config}: {exc}")
         if not isinstance(merged, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
+        for key, val in merged.items():
+            want = types.get(key)
+            if want is not None and (not isinstance(val, want) or isinstance(val, bool)):
+                raise ValueError(
+                    f"config {args.config}: {key!r} must be of type {want.__name__}, "
+                    f"not {type(val).__name__}"
+                )
     for key, val in vars(args).items():
         if key in ("command", "config") or val is None:
             continue
@@ -258,7 +281,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, _option_types(parser, args.command))
         if args.command == "optimize":
             return cmd_optimize(cfg)
         if args.command == "baseline":

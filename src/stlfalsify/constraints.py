@@ -11,8 +11,8 @@ Steps outside a window stay arbitrary.
 
 The leaves of the descent are comparisons annotated with a per-step output
 series.  Compiling them intersects everything into per-channel boxes: an
-interval [lower, upper] per step for continuous channels and an allowed
-symbol set per step for categorical ones.  Falsified inequalities shift the
+interval [lower, upper] per step for continuous channels and a per-step
+mask of allowed symbols for categorical ones.  Falsified inequalities shift the
 boundary by a small epsilon so that sampling the complement stays a closed
 interval; a falsified equality on a continuous channel removes only a
 measure-zero set and tightens nothing.
@@ -63,6 +63,15 @@ class Output(IntEnum):
     FALSE = 2
 
 
+# The descent runs once per constraint draw, so it avoids enum class
+# attribute lookups: scalar outputs are compared by identity against these
+# aliases, and series code arrays only ever meet int8 scalars (an IntEnum
+# operand makes numpy probe the enum class for array protocols).
+_ARBITRARY, _TRUE, _FALSE = Output.ARBITRARY, Output.TRUE, Output.FALSE
+_ARBITRARY_CODE, _TRUE_CODE, _FALSE_CODE = np.int8(0), np.int8(1), np.int8(2)
+_NEG = np.array([_ARBITRARY_CODE, _FALSE_CODE, _TRUE_CODE])  # _NEG[code] negates
+
+
 class InfeasibleError(Exception):
     """The sampled constraint set admits no trace."""
 
@@ -80,45 +89,50 @@ class LeafConstraint:
         )
 
 
-def _arbitrary(m: int) -> np.ndarray:
-    return np.zeros(m, dtype=np.int8)
-
-
 def _negate(out):
     if isinstance(out, Output):
-        if out is Output.ARBITRARY:
+        if out is _ARBITRARY:
             return out
-        return Output.FALSE if out is Output.TRUE else Output.TRUE
-    flipped = out.copy()
-    flipped[out == Output.TRUE] = Output.FALSE
-    flipped[out == Output.FALSE] = Output.TRUE
-    return flipped
+        return _FALSE if out is _TRUE else _TRUE
+    return _NEG[out]
 
 
 def _split_conjunctive(out, rng, false_splits: bool):
     """Children of and (false_splits=True) or or (false_splits=False).
 
     For "and" a true output copies to both children and a false one lands on
-    a random side; "or" is the mirror image.
+    a random side; "or" is the mirror image.  A series ``out`` draws one coin
+    per step, whether or not that step splits.
     """
-    must_both = Output.TRUE if false_splits else Output.FALSE
-    one_side = Output.FALSE if false_splits else Output.TRUE
+    one_side = _FALSE if false_splits else _TRUE
     if isinstance(out, Output):
-        if out is must_both:
+        if out is not one_side:
             return out, out
-        if out is Output.ARBITRARY:
-            return Output.ARBITRARY, Output.ARBITRARY
-        if int(rng.integers(2)):
-            return one_side, Output.ARBITRARY
-        return Output.ARBITRARY, one_side
-    left = out.copy()
-    right = out.copy()
-    split = out == one_side
-    to_right = split & (rng.integers(0, 2, size=out.shape) == 1)
-    to_left = split & ~to_right
-    left[to_right] = Output.ARBITRARY
-    right[to_left] = Output.ARBITRARY
+        if rng.integers(2):
+            return one_side, _ARBITRARY
+        return _ARBITRARY, one_side
+    split = out == (_FALSE_CODE if false_splits else _TRUE_CODE)
+    to_right = split & (rng.integers(0, 2, size=len(out)) == 1)
+    left = np.where(to_right, _ARBITRARY_CODE, out)
+    right = np.where(split ^ to_right, _ARBITRARY_CODE, out)
     return left, right
+
+
+def _window(op: str, out: Output, interval: TimeInterval, m: int, rng) -> np.ndarray:
+    """Series codes for the argument of a windowed operator."""
+    if interval.hi >= m:
+        raise FormulaTypeError(
+            f"interval [{interval.lo}, {interval.hi}] exceeds horizon {m}"
+        )
+    child = np.zeros(m, dtype=np.int8)
+    if out is _ARBITRARY:
+        return child
+    code = _TRUE_CODE if out is _TRUE else _FALSE_CODE
+    if (op == "always") == (out is _TRUE):
+        child[interval.lo : interval.hi + 1] = code
+    else:
+        child[int(rng.integers(interval.lo, interval.hi + 1))] = code
+    return child
 
 
 def subexpression_outputs(
@@ -144,21 +158,7 @@ def subexpression_outputs(
     if op in ("always", "eventually"):
         if interval is None or m is None:
             raise ValueError(f"{op} needs interval and m")
-        if interval.hi >= m:
-            raise FormulaTypeError(
-                f"interval [{interval.lo}, {interval.hi}] exceeds horizon {m}"
-            )
-        child = _arbitrary(m)
-        if out is Output.ARBITRARY:
-            return (child,)
-        whole_window = (op == "always") == (out is Output.TRUE)
-        code = Output.TRUE if out is Output.TRUE else Output.FALSE
-        if whole_window:
-            child[interval.lo : interval.hi + 1] = code
-        else:
-            step = int(rng.integers(interval.lo, interval.hi + 1))
-            child[step] = code
-        return (child,)
+        return (_window(op, out, interval, m, rng),)
     raise ValueError(f"unknown operator {op!r}")
 
 
@@ -182,24 +182,21 @@ def sample_constraints(
         if isinstance(f, Not):
             scalar(f.arg, _negate(out))
         elif isinstance(f, (And, Or)):
-            op = "and" if isinstance(f, And) else "or"
-            left, right = subexpression_outputs(op, out, rng)
+            left, right = _split_conjunctive(out, rng, isinstance(f, And))
             scalar(f.lhs, left)
             scalar(f.rhs, right)
         else:  # Always / Eventually
             op = "always" if isinstance(f, Always) else "eventually"
-            (child,) = subexpression_outputs(op, out, rng, interval=f.interval, m=m)
-            series(f.arg, child)
+            series(f.arg, _window(op, out, f.interval, m, rng))
 
     def series(f, out: np.ndarray):
         if isinstance(f, Cmp):
-            if (out != Output.ARBITRARY).any():
+            if out.any():
                 leaves.append(LeafConstraint(f, out))
         elif isinstance(f, Not):
-            series(f.arg, _negate(out))
+            series(f.arg, _NEG[out])
         else:
-            op = "and" if isinstance(f, And) else "or"
-            left, right = subexpression_outputs(op, out, rng)
+            left, right = _split_conjunctive(out, rng, isinstance(f, And))
             series(f.lhs, left)
             series(f.rhs, right)
 
@@ -215,9 +212,10 @@ class ConstraintSet:
     """Per-channel, per-step sampling boxes.
 
     Continuous channels carry ``lower``/``upper`` arrays (infinite where the
-    model's own support is the only limit); categorical channels carry a
-    list of allowed-symbol sets.  A constraint set is feasible by
-    construction; compilation raises InfeasibleError otherwise.
+    model's own support is the only limit).  Categorical channels carry an
+    ``allowed`` mask of shape (m, len(ch.symbols)): row i is True at the
+    symbols step i may take, in ``ch.symbols`` order.  A constraint set is
+    feasible by construction; compilation raises InfeasibleError otherwise.
     """
 
     def __init__(self, channels, m: int):
@@ -225,10 +223,10 @@ class ConstraintSet:
         self.m = m
         self.lower: dict[str, np.ndarray] = {}
         self.upper: dict[str, np.ndarray] = {}
-        self.allowed: dict[str, list[set]] = {}
+        self.allowed: dict[str, np.ndarray] = {}
         for ch in self.channels:
             if isinstance(ch, CategoricalChannel):
-                self.allowed[ch.name] = [set(ch.symbols) for _ in range(m)]
+                self.allowed[ch.name] = np.ones((m, len(ch.symbols)), dtype=bool)
             elif ch.hard_bounds:
                 self.lower[ch.name] = np.full(m, float(ch.lo))
                 self.upper[ch.name] = np.full(m, float(ch.hi))
@@ -240,10 +238,8 @@ class ConstraintSet:
         for ch in self.channels:
             vals = trace.values[ch.name]
             if isinstance(ch, CategoricalChannel):
-                if any(
-                    v not in allowed
-                    for v, allowed in zip(vals.tolist(), self.allowed[ch.name])
-                ):
+                is_sym = vals[:, None] == np.array(ch.symbols, dtype=object)
+                if not (self.allowed[ch.name] & is_sym).any(axis=1).all():
                     return False
             else:
                 lo, hi = self.lower[ch.name], self.upper[ch.name]
@@ -260,7 +256,10 @@ class ConstraintSet:
             if isinstance(ch, CategoricalChannel):
                 doc["channels"][ch.name] = {
                     "kind": "categorical",
-                    "allowed": [sorted(s) for s in self.allowed[ch.name]],
+                    "allowed": [
+                        sorted(s for s, ok in zip(ch.symbols, row) if ok)
+                        for row in self.allowed[ch.name].tolist()
+                    ],
                 }
             else:
                 doc["channels"][ch.name] = {
@@ -274,8 +273,8 @@ class ConstraintSet:
         for name in self.lower:
             if (self.lower[name] > self.upper[name]).any():
                 raise InfeasibleError(f"empty interval on channel {name}")
-        for name, sets in self.allowed.items():
-            if any(not s for s in sets):
+        for name, mask in self.allowed.items():
+            if not mask.any(axis=1).all():
                 raise InfeasibleError(f"no symbol left on channel {name}")
 
 
@@ -292,14 +291,13 @@ def compile_constraints(
         ch = by_name[atom.channel]
         if leaf.outputs.shape[0] != m:
             raise ValueError("leaf output length differs from horizon")
-        true_at = leaf.outputs == Output.TRUE
-        false_at = leaf.outputs == Output.FALSE
+        true_at = leaf.outputs == _TRUE_CODE
+        false_at = leaf.outputs == _FALSE_CODE
         if isinstance(ch, CategoricalChannel):
-            sets = cs.allowed[ch.name]
-            for i in np.flatnonzero(true_at):
-                sets[i] &= {atom.value}
-            for i in np.flatnonzero(false_at):
-                sets[i] -= {atom.value}
+            mask = cs.allowed[ch.name]
+            is_sym = np.array([s == atom.value for s in ch.symbols])
+            np.logical_and(mask, is_sym, out=mask, where=true_at[:, None])
+            np.logical_and(mask, ~is_sym, out=mask, where=false_at[:, None])
             continue
         v = float(atom.value)
         lo, hi = cs.lower[ch.name], cs.upper[ch.name]

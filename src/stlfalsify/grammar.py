@@ -32,6 +32,7 @@ from .stl import (
     Or,
     TimeInterval,
     depth,
+    level,
 )
 
 __all__ = [
@@ -173,27 +174,33 @@ class NodeLocus:
 
 
 def loci(formula: Formula) -> list[NodeLocus]:
-    """All node addresses in ``formula``, root first."""
-    from .stl import level as _level
+    """All node addresses in ``formula``, root first.
 
+    ``level`` runs once, on the root, and validates the whole tree; below
+    it a node's tag follows from its type: comparisons are series, windows
+    are scalar over a series argument, and connectives share their parent's
+    level.
+    """
     out: list[NodeLocus] = []
 
-    def walk(f, path, d):
-        tag = "B" if _level(f) is Level.SCALAR else "S"
-        out.append(NodeLocus(path, (tag,), d))
+    def walk(f, path, d, tag):
         if isinstance(f, Cmp):
+            out.append(NodeLocus(path, ("S",), d))
             out.append(NodeLocus(path + (0,), ("X", f.channel), d))
         elif isinstance(f, Not):
-            walk(f.arg, path + (0,), d + 1)
+            out.append(NodeLocus(path, (tag,), d))
+            walk(f.arg, path + (0,), d + 1, tag)
         elif isinstance(f, (And, Or)):
-            walk(f.lhs, path + (0,), d + 1)
-            walk(f.rhs, path + (1,), d + 1)
+            out.append(NodeLocus(path, (tag,), d))
+            walk(f.lhs, path + (0,), d + 1, tag)
+            walk(f.rhs, path + (1,), d + 1, tag)
         else:  # Always / Eventually
+            out.append(NodeLocus(path, ("B",), d))
             out.append(NodeLocus(path + (0,), ("T",), d))
             out.append(NodeLocus(path + (1,), ("T",), d))
-            walk(f.arg, path + (2,), d + 1)
+            walk(f.arg, path + (2,), d + 1, "S")
 
-    walk(formula, (), 1)
+    walk(formula, (), 1, "B" if level(formula) is Level.SCALAR else "S")
     return out
 
 

@@ -7,13 +7,19 @@ over step times.  Channels are independent of one another, so trace
 log-likelihoods add across channels.
 
 Constrained sampling respects a ConstraintSet exactly.  Categorical steps
-renormalize over the allowed set; uniform steps shrink their support;
+renormalize over the allowed mask; uniform steps shrink their support;
 normal steps become univariate truncated normals.  GP channels split the
 constrained steps into equalities (treated as exact observations, standard
 posterior conditioning) and interval constraints (handled by a Gibbs chain
 over the posterior restricted to those steps); the remaining steps are then
 drawn from the conditional posterior.  The Gibbs chain is shared across a
 batch, which is why ``sample_traces`` takes a ``size``.
+
+Random stream: channels draw in ``model.channels`` order.  A categorical
+channel consumes exactly one uniform per step, for the whole batch at once
+in trace-major order (one ``rng.random((size, m))`` call), and maps it
+through the step's CDF with the arithmetic of ``Generator.choice``; the
+draws are those of a per-step ``rng.choice`` loop over traces and steps.
 """
 
 from __future__ import annotations
@@ -304,22 +310,33 @@ def _bounds_for(cs: ConstraintSet | None, name: str, m: int):
     return cs.lower[name], cs.upper[name]
 
 
-def _sample_categorical(ch, model: Categorical, m, cs, rng):
-    symbols = list(ch.symbols)
-    base = np.array([model.prob(s) for s in symbols])
-    allowed = cs.allowed[ch.name] if cs is not None else None
-    out = np.empty(m, dtype=object)
-    for i in range(m):
-        if allowed is None or len(allowed[i]) == len(symbols):
-            p = base / base.sum()
-        else:
-            mask = np.array([s in allowed[i] for s in symbols])
-            p = base * mask
-            total = p.sum()
-            # all allowed symbols can carry zero model mass; fall back to uniform
-            p = p / total if total > 0 else mask / mask.sum()
-        out[i] = symbols[rng.choice(len(symbols), p=p)]
-    return out
+def _sample_categorical(ch, model: Categorical, m, cs, rng, size) -> np.ndarray:
+    """(size, m) symbols, each step drawn by inverse CDF from one uniform.
+
+    Unconstrained steps use the model's probabilities; constrained steps
+    renormalize them over the allowed mask, or fall back to uniform over
+    the mask when every allowed symbol has zero model mass.  The uniforms
+    come from a single ``rng.random((size, m))`` call, trace-major, and the
+    arithmetic is that of ``Generator.choice(k, p=p)`` step by step, so the
+    draws equal a per-step ``rng.choice`` loop.
+    """
+    symbols = np.array(ch.symbols, dtype=object)
+    base = np.array([model.prob(s) for s in ch.symbols])
+    p = np.tile(base / base.sum(), (m, 1))
+    if cs is not None:
+        mask = cs.allowed[ch.name]
+        rows = ~mask.all(axis=1)
+        if rows.any():
+            sub = mask[rows]
+            weights = base * sub
+            total = weights.sum(axis=1, keepdims=True)
+            fallback = sub / sub.sum(axis=1, keepdims=True)
+            p[rows] = np.divide(weights, total, out=fallback, where=total > 0)
+    cdf = p.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random((size, m))
+    idx = (cdf <= u[:, :, None]).sum(axis=2)
+    return symbols[idx]
 
 
 def _gp_posterior(K, obs_idx, obs_val):
@@ -394,9 +411,7 @@ def sample_traces(
     for ch in model.channels:
         cm = model.models[ch.name]
         if isinstance(cm, Categorical):
-            columns[ch.name] = [
-                _sample_categorical(ch, cm, m, constraints, rng) for _ in range(size)
-            ]
+            columns[ch.name] = list(_sample_categorical(ch, cm, m, constraints, rng, size))
         elif isinstance(cm, IndependentUniform):
             lo, hi = _bounds_for(constraints, ch.name, m)
             lo = np.maximum(lo, cm.lo)

@@ -54,7 +54,6 @@ __all__ = [
     "PcState",
     "step_left_turn",
     "step_crosswalk",
-    "is_failure",
     "SimResult",
     "Scenario",
     "run",
@@ -442,10 +441,6 @@ def step_crosswalk(st: PcState, disturbance, idm: IdmParams = IdmParams()) -> Pc
     ):
         st.collided = True
     return st
-
-
-def is_failure(state) -> bool:
-    return bool(state.collided)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -344,7 +344,17 @@ class SignalTrace:
         channels = tuple(channels)
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            rows = []
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                cells = line.strip().split(",")
+                if len(cells) != len(header):
+                    raise ValueError(
+                        f"{path}: line {lineno} has {len(cells)} cells, "
+                        f"the header has {len(header)}"
+                    )
+                rows.append(cells)
         if not header or header[0] != "t":
             raise ValueError(f"{path}: first column must be 't'")
         col = {name: j for j, name in enumerate(header)}
@@ -665,15 +675,3 @@ def render_natural_language(
         raise FormulaTypeError(f"not a formula: {f!r}")
 
     return walk(formula)
-
-
-def iter_nodes(formula: Formula) -> Iterator[Formula]:
-    """Yield every formula node, root first, left to right."""
-    yield formula
-    if isinstance(formula, Not):
-        yield from iter_nodes(formula.arg)
-    elif isinstance(formula, (And, Or)):
-        yield from iter_nodes(formula.lhs)
-        yield from iter_nodes(formula.rhs)
-    elif isinstance(formula, (Always, Eventually)):
-        yield from iter_nodes(formula.arg)

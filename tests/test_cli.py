@@ -188,3 +188,35 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
 def test_missing_scenario_exits_2(capsys):
     assert main(["optimize"]) == 2
     assert "scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("baseline", {"trials": "5"}),
+        ("optimize", {"trials": "5"}),
+        ("sample", {"trials": "5"}),
+        ("baseline", {"seed": "3"}),
+        ("optimize", {"pop": True}),
+    ],
+)
+def test_mistyped_config_value_exits_2(tmp_path, capsys, command, extra):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"scenario": "lt1", "out": str(tmp_path / "o"), **extra}))
+    argv = [command, "--config", str(cfg)]
+    if command == "sample":
+        argv.insert(1, "a_maj")
+    assert main(argv) == 2
+    (key,) = extra
+    err = capsys.readouterr().err
+    assert repr(key) in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_monitor_ragged_csv_exits_2(tmp_path, capsys):
+    trace_path = tmp_path / "ragged.csv"
+    trace_path.write_text("t,disturbance\n0,none\n\n0.36\n0.54,none\n")
+    code = main(["monitor", "--scenario", "lt1", "G_[0,1](disturbance = a_maj)", str(trace_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 4" in err and "Traceback" not in err

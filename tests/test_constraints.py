@@ -15,6 +15,8 @@ from stlfalsify.constraints import (
     EPSILON,
     InfeasibleError,
     Output,
+    _negate,
+    _split_conjunctive,
     compile_constraints,
     constraints_for,
     sample_constraints,
@@ -39,6 +41,14 @@ T, F, A = Output.TRUE, Output.FALSE, Output.ARBITRARY
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def allowed_sets(cs, ch=DIST):
+    """The per-step allowed symbols of a categorical channel, as sets."""
+    return [
+        {s for s, ok in zip(ch.symbols, row) if ok}
+        for row in cs.allowed[ch.name].tolist()
+    ]
 
 
 def outcomes(op, out, n=400, **kw):
@@ -177,13 +187,14 @@ def test_series_root_is_lifted_to_whole_horizon():
 def test_compile_categorical_true_and_false():
     f = parse("G_[0,1](a_maj)", CHANNELS)
     cs = compile_constraints(sample_constraints(f, 3, rng()), CHANNELS, 3)
-    assert cs.allowed["disturbance"][0] == {"a_maj"}
-    assert cs.allowed["disturbance"][1] == {"a_maj"}
-    assert cs.allowed["disturbance"][2] == set(DIST.symbols)  # unconstrained
+    assert cs.allowed["disturbance"].shape == (3, len(DIST.symbols))
+    assert allowed_sets(cs)[0] == {"a_maj"}
+    assert allowed_sets(cs)[1] == {"a_maj"}
+    assert allowed_sets(cs)[2] == set(DIST.symbols)  # unconstrained
 
     g = parse("G_[0,0](!(a_maj))", CHANNELS)
     cs = compile_constraints(sample_constraints(g, 2, rng()), CHANNELS, 2)
-    assert cs.allowed["disturbance"][0] == set(DIST.symbols) - {"a_maj"}
+    assert allowed_sets(cs)[0] == set(DIST.symbols) - {"a_maj"}
 
 
 def test_compile_continuous_bounds_and_epsilon():
@@ -226,7 +237,7 @@ def test_retries_find_a_feasible_coin_assignment():
     f = parse("G_[0,0](((a_y <= -1.0 & a_y >= 1.0) | a_maj))", CHANNELS)
     for seed in range(20):
         cs = constraints_for(f, CHANNELS, 1, rng(seed))
-        assert cs.allowed["disturbance"][0] == {"a_maj"}
+        assert allowed_sets(cs)[0] == {"a_maj"}
 
 
 def test_satisfied_by_agrees_with_monitor():
@@ -238,8 +249,7 @@ def test_satisfied_by_agrees_with_monitor():
         cs = constraints_for(f, CHANNELS, 4, r)
         vals = {
             "disturbance": np.array(
-                [next(iter(s)) if s else "none" for s in
-                 (cs.allowed["disturbance"][k] for k in range(4))],
+                [min(s) if s else "none" for s in allowed_sets(cs)],
                 dtype=object,
             ),
             "a_y": np.clip(np.nan_to_num(cs.lower["a_y"], neginf=0.0), -2, 2),
@@ -253,3 +263,46 @@ def test_constraint_set_serializes():
     cs = constraints_for(parse("G_[0,1](a_maj)", CHANNELS), CHANNELS, 3, rng())
     blob = json.loads(cs.to_json())
     assert blob["m"] == 3
+    assert blob["channels"]["disturbance"]["allowed"] == [
+        ["a_maj"], ["a_maj"], sorted(DIST.symbols)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the series helpers against their copy-and-assign definitions
+
+
+def _negate_reference(out):
+    flipped = out.copy()
+    flipped[out == Output.TRUE] = Output.FALSE
+    flipped[out == Output.FALSE] = Output.TRUE
+    return flipped
+
+
+def _split_reference(out, r, false_splits):
+    one_side = Output.FALSE if false_splits else Output.TRUE
+    left = out.copy()
+    right = out.copy()
+    split = out == one_side
+    to_right = split & (r.integers(0, 2, size=out.shape) == 1)
+    to_left = split & ~to_right
+    left[to_right] = Output.ARBITRARY
+    right[to_left] = Output.ARBITRARY
+    return left, right
+
+
+def test_series_helpers_match_reference_draw_for_draw():
+    codes = rng(99)
+    for seed in range(200):
+        out = codes.integers(0, 3, size=int(codes.integers(1, 40))).astype(np.int8)
+        got = _negate(out)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, _negate_reference(out))
+        for false_splits in (True, False):
+            new_rng, ref_rng = rng(seed), rng(seed)
+            got = _split_conjunctive(out, new_rng, false_splits)
+            want = _split_reference(out, ref_rng, false_splits)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int8
+                assert np.array_equal(g, w)
+            assert new_rng.random() == ref_rng.random()

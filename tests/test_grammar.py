@@ -4,15 +4,24 @@ import pytest
 from stlfalsify.grammar import (
     GrammarError,
     GrammarSpec,
+    NodeLocus,
     crossover,
     loci,
     mutate,
     sample_expression,
 )
 from stlfalsify.stl import (
+    Always,
+    And,
     CategoricalChannel,
+    Cmp,
     ContinuousChannel,
+    Eventually,
+    FormulaTypeError,
     Level,
+    Not,
+    Or,
+    TimeInterval,
     canonical_text,
     check,
     depth,
@@ -111,3 +120,42 @@ def test_loci_cover_every_node_kind():
     assert ("T",) in kinds  # interval endpoints
     assert ("X", "disturbance") in kinds and ("X", "a_y") in kinds
     assert loci(f)[0].path == ()  # root comes first
+
+
+def _loci_by_node_level(formula):
+    """Reference: tag every node by calling ``level`` on it."""
+    out = []
+
+    def walk(f, path, d):
+        tag = "B" if level(f) is Level.SCALAR else "S"
+        out.append(NodeLocus(path, (tag,), d))
+        if isinstance(f, Cmp):
+            out.append(NodeLocus(path + (0,), ("X", f.channel), d))
+        elif isinstance(f, Not):
+            walk(f.arg, path + (0,), d + 1)
+        elif isinstance(f, (And, Or)):
+            walk(f.lhs, path + (0,), d + 1)
+            walk(f.rhs, path + (1,), d + 1)
+        else:
+            out.append(NodeLocus(path + (0,), ("T",), d))
+            out.append(NodeLocus(path + (1,), ("T",), d))
+            walk(f.arg, path + (2,), d + 1)
+
+    walk(formula, (), 1)
+    return out
+
+
+def test_loci_match_per_node_levels():
+    rng = np.random.default_rng(17)
+    for start in (Level.SCALAR, Level.SERIES):
+        for _ in range(60):
+            f = sample_expression(GRAMMAR, rng, start=start)
+            assert loci(f) == _loci_by_node_level(f)
+
+
+def test_loci_reject_mixed_levels():
+    a_maj = Cmp("disturbance", "=", "a_maj")
+    window = Always(TimeInterval(0, 2), a_maj)
+    for bad in (And(a_maj, window), Not(Or(window, a_maj)), Eventually(TimeInterval(0, 1), window)):
+        with pytest.raises(FormulaTypeError):
+            loci(bad)

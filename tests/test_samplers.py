@@ -271,3 +271,67 @@ def test_model_validation():
         DisturbanceModel(channels=(DIST,), models={})
     with pytest.raises(ValueError):
         DisturbanceModel(channels=(DIST,), models={"disturbance": IndependentNormal(0, 1)})
+
+
+# ---------------------------------------------------------------------------
+# the batched categorical sampler against a per-step rng.choice loop
+
+
+def _categorical_reference(ch, model, m, cs, r, size):
+    """One ``rng.choice`` per step and trace, trace-major."""
+    symbols = list(ch.symbols)
+    base = np.array([model.prob(s) for s in symbols])
+    out = np.empty((size, m), dtype=object)
+    for t in range(size):
+        for i in range(m):
+            mask = None if cs is None else cs.allowed[ch.name][i]
+            if mask is None or mask.all():
+                p = base / base.sum()
+            else:
+                p = base * mask
+                total = p.sum()
+                p = p / total if total > 0 else mask / mask.sum()
+            out[t, i] = symbols[r.choice(len(symbols), p=p)]
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 10])
+@pytest.mark.parametrize(
+    "probs, text",
+    [
+        (LT_PROBS, None),
+        (LT_PROBS, "(G_[0,3](!(none)) & F_[5,9]((a_maj | d_maj)))"),
+        (LT_PROBS, "G_[2,6]((!(none) & !(d_med)))"),
+        # S carries no model mass: a step allowing only S falls back to uniform
+        ({**LT_PROBS, "none": 0.977, "S": 0.0}, "(G_[1,4](S) & G_[6,7]((S | none)))"),
+    ],
+)
+def test_categorical_sampler_matches_choice_loop(size, probs, text):
+    from stlfalsify.samplers import _sample_categorical
+
+    model = Categorical(probs)
+    m = 12
+    for seed in range(5):
+        cs = None if text is None else constraints_for(parse(text, (DIST,)), (DIST,), m, rng(seed))
+        new_rng, ref_rng = rng(100 + seed), rng(100 + seed)
+        got = _sample_categorical(DIST, model, m, cs, new_rng, size)
+        want = _categorical_reference(DIST, model, m, cs, ref_rng, size)
+        assert got.shape == (size, m)
+        assert (got == want).all()
+        assert new_rng.random() == ref_rng.random()
+        if text is not None and "S" in text:
+            assert (got[:, 1:5] == "S").all()
+
+
+def test_categorical_sampler_never_draws_zero_mass_symbols():
+    # u = 0 must land past leading zero-probability symbols, as
+    # searchsorted(side="right") does in Generator.choice
+    class ZeroUniforms:
+        def random(self, shape):
+            return np.zeros(shape)
+
+    from stlfalsify.samplers import _sample_categorical
+
+    model = Categorical({**LT_PROBS, "none": 0.0, "d_med": 0.986})
+    got = _sample_categorical(DIST, model, 4, None, ZeroUniforms(), 3)
+    assert (got == "d_med").all()

@@ -1,12 +1,17 @@
-"""Importance-sampling baseline and shared evaluation metrics.
+"""The shared rollout loop, the importance-sampling baseline and the
+failure metrics.
 
-Both entry points roll disturbance traces through a scenario and summarize
-failures the same way, so optimizer output and the baseline are directly
-comparable:
+Search, re-evaluation and the baseline all roll traces through
+``rollouts``: one constraint draw per batch (none for the baseline),
+sampled traces, scenario rollouts, and the log-likelihood of every failing
+trace.  Search scores a formula with one batch of N traces; re-evaluation
+and the baseline run one batch per trial, so every re-evaluated trial gets
+a fresh constraint draw.  Likelihoods are always scored under the scenario's true
+disturbance model, never under the model the traces were drawn from, so
+optimizer output and the baseline are directly comparable.  Reports carry:
 
 * fail rate over all trials, with a binomial standard error;
-* a likelihood statistic over the failing trajectories only, always scored
-  under the scenario's true disturbance model (never the proposal).
+* a likelihood statistic over the failing trajectories only.
 
 With purely discrete disturbances a full-trajectory product shrinks with
 the horizon, so the report carries the geometric mean of the per-step
@@ -24,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import InfeasibleError, constraints_for
-from .samplers import Categorical, DisturbanceModel, log_likelihood, sample_trace
+from .samplers import DisturbanceModel, log_likelihood, sample_traces
 from .sim import Scenario, SimResult
 from .stl import Formula
 
-__all__ = ["MetricReport", "importance_sample", "evaluate_expression"]
+__all__ = ["MetricReport", "importance_sample", "evaluate_expression", "rollouts"]
 
 GEOMEAN_STEP_PROB = "geometric_mean_step_probability"
 TRAJECTORY_LOGLIK = "trajectory_log_likelihood"
@@ -50,27 +55,49 @@ class MetricReport:
         return json.dumps(self.__dict__, sort_keys=True)
 
 
-def _likelihood_kind(model: DisturbanceModel) -> str:
-    if all(isinstance(cm, Categorical) for cm in model.models.values()):
-        return GEOMEAN_STEP_PROB
-    return TRAJECTORY_LOGLIK
+def rollouts(
+    scenario: Scenario,
+    model: DisturbanceModel,
+    formula: Formula | None,
+    rng: np.random.Generator | None,
+    batches: int,
+    size: int,
+) -> tuple[list[SimResult], list[float], int]:
+    """Roll ``batches`` batches of ``size`` traces drawn from ``model``.
+
+    Each batch makes one constraint draw for ``formula`` (none when it is
+    None) and draws its traces under it.  A batch whose draw stays
+    infeasible through the retry budget rolls nothing and adds ``size`` to
+    the infeasible count.  Returns the failing results, their
+    log-likelihoods under ``scenario.model`` and the infeasible count.
+    """
+    if batches * size < 1:
+        raise ValueError("trials must be at least 1")
+    if rng is None:
+        rng = np.random.default_rng()
+    m, dt = scenario.horizon, scenario.dt
+    fails, lls, n_infeasible = [], [], 0
+    for _ in range(batches):
+        try:
+            cs = None if formula is None else constraints_for(formula, scenario.channels, m, rng)
+            traces = sample_traces(model, m, dt, cs, rng=rng, size=size)
+        except InfeasibleError:
+            n_infeasible += size
+            continue
+        for trace in traces:
+            res = scenario.run(trace)
+            if res.failure:
+                fails.append(res)
+                lls.append(log_likelihood(scenario.model, trace))
+    return fails, lls, n_infeasible
 
 
 def _summarize(
-    fails: list[SimResult],
-    model: DisturbanceModel,
-    n_trials: int,
-    n_infeasible: int = 0,
+    scenario: Scenario, lls: list[float], n_trials: int, n_infeasible: int
 ) -> MetricReport:
-    kind = _likelihood_kind(model)
-    vals = []
-    for res in fails:
-        ll = log_likelihood(model, res.trace)
-        if kind == GEOMEAN_STEP_PROB:
-            vals.append(math.exp(ll / res.trace.m))
-        else:
-            vals.append(ll)
-    rate = len(fails) / n_trials
+    discrete = scenario.model.discrete
+    vals = [math.exp(ll / scenario.horizon) for ll in lls] if discrete else lls
+    rate = len(lls) / n_trials
     likelihood = likelihood_se = None
     if vals:
         likelihood = float(np.mean(vals))
@@ -79,10 +106,10 @@ def _summarize(
         fail_rate=rate,
         fail_rate_se=math.sqrt(rate * (1.0 - rate) / n_trials),
         n_trials=n_trials,
-        n_failures=len(fails),
+        n_failures=len(lls),
         likelihood=likelihood,
         likelihood_se=likelihood_se,
-        likelihood_kind=kind,
+        likelihood_kind=GEOMEAN_STEP_PROB if discrete else TRAJECTORY_LOGLIK,
         n_infeasible=n_infeasible,
         infeasible=n_infeasible >= n_trials,
     )
@@ -98,27 +125,18 @@ def importance_sample(
 
     The fail rate is the raw fraction of proposal trials that failed; the
     likelihood statistic re-scores those failures under the true model.
+    Each trial is its own batch of one trace.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng()
     proposal = proposal or scenario.proposal
     if set(proposal.models) != set(scenario.model.models):
         raise ValueError("proposal channels do not match the scenario model")
-    fails = []
-    for _ in range(trials):
-        trace = sample_trace(proposal, scenario.horizon, scenario.dt, rng=rng)
-        res = scenario.run(trace)
-        if res.failure:
-            fails.append(res)
-    return _summarize(fails, scenario.model, trials), fails
+    fails, lls, n_infeasible = rollouts(scenario, proposal, None, rng, batches=trials, size=1)
+    return _summarize(scenario, lls, trials, n_infeasible), fails
 
 
 def evaluate_expression(
     formula: Formula,
     scenario: Scenario,
-    model: DisturbanceModel | None = None,
     trials: int = 500,
     rng: np.random.Generator | None = None,
 ) -> tuple[MetricReport, list[SimResult]]:
@@ -129,21 +147,7 @@ def evaluate_expression(
     are counted but produce no trace; if every trial is infeasible the
     report says so and the fail rate is 0.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng()
-    model = model or scenario.model
-    fails = []
-    n_infeasible = 0
-    for _ in range(trials):
-        try:
-            cs = constraints_for(formula, scenario.channels, scenario.horizon, rng)
-            trace = sample_trace(model, scenario.horizon, scenario.dt, cs, rng=rng)
-        except InfeasibleError:
-            n_infeasible += 1
-            continue
-        res = scenario.run(trace)
-        if res.failure:
-            fails.append(res)
-    return _summarize(fails, model, trials, n_infeasible), fails
+    fails, lls, n_infeasible = rollouts(
+        scenario, scenario.model, formula, rng, batches=trials, size=1
+    )
+    return _summarize(scenario, lls, trials, n_infeasible), fails

@@ -20,7 +20,6 @@ measure-zero set and tightens nothing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -37,7 +36,6 @@ from .stl import (
     Level,
     Not,
     Or,
-    SignalTrace,
     TimeInterval,
     level,
 )
@@ -52,9 +50,11 @@ __all__ = [
     "compile_constraints",
     "constraints_for",
     "EPSILON",
+    "RETRIES",
 ]
 
 EPSILON = 1e-6
+RETRIES = 10  # fresh descents constraints_for tries before giving up
 
 
 class Output(IntEnum):
@@ -166,9 +166,9 @@ def sample_constraints(
     formula: Formula,
     m: int,
     rng: np.random.Generator,
-    out: Output = Output.TRUE,
 ) -> list[LeafConstraint]:
-    """Descend ``formula`` and pin down what each comparison must output.
+    """Descend ``formula``, required true, and pin down what each
+    comparison must output.
 
     Returns one LeafConstraint per comparison whose outputs are not
     everywhere arbitrary, in left-to-right leaf order.  A series formula at
@@ -200,7 +200,7 @@ def sample_constraints(
             series(f.lhs, left)
             series(f.rhs, right)
 
-    scalar(formula, out)
+    scalar(formula, _TRUE)
     return leaves
 
 
@@ -233,41 +233,6 @@ class ConstraintSet:
             else:
                 self.lower[ch.name] = np.full(m, -np.inf)
                 self.upper[ch.name] = np.full(m, np.inf)
-
-    def satisfied_by(self, trace: SignalTrace) -> bool:
-        for ch in self.channels:
-            vals = trace.values[ch.name]
-            if isinstance(ch, CategoricalChannel):
-                is_sym = vals[:, None] == np.array(ch.symbols, dtype=object)
-                if not (self.allowed[ch.name] & is_sym).any(axis=1).all():
-                    return False
-            else:
-                lo, hi = self.lower[ch.name], self.upper[ch.name]
-                if ((vals < lo) | (vals > hi)).any():
-                    return False
-        return True
-
-    def to_json(self) -> str:
-        def bound(x):
-            return None if not np.isfinite(x) else float(x)
-
-        doc = {"m": self.m, "channels": {}}
-        for ch in self.channels:
-            if isinstance(ch, CategoricalChannel):
-                doc["channels"][ch.name] = {
-                    "kind": "categorical",
-                    "allowed": [
-                        sorted(s for s, ok in zip(ch.symbols, row) if ok)
-                        for row in self.allowed[ch.name].tolist()
-                    ],
-                }
-            else:
-                doc["channels"][ch.name] = {
-                    "kind": "continuous",
-                    "lower": [bound(x) for x in self.lower[ch.name]],
-                    "upper": [bound(x) for x in self.upper[ch.name]],
-                }
-        return json.dumps(doc, indent=2, sort_keys=True)
 
     def _check_feasible(self):
         for name in self.lower:
@@ -319,23 +284,19 @@ def constraints_for(
     channels,
     m: int,
     rng: np.random.Generator,
-    out: Output = Output.TRUE,
-    retries: int = 10,
 ) -> ConstraintSet:
     """Sample constraints for ``formula``, retrying infeasible draws.
 
     Different coin flips in the descent can rescue a draw whose first
-    attempt contradicted itself, so up to ``retries`` fresh attempts are
+    attempt contradicted itself, so up to ``RETRIES`` fresh attempts are
     made before giving up.
     """
     last = None
-    for _ in range(retries):
+    for _ in range(RETRIES):
         try:
-            return compile_constraints(
-                sample_constraints(formula, m, rng, out=out), channels, m
-            )
+            return compile_constraints(sample_constraints(formula, m, rng), channels, m)
         except InfeasibleError as e:
             last = e
     raise InfeasibleError(
-        f"no feasible constraints after {retries} attempts: {last}"
+        f"no feasible constraints after {RETRIES} attempts: {last}"
     )

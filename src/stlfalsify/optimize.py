@@ -1,13 +1,15 @@
 """Genetic programming over formulas, scored by constrained rollouts.
 
-Each candidate formula is scored by sampling disturbance traces that
-satisfy it, rolling them through the scenario, and averaging
--likelihood * failure over the batch, so low cost means the formula pins
-down likely failures.  With discrete disturbance models the likelihood is
-an honest probability and the average is used directly.  With continuous
-models raw densities span hundreds of orders of magnitude, so individuals
-are ranked lexicographically: failure fraction first, then the mean
-log-likelihood of the failing rollouts.
+Each candidate formula is scored by one batch of ``baseline.rollouts``,
+the loop that re-evaluation and the baseline also use: a single
+constraint draw, disturbance traces that satisfy it, scenario rollouts,
+and the likelihood of each failing trace under the scenario's model.  The
+cost averages -likelihood * failure over the batch, so low cost means the
+formula pins down likely failures.  With discrete disturbance models the
+likelihood is an honest probability and the average is used directly.
+With continuous models raw densities span hundreds of orders of magnitude,
+so individuals are ranked lexicographically: failure fraction first, then
+the mean log-likelihood of the failing rollouts.
 
 Selection is by tournament.  Each new population slot copies, crosses, or
 mutates tournament winners with the configured probabilities; there is no
@@ -23,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import InfeasibleError, constraints_for
-from .grammar import GrammarSpec, crossover, mutate, sample_expression
-from .samplers import Categorical, log_likelihood, sample_traces
+from .baseline import rollouts
+from .grammar import crossover, mutate, sample_expression
 from .stl import Formula, canonical_text
 
 __all__ = ["GpConfig", "Individual", "evaluate_cost", "run"]
@@ -71,7 +72,6 @@ _WORST = dict(cost=0.0, feasible=False, fail_count=0, mean_fail_loglik=-math.inf
 def evaluate_cost(
     formula: Formula,
     scenario,
-    model=None,
     N: int = 10,
     rng: np.random.Generator | None = None,
 ) -> Individual:
@@ -81,29 +81,15 @@ def evaluate_cost(
     infeasible through the retry budget gets the worst cost (0: it never
     demonstrates a failure).
     """
-    if rng is None:
-        rng = np.random.default_rng()
-    model = model or scenario.model
-    m, dt = scenario.horizon, scenario.dt
-    try:
-        cs = constraints_for(formula, scenario.channels, m, rng)
-        traces = sample_traces(model, m, dt, cs, rng=rng, size=N)
-    except InfeasibleError:
+    _, fail_lls, n_infeasible = rollouts(scenario, scenario.model, formula, rng, batches=1, size=N)
+    if n_infeasible:
         return Individual(formula=formula, **_WORST)
-
-    discrete = all(isinstance(cm, Categorical) for cm in model.models.values())
-    fails = 0
-    fail_lls = []
-    mean_p_fail = 0.0
-    for trace in traces:
-        if scenario.run(trace).failure:
-            fails += 1
-            ll = log_likelihood(model, trace)
-            fail_lls.append(ll)
-            if discrete:
-                mean_p_fail += math.exp(ll)
-    mean_p_fail /= N
-    if discrete:
+    fails = len(fail_lls)
+    if scenario.model.discrete:
+        mean_p_fail = 0.0
+        for ll in fail_lls:
+            mean_p_fail += math.exp(ll)
+        mean_p_fail /= N
         cost = -mean_p_fail
     else:
         cost = -fails / N
@@ -126,20 +112,13 @@ def _tournament(pop: list[Individual], k: int, rng) -> Individual:
     return best
 
 
-def run(
-    scenario,
-    config: GpConfig,
-    grammar: GrammarSpec | None = None,
-    model=None,
-    progress=None,
-) -> tuple[Individual, list[dict]]:
+def run(scenario, config: GpConfig, progress=None) -> tuple[Individual, list[dict]]:
     """Evolve for ``config.generations`` rounds, the first being the random
     initial population.  Returns the best individual ever evaluated and one
     history record per generation; ``progress`` (if given) receives each
     record as it is produced.
     """
-    grammar = grammar or scenario.grammar
-    model = model or scenario.model
+    grammar = scenario.grammar
     rng = np.random.default_rng(config.seed)
     cache: dict[str, Individual] = {}
 
@@ -147,7 +126,7 @@ def run(
         key = canonical_text(formula)
         hit = cache.get(key)
         if hit is None:
-            hit = evaluate_cost(formula, scenario, model, config.samples_per_eval, rng)
+            hit = evaluate_cost(formula, scenario, config.samples_per_eval, rng)
             cache[key] = hit
         return hit
 

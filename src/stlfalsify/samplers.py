@@ -129,6 +129,11 @@ class DisturbanceModel:
                 if extra:
                     raise ValueError(f"model symbols {extra} not on channel {ch.name!r}")
 
+    @property
+    def discrete(self) -> bool:
+        """Every channel is categorical, so a trace likelihood is a probability."""
+        return all(isinstance(cm, Categorical) for cm in self.models.values())
+
 
 # ---------------------------------------------------------------------------
 # Kernels

@@ -520,7 +520,6 @@ class Scenario:
     """A named configuration bundling dynamics, channels and models."""
 
     name: str
-    kind: str  # left_turn | crosswalk
     config: LeftTurnConfig | CrosswalkConfig
     channels: tuple[ChannelSpec, ...]
     model: DisturbanceModel
@@ -564,7 +563,7 @@ def run(scenario: Scenario, trace: SignalTrace) -> SimResult:
 
     records = []
     fail_step = None
-    if scenario.kind == "left_turn":
+    if isinstance(scenario.config, LeftTurnConfig):
         (ch,) = scenario.channels
         st = LtState.initial(scenario.config)
         symbols = trace.values[ch.name]
@@ -627,7 +626,6 @@ def _lt_scenario(name: str, inits: tuple[float, float, float, float]) -> Scenari
     cfg = LeftTurnConfig(*inits)
     return Scenario(
         name=name,
-        kind="left_turn",
         config=cfg,
         channels=channels,
         model=model,
@@ -663,7 +661,6 @@ def _pc_scenario(name: str, sigma_acc: float, sigma_pos: float, sigma_vel: float
     )
     return Scenario(
         name=name,
-        kind="crosswalk",
         config=cfg,
         channels=channels,
         model=model,

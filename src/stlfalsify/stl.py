@@ -481,6 +481,12 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# Bound on bracket and operator nesting and on the depth of a parsed tree.
+# It keeps the parser (three frames per bracket) and every later recursive
+# walk of a parsed formula far below the interpreter's recursion limit, and
+# far above the search grammar's default depth limit of 10.
+MAX_NESTING = 100
+
 _ALIAS = {"≤": "<=", "≥": ">=", "==": "=", "□_": "G_", "◊_": "F_", "∧": "&", "∨": "|", "¬": "!"}
 
 
@@ -501,11 +507,26 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _deeper_than(formula: Formula, bound: int) -> bool:
+    """Whether ``depth(formula) > bound``, found without recursion."""
+    stack = [(formula, 1)]
+    while stack:
+        f, d = stack.pop()
+        if d > bound:
+            return True
+        if isinstance(f, (And, Or)):
+            stack += [(f.lhs, d + 1), (f.rhs, d + 1)]
+        elif not isinstance(f, Cmp):
+            stack.append((f.arg, d + 1))
+    return False
+
+
 class _Parser:
     def __init__(self, text: str, channels):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0
         self.by_name = _channel_map(channels) if channels is not None else None
 
     def peek(self):
@@ -525,6 +546,8 @@ class _Parser:
         k, v, pos = self.peek()
         if k != "eof":
             raise ParseError(f"trailing input {v!r}", pos)
+        if _deeper_than(f, MAX_NESTING):
+            raise ParseError(f"formula is deeper than {MAX_NESTING} levels", 0)
         return f
 
     def or_expr(self) -> Formula:
@@ -542,6 +565,14 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", self.peek()[2])
+        f = self._operand()
+        self.nesting -= 1
+        return f
+
+    def _operand(self) -> Formula:
         k, v, pos = self.peek()
         if v == "!":
             self.take("!")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import stlfalsify.baseline as baseline
 from stlfalsify.baseline import (
     GEOMEAN_STEP_PROB,
     TRAJECTORY_LOGLIK,
@@ -11,6 +12,7 @@ from stlfalsify.baseline import (
     evaluate_expression,
     importance_sample,
 )
+from stlfalsify.optimize import evaluate_cost
 from stlfalsify.samplers import Categorical, DisturbanceModel
 from stlfalsify.sim import scenario
 from stlfalsify.stl import parse
@@ -131,3 +133,41 @@ def test_single_failure_has_zero_likelihood_se():
     rep, _ = evaluate_expression(f, sc, trials=1, rng=rng(9))
     if rep.n_failures == 1:
         assert rep.likelihood_se == 0.0
+
+
+def test_constraint_draws_per_batch_differ_by_caller(monkeypatch):
+    # search scores a formula from one draw; re-evaluation draws per trial;
+    # the baseline samples unconstrained
+    sc = scenario("lt1")
+    f = parse("G_[0,1](a_maj)", sc.channels)  # feasible on every first draw
+    draws = []
+    real = baseline.constraints_for
+
+    def counting(*args, **kwargs):
+        draws.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baseline, "constraints_for", counting)
+    evaluate_cost(f, sc, N=10, rng=rng(0))
+    assert len(draws) == 1
+    evaluate_expression(f, sc, trials=10, rng=rng(0))
+    assert len(draws) == 11
+    importance_sample(sc, trials=10, rng=rng(0))
+    assert len(draws) == 11
+
+
+def test_search_batch_shares_one_witness_step(monkeypatch):
+    sc = scenario("lt1")
+    drawn = []
+    real = baseline.sample_traces
+
+    def recording(*args, **kwargs):
+        traces = real(*args, **kwargs)
+        drawn.extend(traces)
+        return traces
+
+    monkeypatch.setattr(baseline, "sample_traces", recording)
+    evaluate_cost(parse("F_[0,5](disturbance = a_maj)", sc.channels), sc, N=10, rng=rng(1))
+    assert len(drawn) == 10
+    a_maj = np.array([tr.values["disturbance"][:6] == "a_maj" for tr in drawn])
+    assert a_maj.all(axis=0).any()  # one step is a_maj in every trace

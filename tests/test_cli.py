@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stlfalsify.cli import main
 from stlfalsify.sim import scenario
@@ -220,3 +221,119 @@ def test_monitor_ragged_csv_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 4" in err and "Traceback" not in err
+
+
+def test_baseline_rejects_zero_trials(tmp_path, capsys):
+    out_dir = tmp_path / "x"
+    code = main(["baseline", "--scenario", "lt1", "--trials", "0", "--out", str(out_dir)])
+    assert code == 2
+    assert "trials" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# robustness: no input makes the CLI die with a traceback
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "!" * 990 + "G_[0,1](a_maj)",
+        "(" * 3000 + "a_maj" + ")" * 3000,
+        "G_[0,1](" + " & ".join(["a_maj"] * 2000) + ")",
+    ],
+    ids=["990-negations", "3000-parentheses", "2000-term-conjunction"],
+)
+def test_deeply_nested_formula_exits_2(tmp_path, capsys, formula):
+    trace_path = tmp_path / "nominal.csv"
+    scenario("lt1").nominal_trace().to_csv(trace_path)
+    code = main(["monitor", "--scenario", "lt1", formula, str(trace_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "deeper than" in err and "Traceback" not in err
+
+
+FORMULA_TOKENS = [
+    "G_", "F_", "[", "]", "(", ")", ",", "!", "&", "|", "=", "<=", ">=", " ",
+    "0", "1", "3", "-1", "0.5", "1e9", "disturbance", "a_maj", "none", "B", "a_y", "n_x", "zz",
+]
+# mostly valid comparisons per scenario, plus a few that fail validation
+ATOMS = {
+    "lt1": ["a_maj", "none", "B", "S", "disturbance = d_med", "disturbance <= 1", "a_y <= 0.5"],
+    "pc1": ["a_y <= 0.5", "a_y >= -3", "n_x = 0", "a_x <= -0.4", "n_vy >= 1.9", "a_maj", "zz = 1"],
+}
+
+
+def formula_texts(name):
+    series = st.recursive(
+        st.sampled_from(ATOMS[name]),
+        lambda sub: st.one_of(
+            sub.map("!{}".format),
+            st.tuples(sub, st.sampled_from(["&", "|"]), sub).map("({0[0]} {0[1]} {0[2]})".format),
+        ),
+        max_leaves=4,
+    )
+    scalar = st.tuples(
+        st.sampled_from(["G_", "F_"]), st.integers(-1, 31), st.integers(-1, 31), series
+    ).map("{0[0]}[{0[1]},{0[2]}]({0[3]})".format)
+    return st.one_of(
+        st.text(max_size=30),
+        st.lists(st.sampled_from(FORMULA_TOKENS), max_size=25).map("".join),
+        series,
+        scalar,
+        st.tuples(scalar, st.sampled_from(["&", "|"]), scalar).map(" ".join),
+    )
+
+
+CSV_CELLS = ["0", "0.1", "0.2", "-1", "5", "nan", "inf", "none", "a_maj", "B", "x", "t", "", " "]
+
+
+def _edited(lines, edits) -> bytes:
+    """``lines`` with each (line, cell, new value) edit applied; None drops the cell."""
+    lines = list(lines)
+    for i, j, cell in edits:
+        cells = lines[i % len(lines)].split(",")
+        if cell is None:
+            del cells[j % len(cells)]
+        else:
+            cells[j % len(cells)] = cell
+        lines[i % len(lines)] = ",".join(cells)
+    return "\n".join(lines).encode()
+
+
+FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@FUZZ
+@given(name=st.sampled_from(["lt1", "pc1"]), data=st.data())
+def test_arbitrary_formula_text_never_raises(tmp_path, capsys, name, data):
+    text = data.draw(formula_texts(name))
+    trace_path = tmp_path / f"{name}.csv"
+    scenario(name).nominal_trace().to_csv(trace_path)
+    # "--" keeps text that starts with "-" a positional formula
+    assert main(["monitor", "--scenario", name, "--", text, str(trace_path)]) in (0, 2, 3)
+    out = str(tmp_path / "samples")
+    assert main(["sample", "--scenario", name, "--trials", "2", "--out", out, "--", text]) in (0, 2, 3)
+    capsys.readouterr()
+
+
+@FUZZ
+@given(name=st.sampled_from(["lt1", "pc1"]), data=st.data())
+def test_arbitrary_trace_bytes_never_raise(tmp_path, capsys, name, data):
+    trace_path = tmp_path / "fuzz.csv"
+    scenario(name).nominal_trace().to_csv(trace_path)
+    lines = trace_path.read_text().splitlines()
+    edits = st.lists(
+        st.tuples(st.integers(0, 99), st.integers(0, 9), st.sampled_from([*CSV_CELLS, None])),
+        max_size=4,
+    )
+    raw = data.draw(st.one_of(
+        st.binary(max_size=120),
+        st.tuples(st.integers(1, len(lines)), edits).map(lambda ke: _edited(lines[: ke[0]], ke[1])),
+    ))
+    trace_path.write_bytes(raw)
+    formula = "G_[0,1](a_maj)" if name == "lt1" else "F_[0,1](a_y >= 0.5)"
+    assert main(["monitor", "--scenario", name, formula, str(trace_path)]) in (0, 2, 3)
+    capsys.readouterr()

@@ -6,8 +6,6 @@ deterministic cases and for the coin-flip cases where the rule picks one
 child at random.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -238,34 +236,6 @@ def test_retries_find_a_feasible_coin_assignment():
     for seed in range(20):
         cs = constraints_for(f, CHANNELS, 1, rng(seed))
         assert allowed_sets(cs)[0] == {"a_maj"}
-
-
-def test_satisfied_by_agrees_with_monitor():
-    from stlfalsify.stl import SignalTrace, evaluate
-
-    f = parse("(G_[0,1](a_maj) & F_[0,2](a_y >= 0.5))", CHANNELS)
-    r = rng(3)
-    for _ in range(50):
-        cs = constraints_for(f, CHANNELS, 4, r)
-        vals = {
-            "disturbance": np.array(
-                [min(s) if s else "none" for s in allowed_sets(cs)],
-                dtype=object,
-            ),
-            "a_y": np.clip(np.nan_to_num(cs.lower["a_y"], neginf=0.0), -2, 2),
-        }
-        tr = SignalTrace(dt=0.1, channels=CHANNELS, values=vals)
-        if cs.satisfied_by(tr):
-            assert evaluate(f, tr)
-
-
-def test_constraint_set_serializes():
-    cs = constraints_for(parse("G_[0,1](a_maj)", CHANNELS), CHANNELS, 3, rng())
-    blob = json.loads(cs.to_json())
-    assert blob["m"] == 3
-    assert blob["channels"]["disturbance"]["allowed"] == [
-        ["a_maj"], ["a_maj"], sorted(DIST.symbols)
-    ]
 
 
 # ---------------------------------------------------------------------------

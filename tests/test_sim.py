@@ -6,7 +6,9 @@ import pytest
 from stlfalsify.sim import (
     CAR_LENGTH,
     CAR_WIDTH,
+    CrosswalkConfig,
     IdmParams,
+    LeftTurnConfig,
     Scenario,
     boxes_overlap,
     idm_accel,
@@ -85,8 +87,8 @@ def test_boxes_overlap_uses_heading_extents():
 
 def test_registry_names_and_lookup():
     assert scenario_names() == ("lt1", "lt2", "lt3", "pc1", "pc2")
-    assert scenario("lt1").kind == "left_turn"
-    assert scenario("pc2").kind == "crosswalk"
+    assert isinstance(scenario("lt1").config, LeftTurnConfig)
+    assert isinstance(scenario("pc2").config, CrosswalkConfig)
     with pytest.raises(KeyError):
         scenario("nope")
 

@@ -47,9 +47,17 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _make_dir(path: str) -> str:
+    """Create directory ``path`` (and its parents) unless it exists; return it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {path}: {exc}")
+    return path
+
+
 def _write_rollouts(out_dir: str, fails) -> list[str]:
-    roll_dir = os.path.join(out_dir, "rollouts")
-    os.makedirs(roll_dir, exist_ok=True)
+    roll_dir = _make_dir(os.path.join(out_dir, "rollouts"))
     written = []
     for i, res in enumerate(fails[:MAX_ROLLOUT_FILES]):
         name = f"fail_{i:03d}.csv"
@@ -153,7 +161,14 @@ def _parse_formula(text: str, channels):
     try:
         return parse(text, channels)
     except ParseError as exc:
-        raise ValueError(f"bad formula at position {exc.pos}: {exc}")
+        raise ValueError(f"bad formula: {exc}")
+
+
+def _trials(cfg: dict, default: int) -> int:
+    trials = cfg.get("trials", default)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    return trials
 
 
 def _report_payload(report) -> dict:
@@ -165,9 +180,7 @@ def _report_payload(report) -> dict:
 
 def cmd_optimize(cfg: dict) -> int:
     sc = _require_scenario(cfg)
-    trials = cfg.get("trials", 500)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _trials(cfg, 500)
     gp_kwargs = {"seed": cfg["seed"]}
     if cfg.get("pop") is not None:
         gp_kwargs["population"] = cfg["pop"]
@@ -175,8 +188,7 @@ def cmd_optimize(cfg: dict) -> int:
         gp_kwargs["generations"] = cfg["gens"]
     gp = GpConfig(**gp_kwargs)
 
-    out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_dir(cfg["out"])
     with open(os.path.join(out_dir, "history.jsonl"), "w") as hist_fh:
 
         def progress(row):
@@ -223,12 +235,10 @@ def cmd_optimize(cfg: dict) -> int:
 
 def cmd_baseline(cfg: dict) -> int:
     sc = _require_scenario(cfg)
-    trials = cfg.get("trials", 500)
+    trials = _trials(cfg, 500)
+    out_dir = _make_dir(cfg["out"])
     rng = np.random.default_rng(cfg["seed"])
     report, fails = importance_sample(sc, trials=trials, rng=rng)
-
-    out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
     rollouts = _write_rollouts(out_dir, fails)
     _write_json(
         os.path.join(out_dir, "result.json"),
@@ -254,13 +264,10 @@ def cmd_monitor(cfg: dict, formula_text: str, trace_path: str) -> int:
 
 def cmd_sample(cfg: dict, formula_text: str) -> int:
     sc = _require_scenario(cfg)
-    count = cfg.get("trials", 10)
-    if count < 1:
-        raise ValueError("trials must be at least 1")
+    count = _trials(cfg, 10)
     formula = _parse_formula(formula_text, sc.channels)
+    out_dir = _make_dir(cfg["out"])
     rng = np.random.default_rng(cfg["seed"])
-    out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
     for i in range(count):
         try:
             cs = constraints_for(formula, sc.channels, sc.horizon, rng)

@@ -27,12 +27,19 @@ Failure is an axis-aligned bounding-box collision between the ego and the
 other agent, with box extents projected from each agent's heading.  All
 stepping is semi-implicit Euler (velocity first, then position) and every
 rollout is a pure function of (config, disturbance trace).
+
+Both scenarios follow one step protocol, which ``run`` drives:
+``config.start()`` returns a fresh state, and ``state.step(values, k)``
+applies step ``k`` of the trace's ``values`` (channel name to array),
+advances the state by one step and returns that step's record.  The
+record's ``collision`` entry comes from the same poses the record reports,
+and the loop stops at the first step that collides.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,13 +54,12 @@ from .stl import CategoricalChannel, ChannelSpec, ContinuousChannel, SignalTrace
 
 __all__ = [
     "IdmParams",
+    "IDM",
     "idm_accel",
     "LeftTurnConfig",
     "CrosswalkConfig",
     "LtState",
     "PcState",
-    "step_left_turn",
-    "step_crosswalk",
     "SimResult",
     "Scenario",
     "run",
@@ -78,7 +84,10 @@ class IdmParams:
         return 2.0 * self.b
 
 
-def idm_accel(gap: float, v: float, v_lead: float, p: IdmParams = IdmParams()) -> float:
+IDM = IdmParams()  # every driver in both scenarios; the crosswalk ego swaps in its cruise speed
+
+
+def idm_accel(gap: float, v: float, v_lead: float, p: IdmParams = IDM) -> float:
     """IDM acceleration toward a leader ``gap`` metres ahead.
 
     A free road is ``gap = inf``.  The desired-gap term is floored at zero
@@ -102,7 +111,6 @@ def idm_accel(gap: float, v: float, v_lead: float, p: IdmParams = IdmParams()) -
 CAR_LENGTH = 4.5
 CAR_WIDTH = 2.0
 PED_SIZE = 0.6
-LANE_WIDTH = 3.7
 
 
 def _box_extents(heading: float, length: float, width: float) -> tuple[float, float]:
@@ -142,67 +150,57 @@ class LeftTurnConfig:
     x = +1.85 and turns left onto the westbound lane y = +1.85 along a
     quarter-circle arc; the oncoming car drives south in the lane x = -1.85.
     ``s_ego``/``s_adv`` are start distances from the intersection centre.
+    The initial conditions are the only fields; the layout and the drivers'
+    rules are class constants shared by every left-turn scenario.
     """
 
     s_ego: float
     v_ego: float
     s_adv: float
     v_adv: float
-    dt: float = 0.18
-    horizon: int = 24
 
-    lane_half: float = 1.85
-    turn_entry_y: float = -6.0
-    arc_radius: float = 7.85
-    v_turn_max: float = 11.0  # speed cap through the turn
-    u_clear_extra: float = 12.5  # path length past the entry that clears the conflict
+    dt = 0.18
+    horizon = 24
+
+    lane_half = 1.85
+    turn_entry_y = -6.0
+    arc_radius = 7.85
+    arc_len = arc_radius * math.pi / 2
+    v_turn_max = 11.0  # speed cap through the turn
+    u_clear_extra = 12.5  # path length past the entry that clears the conflict
     # ego commit rule
-    y_contact: float = 2.0
-    t_margin: float = 0.25
-    signal_trust_dist: float = 26.0  # trust a turn signal only from this far out
-    y_receded: float = -8.0
-    detect_decel: float = -2.0
-    detect_steps: int = 2
+    y_contact = 2.0
+    t_margin = 0.25
+    signal_trust_dist = 26.0  # trust a turn signal only from this far out
+    y_receded = -8.0
+    detect_decel = -2.0
+    detect_steps = 2
     # oncoming car's yield-or-continue decision
-    react_steps: int = 2
-    b_giveup: float = 4.34  # max braking it will commit to, m/s^2
-    b_yield_hard: float = 6.0
-    y_stopline: float = 6.0
-    stop_margin: float = 2.0
+    react_steps = 2
+    b_giveup = 4.34  # max braking it will commit to, m/s^2
+    b_yield_hard = 6.0
+    y_stopline = 6.0
+    stop_margin = 2.0
 
     @property
     def straight_len(self) -> float:
         return self.s_ego + self.turn_entry_y  # distance to the arc entry
 
     @property
-    def arc_len(self) -> float:
-        return self.arc_radius * math.pi / 2
-
-    @property
     def u_clear(self) -> float:
         return self.straight_len + self.u_clear_extra
 
-    def ego_pose(self, u: float) -> tuple[float, float, float]:
-        """Map path length u to (x, y, heading)."""
-        d0 = self.straight_len
-        if u < d0:
-            return self.lane_half, -self.s_ego + u, math.pi / 2
-        if u < d0 + self.arc_len:
-            th = (u - d0) / self.arc_radius
-            cx = self.turn_entry_y  # arc centre sits at (-6, -6) by symmetry
-            return (
-                cx + self.arc_radius * math.cos(th),
-                cx + self.arc_radius * math.sin(th),
-                math.pi / 2 + th,
-            )
-        return self.turn_entry_y - (u - d0 - self.arc_len), self.lane_half, math.pi
+    def start(self) -> LtState:
+        if self.straight_len <= 0:
+            raise ValueError("ego must start before the turn entry")
+        return LtState(cfg=self, v_ego=self.v_ego, y_adv=self.s_adv, v_adv=self.v_adv)
 
 
 @dataclass
 class LtState:
     cfg: LeftTurnConfig
     k: int = 0
-    u: float = 0.0
+    u: float = 0.0  # ego path length from its start
     v_ego: float = 0.0
     committed: bool = False
     commit_step: int = -1
@@ -213,19 +211,76 @@ class LtState:
     adv_mode: str = "normal"  # normal | yield | continue
     decided: bool = False
     obs_accel: tuple[float, float] = (0.0, 0.0)  # last two observed accelerations
-    collided: bool = False
 
-    @classmethod
-    def initial(cls, cfg: LeftTurnConfig) -> "LtState":
-        if cfg.straight_len <= 0:
-            raise ValueError("ego must start before the turn entry")
-        return cls(cfg=cfg, v_ego=cfg.v_ego, y_adv=cfg.s_adv, v_adv=cfg.v_adv)
+    def step(self, values, k: int) -> dict:
+        """Advance one step under ``values["disturbance"][k]``; return its record."""
+        cfg = self.cfg
+        symbol = values["disturbance"][k]
+        if symbol not in LT_OFFSETS:
+            raise ValueError(f"unknown disturbance symbol {symbol!r}")
+        if symbol == "S":
+            self.signal = not self.signal
+        elif symbol == "L":
+            self.intent = not self.intent
 
-    def ego_pose(self):
-        return self.cfg.ego_pose(self.u)
+        if not self.committed and _lt_ego_wants_go(self):
+            self.committed = True
+            self.commit_step = self.k
+        a_ego = _lt_ego_accel(self)
 
-    def adv_pose(self):
-        return -self.cfg.lane_half, self.y_adv, -math.pi / 2
+        # Oncoming car: its own turn intention makes it yield when it still can.
+        # Once the ego commits, after a reaction delay it decides once and for
+        # all: yield if the required braking is tolerable, else keep going.
+        if self.adv_mode == "normal" and self.intent and not self.decided:
+            if _lt_brake_required(self) <= cfg.b_giveup:
+                self.adv_mode = "yield"
+        if (
+            self.committed
+            and not self.decided
+            and self.adv_mode != "continue"
+            and self.k >= self.commit_step + cfg.react_steps
+        ):
+            self.decided = True
+            self.adv_mode = "yield" if _lt_brake_required(self) <= cfg.b_giveup else "continue"
+        if self.adv_mode == "yield" and self.committed and self.u >= cfg.u_clear:
+            self.adv_mode = "normal"  # ego is through; resume
+        a_adv = _lt_adv_accel(self) + LT_OFFSETS[symbol]
+
+        v_prev = self.v_adv
+        self.v_ego = max(self.v_ego + a_ego * cfg.dt, 0.0)
+        self.u += self.v_ego * cfg.dt
+        self.v_adv = max(self.v_adv + a_adv * cfg.dt, 0.0)
+        self.y_adv -= self.v_adv * cfg.dt
+        self.obs_accel = (self.obs_accel[1], (self.v_adv - v_prev) / cfg.dt)
+        self.k += 1
+
+        # ego pose from path length: straight north, quarter arc, straight west
+        d0, u = cfg.straight_len, self.u
+        if u < d0:
+            ego = (cfg.lane_half, -cfg.s_ego + u, math.pi / 2)
+        elif u < d0 + cfg.arc_len:
+            r, c = cfg.arc_radius, cfg.turn_entry_y  # arc centre sits at (-6, -6) by symmetry
+            th = (u - d0) / r
+            ego = (c + r * math.cos(th), c + r * math.sin(th), math.pi / 2 + th)
+        else:
+            ego = (cfg.turn_entry_y - (u - d0 - cfg.arc_len), cfg.lane_half, math.pi)
+        adv = (-cfg.lane_half, self.y_adv, -math.pi / 2)
+        return {
+            "t": round(self.k * cfg.dt, 9),
+            "ego_x": ego[0],
+            "ego_y": ego[1],
+            "ego_heading": ego[2],
+            "ego_v": self.v_ego,
+            "adv_x": adv[0],
+            "adv_y": adv[1],
+            "adv_v": self.v_adv,
+            "signal": self.signal,
+            "intent": self.intent,
+            "adv_mode": self.adv_mode,
+            "committed": self.committed,
+            "disturbance": symbol,
+            "collision": boxes_overlap(ego, (CAR_LENGTH, CAR_WIDTH), adv, (CAR_LENGTH, CAR_WIDTH)),
+        }
 
 
 def _lt_brake_required(st: LtState) -> float:
@@ -248,75 +303,28 @@ def _lt_ego_wants_go(st: LtState) -> bool:
     return t_arrive > t_cross + cfg.t_margin
 
 
-def _lt_ego_accel(st: LtState, idm: IdmParams) -> float:
+def _lt_ego_accel(st: LtState) -> float:
     cfg = st.cfg
     d0 = cfg.straight_len
     if not st.committed:
         # hold short of the turn entry
-        return idm_accel(max(d0 - st.u, 0.01), st.v_ego, 0.0, idm)
-    a = idm_accel(math.inf, st.v_ego, 0.0, idm)
+        return idm_accel(max(d0 - st.u, 0.01), st.v_ego, 0.0)
+    a = idm_accel(math.inf, st.v_ego, 0.0)
     if st.u < d0:
         # pace the approach so the arc entry is hit at no more than the cap
         a = min(a, (cfg.v_turn_max**2 - st.v_ego**2) / (2.0 * max(d0 - st.u, 0.1)))
     elif st.u < d0 + cfg.arc_len:
         a = min(a, (cfg.v_turn_max - st.v_ego) / cfg.dt)
-    return min(max(a, -idm.b_hard), idm.a_max)
+    return min(max(a, -IDM.b_hard), IDM.a_max)
 
 
-def _lt_adv_accel(st: LtState, idm: IdmParams) -> float:
+def _lt_adv_accel(st: LtState) -> float:
     cfg = st.cfg
     if st.adv_mode == "yield":
         d = (st.y_adv - CAR_LENGTH / 2) - cfg.y_stopline
         b = st.v_adv**2 / (2.0 * max(d - cfg.stop_margin, 0.3))
         return -min(cfg.b_yield_hard, b)
-    return idm_accel(math.inf, st.v_adv, 0.0, idm)
-
-
-def step_left_turn(st: LtState, symbol: str, idm: IdmParams = IdmParams()) -> LtState:
-    """Advance one step.  Mutates and returns ``st``."""
-    cfg = st.cfg
-    if symbol not in LT_OFFSETS:
-        raise ValueError(f"unknown disturbance symbol {symbol!r}")
-    if symbol == "S":
-        st.signal = not st.signal
-    elif symbol == "L":
-        st.intent = not st.intent
-
-    if not st.committed and _lt_ego_wants_go(st):
-        st.committed = True
-        st.commit_step = st.k
-    a_ego = _lt_ego_accel(st, idm)
-
-    # Oncoming car: its own turn intention makes it yield when it still can.
-    # Once the ego commits, after a reaction delay it decides once and for
-    # all: yield if the required braking is tolerable, else keep going.
-    if st.adv_mode == "normal" and st.intent and not st.decided:
-        if _lt_brake_required(st) <= cfg.b_giveup:
-            st.adv_mode = "yield"
-    if (
-        st.committed
-        and not st.decided
-        and st.adv_mode != "continue"
-        and st.k >= st.commit_step + cfg.react_steps
-    ):
-        st.decided = True
-        st.adv_mode = "yield" if _lt_brake_required(st) <= cfg.b_giveup else "continue"
-    if st.adv_mode == "yield" and st.committed and st.u >= cfg.u_clear:
-        st.adv_mode = "normal"  # ego is through; resume
-    a_adv = _lt_adv_accel(st, idm) + LT_OFFSETS[symbol]
-
-    v_prev = st.v_adv
-    st.v_ego = max(st.v_ego + a_ego * cfg.dt, 0.0)
-    st.u += st.v_ego * cfg.dt
-    st.v_adv = max(st.v_adv + a_adv * cfg.dt, 0.0)
-    st.y_adv -= st.v_adv * cfg.dt
-    st.obs_accel = (st.obs_accel[1], (st.v_adv - v_prev) / cfg.dt)
-    st.k += 1
-    if boxes_overlap(
-        st.ego_pose(), (CAR_LENGTH, CAR_WIDTH), st.adv_pose(), (CAR_LENGTH, CAR_WIDTH)
-    ):
-        st.collided = True
-    return st
+    return idm_accel(math.inf, st.v_adv, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,27 +339,30 @@ class CrosswalkConfig:
 
     The ego drives east toward the crosswalk; the pedestrian starts south of
     the lane and crosses northward.  Perception adds the noise channels to
-    the true pedestrian position and velocity with no filtering.
+    the true pedestrian position and velocity with no filtering.  The
+    disturbance scales are the only fields; the layout and the ego's rules
+    are class constants shared by every crosswalk scenario.
     """
 
     sigma_acc: float
     sigma_pos: float
     sigma_vel: float
-    dt: float = 0.2
-    horizon: int = 30
 
-    ego_x0: float = -35.0
-    v_cruise: float = 11.7
-    ped_y0: float = -4.0
-    ped_vy0: float = 1.5
-    gp_lengthscale: float = 0.4
+    dt = 0.2
+    horizon = 30
+
+    ego_x0 = -35.0
+    v_cruise = 11.7
+    ped_y0 = -4.0
+    ped_vy0 = 1.5
+    gp_lengthscale = 0.4
     # stopping behaviour
-    x_stop: float = -5.0  # centre of a stop just short of the crosswalk
-    b_brake: float = 3.5
-    b_hard: float = 4.0
+    x_stop = -5.0  # centre of a stop just short of the crosswalk
+    b_brake = 3.5
+    b_hard = 4.0
     # commit rule: predicted pedestrian clearance at arrival, metres
-    clear_ahead: float = 3.0
-    clear_behind: float = 3.0
+    clear_ahead = 3.0
+    clear_behind = 3.0
 
     def time_to_crosswalk(self, x: float, v: float) -> float:
         """Travel time to x = 0 accelerating at a_max up to cruise speed."""
@@ -367,10 +378,21 @@ class CrosswalkConfig:
             return (-v + math.sqrt(v * v + 2 * a * dist)) / a
         return t1 + (dist - d1) / vc
 
+    def start(self) -> PcState:
+        return PcState(
+            cfg=self,
+            cruise=replace(IDM, v0=self.v_cruise),
+            x_ego=self.ego_x0,
+            v_ego=self.v_cruise,
+            ped_y=self.ped_y0,
+            ped_vy=self.ped_vy0,
+        )
+
 
 @dataclass
 class PcState:
     cfg: CrosswalkConfig
+    cruise: IdmParams  # the ego's IDM with the scenario's cruise speed
     k: int = 0
     x_ego: float = 0.0
     v_ego: float = 0.0
@@ -380,28 +402,55 @@ class PcState:
     ped_y: float = 0.0
     ped_vx: float = 0.0
     ped_vy: float = 0.0
-    perceived: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    collided: bool = False
 
-    @classmethod
-    def initial(cls, cfg: CrosswalkConfig) -> "PcState":
-        return cls(
-            cfg=cfg, x_ego=cfg.ego_x0, v_ego=cfg.v_cruise, ped_y=cfg.ped_y0, ped_vy=cfg.ped_vy0
-        )
+    def step(self, values, k: int) -> dict:
+        """Advance one step under each channel's ``values[name][k]``; return its record."""
+        cfg = self.cfg
+        dist = {name: float(values[name][k]) for name in PC_CHANNEL_NAMES}
 
-    def ego_pose(self):
-        return self.x_ego, 0.0, 0.0
+        perc_x, perc_y = self.ped_x + dist["n_x"], self.ped_y + dist["n_y"]
+        perc_vx, perc_vy = self.ped_vx + dist["n_vx"], self.ped_vy + dist["n_vy"]
+        if not self.committed and self.x_ego < 0:
+            t_arr = cfg.time_to_crosswalk(self.x_ego, self.v_ego)
+            y_pred = perc_y + perc_vy * t_arr
+            if y_pred >= cfg.clear_ahead or y_pred <= -cfg.clear_behind:
+                self.committed = True
+                self.commit_step = self.k
+        a_ego = _pc_ego_accel(self)
 
-    def ped_pose(self):
-        return self.ped_x, self.ped_y, math.pi / 2
+        self.v_ego = max(self.v_ego + a_ego * cfg.dt, 0.0)
+        self.x_ego += self.v_ego * cfg.dt
+        self.ped_vx += dist["a_x"] * cfg.dt
+        self.ped_vy += dist["a_y"] * cfg.dt
+        self.ped_x += self.ped_vx * cfg.dt
+        self.ped_y += self.ped_vy * cfg.dt
+        self.k += 1
+
+        ego = (self.x_ego, 0.0, 0.0)
+        ped = (self.ped_x, self.ped_y, math.pi / 2)
+        return {
+            "t": round(self.k * cfg.dt, 9),
+            "ego_x": ego[0],
+            "ego_y": ego[1],
+            "ego_v": self.v_ego,
+            "ped_x": ped[0],
+            "ped_y": ped[1],
+            "ped_vx": self.ped_vx,
+            "ped_vy": self.ped_vy,
+            "perc_x": perc_x,
+            "perc_y": perc_y,
+            "perc_vx": perc_vx,
+            "perc_vy": perc_vy,
+            "committed": self.committed,
+            **dist,
+            "collision": boxes_overlap(ego, (CAR_LENGTH, CAR_WIDTH), ped, (PED_SIZE, PED_SIZE)),
+        }
 
 
-def _pc_ego_accel(st: PcState, idm: IdmParams) -> float:
+def _pc_ego_accel(st: PcState) -> float:
     cfg = st.cfg
-    cruise = IdmParams(v0=cfg.v_cruise, a_max=idm.a_max, b=idm.b, s0=idm.s0,
-                       headway=idm.headway, delta=idm.delta)
     if st.committed:
-        a = idm_accel(math.inf, st.v_ego, 0.0, cruise)
+        a = idm_accel(math.inf, st.v_ego, 0.0, st.cruise)
     else:
         d = cfg.x_stop - st.x_ego
         if d <= 0.1:
@@ -409,38 +458,8 @@ def _pc_ego_accel(st: PcState, idm: IdmParams) -> float:
         elif st.v_ego**2 / (2.0 * d) >= cfg.b_brake:
             a = -st.v_ego**2 / (2.0 * d)
         else:
-            a = idm_accel(math.inf, st.v_ego, 0.0, cruise)
-    return min(max(a, -cfg.b_hard), idm.a_max)
-
-
-def step_crosswalk(st: PcState, disturbance, idm: IdmParams = IdmParams()) -> PcState:
-    """Advance one step.  ``disturbance`` maps channel name to value."""
-    cfg = st.cfg
-    a_x, a_y = disturbance["a_x"], disturbance["a_y"]
-    n_x, n_y = disturbance["n_x"], disturbance["n_y"]
-    n_vx, n_vy = disturbance["n_vx"], disturbance["n_vy"]
-
-    st.perceived = (st.ped_x + n_x, st.ped_y + n_y, st.ped_vx + n_vx, st.ped_vy + n_vy)
-    if not st.committed and st.x_ego < 0:
-        t_arr = cfg.time_to_crosswalk(st.x_ego, st.v_ego)
-        y_pred = st.perceived[1] + st.perceived[3] * t_arr
-        if y_pred >= cfg.clear_ahead or y_pred <= -cfg.clear_behind:
-            st.committed = True
-            st.commit_step = st.k
-    a_ego = _pc_ego_accel(st, idm)
-
-    st.v_ego = max(st.v_ego + a_ego * cfg.dt, 0.0)
-    st.x_ego += st.v_ego * cfg.dt
-    st.ped_vx += a_x * cfg.dt
-    st.ped_vy += a_y * cfg.dt
-    st.ped_x += st.ped_vx * cfg.dt
-    st.ped_y += st.ped_vy * cfg.dt
-    st.k += 1
-    if boxes_overlap(
-        st.ego_pose(), (CAR_LENGTH, CAR_WIDTH), st.ped_pose(), (PED_SIZE, PED_SIZE)
-    ):
-        st.collided = True
-    return st
+            a = idm_accel(math.inf, st.v_ego, 0.0, st.cruise)
+    return min(max(a, -cfg.b_hard), IDM.a_max)
 
 
 # ---------------------------------------------------------------------------
@@ -471,48 +490,6 @@ class SimResult:
                     else:
                         cells.append(str(v))
                 fh.write(",".join(cells) + "\n")
-
-
-def _lt_record(st: LtState, symbol: str) -> dict:
-    x, y, h = st.ego_pose()
-    ax, ay, ah = st.adv_pose()
-    return {
-        "t": round(st.k * st.cfg.dt, 9),
-        "ego_x": x,
-        "ego_y": y,
-        "ego_heading": h,
-        "ego_v": st.v_ego,
-        "adv_x": ax,
-        "adv_y": ay,
-        "adv_v": st.v_adv,
-        "signal": st.signal,
-        "intent": st.intent,
-        "adv_mode": st.adv_mode,
-        "committed": st.committed,
-        "disturbance": symbol,
-        "collision": st.collided,
-    }
-
-
-def _pc_record(st: PcState, dist: dict) -> dict:
-    rec = {
-        "t": round(st.k * st.cfg.dt, 9),
-        "ego_x": st.x_ego,
-        "ego_y": 0.0,
-        "ego_v": st.v_ego,
-        "ped_x": st.ped_x,
-        "ped_y": st.ped_y,
-        "ped_vx": st.ped_vx,
-        "ped_vy": st.ped_vy,
-        "perc_x": st.perceived[0],
-        "perc_y": st.perceived[1],
-        "perc_vx": st.perceived[2],
-        "perc_vy": st.perceived[3],
-        "committed": st.committed,
-    }
-    rec.update({name: dist[name] for name in PC_CHANNEL_NAMES})
-    rec["collision"] = st.collided
-    return rec
 
 
 @dataclass(frozen=True)
@@ -561,31 +538,16 @@ def run(scenario: Scenario, trace: SignalTrace) -> SimResult:
     if trace.m < scenario.horizon:
         raise ValueError(f"trace has {trace.m} steps, need {scenario.horizon}")
 
+    st = scenario.config.start()
     records = []
-    fail_step = None
-    if isinstance(scenario.config, LeftTurnConfig):
-        (ch,) = scenario.channels
-        st = LtState.initial(scenario.config)
-        symbols = trace.values[ch.name]
-        for k in range(scenario.horizon):
-            symbol = ch.resolve(str(symbols[k]))
-            step_left_turn(st, symbol)
-            records.append(_lt_record(st, symbol))
-            if st.collided:
-                fail_step = st.k
-                break
-    else:
-        st = PcState.initial(scenario.config)
-        for k in range(scenario.horizon):
-            dist = {name: float(trace.values[name][k]) for name in PC_CHANNEL_NAMES}
-            step_crosswalk(st, dist)
-            records.append(_pc_record(st, dist))
-            if st.collided:
-                fail_step = st.k
-                break
+    for k in range(scenario.horizon):
+        records.append(st.step(trace.values, k))
+        if records[-1]["collision"]:
+            break
+    failure = records[-1]["collision"]
     return SimResult(
-        failure=fail_step is not None,
-        fail_step=fail_step,
+        failure=failure,
+        fail_step=len(records) if failure else None,
         records=tuple(records),
         trace=trace,
     )

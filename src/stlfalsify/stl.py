@@ -98,10 +98,6 @@ class ContinuousChannel:
     units: str = ""
     hard_bounds: bool = False
 
-    @property
-    def kind(self) -> str:
-        return "continuous"
-
 
 @dataclass(frozen=True)
 class CategoricalChannel:
@@ -117,10 +113,6 @@ class CategoricalChannel:
             object.__setattr__(self, "aliases", tuple(sorted(self.aliases.items())))
         if len(set(self.symbols)) != len(self.symbols):
             raise FormulaTypeError(f"duplicate symbols on channel {self.name}")
-
-    @property
-    def kind(self) -> str:
-        return "categorical"
 
     def resolve(self, symbol: str) -> str:
         for alt, canon in self.aliases:
@@ -202,16 +194,24 @@ def level(formula: Formula) -> Level:
 
 
 def depth(formula: Formula) -> int:
-    """Tree depth counting formula nodes only; a lone comparison has depth 1."""
-    if isinstance(formula, Cmp):
-        return 1
-    if isinstance(formula, Not):
-        return 1 + depth(formula.arg)
-    if isinstance(formula, (And, Or)):
-        return 1 + max(depth(formula.lhs), depth(formula.rhs))
-    if isinstance(formula, (Always, Eventually)):
-        return 1 + depth(formula.arg)
-    raise FormulaTypeError(f"not a formula: {formula!r}")
+    """Tree depth counting formula nodes only; a lone comparison has depth 1.
+
+    Walks the tree one level at a time without recursion, so a tree of any
+    depth is measured.
+    """
+    d, layer = 0, [formula]
+    while layer:
+        d += 1
+        below = []
+        for f in layer:
+            if isinstance(f, (And, Or)):
+                below += (f.lhs, f.rhs)
+            elif isinstance(f, (Not, Always, Eventually)):
+                below.append(f.arg)
+            elif not isinstance(f, Cmp):
+                raise FormulaTypeError(f"not a formula: {f!r}")
+        layer = below
+    return d
 
 
 def _channel_map(channels) -> dict[str, ChannelSpec]:
@@ -244,7 +244,7 @@ def check(
                 if f.channel not in by_name:
                     raise FormulaTypeError(f"unknown channel {f.channel!r}")
                 ch = by_name[f.channel]
-                if ch.kind == "categorical":
+                if isinstance(ch, CategoricalChannel):
                     if f.op != "=":
                         raise FormulaTypeError(
                             f"channel {ch.name} is categorical; only '=' applies"
@@ -306,7 +306,12 @@ class SignalTrace:
             if ch.name not in self.values:
                 raise ValueError(f"trace missing channel {ch.name}")
             arr = np.asarray(self.values[ch.name])
-            if ch.kind == "continuous":
+            if isinstance(ch, CategoricalChannel):
+                arr = arr.astype(object)
+                bad = set(arr.tolist()) - set(ch.symbols)
+                if bad:
+                    raise ValueError(f"unknown symbols {bad} on channel {ch.name}")
+            else:
                 arr = arr.astype(float)
                 if ch.hard_bounds and arr.size and (
                     arr.min() < ch.lo - 1e-9 or arr.max() > ch.hi + 1e-9
@@ -314,11 +319,6 @@ class SignalTrace:
                     raise ValueError(
                         f"values on {ch.name} escape [{ch.lo}, {ch.hi}]"
                     )
-            else:
-                arr = arr.astype(object)
-                bad = set(arr.tolist()) - set(ch.symbols)
-                if bad:
-                    raise ValueError(f"unknown symbols {bad} on channel {ch.name}")
             self.values[ch.name] = arr
             lengths.add(arr.shape[0])
         if len(lengths) != 1:
@@ -336,7 +336,7 @@ class SignalTrace:
                 cells = [f"{i * self.dt:.6g}"]
                 for ch in self.channels:
                     v = self.values[ch.name][i]
-                    cells.append(repr(float(v)) if ch.kind == "continuous" else str(v))
+                    cells.append(str(v) if isinstance(ch, CategoricalChannel) else repr(float(v)))
                 fh.write(",".join(cells) + "\n")
 
     @classmethod
@@ -367,10 +367,10 @@ class SignalTrace:
         values = {}
         for ch in channels:
             cells = [r[col[ch.name]] for r in rows]
-            if ch.kind == "continuous":
-                values[ch.name] = np.array([float(c) for c in cells])
-            else:
+            if isinstance(ch, CategoricalChannel):
                 values[ch.name] = np.array(cells, dtype=object)
+            else:
+                values[ch.name] = np.array([float(c) for c in cells])
         return cls(dt=dt, channels=channels, values=values)
 
 
@@ -507,20 +507,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _deeper_than(formula: Formula, bound: int) -> bool:
-    """Whether ``depth(formula) > bound``, found without recursion."""
-    stack = [(formula, 1)]
-    while stack:
-        f, d = stack.pop()
-        if d > bound:
-            return True
-        if isinstance(f, (And, Or)):
-            stack += [(f.lhs, d + 1), (f.rhs, d + 1)]
-        elif not isinstance(f, Cmp):
-            stack.append((f.arg, d + 1))
-    return False
-
-
 class _Parser:
     def __init__(self, text: str, channels):
         self.text = text
@@ -546,7 +532,7 @@ class _Parser:
         k, v, pos = self.peek()
         if k != "eof":
             raise ParseError(f"trailing input {v!r}", pos)
-        if _deeper_than(f, MAX_NESTING):
+        if depth(f) > MAX_NESTING:
             raise ParseError(f"formula is deeper than {MAX_NESTING} levels", 0)
         return f
 
@@ -619,7 +605,7 @@ class _Parser:
                 )
             owners = []
             for ch in self.by_name.values():
-                if ch.kind == "categorical":
+                if isinstance(ch, CategoricalChannel):
                     resolved = ch.resolve(name)
                     if resolved in ch.symbols:
                         owners.append((ch.name, resolved))
@@ -640,7 +626,7 @@ class _Parser:
             raise ParseError(f"expected a value, got {v or 'end of input'!r}", pos)
         if self.by_name is not None and name in self.by_name:
             ch = self.by_name[name]
-            if ch.kind == "categorical" and isinstance(value, str):
+            if isinstance(ch, CategoricalChannel) and isinstance(value, str):
                 value = ch.resolve(value)
         try:
             return Cmp(name, op, value)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from stlfalsify import cli
 from stlfalsify.cli import main
 from stlfalsify.sim import scenario
 from stlfalsify.stl import SignalTrace
@@ -49,7 +50,7 @@ def test_monitor_rejects_malformed_formula(tmp_path, capsys):
     code = main(["monitor", "G_[0,2](", str(trace_path), "--scenario", "lt1"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "position" in err
+    assert err.count("position") == 1
 
 
 def test_monitor_requires_known_scenario(tmp_path, capsys):
@@ -229,6 +230,30 @@ def test_baseline_rejects_zero_trials(tmp_path, capsys):
     assert code == 2
     assert "trials" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--scenario", "lt1", "--pop", "4", "--gens", "1", "--trials", "2"],
+        ["baseline", "--scenario", "lt1", "--trials", "2"],
+        ["sample", "a_maj", "--scenario", "lt1", "--trials", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_naming_a_file_exits_2(tmp_path, capsys, monkeypatch, argv):
+    def sampled(*args, **kwargs):
+        raise AssertionError("sampling started before --out was created")
+
+    for name in ("run", "importance_sample", "constraints_for"):
+        monkeypatch.setattr(cli, name, sampled)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    code = main(argv + ["--out", str(taken)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "cannot create output directory" in err and "Traceback" not in err
+    assert taken.read_text() == "not a directory\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import stlfalsify
 from stlfalsify.sim import (
     CAR_LENGTH,
     CAR_WIDTH,
@@ -214,3 +217,70 @@ def test_rollout_csv_is_stable(tmp_path):
     header = p1.read_text().splitlines()[0]
     assert header.startswith("t,")
     assert "disturbance" in header
+
+
+# ---------------------------------------------------------------------------
+# pinned rollouts: the full CSV of two failing runs, one per scenario kind
+
+LT1_A_MAJ_CSV = (
+    "t,ego_x,ego_y,ego_heading,ego_v,adv_x,adv_y,adv_v,signal,intent,adv_mode,committed,disturbance,collision\n"
+    "0.18,1.85,-13.308,1.5708,9.4,-1.85,27.007,11.0724,0,0,normal,1,a_maj,0\n"
+    "0.36,1.85,-11.5436,1.5708,9.80197,-1.85,24.8216,12.1409,0,0,normal,1,a_maj,0\n"
+    "0.54,1.85,-9.70646,1.5708,10.2066,-1.85,22.4448,13.2043,0,0,continue,1,a_maj,0\n"
+    "0.72,1.85,-7.79574,1.5708,10.6151,-1.85,19.975,13.7211,0,0,continue,1,none,0\n"
+    "0.9,1.8477,-5.80999,1.595,11.0321,-1.85,17.4129,14.234,0,0,continue,1,none,0\n"
+    "1.08,1.55197,-3.8575,1.84723,11,-1.85,14.7592,14.7427,0,0,continue,1,none,0\n"
+    "1.26,0.778321,-2.0406,2.09946,11,-1.85,12.0148,15.2466,0,0,continue,1,none,0\n"
+    "1.44,-0.424277,-0.474259,2.35169,11,-1.85,9.18068,15.7454,0,0,continue,1,none,0\n"
+    "1.62,-1.97972,0.742394,2.60392,11,-1.85,6.25776,16.2384,0,0,continue,1,none,0\n"
+    "1.8,-3.78959,1.53237,2.85615,11,-1.85,3.24719,16.7254,0,0,continue,1,none,1\n"
+)
+
+PC1_FALSE_SLOW_CSV = (
+    "t,ego_x,ego_y,ego_v,ped_x,ped_y,ped_vx,ped_vy,perc_x,perc_y,perc_vx,perc_vy,committed,a_x,a_y,n_x,n_y,n_vx,n_vy,collision\n"
+    "0.2,-32.66,0,11.7,0,-3.7,0,1.5,0,-4,0,0.1,1,0,0,0,0,0,-1.4,0\n"
+    "0.4,-30.32,0,11.7,0,-3.4,0,1.5,0,-3.7,0,0.1,1,0,0,0,0,0,-1.4,0\n"
+    "0.6,-27.98,0,11.7,0,-3.1,0,1.5,0,-3.4,0,0.1,1,0,0,0,0,0,-1.4,0\n"
+    "0.8,-25.64,0,11.7,0,-2.8,0,1.5,0,-3.1,0,1.5,1,0,0,0,0,0,0,0\n"
+    "1,-23.3,0,11.7,0,-2.5,0,1.5,0,-2.8,0,1.5,1,0,0,0,0,0,0,0\n"
+    "1.2,-20.96,0,11.7,0,-2.2,0,1.5,0,-2.5,0,1.5,1,0,0,0,0,0,0,0\n"
+    "1.4,-18.62,0,11.7,0,-1.9,0,1.5,0,-2.2,0,1.5,1,0,0,0,0,0,0,0\n"
+    "1.6,-16.28,0,11.7,0,-1.6,0,1.5,0,-1.9,0,1.5,1,0,0,0,0,0,0,0\n"
+    "1.8,-13.94,0,11.7,0,-1.3,0,1.5,0,-1.6,0,1.5,1,0,0,0,0,0,0,0\n"
+    "2,-11.6,0,11.7,0,-1,0,1.5,0,-1.3,0,1.5,1,0,0,0,0,0,0,0\n"
+    "2.2,-9.26,0,11.7,0,-0.7,0,1.5,0,-1,0,1.5,1,0,0,0,0,0,0,0\n"
+    "2.4,-6.92,0,11.7,0,-0.4,0,1.5,0,-0.7,0,1.5,1,0,0,0,0,0,0,0\n"
+    "2.6,-4.58,0,11.7,0,-0.1,0,1.5,0,-0.4,0,1.5,1,0,0,0,0,0,0,0\n"
+    "2.8,-2.24,0,11.7,0,0.2,0,1.5,0,-0.1,0,1.5,1,0,0,0,0,0,0,1\n"
+)
+
+
+def test_lt1_failing_rollout_csv_is_pinned(tmp_path):
+    sc = scenario("lt1")
+    path = tmp_path / "lt1.csv"
+    sc.run(lt_trace(sc, ["a_maj", "a_maj", "a_maj"])).to_csv(path)
+    assert path.read_text() == LT1_A_MAJ_CSV
+
+
+def test_pc1_failing_rollout_csv_is_pinned(tmp_path):
+    sc = scenario("pc1")
+    n_vy = np.zeros(sc.horizon)
+    n_vy[:3] = -1.4
+    path = tmp_path / "pc1.csv"
+    sc.run(pc_trace(sc, n_vy=n_vy)).to_csv(path)
+    assert path.read_text() == PC1_FALSE_SLOW_CSV
+
+
+# ---------------------------------------------------------------------------
+# exports
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["stlfalsify"]
+    + [f"stlfalsify.{m.name}" for m in pkgutil.iter_modules(stlfalsify.__path__)],
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

@@ -102,6 +102,13 @@ def test_depth_counts_formula_nodes_only():
     assert depth(And(Always(TimeInterval(0, 2), atom), Eventually(TimeInterval(0, 2), atom))) == 3
 
 
+def test_depth_of_a_chain_deeper_than_the_recursion_limit():
+    f = Cmp("disturbance", "=", "a_maj")
+    for _ in range(3000):
+        f = Not(f)
+    assert depth(f) == 3001
+
+
 def test_check_validates_channels_and_ranges():
     assert check(parse("G_[0,2](a_maj)", CHANNELS), CHANNELS) is Level.SCALAR
     with pytest.raises(FormulaTypeError):

@@ -3,12 +3,13 @@ failure metrics.
 
 Search, re-evaluation and the baseline all roll traces through
 ``rollouts``: one constraint draw per batch (none for the baseline),
-sampled traces, scenario rollouts, and the log-likelihood of every failing
-trace.  Search scores a formula with one batch of N traces; re-evaluation
-and the baseline run one batch per trial, so every re-evaluated trial gets
-a fresh constraint draw.  Likelihoods are always scored under the scenario's true
-disturbance model, never under the model the traces were drawn from, so
-optimizer output and the baseline are directly comparable.  Reports carry:
+sampled traces, record-free scenario rollouts, and the records and
+log-likelihood of every failing trace.  Search scores a formula with one
+batch of N traces; re-evaluation and the baseline run one batch per trial,
+so every re-evaluated trial gets a fresh constraint draw.  Likelihoods are
+always scored under the scenario's true disturbance model, never under the
+model the traces were drawn from, so optimizer output and the baseline are
+directly comparable.  Reports carry:
 
 * fail rate over all trials, with a binomial standard error;
 * a likelihood statistic over the failing trajectories only.
@@ -85,9 +86,8 @@ def rollouts(
             n_infeasible += size
             continue
         for trace in traces:
-            res = scenario.run(trace)
-            if res.failure:
-                fails.append(res)
+            if scenario.fail_step(trace) is not None:
+                fails.append(scenario.run(trace))  # roll again for the records
                 lls.append(log_likelihood(scenario.model, trace))
     return fails, lls, n_infeasible
 

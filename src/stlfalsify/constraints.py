@@ -33,11 +33,9 @@ from .stl import (
     Eventually,
     Formula,
     FormulaTypeError,
-    Level,
     Not,
     Or,
     TimeInterval,
-    level,
 )
 
 __all__ = [
@@ -162,6 +160,13 @@ def subexpression_outputs(
     raise ValueError(f"unknown operator {op!r}")
 
 
+def _root_is_series(formula: Formula) -> bool:
+    """Whether the leftmost leaf below the root's connectives is a comparison."""
+    while isinstance(formula, (Not, And, Or)):
+        formula = formula.arg if isinstance(formula, Not) else formula.lhs
+    return isinstance(formula, Cmp)
+
+
 def sample_constraints(
     formula: Formula,
     m: int,
@@ -173,8 +178,11 @@ def sample_constraints(
     Returns one LeafConstraint per comparison whose outputs are not
     everywhere arbitrary, in left-to-right leaf order.  A series formula at
     the root is lifted over all m steps, matching ``stl.evaluate``.
+
+    The root's level is read off its leftmost path, and the descent, which
+    visits every node, raises FormulaTypeError at a node of the wrong level.
     """
-    if level(formula) is Level.SERIES:
+    if _root_is_series(formula):
         formula = Always(TimeInterval(0, m - 1), formula)
     leaves: list[LeafConstraint] = []
 
@@ -185,9 +193,11 @@ def sample_constraints(
             left, right = _split_conjunctive(out, rng, isinstance(f, And))
             scalar(f.lhs, left)
             scalar(f.rhs, right)
-        else:  # Always / Eventually
+        elif isinstance(f, (Always, Eventually)):
             op = "always" if isinstance(f, Always) else "eventually"
             series(f.arg, _window(op, out, f.interval, m, rng))
+        else:
+            raise FormulaTypeError(f"not a scalar formula: {f!r}")
 
     def series(f, out: np.ndarray):
         if isinstance(f, Cmp):
@@ -195,10 +205,12 @@ def sample_constraints(
                 leaves.append(LeafConstraint(f, out))
         elif isinstance(f, Not):
             series(f.arg, _NEG[out])
-        else:
+        elif isinstance(f, (And, Or)):
             left, right = _split_conjunctive(out, rng, isinstance(f, And))
             series(f.lhs, left)
             series(f.rhs, right)
+        else:
+            raise FormulaTypeError(f"not a series formula: {f!r}")
 
     scalar(formula, _TRUE)
     return leaves

@@ -28,12 +28,13 @@ other agent, with box extents projected from each agent's heading.  All
 stepping is semi-implicit Euler (velocity first, then position) and every
 rollout is a pure function of (config, disturbance trace).
 
-Both scenarios follow one step protocol, which ``run`` drives:
-``config.start()`` returns a fresh state, and ``state.step(values, k)``
-applies step ``k`` of the trace's ``values`` (channel name to array),
-advances the state by one step and returns that step's record.  The
-record's ``collision`` entry comes from the same poses the record reports,
-and the loop stops at the first step that collides.
+Each scenario config rolls a trace in one plain loop,
+``config.roll(values, records)``, that keeps the whole state in local
+variables and stops at the first collision.  ``run`` passes a list and gets
+one record per step back; ``fail_step`` passes none and gets only the step
+of the first collision, which is all that a rollout that does not collide
+needs.  Per-rollout constants, such as the box extents of every fixed
+heading, are computed once before the loop.
 """
 
 from __future__ import annotations
@@ -58,11 +59,10 @@ __all__ = [
     "idm_accel",
     "LeftTurnConfig",
     "CrosswalkConfig",
-    "LtState",
-    "PcState",
     "SimResult",
     "Scenario",
     "run",
+    "fail_step",
     "scenario",
     "scenario_names",
     "LT_SYMBOLS",
@@ -140,6 +140,8 @@ LT_OFFSETS = {
     "S": 0.0,
     "L": 0.0,
 }
+_NORMAL, _YIELD, _CONTINUE = range(3)  # the oncoming car's modes
+_MODES = ("normal", "yield", "continue")
 
 
 @dataclass(frozen=True)
@@ -190,141 +192,118 @@ class LeftTurnConfig:
     def u_clear(self) -> float:
         return self.straight_len + self.u_clear_extra
 
-    def start(self) -> LtState:
-        if self.straight_len <= 0:
+    def roll(self, values, records: list | None = None) -> int | None:
+        """Roll ``values["disturbance"]`` to the horizon or the first collision.
+
+        Returns the 1-based step of the first collision, or None.  When
+        ``records`` is a list, each step's record is appended to it.
+        """
+        d0, u_clear = self.straight_len, self.u_clear
+        if d0 <= 0:
             raise ValueError("ego must start before the turn entry")
-        return LtState(cfg=self, v_ego=self.v_ego, y_adv=self.s_adv, v_adv=self.v_adv)
+        dt, arc_end, r, c = self.dt, d0 + self.arc_len, self.arc_radius, self.turn_entry_y
+        y_north, x_ego_lane, x_adv = -self.s_ego, self.lane_half, -self.lane_half
+        v_cap, v_cap2 = self.v_turn_max, self.v_turn_max**2
+        a_lo, a_hi = -IDM.b_hard, IDM.a_max
+        # Box extents of the fixed headings; only the ego on the arc turns.
+        ex_adv, ey_adv = _box_extents(-math.pi / 2, CAR_LENGTH, CAR_WIDTH)
+        ex_north, ey_north = _box_extents(math.pi / 2, CAR_LENGTH, CAR_WIDTH)
+        ex_west, ey_west = _box_extents(math.pi, CAR_LENGTH, CAR_WIDTH)
 
+        u, v_ego, y_adv, v_adv = 0.0, self.v_ego, self.s_adv, self.v_adv
+        signal = intent = committed = decided = False
+        commit_step, mode = -1, _NORMAL
+        obs0 = obs1 = 0.0  # the oncoming car's last two observed accelerations
+        for k, symbol in enumerate(values["disturbance"][: self.horizon].tolist()):
+            offset = LT_OFFSETS.get(symbol)
+            if offset is None:
+                raise ValueError(f"unknown disturbance symbol {symbol!r}")
+            if symbol == "S":
+                signal = not signal
+            elif symbol == "L":
+                intent = not intent
 
-@dataclass
-class LtState:
-    cfg: LeftTurnConfig
-    k: int = 0
-    u: float = 0.0  # ego path length from its start
-    v_ego: float = 0.0
-    committed: bool = False
-    commit_step: int = -1
-    y_adv: float = 0.0
-    v_adv: float = 0.0
-    signal: bool = False
-    intent: bool = False
-    adv_mode: str = "normal"  # normal | yield | continue
-    decided: bool = False
-    obs_accel: tuple[float, float] = (0.0, 0.0)  # last two observed accelerations
+            # The ego commits once the intersection looks clear: a turn signal
+            # seen from afar, the oncoming car past or visibly braking, or
+            # enough time gap to clear the conflict zone.
+            if not committed and (
+                (signal and y_adv >= self.signal_trust_dist)
+                or y_adv <= self.y_receded
+                or (obs0 <= self.detect_decel and obs1 <= self.detect_decel
+                    and k >= self.detect_steps)
+                or (y_adv - self.y_contact) / max(v_adv, 0.1)
+                > (u_clear - u) / max((v_ego + v_cap) / 2.0, 1.0) + self.t_margin
+            ):
+                committed, commit_step = True, k
+            if not committed:
+                a_ego = idm_accel(max(d0 - u, 0.01), v_ego, 0.0)  # hold short of the turn entry
+            else:
+                a_ego = idm_accel(math.inf, v_ego, 0.0)
+                if u < d0:
+                    # pace the approach so the arc entry is hit at no more than the cap
+                    a_ego = min(a_ego, (v_cap2 - v_ego**2) / (2.0 * max(d0 - u, 0.1)))
+                elif u < arc_end:
+                    a_ego = min(a_ego, (v_cap - v_ego) / dt)
+                a_ego = min(max(a_ego, a_lo), a_hi)
 
-    def step(self, values, k: int) -> dict:
-        """Advance one step under ``values["disturbance"][k]``; return its record."""
-        cfg = self.cfg
-        symbol = values["disturbance"][k]
-        if symbol not in LT_OFFSETS:
-            raise ValueError(f"unknown disturbance symbol {symbol!r}")
-        if symbol == "S":
-            self.signal = not self.signal
-        elif symbol == "L":
-            self.intent = not self.intent
+            # Oncoming car: its own turn intention makes it yield when it still
+            # can.  Once the ego commits, after a reaction delay it decides once
+            # and for all: yield if the braking to its stop line is tolerable,
+            # else keep going.
+            gap = (y_adv - CAR_LENGTH / 2) - self.y_stopline  # front bumper to stop line
+            if mode == _NORMAL and intent and not decided:
+                if v_adv**2 / (2.0 * max(gap, 0.3)) <= self.b_giveup:
+                    mode = _YIELD
+            if committed and not decided and mode != _CONTINUE and k >= commit_step + self.react_steps:
+                decided = True
+                mode = _YIELD if v_adv**2 / (2.0 * max(gap, 0.3)) <= self.b_giveup else _CONTINUE
+            if mode == _YIELD and committed and u >= u_clear:
+                mode = _NORMAL  # ego is through; resume
+            if mode == _YIELD:
+                a_adv = -min(self.b_yield_hard, v_adv**2 / (2.0 * max(gap - self.stop_margin, 0.3)))
+            else:
+                a_adv = idm_accel(math.inf, v_adv, 0.0)
+            a_adv += offset
 
-        if not self.committed and _lt_ego_wants_go(self):
-            self.committed = True
-            self.commit_step = self.k
-        a_ego = _lt_ego_accel(self)
+            v_prev = v_adv
+            v_ego = max(v_ego + a_ego * dt, 0.0)
+            u += v_ego * dt
+            v_adv = max(v_adv + a_adv * dt, 0.0)
+            y_adv -= v_adv * dt
+            obs0, obs1 = obs1, (v_adv - v_prev) / dt
 
-        # Oncoming car: its own turn intention makes it yield when it still can.
-        # Once the ego commits, after a reaction delay it decides once and for
-        # all: yield if the required braking is tolerable, else keep going.
-        if self.adv_mode == "normal" and self.intent and not self.decided:
-            if _lt_brake_required(self) <= cfg.b_giveup:
-                self.adv_mode = "yield"
-        if (
-            self.committed
-            and not self.decided
-            and self.adv_mode != "continue"
-            and self.k >= self.commit_step + cfg.react_steps
-        ):
-            self.decided = True
-            self.adv_mode = "yield" if _lt_brake_required(self) <= cfg.b_giveup else "continue"
-        if self.adv_mode == "yield" and self.committed and self.u >= cfg.u_clear:
-            self.adv_mode = "normal"  # ego is through; resume
-        a_adv = _lt_adv_accel(self) + LT_OFFSETS[symbol]
+            # ego pose from path length: straight north, quarter arc, straight west
+            if u < d0:
+                x, y, heading, ex, ey = x_ego_lane, y_north + u, math.pi / 2, ex_north, ey_north
+            elif u < arc_end:
+                th = (u - d0) / r  # arc centre sits at (-6, -6) by symmetry
+                x, y, heading = c + r * math.cos(th), c + r * math.sin(th), math.pi / 2 + th
+                ex, ey = _box_extents(heading, CAR_LENGTH, CAR_WIDTH)
+            else:
+                x, y, heading = c - (u - d0 - self.arc_len), x_ego_lane, math.pi
+                ex, ey = ex_west, ey_west
+            hit = abs(x - x_adv) <= ex + ex_adv and abs(y - y_adv) <= ey + ey_adv
+            if records is not None:
+                records.append({
+                    "t": round((k + 1) * dt, 9),
+                    "ego_x": x,
+                    "ego_y": y,
+                    "ego_heading": heading,
+                    "ego_v": v_ego,
+                    "adv_x": x_adv,
+                    "adv_y": y_adv,
+                    "adv_v": v_adv,
+                    "signal": signal,
+                    "intent": intent,
+                    "adv_mode": _MODES[mode],
+                    "committed": committed,
+                    "disturbance": symbol,
+                    "collision": hit,
+                })
+            if hit:
+                return k + 1
+        return None
 
-        v_prev = self.v_adv
-        self.v_ego = max(self.v_ego + a_ego * cfg.dt, 0.0)
-        self.u += self.v_ego * cfg.dt
-        self.v_adv = max(self.v_adv + a_adv * cfg.dt, 0.0)
-        self.y_adv -= self.v_adv * cfg.dt
-        self.obs_accel = (self.obs_accel[1], (self.v_adv - v_prev) / cfg.dt)
-        self.k += 1
-
-        # ego pose from path length: straight north, quarter arc, straight west
-        d0, u = cfg.straight_len, self.u
-        if u < d0:
-            ego = (cfg.lane_half, -cfg.s_ego + u, math.pi / 2)
-        elif u < d0 + cfg.arc_len:
-            r, c = cfg.arc_radius, cfg.turn_entry_y  # arc centre sits at (-6, -6) by symmetry
-            th = (u - d0) / r
-            ego = (c + r * math.cos(th), c + r * math.sin(th), math.pi / 2 + th)
-        else:
-            ego = (cfg.turn_entry_y - (u - d0 - cfg.arc_len), cfg.lane_half, math.pi)
-        adv = (-cfg.lane_half, self.y_adv, -math.pi / 2)
-        return {
-            "t": round(self.k * cfg.dt, 9),
-            "ego_x": ego[0],
-            "ego_y": ego[1],
-            "ego_heading": ego[2],
-            "ego_v": self.v_ego,
-            "adv_x": adv[0],
-            "adv_y": adv[1],
-            "adv_v": self.v_adv,
-            "signal": self.signal,
-            "intent": self.intent,
-            "adv_mode": self.adv_mode,
-            "committed": self.committed,
-            "disturbance": symbol,
-            "collision": boxes_overlap(ego, (CAR_LENGTH, CAR_WIDTH), adv, (CAR_LENGTH, CAR_WIDTH)),
-        }
-
-
-def _lt_brake_required(st: LtState) -> float:
-    """Deceleration the oncoming car needs to stop at its stop line."""
-    cfg = st.cfg
-    d = (st.y_adv - CAR_LENGTH / 2) - cfg.y_stopline
-    return st.v_adv**2 / (2.0 * max(d, 0.3))
-
-
-def _lt_ego_wants_go(st: LtState) -> bool:
-    cfg = st.cfg
-    if st.signal and st.y_adv >= cfg.signal_trust_dist:
-        return True
-    if st.y_adv <= cfg.y_receded:
-        return True
-    if all(a <= cfg.detect_decel for a in st.obs_accel) and st.k >= cfg.detect_steps:
-        return True
-    t_arrive = (st.y_adv - cfg.y_contact) / max(st.v_adv, 0.1)
-    t_cross = (cfg.u_clear - st.u) / max((st.v_ego + cfg.v_turn_max) / 2.0, 1.0)
-    return t_arrive > t_cross + cfg.t_margin
-
-
-def _lt_ego_accel(st: LtState) -> float:
-    cfg = st.cfg
-    d0 = cfg.straight_len
-    if not st.committed:
-        # hold short of the turn entry
-        return idm_accel(max(d0 - st.u, 0.01), st.v_ego, 0.0)
-    a = idm_accel(math.inf, st.v_ego, 0.0)
-    if st.u < d0:
-        # pace the approach so the arc entry is hit at no more than the cap
-        a = min(a, (cfg.v_turn_max**2 - st.v_ego**2) / (2.0 * max(d0 - st.u, 0.1)))
-    elif st.u < d0 + cfg.arc_len:
-        a = min(a, (cfg.v_turn_max - st.v_ego) / cfg.dt)
-    return min(max(a, -IDM.b_hard), IDM.a_max)
-
-
-def _lt_adv_accel(st: LtState) -> float:
-    cfg = st.cfg
-    if st.adv_mode == "yield":
-        d = (st.y_adv - CAR_LENGTH / 2) - cfg.y_stopline
-        b = st.v_adv**2 / (2.0 * max(d - cfg.stop_margin, 0.3))
-        return -min(cfg.b_yield_hard, b)
-    return idm_accel(math.inf, st.v_adv, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +318,10 @@ class CrosswalkConfig:
 
     The ego drives east toward the crosswalk; the pedestrian starts south of
     the lane and crosses northward.  Perception adds the noise channels to
-    the true pedestrian position and velocity with no filtering.  The
-    disturbance scales are the only fields; the layout and the ego's rules
-    are class constants shared by every crosswalk scenario.
+    the true pedestrian position and velocity with no filtering.  Every
+    crosswalk scenario shares this layout and the ego's rules; they differ
+    only in their disturbance models.
     """
-
-    sigma_acc: float
-    sigma_pos: float
-    sigma_vel: float
 
     dt = 0.2
     horizon = 30
@@ -378,88 +353,73 @@ class CrosswalkConfig:
             return (-v + math.sqrt(v * v + 2 * a * dist)) / a
         return t1 + (dist - d1) / vc
 
-    def start(self) -> PcState:
-        return PcState(
-            cfg=self,
-            cruise=replace(IDM, v0=self.v_cruise),
-            x_ego=self.ego_x0,
-            v_ego=self.v_cruise,
-            ped_y=self.ped_y0,
-            ped_vy=self.ped_vy0,
-        )
+    def roll(self, values, records: list | None = None) -> int | None:
+        """Roll the six channels of ``values`` to the horizon or the first collision.
 
+        Returns the 1-based step of the first collision, or None.  When
+        ``records`` is a list, each step's record is appended to it.
+        """
+        columns = [values[name][: self.horizon].tolist() for name in PC_CHANNEL_NAMES]
+        cruise = replace(IDM, v0=self.v_cruise)  # the ego's IDM at the cruise speed
+        dt, x_stop, b_brake = self.dt, self.x_stop, self.b_brake
+        a_lo, a_hi = -self.b_hard, IDM.a_max
+        ex_ego, ey_ego = _box_extents(0.0, CAR_LENGTH, CAR_WIDTH)
+        ex_ped, ey_ped = _box_extents(math.pi / 2, PED_SIZE, PED_SIZE)
 
-@dataclass
-class PcState:
-    cfg: CrosswalkConfig
-    cruise: IdmParams  # the ego's IDM with the scenario's cruise speed
-    k: int = 0
-    x_ego: float = 0.0
-    v_ego: float = 0.0
-    committed: bool = False
-    commit_step: int = -1
-    ped_x: float = 0.0
-    ped_y: float = 0.0
-    ped_vx: float = 0.0
-    ped_vy: float = 0.0
+        x_ego, v_ego, committed = self.ego_x0, self.v_cruise, False
+        ped_x, ped_y, ped_vx, ped_vy = 0.0, self.ped_y0, 0.0, self.ped_vy0
+        for k, (a_x, a_y, n_x, n_y, n_vx, n_vy) in enumerate(zip(*columns)):
+            perc_x, perc_y = ped_x + n_x, ped_y + n_y
+            perc_vx, perc_vy = ped_vx + n_vx, ped_vy + n_vy
+            if not committed and x_ego < 0:
+                # commit once the pedestrian looks clear of the lane on arrival
+                y_pred = perc_y + perc_vy * self.time_to_crosswalk(x_ego, v_ego)
+                committed = y_pred >= self.clear_ahead or y_pred <= -self.clear_behind
+            d = x_stop - x_ego
+            if committed:
+                a = idm_accel(math.inf, v_ego, 0.0, cruise)
+            elif d <= 0.1:
+                a = -v_ego / dt  # hold at the stop point
+            elif v_ego**2 / (2.0 * d) >= b_brake:
+                a = -v_ego**2 / (2.0 * d)
+            else:
+                a = idm_accel(math.inf, v_ego, 0.0, cruise)
+            a = min(max(a, a_lo), a_hi)
 
-    def step(self, values, k: int) -> dict:
-        """Advance one step under each channel's ``values[name][k]``; return its record."""
-        cfg = self.cfg
-        dist = {name: float(values[name][k]) for name in PC_CHANNEL_NAMES}
-
-        perc_x, perc_y = self.ped_x + dist["n_x"], self.ped_y + dist["n_y"]
-        perc_vx, perc_vy = self.ped_vx + dist["n_vx"], self.ped_vy + dist["n_vy"]
-        if not self.committed and self.x_ego < 0:
-            t_arr = cfg.time_to_crosswalk(self.x_ego, self.v_ego)
-            y_pred = perc_y + perc_vy * t_arr
-            if y_pred >= cfg.clear_ahead or y_pred <= -cfg.clear_behind:
-                self.committed = True
-                self.commit_step = self.k
-        a_ego = _pc_ego_accel(self)
-
-        self.v_ego = max(self.v_ego + a_ego * cfg.dt, 0.0)
-        self.x_ego += self.v_ego * cfg.dt
-        self.ped_vx += dist["a_x"] * cfg.dt
-        self.ped_vy += dist["a_y"] * cfg.dt
-        self.ped_x += self.ped_vx * cfg.dt
-        self.ped_y += self.ped_vy * cfg.dt
-        self.k += 1
-
-        ego = (self.x_ego, 0.0, 0.0)
-        ped = (self.ped_x, self.ped_y, math.pi / 2)
-        return {
-            "t": round(self.k * cfg.dt, 9),
-            "ego_x": ego[0],
-            "ego_y": ego[1],
-            "ego_v": self.v_ego,
-            "ped_x": ped[0],
-            "ped_y": ped[1],
-            "ped_vx": self.ped_vx,
-            "ped_vy": self.ped_vy,
-            "perc_x": perc_x,
-            "perc_y": perc_y,
-            "perc_vx": perc_vx,
-            "perc_vy": perc_vy,
-            "committed": self.committed,
-            **dist,
-            "collision": boxes_overlap(ego, (CAR_LENGTH, CAR_WIDTH), ped, (PED_SIZE, PED_SIZE)),
-        }
-
-
-def _pc_ego_accel(st: PcState) -> float:
-    cfg = st.cfg
-    if st.committed:
-        a = idm_accel(math.inf, st.v_ego, 0.0, st.cruise)
-    else:
-        d = cfg.x_stop - st.x_ego
-        if d <= 0.1:
-            a = -st.v_ego / cfg.dt  # hold at the stop point
-        elif st.v_ego**2 / (2.0 * d) >= cfg.b_brake:
-            a = -st.v_ego**2 / (2.0 * d)
-        else:
-            a = idm_accel(math.inf, st.v_ego, 0.0, st.cruise)
-    return min(max(a, -cfg.b_hard), IDM.a_max)
+            v_ego = max(v_ego + a * dt, 0.0)
+            x_ego += v_ego * dt
+            ped_vx += a_x * dt
+            ped_vy += a_y * dt
+            ped_x += ped_vx * dt
+            ped_y += ped_vy * dt
+            # the ego drives along y = 0
+            hit = abs(x_ego - ped_x) <= ex_ego + ex_ped and abs(ped_y) <= ey_ego + ey_ped
+            if records is not None:
+                records.append({
+                    "t": round((k + 1) * dt, 9),
+                    "ego_x": x_ego,
+                    "ego_y": 0.0,
+                    "ego_v": v_ego,
+                    "ped_x": ped_x,
+                    "ped_y": ped_y,
+                    "ped_vx": ped_vx,
+                    "ped_vy": ped_vy,
+                    "perc_x": perc_x,
+                    "perc_y": perc_y,
+                    "perc_vx": perc_vx,
+                    "perc_vy": perc_vy,
+                    "committed": committed,
+                    "a_x": a_x,
+                    "a_y": a_y,
+                    "n_x": n_x,
+                    "n_y": n_y,
+                    "n_vx": n_vx,
+                    "n_vy": n_vy,
+                    "collision": hit,
+                })
+            if hit:
+                return k + 1
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +478,9 @@ class Scenario:
     def run(self, trace: SignalTrace) -> SimResult:
         return run(self, trace)
 
+    def fail_step(self, trace: SignalTrace) -> int | None:
+        return fail_step(self, trace)
+
     def nominal_trace(self) -> SignalTrace:
         """The zero-disturbance trace."""
         m = self.horizon
@@ -530,27 +493,25 @@ class Scenario:
         return SignalTrace(dt=self.dt, channels=self.channels, values=values)
 
 
-def run(scenario: Scenario, trace: SignalTrace) -> SimResult:
-    """Roll the scenario to the horizon or the first collision."""
+def _checked_values(scenario: Scenario, trace: SignalTrace) -> dict:
     names = {ch.name for ch in scenario.channels}
     if {ch.name for ch in trace.channels} != names:
         raise ValueError("trace channels do not match the scenario")
     if trace.m < scenario.horizon:
         raise ValueError(f"trace has {trace.m} steps, need {scenario.horizon}")
+    return trace.values
 
-    st = scenario.config.start()
-    records = []
-    for k in range(scenario.horizon):
-        records.append(st.step(trace.values, k))
-        if records[-1]["collision"]:
-            break
-    failure = records[-1]["collision"]
-    return SimResult(
-        failure=failure,
-        fail_step=len(records) if failure else None,
-        records=tuple(records),
-        trace=trace,
-    )
+
+def run(scenario: Scenario, trace: SignalTrace) -> SimResult:
+    """Roll the scenario to the horizon or the first collision, with records."""
+    records: list[dict] = []
+    step = scenario.config.roll(_checked_values(scenario, trace), records)
+    return SimResult(failure=step is not None, fail_step=step, records=tuple(records), trace=trace)
+
+
+def fail_step(scenario: Scenario, trace: SignalTrace) -> int | None:
+    """The 1-based step of the rollout's first collision, or None; no records."""
+    return scenario.config.roll(_checked_values(scenario, trace))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +558,7 @@ def _lt_scenario(name: str, inits: tuple[float, float, float, float]) -> Scenari
 
 
 def _pc_scenario(name: str, sigma_acc: float, sigma_pos: float, sigma_vel: float) -> Scenario:
-    cfg = CrosswalkConfig(sigma_acc=sigma_acc, sigma_pos=sigma_pos, sigma_vel=sigma_vel)
+    cfg = CrosswalkConfig()
     channels = (
         ContinuousChannel("a_x", -2.0, 2.0, units="m/s^2"),
         ContinuousChannel("a_y", -2.0, 2.0, units="m/s^2"),

@@ -12,9 +12,10 @@ from stlfalsify.baseline import (
     evaluate_expression,
     importance_sample,
 )
+from stlfalsify.constraints import InfeasibleError, constraints_for
 from stlfalsify.optimize import evaluate_cost
-from stlfalsify.samplers import Categorical, DisturbanceModel
-from stlfalsify.sim import scenario
+from stlfalsify.samplers import Categorical, DisturbanceModel, log_likelihood, sample_traces
+from stlfalsify.sim import Scenario, scenario
 from stlfalsify.stl import parse
 
 
@@ -171,3 +172,61 @@ def test_search_batch_shares_one_witness_step(monkeypatch):
     assert len(drawn) == 10
     a_maj = np.array([tr.values["disturbance"][:6] == "a_maj" for tr in drawn])
     assert a_maj.all(axis=0).any()  # one step is a_maj in every trace
+
+
+def _rollouts_through_run(sc, model, formula, rng, batches, size):
+    """``baseline.rollouts`` written as a loop that runs every trace with records."""
+    fails, lls, n_infeasible = [], [], 0
+    for _ in range(batches):
+        try:
+            cs = None if formula is None else constraints_for(formula, sc.channels, sc.horizon, rng)
+            traces = sample_traces(model, sc.horizon, sc.dt, cs, rng=rng, size=size)
+        except InfeasibleError:
+            n_infeasible += size
+            continue
+        for trace in traces:
+            res = sc.run(trace)
+            if res.failure:
+                fails.append(res)
+                lls.append(log_likelihood(sc.model, trace))
+    return fails, lls, n_infeasible
+
+
+ROLLOUT_CASES = [
+    ("lt1", "proposal", None, 40, 5),
+    ("lt2", "model", "F_[0,1](disturbance = S)", 3, 20),
+    ("pc1", "model", "G_[0,2](n_vy <= -0.8)", 2, 15),
+    ("pc2", "proposal", None, 60, 1),
+]
+
+
+@pytest.mark.parametrize("name,which,text,batches,size", ROLLOUT_CASES)
+def test_rollouts_match_a_loop_that_runs_every_trace(name, which, text, batches, size):
+    sc = scenario(name)
+    model = getattr(sc, which)
+    formula = None if text is None else parse(text, sc.channels)
+    fails, lls, n_inf = baseline.rollouts(sc, model, formula, rng(21), batches, size)
+    ref_fails, ref_lls, ref_inf = _rollouts_through_run(sc, model, formula, rng(21), batches, size)
+    assert fails  # the case exercises the record pass
+    assert (lls, n_inf) == (ref_lls, ref_inf)
+    assert [r.records for r in fails] == [r.records for r in ref_fails]
+    assert [r.fail_step for r in fails] == [r.fail_step for r in ref_fails]
+    for res, ref in zip(fails, ref_fails):
+        for ch in sc.channels:
+            assert np.array_equal(res.trace.values[ch.name], ref.trace.values[ch.name])
+
+
+def test_rollouts_run_only_the_failing_traces_with_records(monkeypatch):
+    sc = scenario("lt1")
+    calls = []
+    real = Scenario.run
+
+    def counting(self, trace):
+        calls.append(trace)
+        return real(self, trace)
+
+    monkeypatch.setattr(Scenario, "run", counting)
+    fails, _, _ = baseline.rollouts(sc, sc.proposal, None, rng(22), batches=200, size=1)
+    assert 0 < len(fails) < 200
+    assert len(calls) == len(fails)
+    assert all(trace is res.trace for trace, res in zip(calls, fails))

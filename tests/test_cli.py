@@ -256,6 +256,25 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert taken.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize(
+    "argv,blocked",
+    [
+        (["sample", "a_maj", "--scenario", "lt1", "--trials", "1"], "trace_000.csv"),
+        (["optimize", "--scenario", "lt1", "--pop", "4", "--gens", "1", "--trials", "2"], "history.jsonl"),
+        (["baseline", "--scenario", "lt1", "--trials", "2"], "report.json"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v,
+)
+def test_unwritable_file_inside_out_exits_2(tmp_path, capsys, argv, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)  # a directory where the file should go
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write output") and blocked in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # robustness: no input makes the CLI die with a traceback
 

@@ -21,8 +21,15 @@ from stlfalsify.constraints import (
     subexpression_outputs,
 )
 from stlfalsify.stl import (
+    Always,
+    And,
     CategoricalChannel,
+    Cmp,
     ContinuousChannel,
+    Eventually,
+    FormulaTypeError,
+    Not,
+    Or,
     TimeInterval,
     parse,
 )
@@ -180,6 +187,34 @@ def test_series_root_is_lifted_to_whole_horizon():
     f = parse("a_maj", CHANNELS)  # bare series formula
     leaves = sample_constraints(f, m=3, rng=rng())
     assert leaves[0].outputs.tolist() == [T, T, T]
+
+
+# Mixed-level formulas, which the parser rejects, built by hand.  Each one
+# puts the wrong-level node somewhere else: under a lifted series root,
+# beside a scalar root, as a window's argument, or on a side that the
+# descent only reaches with an arbitrary output.
+_SYM, _W = Cmp("disturbance", "=", "a_maj"), TimeInterval(0, 1)
+MIXED_LEVEL = [
+    And(_SYM, Always(_W, _SYM)),
+    Or(Eventually(_W, _SYM), Not(_SYM)),
+    Always(_W, Eventually(_W, _SYM)),
+    Not(And(Eventually(_W, _SYM), Not(_SYM))),
+    Or(Always(_W, _SYM), Always(_W, Or(_SYM, Always(_W, _SYM)))),
+]
+
+
+@pytest.mark.parametrize("f", MIXED_LEVEL)
+def test_sample_constraints_rejects_mixed_levels(f):
+    for seed in range(10):
+        with pytest.raises(FormulaTypeError):
+            sample_constraints(f, m=3, rng=rng(seed))
+
+
+@pytest.mark.parametrize("f", MIXED_LEVEL)
+def test_constraints_for_rejects_mixed_levels(f):
+    for seed in range(10):
+        with pytest.raises(FormulaTypeError):
+            constraints_for(f, CHANNELS, 3, rng(seed))
 
 
 def test_compile_categorical_true_and_false():

@@ -36,6 +36,9 @@ class StubScenario:
     def run(self, trace: SignalTrace):
         return StubResult(self._fails_when(trace))
 
+    def fail_step(self, trace: SignalTrace):
+        return 1 if self._fails_when(trace) else None
+
 
 def test_config_validation():
     with pytest.raises(ValueError):

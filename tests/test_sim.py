@@ -6,20 +6,24 @@ import numpy as np
 import pytest
 
 import stlfalsify
+from stlfalsify.constraints import constraints_for
+from stlfalsify.samplers import sample_traces
 from stlfalsify.sim import (
     CAR_LENGTH,
     CAR_WIDTH,
+    PED_SIZE,
     CrosswalkConfig,
     IdmParams,
     LeftTurnConfig,
     Scenario,
     boxes_overlap,
+    fail_step,
     idm_accel,
     run,
     scenario,
     scenario_names,
 )
-from stlfalsify.stl import SignalTrace
+from stlfalsify.stl import SignalTrace, parse
 
 
 def lt_trace(sc: Scenario, symbols):
@@ -205,6 +209,61 @@ def test_run_rejects_short_trace():
     )
     with pytest.raises(ValueError):
         sc.run(short)
+
+
+def test_fail_step_rejects_what_run_rejects():
+    sc = scenario("lt1")
+    with pytest.raises(ValueError):
+        fail_step(sc, scenario("pc1").nominal_trace())
+    short = SignalTrace(
+        dt=sc.dt, channels=sc.channels, values={"disturbance": np.array(["none"] * 3, dtype=object)}
+    )
+    with pytest.raises(ValueError):
+        fail_step(sc, short)
+
+
+# Formulas whose constraint draws push rollouts toward each scenario's failure
+# route, so that the sampled traces mix failing and safe rollouts.
+AGREEMENT_FORMULAS = {
+    "lt": "F_[0,6](disturbance = a_maj) & G_[0,2](disturbance = a_med | disturbance = a_maj)",
+    "pc": "G_[0,2](n_vy <= -0.8) | F_[0,10](n_y >= 0.5)",
+}
+
+
+def _lt_overlap(rec):
+    ego = (rec["ego_x"], rec["ego_y"], rec["ego_heading"])
+    adv = (rec["adv_x"], rec["adv_y"], -math.pi / 2)
+    return boxes_overlap(ego, (CAR_LENGTH, CAR_WIDTH), adv, (CAR_LENGTH, CAR_WIDTH))
+
+
+def _pc_overlap(rec):
+    ego = (rec["ego_x"], rec["ego_y"], 0.0)
+    ped = (rec["ped_x"], rec["ped_y"], math.pi / 2)
+    return boxes_overlap(ego, (CAR_LENGTH, CAR_WIDTH), ped, (PED_SIZE, PED_SIZE))
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_fail_step_agrees_with_run(name):
+    # 100 traces under each of the model and the proposal, with and without
+    # a constraint draw: 400 per scenario, 2000 over the five.  Every
+    # record's collision flag also matches the reference box test on the
+    # poses it reports.
+    sc = scenario(name)
+    overlap = _lt_overlap if name.startswith("lt") else _pc_overlap
+    formula = parse(AGREEMENT_FORMULAS[name[:2]], sc.channels)
+    rng = np.random.default_rng(17)
+    steps = []
+    for model in (sc.model, sc.proposal):
+        for constrained in (False, True):
+            cs = constraints_for(formula, sc.channels, sc.horizon, rng) if constrained else None
+            for trace in sample_traces(model, sc.horizon, sc.dt, cs, rng=rng, size=100):
+                res = run(sc, trace)
+                assert fail_step(sc, trace) == res.fail_step
+                assert res.failure == (res.fail_step is not None)
+                assert [r["collision"] for r in res.records] == [overlap(r) for r in res.records]
+                steps.append(res.fail_step)
+    assert len(steps) == 400
+    assert any(s is None for s in steps) and any(s is not None for s in steps)
 
 
 def test_rollout_csv_is_stable(tmp_path):

@@ -17,7 +17,6 @@ from .samplers import (
     DisturbanceModel,
     GaussianProcess,
     IndependentNormal,
-    IndependentUniform,
     log_likelihood,
     sample_trace,
     sample_traces,

@@ -3,10 +3,11 @@ failure metrics.
 
 Search, re-evaluation and the baseline all roll traces through
 ``rollouts``: one constraint draw per batch (none for the baseline),
-sampled traces, record-free scenario rollouts, and the records and
-log-likelihood of every failing trace.  Search scores a formula with one
-batch of N traces; re-evaluation and the baseline run one batch per trial,
-so every re-evaluated trial gets a fresh constraint draw.  Likelihoods are
+sampled traces, record-free scenario rollouts, and the log-likelihood of
+every failing trace.  Search scores a formula with one batch of N traces;
+re-evaluation and the baseline run one batch per trial, so every
+re-evaluated trial gets a fresh constraint draw, and roll their failing
+traces once more for the records they return.  Likelihoods are
 always scored under the scenario's true disturbance model, never under the
 model the traces were drawn from, so optimizer output and the baseline are
 directly comparable.  Reports carry:
@@ -32,7 +33,7 @@ import numpy as np
 from .constraints import InfeasibleError, constraints_for
 from .samplers import DisturbanceModel, log_likelihood, sample_traces
 from .sim import Scenario, SimResult
-from .stl import Formula
+from .stl import Formula, SignalTrace
 
 __all__ = ["MetricReport", "importance_sample", "evaluate_expression", "rollouts"]
 
@@ -63,13 +64,13 @@ def rollouts(
     rng: np.random.Generator | None,
     batches: int,
     size: int,
-) -> tuple[list[SimResult], list[float], int]:
+) -> tuple[list[SignalTrace], list[float], int]:
     """Roll ``batches`` batches of ``size`` traces drawn from ``model``.
 
     Each batch makes one constraint draw for ``formula`` (none when it is
     None) and draws its traces under it.  A batch whose draw stays
     infeasible through the retry budget rolls nothing and adds ``size`` to
-    the infeasible count.  Returns the failing results, their
+    the infeasible count.  Returns the failing traces, their
     log-likelihoods under ``scenario.model`` and the infeasible count.
     """
     if batches * size < 1:
@@ -87,7 +88,7 @@ def rollouts(
             continue
         for trace in traces:
             if scenario.fail_step(trace) is not None:
-                fails.append(scenario.run(trace))  # roll again for the records
+                fails.append(trace)
                 lls.append(log_likelihood(scenario.model, trace))
     return fails, lls, n_infeasible
 
@@ -131,7 +132,7 @@ def importance_sample(
     if set(proposal.models) != set(scenario.model.models):
         raise ValueError("proposal channels do not match the scenario model")
     fails, lls, n_infeasible = rollouts(scenario, proposal, None, rng, batches=trials, size=1)
-    return _summarize(scenario, lls, trials, n_infeasible), fails
+    return _summarize(scenario, lls, trials, n_infeasible), [scenario.run(t) for t in fails]
 
 
 def evaluate_expression(
@@ -150,4 +151,4 @@ def evaluate_expression(
     fails, lls, n_infeasible = rollouts(
         scenario, scenario.model, formula, rng, batches=trials, size=1
     )
-    return _summarize(scenario, lls, trials, n_infeasible), fails
+    return _summarize(scenario, lls, trials, n_infeasible), [scenario.run(t) for t in fails]

@@ -223,8 +223,8 @@ def sample_constraints(
 class ConstraintSet:
     """Per-channel, per-step sampling boxes.
 
-    Continuous channels carry ``lower``/``upper`` arrays (infinite where the
-    model's own support is the only limit).  Categorical channels carry an
+    Continuous channels carry ``lower``/``upper`` arrays (infinite where no
+    constraint bounds the step).  Categorical channels carry an
     ``allowed`` mask of shape (m, len(ch.symbols)): row i is True at the
     symbols step i may take, in ``ch.symbols`` order.  A constraint set is
     feasible by construction; compilation raises InfeasibleError otherwise.
@@ -239,9 +239,6 @@ class ConstraintSet:
         for ch in self.channels:
             if isinstance(ch, CategoricalChannel):
                 self.allowed[ch.name] = np.ones((m, len(ch.symbols)), dtype=bool)
-            elif ch.hard_bounds:
-                self.lower[ch.name] = np.full(m, float(ch.lo))
-                self.upper[ch.name] = np.full(m, float(ch.hi))
             else:
                 self.lower[ch.name] = np.full(m, -np.inf)
                 self.upper[ch.name] = np.full(m, np.inf)

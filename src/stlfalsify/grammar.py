@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 MAX_DEPTH_DEFAULT = 10
+CROSSOVER_TRIES = 20  # graft draws before crossover gives up
 
 # Minimal tree depth a fresh subtree of each level needs: a series can be a
 # lone comparison, a scalar needs at least a window over a comparison.
@@ -60,18 +61,15 @@ class GrammarError(ValueError):
 
 @dataclass(frozen=True)
 class GrammarSpec:
-    """Channels, interval bound and depth cap that ground the grammar."""
+    """Channels and interval bound that ground the grammar."""
 
     channels: tuple[ChannelSpec, ...]
     t_max: int
-    max_depth: int = MAX_DEPTH_DEFAULT
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
         if self.t_max < 0:
             raise GrammarError("t_max must be >= 0")
-        if self.max_depth < 1:
-            raise GrammarError("max_depth must be >= 1")
 
     def channel(self, name: str) -> ChannelSpec:
         for ch in self.channels:
@@ -106,17 +104,16 @@ def sample_expression(
     grammar: GrammarSpec,
     rng: np.random.Generator,
     start: Level = Level.SCALAR,
-    max_depth: int | None = None,
+    max_depth: int = MAX_DEPTH_DEFAULT,
 ) -> Formula:
     """Draw a random well-typed formula of depth at most ``max_depth``.
 
     Raises GrammarError when no rule of the start level can terminate within
     the budget (a scalar needs depth 2, a series depth 1).
     """
-    budget = grammar.max_depth if max_depth is None else max_depth
-    if budget < _MIN_DEPTH[start]:
+    if max_depth < _MIN_DEPTH[start]:
         raise GrammarError(
-            f"no {start.value} rule terminates within depth {budget}"
+            f"no {start.value} rule terminates within depth {max_depth}"
         )
     atoms = _atom_rules(grammar)
 
@@ -147,7 +144,7 @@ def sample_expression(
         lhs, rhs = scalar(budget - 1), scalar(budget - 1)
         return And(lhs, rhs) if rule == "and" else Or(lhs, rhs)
 
-    return series(budget) if start is Level.SERIES else scalar(budget)
+    return series(max_depth) if start is Level.SERIES else scalar(max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +278,16 @@ def mutate(
     formula: Formula,
     grammar: GrammarSpec,
     rng: np.random.Generator,
-    max_depth: int | None = None,
+    max_depth: int = MAX_DEPTH_DEFAULT,
 ) -> Formula:
     """Replace one uniformly chosen node with a fresh draw of the same kind.
 
     The replacement subtree gets whatever depth budget remains below the
     chosen node, so the result never exceeds ``max_depth``.
     """
-    cap = grammar.max_depth if max_depth is None else max_depth
     sites = loci(formula)
     locus = sites[int(rng.integers(len(sites)))]
-    return replace_at(formula, locus.path, _fresh_node(grammar, locus, rng, cap))
+    return replace_at(formula, locus.path, _fresh_node(grammar, locus, rng, max_depth))
 
 
 def crossover(
@@ -299,28 +295,26 @@ def crossover(
     recipient: Formula,
     grammar: GrammarSpec,
     rng: np.random.Generator,
-    max_depth: int | None = None,
-    max_tries: int = 20,
+    max_depth: int = MAX_DEPTH_DEFAULT,
 ) -> Formula:
     """Graft a random subtree of ``donor`` onto a matching node of ``recipient``.
 
     The recipient's root is never replaced.  If the donor has no node whose
     kind occurs in the recipient below the root, or every sampled graft would
-    push past the depth cap after ``max_tries`` draws, the recipient comes
-    back unchanged.
+    push past ``max_depth`` after ``CROSSOVER_TRIES`` draws, the recipient
+    comes back unchanged.
     """
-    cap = grammar.max_depth if max_depth is None else max_depth
     donor_sites = loci(donor)
     recipient_sites = [s for s in loci(recipient) if s.path != ()]
     kinds_in_recipient = {s.kind for s in recipient_sites}
     candidates = [s for s in donor_sites if s.kind in kinds_in_recipient]
     if not candidates:
         return recipient
-    for _ in range(max_tries):
+    for _ in range(CROSSOVER_TRIES):
         src = candidates[int(rng.integers(len(candidates)))]
         targets = [s for s in recipient_sites if s.kind == src.kind]
         dst = targets[int(rng.integers(len(targets)))]
         child = replace_at(recipient, dst.path, get_at(donor, src.path))
-        if depth(child) <= cap:
+        if depth(child) <= max_depth:
             return child
     return recipient

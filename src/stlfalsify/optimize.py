@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import rollouts
-from .grammar import crossover, mutate, sample_expression
+from .grammar import MAX_DEPTH_DEFAULT, crossover, mutate, sample_expression
 from .stl import Formula, canonical_text
 
 __all__ = ["GpConfig", "Individual", "evaluate_cost", "run"]
@@ -41,7 +41,7 @@ class GpConfig:
     p_mutate: float = 0.4
     tournament_size: int = 7
     samples_per_eval: int = 10
-    max_depth: int = 10
+    max_depth: int = MAX_DEPTH_DEFAULT
     seed: int = 0
 
     def __post_init__(self):

@@ -1,19 +1,19 @@
 """Disturbance models and constrained trace sampling.
 
-A disturbance model assigns each channel an independent marginal process:
-a per-step categorical distribution, per-step independent uniforms or
+A disturbance model assigns each channel one of three independent marginal
+processes: a per-step categorical distribution, per-step independent
 normals, or a zero-mean Gaussian process with a squared-exponential kernel
 over step times.  Channels are independent of one another, so trace
 log-likelihoods add across channels.
 
 Constrained sampling respects a ConstraintSet exactly.  Categorical steps
-renormalize over the allowed mask; uniform steps shrink their support;
-normal steps become univariate truncated normals.  GP channels split the
-constrained steps into equalities (treated as exact observations, standard
-posterior conditioning) and interval constraints (handled by a Gibbs chain
-over the posterior restricted to those steps); the remaining steps are then
-drawn from the conditional posterior.  The Gibbs chain is shared across a
-batch, which is why ``sample_traces`` takes a ``size``.
+renormalize over the allowed mask; normal steps become univariate truncated
+normals.  GP channels split the constrained steps into equalities (treated
+as exact observations, standard posterior conditioning) and interval
+constraints (handled by a Gibbs chain over the posterior restricted to
+those steps); the remaining steps are then drawn from the conditional
+posterior.  The Gibbs chain is shared across a batch, which is why
+``sample_traces`` takes a ``size``.
 
 Random stream: channels draw in ``model.channels`` order.  A categorical
 channel consumes exactly one uniform per step, for the whole batch at once
@@ -35,7 +35,6 @@ from .stl import CategoricalChannel, ChannelSpec, SignalTrace
 
 __all__ = [
     "Categorical",
-    "IndependentUniform",
     "IndependentNormal",
     "GaussianProcess",
     "DisturbanceModel",
@@ -71,16 +70,6 @@ class Categorical:
 
 
 @dataclass(frozen=True)
-class IndependentUniform:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
-
-
-@dataclass(frozen=True)
 class IndependentNormal:
     mean: float
     variance: float
@@ -106,7 +95,7 @@ class GaussianProcess:
             raise ValueError("variance and lengthscale must be positive")
 
 
-ChannelModel = Categorical | IndependentUniform | IndependentNormal | GaussianProcess
+ChannelModel = Categorical | IndependentNormal | GaussianProcess
 
 
 @dataclass(frozen=True)
@@ -417,18 +406,6 @@ def sample_traces(
         cm = model.models[ch.name]
         if isinstance(cm, Categorical):
             columns[ch.name] = list(_sample_categorical(ch, cm, m, constraints, rng, size))
-        elif isinstance(cm, IndependentUniform):
-            lo, hi = _bounds_for(constraints, ch.name, m)
-            lo = np.maximum(lo, cm.lo)
-            hi = np.minimum(hi, cm.hi)
-            if np.any(lo > hi):
-                raise InfeasibleError(
-                    f"constraints on {ch.name!r} leave no support in the uniform model"
-                )
-            columns[ch.name] = [
-                np.where(lo == hi, lo, rng.uniform(lo, np.nextafter(hi, np.inf)))
-                for _ in range(size)
-            ]
         elif isinstance(cm, IndependentNormal):
             lo, hi = _bounds_for(constraints, ch.name, m)
             vals = truncated_normal(
@@ -463,8 +440,8 @@ def sample_trace(
 def log_likelihood(model: DisturbanceModel, trace: SignalTrace) -> float:
     """Log density of ``trace`` under the unconstrained model.
 
-    Channels are independent, so contributions add.  A value outside a
-    uniform channel's support gives -inf rather than an error.
+    Channels are independent, so contributions add.  A categorical symbol
+    of zero model probability gives -inf rather than an error.
     """
     total = 0.0
     m = trace.m
@@ -473,15 +450,10 @@ def log_likelihood(model: DisturbanceModel, trace: SignalTrace) -> float:
         vals = trace.values[ch.name]
         if isinstance(cm, Categorical):
             for s in vals.tolist():
-                p = cm.prob(ch.resolve(s))
+                p = cm.prob(s)
                 if p <= 0.0:
                     return -np.inf
                 total += math.log(p)
-        elif isinstance(cm, IndependentUniform):
-            v = np.asarray(vals, dtype=float)
-            if np.any((v < cm.lo) | (v > cm.hi)):
-                return -np.inf
-            total += -m * math.log(cm.hi - cm.lo)
         elif isinstance(cm, IndependentNormal):
             v = np.asarray(vals, dtype=float)
             z = (v - cm.mean) / cm.std

@@ -40,7 +40,7 @@ heading, are computed once before the loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,8 +54,6 @@ from .samplers import (
 from .stl import CategoricalChannel, ChannelSpec, ContinuousChannel, SignalTrace
 
 __all__ = [
-    "IdmParams",
-    "IDM",
     "idm_accel",
     "LeftTurnConfig",
     "CrosswalkConfig",
@@ -70,39 +68,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdmParams:
-    v0: float = 29.0  # desired velocity, m/s
-    s0: float = 5.0  # minimum spacing, m
-    a_max: float = 3.0  # m/s^2
-    b: float = 2.0  # comfortable deceleration, m/s^2
-    headway: float = 1.5  # s
-    delta: float = 4.0
-
-    @property
-    def b_hard(self) -> float:
-        return 2.0 * self.b
+# IDM parameters of every driver in both scenarios; only the desired
+# velocity differs, and the crosswalk ego passes its cruise speed.
+IDM_S0 = 5.0  # minimum spacing, m
+IDM_A_MAX = 3.0  # m/s^2
+IDM_B = 2.0  # comfortable deceleration, m/s^2
+IDM_B_HARD = 2.0 * IDM_B
+IDM_HEADWAY = 1.5  # s
+IDM_DELTA = 4.0
 
 
-IDM = IdmParams()  # every driver in both scenarios; the crosswalk ego swaps in its cruise speed
-
-
-def idm_accel(gap: float, v: float, v_lead: float, p: IdmParams = IDM) -> float:
-    """IDM acceleration toward a leader ``gap`` metres ahead.
+def idm_accel(gap: float, v: float, v_lead: float, v0: float = 29.0) -> float:
+    """IDM acceleration toward a leader ``gap`` metres ahead at desired speed ``v0``.
 
     A free road is ``gap = inf``.  The desired-gap term is floored at zero
     (a fast-approaching leader cannot make the desired gap negative), and
     the result is clamped to [-2b, a_max].
     """
-    free = (v / p.v0) ** p.delta
+    free = (v / v0) ** IDM_DELTA
     if math.isinf(gap):
         interaction = 0.0
     else:
         gap = max(gap, 0.01)
-        s_star = p.s0 + max(0.0, v * p.headway + v * (v - v_lead) / (2.0 * math.sqrt(p.a_max * p.b)))
+        s_star = IDM_S0 + max(
+            0.0, v * IDM_HEADWAY + v * (v - v_lead) / (2.0 * math.sqrt(IDM_A_MAX * IDM_B))
+        )
         interaction = (s_star / gap) ** 2
-    a = p.a_max * (1.0 - free - interaction)
-    return min(max(a, -p.b_hard), p.a_max)
+    a = IDM_A_MAX * (1.0 - free - interaction)
+    return min(max(a, -IDM_B_HARD), IDM_A_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +197,7 @@ class LeftTurnConfig:
         dt, arc_end, r, c = self.dt, d0 + self.arc_len, self.arc_radius, self.turn_entry_y
         y_north, x_ego_lane, x_adv = -self.s_ego, self.lane_half, -self.lane_half
         v_cap, v_cap2 = self.v_turn_max, self.v_turn_max**2
-        a_lo, a_hi = -IDM.b_hard, IDM.a_max
+        a_lo, a_hi = -IDM_B_HARD, IDM_A_MAX
         # Box extents of the fixed headings; only the ego on the arc turns.
         ex_adv, ey_adv = _box_extents(-math.pi / 2, CAR_LENGTH, CAR_WIDTH)
         ex_north, ey_north = _box_extents(math.pi / 2, CAR_LENGTH, CAR_WIDTH)
@@ -344,7 +337,7 @@ class CrosswalkConfig:
         dist = -x
         if dist <= 0:
             return 0.0
-        a, vc = 3.0, self.v_cruise
+        a, vc = IDM_A_MAX, self.v_cruise
         if v >= vc:
             return dist / v
         t1 = (vc - v) / a
@@ -360,9 +353,8 @@ class CrosswalkConfig:
         ``records`` is a list, each step's record is appended to it.
         """
         columns = [values[name][: self.horizon].tolist() for name in PC_CHANNEL_NAMES]
-        cruise = replace(IDM, v0=self.v_cruise)  # the ego's IDM at the cruise speed
-        dt, x_stop, b_brake = self.dt, self.x_stop, self.b_brake
-        a_lo, a_hi = -self.b_hard, IDM.a_max
+        dt, x_stop, b_brake, v_cruise = self.dt, self.x_stop, self.b_brake, self.v_cruise
+        a_lo, a_hi = -self.b_hard, IDM_A_MAX
         ex_ego, ey_ego = _box_extents(0.0, CAR_LENGTH, CAR_WIDTH)
         ex_ped, ey_ped = _box_extents(math.pi / 2, PED_SIZE, PED_SIZE)
 
@@ -377,13 +369,13 @@ class CrosswalkConfig:
                 committed = y_pred >= self.clear_ahead or y_pred <= -self.clear_behind
             d = x_stop - x_ego
             if committed:
-                a = idm_accel(math.inf, v_ego, 0.0, cruise)
+                a = idm_accel(math.inf, v_ego, 0.0, v_cruise)
             elif d <= 0.1:
                 a = -v_ego / dt  # hold at the stop point
             elif v_ego**2 / (2.0 * d) >= b_brake:
                 a = -v_ego**2 / (2.0 * d)
             else:
-                a = idm_accel(math.inf, v_ego, 0.0, cruise)
+                a = idm_accel(math.inf, v_ego, 0.0, v_cruise)
             a = min(max(a, a_lo), a_hi)
 
             v_ego = max(v_ego + a * dt, 0.0)

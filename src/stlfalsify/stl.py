@@ -23,6 +23,7 @@ Unicode spellings of the operators are accepted on input.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -87,16 +88,15 @@ class TimeInterval:
 class ContinuousChannel:
     """A float-valued channel.
 
-    ``lo``/``hi`` bound the thresholds a formula may compare against.  They
-    only bound the signal values themselves when ``hard_bounds`` is set (for
-    models whose support genuinely is the interval, e.g. uniform noise).
+    ``lo``/``hi`` bound the thresholds a formula may compare against, not
+    the signal values themselves: the continuous models have unbounded
+    support.
     """
 
     name: str
     lo: float
     hi: float
     units: str = ""
-    hard_bounds: bool = False
 
 
 @dataclass(frozen=True)
@@ -313,12 +313,6 @@ class SignalTrace:
                     raise ValueError(f"unknown symbols {bad} on channel {ch.name}")
             else:
                 arr = arr.astype(float)
-                if ch.hard_bounds and arr.size and (
-                    arr.min() < ch.lo - 1e-9 or arr.max() > ch.hi + 1e-9
-                ):
-                    raise ValueError(
-                        f"values on {ch.name} escape [{ch.lo}, {ch.hi}]"
-                    )
             self.values[ch.name] = arr
             lengths.add(arr.shape[0])
         if len(lengths) != 1:
@@ -340,7 +334,7 @@ class SignalTrace:
                 fh.write(",".join(cells) + "\n")
 
     @classmethod
-    def from_csv(cls, path, channels, dt: float | None = None) -> "SignalTrace":
+    def from_csv(cls, path, channels, dt: float) -> "SignalTrace":
         channels = tuple(channels)
         with open(path) as fh:
             header = fh.readline().strip().split(",")
@@ -361,9 +355,6 @@ class SignalTrace:
         missing = [ch.name for ch in channels if ch.name not in col]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
-        if dt is None:
-            ts = [float(r[0]) for r in rows]
-            dt = ts[1] - ts[0] if len(ts) > 1 else 1.0
         values = {}
         for ch in channels:
             cells = [r[col[ch.name]] for r in rows]
@@ -590,7 +581,7 @@ class _Parser:
     @staticmethod
     def _step(tok: str, pos: int) -> int:
         val = float(tok)
-        if val != int(val):
+        if not math.isfinite(val) or val != int(val):
             raise ParseError(f"interval endpoints are step indices, got {tok}", pos)
         return int(val)
 

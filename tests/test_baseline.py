@@ -205,10 +205,11 @@ def test_rollouts_match_a_loop_that_runs_every_trace(name, which, text, batches,
     sc = scenario(name)
     model = getattr(sc, which)
     formula = None if text is None else parse(text, sc.channels)
-    fails, lls, n_inf = baseline.rollouts(sc, model, formula, rng(21), batches, size)
+    traces, lls, n_inf = baseline.rollouts(sc, model, formula, rng(21), batches, size)
     ref_fails, ref_lls, ref_inf = _rollouts_through_run(sc, model, formula, rng(21), batches, size)
-    assert fails  # the case exercises the record pass
+    assert traces  # the case exercises the record pass
     assert (lls, n_inf) == (ref_lls, ref_inf)
+    fails = [sc.run(t) for t in traces]
     assert [r.records for r in fails] == [r.records for r in ref_fails]
     assert [r.fail_step for r in fails] == [r.fail_step for r in ref_fails]
     for res, ref in zip(fails, ref_fails):
@@ -216,8 +217,8 @@ def test_rollouts_match_a_loop_that_runs_every_trace(name, which, text, batches,
             assert np.array_equal(res.trace.values[ch.name], ref.trace.values[ch.name])
 
 
-def test_rollouts_run_only_the_failing_traces_with_records(monkeypatch):
-    sc = scenario("lt1")
+def _count_record_passes(monkeypatch) -> list:
+    """Patch ``Scenario.run`` to append each trace it rolls to the returned list."""
     calls = []
     real = Scenario.run
 
@@ -226,7 +227,23 @@ def test_rollouts_run_only_the_failing_traces_with_records(monkeypatch):
         return real(self, trace)
 
     monkeypatch.setattr(Scenario, "run", counting)
-    fails, _, _ = baseline.rollouts(sc, sc.proposal, None, rng(22), batches=200, size=1)
-    assert 0 < len(fails) < 200
-    assert len(calls) == len(fails)
+    return calls
+
+
+def test_rollouts_run_only_the_failing_traces_with_records(monkeypatch):
+    sc = scenario("lt1")
+    calls = _count_record_passes(monkeypatch)
+    traces, _, _ = baseline.rollouts(sc, sc.proposal, None, rng(22), batches=200, size=1)
+    assert 0 < len(traces) < 200
+    assert calls == []
+    report, fails = importance_sample(sc, trials=200, rng=rng(22))
+    assert len(calls) == len(fails) == report.n_failures == len(traces)
     assert all(trace is res.trace for trace, res in zip(calls, fails))
+
+
+def test_search_scoring_builds_no_records(monkeypatch):
+    sc = scenario("lt1")
+    calls = _count_record_passes(monkeypatch)
+    ind = evaluate_cost(parse("G_[0,1](disturbance = a_maj)", sc.channels), sc, N=10, rng=rng(23))
+    assert ind.fail_count > 0
+    assert calls == []

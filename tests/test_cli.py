@@ -297,9 +297,24 @@ def test_deeply_nested_formula_exits_2(tmp_path, capsys, formula):
     assert "deeper than" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["monitor", "sample"])
+@pytest.mark.parametrize("formula", ["G_[0,1e400](a_maj)", "F_[0,1e400](a_maj)"])
+def test_infinite_interval_endpoint_exits_2(tmp_path, capsys, command, formula):
+    if command == "monitor":
+        trace_path = tmp_path / "nominal.csv"
+        scenario("lt1").nominal_trace().to_csv(trace_path)
+        argv = ["monitor", "--scenario", "lt1", formula, str(trace_path)]
+    else:
+        argv = ["sample", "--scenario", "lt1", "--trials", "1", "--out", str(tmp_path / "o"), formula]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "1e400" in err and "Traceback" not in err
+
+
 FORMULA_TOKENS = [
     "G_", "F_", "[", "]", "(", ")", ",", "!", "&", "|", "=", "<=", ">=", " ",
-    "0", "1", "3", "-1", "0.5", "1e9", "disturbance", "a_maj", "none", "B", "a_y", "n_x", "zz",
+    "0", "1", "3", "-1", "0.5", "1e9", "1e400", "disturbance", "a_maj", "none", "B", "a_y", "n_x", "zz",
 ]
 # mostly valid comparisons per scenario, plus a few that fail validation
 ATOMS = {

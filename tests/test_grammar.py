@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stlfalsify.grammar import (
+    MAX_DEPTH_DEFAULT,
     GrammarError,
     GrammarSpec,
     NodeLocus,
@@ -42,8 +43,6 @@ GRAMMAR = GrammarSpec(channels=CHANNELS, t_max=23)
 def test_config_validation():
     with pytest.raises(GrammarError):
         GrammarSpec(channels=CHANNELS, t_max=-1)
-    with pytest.raises(GrammarError):
-        GrammarSpec(channels=CHANNELS, t_max=5, max_depth=0)
 
 
 def test_sampled_formulas_are_well_typed():
@@ -51,8 +50,8 @@ def test_sampled_formulas_are_well_typed():
     for _ in range(300):
         f = sample_expression(GRAMMAR, rng)
         assert level(f) is Level.SCALAR
-        assert depth(f) <= GRAMMAR.max_depth
-        check(f, CHANNELS, t_max=GRAMMAR.t_max, max_depth=GRAMMAR.max_depth)
+        assert depth(f) <= MAX_DEPTH_DEFAULT
+        check(f, CHANNELS, t_max=GRAMMAR.t_max, max_depth=MAX_DEPTH_DEFAULT)
 
 
 def test_sampling_honors_small_depth_budgets():
@@ -76,8 +75,8 @@ def test_mutate_preserves_typing():
     for _ in range(300):
         f = mutate(f, GRAMMAR, rng)
         assert level(f) is Level.SCALAR
-        assert depth(f) <= GRAMMAR.max_depth
-        check(f, CHANNELS, t_max=GRAMMAR.t_max, max_depth=GRAMMAR.max_depth)
+        assert depth(f) <= MAX_DEPTH_DEFAULT
+        check(f, CHANNELS, t_max=GRAMMAR.t_max, max_depth=MAX_DEPTH_DEFAULT)
 
 
 def test_mutate_eventually_changes_something():
@@ -95,8 +94,8 @@ def test_crossover_preserves_typing_and_root():
         child = crossover(donor, recipient, GRAMMAR, rng)
         assert type(child) is type(recipient)
         assert level(child) is Level.SCALAR
-        assert depth(child) <= GRAMMAR.max_depth
-        check(child, CHANNELS, t_max=GRAMMAR.t_max, max_depth=GRAMMAR.max_depth)
+        assert depth(child) <= MAX_DEPTH_DEFAULT
+        check(child, CHANNELS, t_max=GRAMMAR.t_max, max_depth=MAX_DEPTH_DEFAULT)
 
 
 def test_crossover_grafts_donor_material():

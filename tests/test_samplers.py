@@ -10,7 +10,6 @@ from stlfalsify.samplers import (
     DisturbanceModel,
     GaussianProcess,
     IndependentNormal,
-    IndependentUniform,
     log_likelihood,
     sample_trace,
     sample_traces,
@@ -146,28 +145,6 @@ def test_categorical_loglik_exact():
     assert log_likelihood(model, tr) == pytest.approx(3 * math.log(0.976), abs=1e-12)
 
 
-def test_uniform_support_and_equality_pin():
-    ch = ContinuousChannel(name="u", lo=0.0, hi=1.0, units="", hard_bounds=True)
-    model = DisturbanceModel(channels=(ch,), models={"u": IndependentUniform(0.0, 1.0)})
-    f = parse("G_[3,3](u = 0.5)", (ch,))
-    cs = constraints_for(f, (ch,), 5, rng())
-    tr = sample_trace(model, 5, 0.1, cs, rng=rng())
-    assert tr.values["u"][3] == 0.5
-    assert ((tr.values["u"] >= 0.0) & (tr.values["u"] <= 1.0)).all()
-    # out-of-support likelihoods are -inf
-    tr.values["u"][0] = 1.5
-    assert log_likelihood(model, tr) == -math.inf
-
-
-def test_uniform_sampling_restricted_to_intersection():
-    ch = ContinuousChannel(name="u", lo=0.0, hi=1.0, units="", hard_bounds=True)
-    model = DisturbanceModel(channels=(ch,), models={"u": IndependentUniform(0.0, 1.0)})
-    f = parse("G_[0,0](u >= 0.9)", (ch,))
-    cs = constraints_for(f, (ch,), 2, rng())
-    for tr in sample_traces(model, 2, 0.1, cs, rng=rng(), size=20):
-        assert 0.9 <= tr.values["u"][0] <= 1.0
-
-
 def test_normal_channel_constrained_sampling_and_loglik():
     model = DisturbanceModel(channels=(NOISE,), models={"n_y": IndependentNormal(0.0, 0.04)})
     f = parse("G_[0,9](n_y >= 0.1)", (NOISE,))
@@ -263,8 +240,6 @@ def test_sample_traces_batch_size_and_determinism():
 def test_model_validation():
     with pytest.raises(ValueError):
         Categorical({"a": 0.5, "b": 0.4})
-    with pytest.raises(ValueError):
-        IndependentUniform(1.0, 1.0)
     with pytest.raises(ValueError):
         GaussianProcess(0.0, 0.4)
     with pytest.raises(ValueError):

@@ -12,8 +12,8 @@ from stlfalsify.sim import (
     CAR_LENGTH,
     CAR_WIDTH,
     PED_SIZE,
+    IDM_B,
     CrosswalkConfig,
-    IdmParams,
     LeftTurnConfig,
     Scenario,
     boxes_overlap,
@@ -50,23 +50,20 @@ def pc_trace(sc: Scenario, **columns):
 
 
 def test_idm_free_road_acceleration():
-    p = IdmParams()
-    assert idm_accel(math.inf, 0.0, 0.0, p) == pytest.approx(3.0)
-    assert idm_accel(math.inf, 29.0, 0.0, p) == pytest.approx(0.0, abs=1e-12)
+    assert idm_accel(math.inf, 0.0, 0.0) == pytest.approx(3.0)
+    assert idm_accel(math.inf, 29.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_idm_closing_on_slower_lead():
     # frozen reference value for a 20 m gap at matched speeds
-    p = IdmParams()
-    assert idm_accel(20.0, 10.0, 10.0, p) == pytest.approx(
+    assert idm_accel(20.0, 10.0, 10.0) == pytest.approx(
         -0.042415956317220505, abs=1e-9
     )
 
 
 def test_idm_braking_is_clamped():
-    p = IdmParams()
-    a = idm_accel(0.5, 25.0, 0.0, p)
-    assert a == pytest.approx(-2.0 * p.b)
+    a = idm_accel(0.5, 25.0, 0.0)
+    assert a == pytest.approx(-2.0 * IDM_B)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ import numpy as np
 
 from .baseline import evaluate_expression, importance_sample
 from .constraints import InfeasibleError, constraints_for
-from .optimize import GpConfig, run
+from .grammar import MAX_DEPTH_DEFAULT
+from .optimize import P_CROSSOVER, P_MUTATE, P_REPRODUCE, TOURNAMENT_SIZE, GpConfig, run
 from .samplers import sample_trace
 from .sim import scenario as load_scenario, scenario_names
 from .stl import ParseError, SignalTrace, canonical_text, evaluate, parse, render_natural_language
@@ -208,12 +209,12 @@ def cmd_optimize(cfg: dict) -> int:
             "gp": {
                 "population": gp.population,
                 "generations": gp.generations,
-                "p_reproduce": gp.p_reproduce,
-                "p_crossover": gp.p_crossover,
-                "p_mutate": gp.p_mutate,
-                "tournament_size": gp.tournament_size,
+                "p_reproduce": P_REPRODUCE,
+                "p_crossover": P_CROSSOVER,
+                "p_mutate": P_MUTATE,
+                "tournament_size": TOURNAMENT_SIZE,
                 "samples_per_eval": gp.samples_per_eval,
-                "max_depth": gp.max_depth,
+                "max_depth": MAX_DEPTH_DEFAULT,
             },
             "best": {
                 "formula": canonical_text(best.formula),

@@ -81,11 +81,6 @@ class LeafConstraint:
     atom: Cmp
     outputs: np.ndarray  # int8 codes per step
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "outputs", np.asarray(self.outputs, dtype=np.int8)
-        )
-
 
 def _negate(out):
     if isinstance(out, Output):

@@ -264,13 +264,13 @@ def replace_at(formula: Formula, path: tuple[int, ...], new) -> Formula:
 # Genetic operators
 
 
-def _fresh_node(grammar, locus: NodeLocus, rng, max_depth: int):
+def _fresh_node(grammar, locus: NodeLocus, rng):
     if locus.kind == ("T",):
         return int(rng.integers(0, grammar.t_max + 1))
     if locus.kind[0] == "X":
         return _sample_value(grammar, locus.kind[1], rng)
     start = Level.SCALAR if locus.kind == ("B",) else Level.SERIES
-    budget = max_depth - locus.depth + 1
+    budget = MAX_DEPTH_DEFAULT - locus.depth + 1
     return sample_expression(grammar, rng, start=start, max_depth=budget)
 
 
@@ -278,16 +278,15 @@ def mutate(
     formula: Formula,
     grammar: GrammarSpec,
     rng: np.random.Generator,
-    max_depth: int = MAX_DEPTH_DEFAULT,
 ) -> Formula:
     """Replace one uniformly chosen node with a fresh draw of the same kind.
 
     The replacement subtree gets whatever depth budget remains below the
-    chosen node, so the result never exceeds ``max_depth``.
+    chosen node, so the result never exceeds ``MAX_DEPTH_DEFAULT``.
     """
     sites = loci(formula)
     locus = sites[int(rng.integers(len(sites)))]
-    return replace_at(formula, locus.path, _fresh_node(grammar, locus, rng, max_depth))
+    return replace_at(formula, locus.path, _fresh_node(grammar, locus, rng))
 
 
 def crossover(
@@ -295,13 +294,12 @@ def crossover(
     recipient: Formula,
     grammar: GrammarSpec,
     rng: np.random.Generator,
-    max_depth: int = MAX_DEPTH_DEFAULT,
 ) -> Formula:
     """Graft a random subtree of ``donor`` onto a matching node of ``recipient``.
 
     The recipient's root is never replaced.  If the donor has no node whose
     kind occurs in the recipient below the root, or every sampled graft would
-    push past ``max_depth`` after ``CROSSOVER_TRIES`` draws, the recipient
+    push past ``MAX_DEPTH_DEFAULT`` after ``CROSSOVER_TRIES`` draws, the recipient
     comes back unchanged.
     """
     donor_sites = loci(donor)
@@ -315,6 +313,6 @@ def crossover(
         targets = [s for s in recipient_sites if s.kind == src.kind]
         dst = targets[int(rng.integers(len(targets)))]
         child = replace_at(recipient, dst.path, get_at(donor, src.path))
-        if depth(child) <= max_depth:
+        if depth(child) <= MAX_DEPTH_DEFAULT:
             return child
     return recipient

@@ -12,10 +12,11 @@ so individuals are ranked lexicographically: failure fraction first, then
 the mean log-likelihood of the failing rollouts.
 
 Selection is by tournament.  Each new population slot copies, crosses, or
-mutates tournament winners with the configured probabilities; there is no
-elitism, and the returned best individual is tracked globally across all
-evaluations.  Costs are cached per canonical formula text for the duration
-of one run, since reproduction keeps re-submitting identical formulas.
+mutates tournament winners with probabilities ``P_REPRODUCE``,
+``P_CROSSOVER`` and ``P_MUTATE``; there is no elitism, and the returned
+best individual is tracked globally across all evaluations.  Costs are
+cached per canonical formula text for the duration of one run, since
+reproduction keeps re-submitting identical formulas.
 """
 
 from __future__ import annotations
@@ -26,29 +27,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import rollouts
-from .grammar import MAX_DEPTH_DEFAULT, crossover, mutate, sample_expression
+from .grammar import crossover, mutate, sample_expression
 from .stl import Formula, canonical_text
 
 __all__ = ["GpConfig", "Individual", "evaluate_cost", "run"]
+
+P_REPRODUCE = 0.3
+P_CROSSOVER = 0.3
+P_MUTATE = 0.4  # the rest: a slot that neither copies nor crosses mutates
+TOURNAMENT_SIZE = 7
 
 
 @dataclass(frozen=True)
 class GpConfig:
     population: int = 1000
     generations: int = 30
-    p_reproduce: float = 0.3
-    p_crossover: float = 0.3
-    p_mutate: float = 0.4
-    tournament_size: int = 7
     samples_per_eval: int = 10
-    max_depth: int = MAX_DEPTH_DEFAULT
     seed: int = 0
 
     def __post_init__(self):
-        if abs(self.p_reproduce + self.p_crossover + self.p_mutate - 1.0) > 1e-9:
-            raise ValueError("operator probabilities must sum to 1")
-        if min(self.population, self.generations, self.tournament_size,
-               self.samples_per_eval, self.max_depth) < 1:
+        if min(self.population, self.generations, self.samples_per_eval) < 1:
             raise ValueError("counts must be at least 1")
 
 
@@ -131,7 +129,7 @@ def run(scenario, config: GpConfig, progress=None) -> tuple[Individual, list[dic
         return hit
 
     population = [
-        evaluate(sample_expression(grammar, rng, max_depth=config.max_depth))
+        evaluate(sample_expression(grammar, rng))
         for _ in range(config.population)
     ]
     best = min(population, key=Individual.sort_key)
@@ -159,15 +157,15 @@ def run(scenario, config: GpConfig, progress=None) -> tuple[Individual, list[dic
         offspring = []
         for _ in range(config.population):
             r = rng.random()
-            if r < config.p_reproduce:
-                child = _tournament(population, config.tournament_size, rng).formula
-            elif r < config.p_reproduce + config.p_crossover:
-                recipient = _tournament(population, config.tournament_size, rng).formula
-                donor = _tournament(population, config.tournament_size, rng).formula
-                child = crossover(donor, recipient, grammar, rng, max_depth=config.max_depth)
+            if r < P_REPRODUCE:
+                child = _tournament(population, TOURNAMENT_SIZE, rng).formula
+            elif r < P_REPRODUCE + P_CROSSOVER:
+                recipient = _tournament(population, TOURNAMENT_SIZE, rng).formula
+                donor = _tournament(population, TOURNAMENT_SIZE, rng).formula
+                child = crossover(donor, recipient, grammar, rng)
             else:
-                parent = _tournament(population, config.tournament_size, rng).formula
-                child = mutate(parent, grammar, rng, max_depth=config.max_depth)
+                parent = _tournament(population, TOURNAMENT_SIZE, rng).formula
+                child = mutate(parent, grammar, rng)
             offspring.append(evaluate(child))
         population = offspring
         record(gen, population)

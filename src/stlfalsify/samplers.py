@@ -6,14 +6,15 @@ normals, or a zero-mean Gaussian process with a squared-exponential kernel
 over step times.  Channels are independent of one another, so trace
 log-likelihoods add across channels.
 
-Constrained sampling respects a ConstraintSet exactly.  Categorical steps
-renormalize over the allowed mask; normal steps become univariate truncated
-normals.  GP channels split the constrained steps into equalities (treated
-as exact observations, standard posterior conditioning) and interval
-constraints (handled by a Gibbs chain over the posterior restricted to
-those steps); the remaining steps are then drawn from the conditional
-posterior.  The Gibbs chain is shared across a batch, which is why
-``sample_traces`` takes a ``size``.
+Constrained sampling keeps every draw inside its box.  Categorical steps
+renormalize over the allowed mask and normal steps become univariate
+truncated normals; both are exact.  GP channels split the constrained steps
+into equalities (treated as exact observations, standard posterior
+conditioning, also exact) and interval constraints, which a Gibbs chain
+over the posterior restricted to those steps samples only approximately:
+it does not mix on badly conditioned blocks such as pc1's.  The remaining
+steps are then drawn from the conditional posterior.  The Gibbs chain is
+shared across a batch, which is why ``sample_traces`` takes a ``size``.
 
 Random stream: channels draw in ``model.channels`` order.  A categorical
 channel consumes exactly one uniform per step, for the whole batch at once
@@ -48,6 +49,8 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 GP_JITTER = 1e-8
+GIBBS_BURN_IN = 200  # sweeps before the first returned row
+GIBBS_THIN = 5  # sweeps between returned rows
 
 
 @dataclass(frozen=True)
@@ -221,14 +224,12 @@ def truncated_mvn_sample(
     hi: np.ndarray,
     rng: np.random.Generator,
     size: int = 1,
-    burn_in: int = 200,
-    thin: int = 5,
 ) -> np.ndarray:
     """Gibbs sampler for N(mean, cov) restricted to the box [lo, hi].
 
-    Returns an array of shape (size, d).  Coordinates with lo == hi are held
-    fixed.  One chain serves the whole batch: after burn-in, successive
-    returned rows are ``thin`` sweeps apart.
+    Returns an array of shape (size, d).  One chain serves the whole batch:
+    after ``GIBBS_BURN_IN`` sweeps, successive returned rows are
+    ``GIBBS_THIN`` sweeps apart.  A single coordinate is drawn exactly.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -239,26 +240,9 @@ def truncated_mvn_sample(
         raise ValueError("dimension mismatch")
     if np.any(lo > hi):
         raise InfeasibleError("box has lo > hi")
-
-    fixed = lo == hi
-    free = ~fixed
-    if not np.any(free):
-        return np.tile(lo, (size, 1))
-    if free.sum() == 1:
-        (j,) = np.flatnonzero(free)
-        out = np.tile(lo, (size, 1))
-        if np.any(fixed):
-            # condition the single free coordinate on the fixed ones
-            cff = cov[np.ix_([j], np.flatnonzero(fixed))]
-            cxx = cov[np.ix_(np.flatnonzero(fixed), np.flatnonzero(fixed))]
-            delta = lo[fixed] - mean[fixed]
-            solve = np.linalg.solve(cxx + GP_JITTER * np.eye(cxx.shape[0]), np.column_stack([delta, cff[0]]))
-            mu = mean[j] + float(cff[0] @ solve[:, 0])
-            var = cov[j, j] - float(cff[0] @ solve[:, 1])
-        else:
-            mu, var = mean[j], cov[j, j]
-        out[:, j] = truncated_normal(mu, math.sqrt(max(var, 1e-300)), lo[j], hi[j], rng, size=size)
-        return out
+    if d == 1:
+        std = math.sqrt(max(cov[0, 0], 1e-300))
+        return truncated_normal(mean[0], std, lo[0], hi[0], rng, size=size)[:, None]
 
     jitter = GP_JITTER * float(np.max(np.diag(cov)))
     prec = np.linalg.inv(cov + jitter * np.eye(d))
@@ -266,7 +250,6 @@ def truncated_mvn_sample(
     cond_std = np.sqrt(cond_var)
 
     x = np.clip(mean.copy(), lo, hi)  # feasible start; clip is a no-op on infinite bounds
-    free_idx = [int(j) for j in np.flatnonzero(free)]
     delta = x - mean  # maintained in step with x across sweeps
     mean_l = [float(v) for v in mean]
     lo_l = [float(v) for v in lo]
@@ -276,19 +259,19 @@ def truncated_mvn_sample(
     diag_l = [float(prec[j, j]) for j in range(d)]
 
     def sweep():
-        for j in free_idx:
+        for j in range(d):
             r = float(prec[j] @ delta) - diag_l[j] * delta[j]
             mu_j = mean_l[j] - var_l[j] * r
             v = _tn_scalar(mu_j, std_l[j], lo_l[j], hi_l[j], rng)
             x[j] = v
             delta[j] = v - mean_l[j]
 
-    for _ in range(burn_in):
+    for _ in range(GIBBS_BURN_IN):
         sweep()
     out = np.empty((size, d))
     out[0] = x
     for i in range(1, size):
-        for _ in range(thin):
+        for _ in range(GIBBS_THIN):
             sweep()
         out[i] = x
     return out
@@ -338,8 +321,6 @@ def _gp_posterior(K, obs_idx, obs_val):
     m = K.shape[0]
     if obs_idx.size == 0:
         return np.zeros(m), K.copy()
-    if obs_idx.size > m:
-        raise ValueError("more observations than steps")
     Koo = K[np.ix_(obs_idx, obs_idx)]
     Kxo = K[:, obs_idx]
     L = np.linalg.cholesky(Koo + GP_JITTER * np.max(np.diag(Koo)) * np.eye(obs_idx.size))

@@ -223,63 +223,47 @@ def _channel_map(channels) -> dict[str, ChannelSpec]:
     return out
 
 
-def check(
-    formula: Formula,
-    channels=None,
-    t_max: int | None = None,
-    max_depth: int | None = None,
-) -> Level:
-    """Validate a formula and return its level.
+def check(formula: Formula, channels) -> Level:
+    """Validate a formula against ``channels`` and return its level.
 
-    With ``channels`` given, also checks that every comparison names a known
-    channel, that categorical tests use declared symbols, and that continuous
-    thresholds lie inside the channel's declared range.  ``t_max`` bounds
-    interval endpoints, ``max_depth`` bounds the tree depth.
+    Checks that every comparison names a known channel, that categorical
+    tests use declared symbols, and that continuous thresholds lie inside
+    the channel's declared range.
     """
-    by_name = _channel_map(channels) if channels is not None else None
+    by_name = _channel_map(channels)
 
     def walk(f: Formula):
         if isinstance(f, Cmp):
-            if by_name is not None:
-                if f.channel not in by_name:
-                    raise FormulaTypeError(f"unknown channel {f.channel!r}")
-                ch = by_name[f.channel]
-                if isinstance(ch, CategoricalChannel):
-                    if f.op != "=":
-                        raise FormulaTypeError(
-                            f"channel {ch.name} is categorical; only '=' applies"
-                        )
-                    if f.value not in ch.symbols:
-                        raise FormulaTypeError(
-                            f"unknown symbol {f.value!r} on channel {ch.name}"
-                        )
-                else:
-                    if isinstance(f.value, str):
-                        raise FormulaTypeError(
-                            f"channel {ch.name} is continuous, got symbol {f.value!r}"
-                        )
-                    if not (ch.lo <= float(f.value) <= ch.hi):
-                        raise FormulaTypeError(
-                            f"threshold {f.value} outside [{ch.lo}, {ch.hi}] "
-                            f"for channel {ch.name}"
-                        )
-        elif isinstance(f, (Always, Eventually)):
-            if t_max is not None and f.interval.hi > t_max:
-                raise FormulaTypeError(
-                    f"interval [{f.interval.lo}, {f.interval.hi}] exceeds t_max={t_max}"
-                )
-            walk(f.arg)
-        elif isinstance(f, Not):
+            if f.channel not in by_name:
+                raise FormulaTypeError(f"unknown channel {f.channel!r}")
+            ch = by_name[f.channel]
+            if isinstance(ch, CategoricalChannel):
+                if f.op != "=":
+                    raise FormulaTypeError(
+                        f"channel {ch.name} is categorical; only '=' applies"
+                    )
+                if f.value not in ch.symbols:
+                    raise FormulaTypeError(
+                        f"unknown symbol {f.value!r} on channel {ch.name}"
+                    )
+            else:
+                if isinstance(f.value, str):
+                    raise FormulaTypeError(
+                        f"channel {ch.name} is continuous, got symbol {f.value!r}"
+                    )
+                if not (ch.lo <= float(f.value) <= ch.hi):
+                    raise FormulaTypeError(
+                        f"threshold {f.value} outside [{ch.lo}, {ch.hi}] "
+                        f"for channel {ch.name}"
+                    )
+        elif isinstance(f, (Always, Eventually, Not)):
             walk(f.arg)
         elif isinstance(f, (And, Or)):
             walk(f.lhs)
             walk(f.rhs)
 
     walk(formula)
-    lvl = level(formula)  # raises on mixed levels
-    if max_depth is not None and depth(formula) > max_depth:
-        raise FormulaTypeError(f"depth {depth(formula)} exceeds {max_depth}")
-    return lvl
+    return level(formula)  # raises on mixed levels
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +488,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.nesting = 0
-        self.by_name = _channel_map(channels) if channels is not None else None
+        self.by_name = _channel_map(channels)
 
     def peek(self):
         return self.tokens[self.i]
@@ -590,10 +574,6 @@ class _Parser:
         k, v, pos = self.peek()
         if k != "op":
             # bare symbol shorthand: find the categorical channel that owns it
-            if self.by_name is None:
-                raise ParseError(
-                    f"bare symbol {name!r} needs channel context", name_pos
-                )
             owners = []
             for ch in self.by_name.values():
                 if isinstance(ch, CategoricalChannel):
@@ -615,7 +595,7 @@ class _Parser:
             value = v
         else:
             raise ParseError(f"expected a value, got {v or 'end of input'!r}", pos)
-        if self.by_name is not None and name in self.by_name:
+        if name in self.by_name:
             ch = self.by_name[name]
             if isinstance(ch, CategoricalChannel) and isinstance(value, str):
                 value = ch.resolve(value)
@@ -625,18 +605,15 @@ class _Parser:
             raise ParseError(str(e), name_pos) from None
 
 
-def parse(text: str, channels=None) -> Formula:
-    """Parse canonical (or hand-written) formula text.
+def parse(text: str, channels) -> Formula:
+    """Parse canonical (or hand-written) formula text against ``channels``.
 
-    With ``channels`` supplied, bare categorical symbols are resolved to
-    their owning channel, aliases are normalized, and the result is fully
-    validated against the channel specs.
+    Bare categorical symbols are resolved to their owning channel, aliases
+    are normalized, and the result is fully validated against the channel
+    specs.
     """
     formula = _Parser(text, channels).parse()
-    if channels is not None:
-        check(formula, channels=channels)
-    else:
-        level(formula)
+    check(formula, channels)
     return formula
 
 

@@ -21,6 +21,7 @@ from scipy import stats
 import stlfalsify as sf
 from stlfalsify.cli import main as cli_main
 from stlfalsify.constraints import Output, subexpression_outputs
+from stlfalsify.grammar import get_at, loci
 from stlfalsify.stl import ContinuousChannel, TimeInterval, check
 
 T, F, A = Output.TRUE, Output.FALSE, Output.ARBITRARY
@@ -246,8 +247,9 @@ def test_08_grammar_and_search_invariants():
             recipient = work[rng.integers(len(work))]
             work.append(sf.crossover(donor, recipient, g, rng))
         for f in work:  # 5000 results per channel set, 10^4 total
-            check(f, channels=g.channels, t_max=g.t_max, max_depth=10)
+            check(f, g.channels)
             assert sf.depth(f) <= 10
+            assert all(get_at(f, s.path) <= g.t_max for s in loci(f) if s.kind == ("T",))
 
     sc = sf.scenario("lt1")
     for seed in (0, 1, 2):

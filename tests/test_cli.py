@@ -150,6 +150,25 @@ def test_optimize_writes_full_bundle(tmp_path, capsys):
     assert (out_dir / "report.json").exists()
 
 
+def test_optimize_records_the_whole_gp_configuration(tmp_path):
+    out_dir = tmp_path / "opt"
+    assert main([
+        "optimize", "--scenario", "lt1", "--seed", "3",
+        "--pop", "6", "--gens", "2", "--trials", "5", "--out", str(out_dir),
+    ]) == 0
+    result = json.loads(read(out_dir / "result.json"))
+    assert result["gp"] == {
+        "population": 6,
+        "generations": 2,
+        "p_reproduce": 0.3,
+        "p_crossover": 0.3,
+        "p_mutate": 0.4,
+        "tournament_size": 7,
+        "samples_per_eval": 10,
+        "max_depth": 10,
+    }
+
+
 def test_optimize_bundles_are_reproducible(tmp_path):
     args = ["optimize", "--scenario", "lt1", "--seed", "11",
             "--pop", "25", "--gens", "3", "--trials", "30"]

@@ -7,6 +7,7 @@ from stlfalsify.grammar import (
     GrammarSpec,
     NodeLocus,
     crossover,
+    get_at,
     loci,
     mutate,
     sample_expression,
@@ -51,7 +52,8 @@ def test_sampled_formulas_are_well_typed():
         f = sample_expression(GRAMMAR, rng)
         assert level(f) is Level.SCALAR
         assert depth(f) <= MAX_DEPTH_DEFAULT
-        check(f, CHANNELS, t_max=GRAMMAR.t_max, max_depth=MAX_DEPTH_DEFAULT)
+        check(f, CHANNELS)
+        assert all(get_at(f, s.path) <= GRAMMAR.t_max for s in loci(f) if s.kind == ("T",))
 
 
 def test_sampling_honors_small_depth_budgets():
@@ -76,7 +78,8 @@ def test_mutate_preserves_typing():
         f = mutate(f, GRAMMAR, rng)
         assert level(f) is Level.SCALAR
         assert depth(f) <= MAX_DEPTH_DEFAULT
-        check(f, CHANNELS, t_max=GRAMMAR.t_max, max_depth=MAX_DEPTH_DEFAULT)
+        check(f, CHANNELS)
+        assert all(get_at(f, s.path) <= GRAMMAR.t_max for s in loci(f) if s.kind == ("T",))
 
 
 def test_mutate_eventually_changes_something():
@@ -95,7 +98,8 @@ def test_crossover_preserves_typing_and_root():
         assert type(child) is type(recipient)
         assert level(child) is Level.SCALAR
         assert depth(child) <= MAX_DEPTH_DEFAULT
-        check(child, CHANNELS, t_max=GRAMMAR.t_max, max_depth=MAX_DEPTH_DEFAULT)
+        check(child, CHANNELS)
+        assert all(get_at(child, s.path) <= GRAMMAR.t_max for s in loci(child) if s.kind == ("T",))
 
 
 def test_crossover_grafts_donor_material():

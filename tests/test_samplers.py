@@ -310,3 +310,39 @@ def test_categorical_sampler_never_draws_zero_mass_symbols():
     model = Categorical({**LT_PROBS, "none": 0.0, "d_med": 0.986})
     got = _sample_categorical(DIST, model, 4, None, ZeroUniforms(), 3)
     assert (got == "d_med").all()
+
+
+def test_gp_box_blocks_never_carry_pinned_coordinates(monkeypatch):
+    # _sample_gp conditions on equality steps before the Gibbs chain runs,
+    # so the chain only ever sees boxes with lo < hi
+    import stlfalsify.samplers as samplers
+    from stlfalsify.grammar import sample_expression
+    from stlfalsify.sim import scenario
+
+    real = samplers.truncated_mvn_sample
+    blocks = []
+
+    def spy(mean, cov, lo, hi, rng, size=1):
+        blocks.append((np.asarray(lo).copy(), np.asarray(hi).copy()))
+        return real(mean, cov, lo, hi, rng, size=size)
+
+    monkeypatch.setattr(samplers, "truncated_mvn_sample", spy)
+    sc = scenario("pc1")
+    gp_names = [n for n, cm in sc.model.models.items() if isinstance(cm, GaussianProcess)]
+    r = rng(17)
+    formulas = mixed = 0  # mixed: GP channels with both equality and box steps
+    while formulas < 200:
+        try:
+            cs = constraints_for(sample_expression(sc.grammar, r), sc.channels, sc.horizon, r)
+        except InfeasibleError:
+            continue
+        formulas += 1
+        for n in gp_names:
+            if n in cs.lower:
+                lo, hi = cs.lower[n], cs.upper[n]
+                eq = np.isfinite(lo) & (lo == hi)
+                mixed += bool(eq.any() and (np.isfinite(lo) | np.isfinite(hi))[~eq].any())
+        sample_traces(sc.model, sc.horizon, sc.dt, cs, rng=r, size=2)
+    assert blocks and mixed
+    for lo, hi in blocks:
+        assert (lo < hi).all()

@@ -121,7 +121,8 @@ def _merge_config(args: argparse.Namespace, types: dict[str, type]) -> dict:
     """Config file values fill in flags the user did not pass.
 
     A config value for an option must have the option's type: JSON integers
-    (not booleans) for integer options, JSON strings for the others.
+    (not booleans) for integer options, JSON strings for the others.  The
+    seed, from either source, must be non-negative.
     """
     merged = {}
     if args.config:
@@ -144,6 +145,8 @@ def _merge_config(args: argparse.Namespace, types: dict[str, type]) -> dict:
             continue
         merged[key] = val
     merged.setdefault("seed", 0)
+    if merged["seed"] < 0:
+        raise ValueError("--seed must be a non-negative integer")
     merged.setdefault("out", "out")
     return merged
 

@@ -21,6 +21,8 @@ channel consumes exactly one uniform per step, for the whole batch at once
 in trace-major order (one ``rng.random((size, m))`` call), and maps it
 through the step's CDF with the arithmetic of ``Generator.choice``; the
 draws are those of a per-step ``rng.choice`` loop over traces and steps.
+The Gibbs chain consumes one uniform per coordinate update, drawn in
+blocks in update order (see ``truncated_mvn_sample``).
 """
 
 from __future__ import annotations
@@ -194,29 +196,6 @@ def truncated_normal(mean, std, lo, hi, rng: np.random.Generator, size=None):
     return float(out) if out.ndim == 0 else out
 
 
-def _tn_scalar(mean: float, std: float, lo: float, hi: float, rng) -> float:
-    """Scalar twin of truncated_normal for the Gibbs inner loop, where the
-    array version's broadcasting overhead dominates runtime."""
-    a = (lo - mean) / std
-    b = (hi - mean) / std
-    flip = a > 0.0
-    if flip:
-        a, b = -b, -a
-    Fa = float(ndtr(a))
-    mass = float(ndtr(b)) - Fa
-    u = rng.random()
-    if mass <= 0.0:
-        z = a if math.isfinite(a) else b
-    else:
-        z = float(ndtri(Fa + u * mass))
-        if not math.isfinite(z):
-            z = a if math.isfinite(a) else b
-    z = min(max(z, a), b)
-    if flip:
-        z = -z
-    return min(max(mean + std * z, lo), hi)
-
-
 def truncated_mvn_sample(
     mean: np.ndarray,
     cov: np.ndarray,
@@ -229,7 +208,11 @@ def truncated_mvn_sample(
 
     Returns an array of shape (size, d).  One chain serves the whole batch:
     after ``GIBBS_BURN_IN`` sweeps, successive returned rows are
-    ``GIBBS_THIN`` sweeps apart.  A single coordinate is drawn exactly.
+    ``GIBBS_THIN`` sweeps apart.  Each coordinate update inverts a
+    truncated normal CDF at one uniform; the uniforms come in update order,
+    one ``rng.random`` block for the burn-in and one per later row, so a
+    call draws ``(GIBBS_BURN_IN + (size - 1) * GIBBS_THIN) * d`` of them
+    (none at ``size == 0``).  A single coordinate is drawn exactly.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -240,6 +223,8 @@ def truncated_mvn_sample(
         raise ValueError("dimension mismatch")
     if np.any(lo > hi):
         raise InfeasibleError("box has lo > hi")
+    if size == 0:
+        return np.empty((0, d))
     if d == 1:
         std = math.sqrt(max(cov[0, 0], 1e-300))
         return truncated_normal(mean[0], std, lo[0], hi[0], rng, size=size)[:, None]
@@ -247,32 +232,46 @@ def truncated_mvn_sample(
     jitter = GP_JITTER * float(np.max(np.diag(cov)))
     prec = np.linalg.inv(cov + jitter * np.eye(d))
     cond_var = 1.0 / np.diag(prec)
-    cond_std = np.sqrt(cond_var)
+    start = np.clip(mean, lo, hi)  # feasible start; clip is a no-op on infinite bounds
+    delta = start - mean  # the array each row's dot reads, kept in step with x
+    x = start.tolist()
+    delta_l = delta.tolist()  # Python-float mirror of delta
+    coords = list(zip(
+        range(d), [prec[j].dot for j in range(d)], mean.tolist(), cond_var.tolist(),
+        np.sqrt(cond_var).tolist(), lo.tolist(), hi.tolist(), np.diag(prec).tolist(),
+    ))
+    inf = math.inf
 
-    x = np.clip(mean.copy(), lo, hi)  # feasible start; clip is a no-op on infinite bounds
-    delta = x - mean  # maintained in step with x across sweeps
-    mean_l = [float(v) for v in mean]
-    lo_l = [float(v) for v in lo]
-    hi_l = [float(v) for v in hi]
-    var_l = [float(v) for v in cond_var]
-    std_l = [float(v) for v in cond_std]
-    diag_l = [float(prec[j, j]) for j in range(d)]
-
-    def sweep():
-        for j in range(d):
-            r = float(prec[j] @ delta) - diag_l[j] * delta[j]
-            mu_j = mean_l[j] - var_l[j] * r
-            v = _tn_scalar(mu_j, std_l[j], lo_l[j], hi_l[j], rng)
+    def sweeps(n):
+        # truncated_normal for one coordinate: ndtr(-inf) and ndtr(inf) are
+        # exactly 0 and 1, and the clamps are min(max(...)) without the calls.
+        for u, (j, dot, m_j, var_j, std_j, lo_j, hi_j, p_jj) in zip(
+            rng.random(n * d).tolist(), coords * n
+        ):
+            mu = m_j - var_j * (float(dot(delta)) - p_jj * delta_l[j])
+            a = (lo_j - mu) / std_j
+            b = (hi_j - mu) / std_j
+            flip = a > 0.0  # work on the left tail, where CDF differences keep precision
+            if flip:
+                a, b = -b, -a
+            Fa = 0.0 if a == -inf else float(ndtr(a))
+            mass = (1.0 if b == inf else float(ndtr(b))) - Fa
+            z = float(ndtri(Fa + u * mass)) if mass > 0.0 else inf
+            if not math.isfinite(z):  # no mass, or ndtri saturated: take the finite bound
+                z = a if math.isfinite(a) else b
+            z = a if a > z else z
+            z = b if b < z else z
+            v = mu + std_j * (-z if flip else z)
+            v = lo_j if lo_j > v else v
+            v = hi_j if hi_j < v else v
             x[j] = v
-            delta[j] = v - mean_l[j]
+            delta[j] = delta_l[j] = v - m_j
 
-    for _ in range(GIBBS_BURN_IN):
-        sweep()
+    sweeps(GIBBS_BURN_IN)
     out = np.empty((size, d))
     out[0] = x
     for i in range(1, size):
-        for _ in range(GIBBS_THIN):
-            sweep()
+        sweeps(GIBBS_THIN)
         out[i] = x
     return out
 

@@ -234,6 +234,31 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, command, extra):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--scenario", "lt1", "--pop", "4", "--gens", "1", "--trials", "2"],
+        ["baseline", "--scenario", "lt1", "--trials", "2"],
+        ["sample", "a_maj", "--scenario", "lt1", "--trials", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv, via):
+    if via == "flag":
+        seed = ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        seed = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    code = main(argv + seed + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--seed must be a non-negative integer" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_monitor_ragged_csv_exits_2(tmp_path, capsys):
     trace_path = tmp_path / "ragged.csv"
     trace_path.write_text("t,disturbance\n0,none\n\n0.36\n0.54,none\n")

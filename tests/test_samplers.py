@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from stlfalsify.constraints import InfeasibleError, constraints_for
 from stlfalsify.samplers import (
+    GIBBS_BURN_IN,
+    GIBBS_THIN,
+    GP_JITTER,
     Categorical,
     DisturbanceModel,
     GaussianProcess,
@@ -105,6 +109,170 @@ def test_truncated_mvn_holds_pinned_coordinates():
     g = truncated_mvn_sample(np.zeros(2), cov, lo, hi, rng(), size=50)
     assert (g[:, 0] == 0.25).all()
     assert ((g[:, 1] >= -1.0) & (g[:, 1] <= 1.0)).all()
+
+
+# ---------------------------------------------------------------------------
+# the Gibbs chain against a frozen copy of its one-update-at-a-time form
+
+
+def _tn_scalar_reference(mean, std, lo, hi, r):
+    """Scalar inverse-CDF truncated normal drawing one ``r.random()`` per call."""
+    a = (lo - mean) / std
+    b = (hi - mean) / std
+    flip = a > 0.0
+    if flip:
+        a, b = -b, -a
+    Fa = float(ndtr(a))
+    mass = float(ndtr(b)) - Fa
+    u = r.random()
+    if mass <= 0.0:
+        z = a if math.isfinite(a) else b
+    else:
+        z = float(ndtri(Fa + u * mass))
+        if not math.isfinite(z):
+            z = a if math.isfinite(a) else b
+    z = min(max(z, a), b)
+    if flip:
+        z = -z
+    return min(max(mean + std * z, lo), hi)
+
+
+def _gibbs_reference(mean, cov, lo, hi, r, size):
+    """One ``rng.random()`` per coordinate update, one array write per update."""
+    d = mean.shape[0]
+    if d == 1:
+        std = math.sqrt(max(cov[0, 0], 1e-300))
+        return truncated_normal(mean[0], std, lo[0], hi[0], r, size=size)[:, None]
+    jitter = GP_JITTER * float(np.max(np.diag(cov)))
+    prec = np.linalg.inv(cov + jitter * np.eye(d))
+    cond_var = 1.0 / np.diag(prec)
+    cond_std = np.sqrt(cond_var)
+    x = np.clip(mean.copy(), lo, hi)
+    delta = x - mean
+
+    def sweep():
+        for j in range(d):
+            rj = float(prec[j] @ delta) - float(prec[j, j]) * delta[j]
+            mu_j = float(mean[j]) - float(cond_var[j]) * rj
+            v = _tn_scalar_reference(mu_j, float(cond_std[j]), float(lo[j]), float(hi[j]), r)
+            x[j] = v
+            delta[j] = v - float(mean[j])
+
+    for _ in range(GIBBS_BURN_IN):
+        sweep()
+    out = np.empty((size, d))
+    out[0] = x
+    for i in range(1, size):
+        for _ in range(GIBBS_THIN):
+            sweep()
+        out[i] = x
+    return out
+
+
+def _pc1_gp_boxes(count):
+    """GP box blocks exactly as ``_sample_gp`` hands them to the chain."""
+    import stlfalsify.samplers as samplers
+    from stlfalsify.grammar import sample_expression
+    from stlfalsify.sim import scenario
+
+    sc = scenario("pc1")
+    blocks = []
+
+    def record(mean, cov, lo, hi, r, size=1):
+        blocks.append((mean.copy(), cov.copy(), lo.copy(), hi.copy()))
+        return np.tile(np.clip(mean, lo, hi), (size, 1))
+
+    real = samplers.truncated_mvn_sample
+    samplers.truncated_mvn_sample = record
+    try:
+        r = rng(18)
+        texts = ["G_[9,23](a_x <= -0.4)"]
+        while len(blocks) < count:
+            formula = parse(texts.pop(), sc.channels) if texts else sample_expression(sc.grammar, r)
+            try:
+                cs = constraints_for(formula, sc.channels, sc.horizon, r)
+            except InfeasibleError:
+                continue
+            sample_traces(sc.model, sc.horizon, sc.dt, cs, rng=r, size=1)
+    finally:
+        samplers.truncated_mvn_sample = real
+    return blocks
+
+
+def _random_boxes(count):
+    """SE-kernel and random SPD blocks, d = 1-30, one- and two-sided bounds."""
+    r = rng(19)
+    blocks = []
+    for i in range(count):
+        d = 1 + i % 30
+        if i % 2:
+            cov = se_kernel(np.arange(d) * 0.2, r.uniform(0.2, 2.0), r.uniform(0.1, 1.0))
+        else:
+            A = r.normal(size=(d, d))
+            cov = A @ A.T / d + 0.1 * np.eye(d)
+        mean = r.normal(0.0, 0.5, size=d)
+        lo = np.full(d, -np.inf)
+        hi = np.full(d, np.inf)
+        for j in range(d):
+            c = r.normal(0.0, 1.0)
+            kind = r.integers(4)  # below, above, between, free
+            if kind == 0:
+                hi[j] = c
+            elif kind == 1:
+                lo[j] = c
+            elif kind == 2:
+                lo[j], hi[j] = c, c + r.uniform(0.05, 2.0)
+        blocks.append((mean, cov, lo, hi))
+    return blocks
+
+
+def test_truncated_mvn_matches_the_one_update_chain():
+    boxes = _pc1_gp_boxes(110) + _random_boxes(200)
+    dims = {b[0].shape[0] for b in boxes}
+    assert len(boxes) >= 300 and dims >= set(range(1, 31))
+    # the pc1 block that fails the rejection oracle, ROADMAP item 1
+    assert boxes[0][0].shape == (15,) and (boxes[0][3] == -0.4).all()
+    for i, (mean, cov, lo, hi) in enumerate(boxes):
+        size = 200 if i % 7 == 3 else (1, 15)[i % 2]
+        new_rng, ref_rng = rng(1000 + i), rng(1000 + i)
+        got = truncated_mvn_sample(mean, cov, lo, hi, new_rng, size=size)
+        want = _gibbs_reference(mean, cov, lo, hi, ref_rng, size)
+        assert np.array_equal(got, want), i
+        assert new_rng.random() == ref_rng.random(), i
+
+
+@pytest.mark.parametrize("d, size", [(2, 1), (3, 2), (7, 15), (15, 4)])
+def test_truncated_mvn_draws_one_uniform_per_update(d, size):
+    mean, cov, lo, hi = _random_boxes(d)[d - 1]  # the box of dimension d
+    new_rng, ref_rng = rng(20), rng(20)
+    truncated_mvn_sample(mean, cov, lo, hi, new_rng, size=size)
+    for _ in range((GIBBS_BURN_IN + (size - 1) * GIBBS_THIN) * d):
+        ref_rng.random()
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("lt1", None), ("lt1", "G_[0,1](a_maj)"), ("pc1", None), ("pc1", "G_[9,23](a_x <= -0.4)")],
+)
+def test_sample_traces_of_size_zero_draw_nothing(name, text):
+    from stlfalsify.sim import scenario
+
+    sc = scenario(name)
+    cs = None if text is None else constraints_for(parse(text, sc.channels), sc.channels, sc.horizon, rng(21))
+    r = rng(22)
+    state = r.bit_generator.state
+    assert sample_traces(sc.model, sc.horizon, sc.dt, cs, rng=r, size=0) == []
+    assert r.bit_generator.state == state
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_truncated_mvn_of_size_zero_is_an_empty_block(d):
+    r = rng(23)
+    state = r.bit_generator.state
+    box = truncated_mvn_sample(np.zeros(d), np.eye(d), np.zeros(d), np.ones(d), r, size=0)
+    assert box.shape == (0, d)
+    assert r.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------

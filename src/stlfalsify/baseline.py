@@ -4,7 +4,9 @@ failure metrics.
 Search, re-evaluation and the baseline all roll traces through
 ``rollouts``: one constraint draw per batch (none for the baseline),
 sampled traces, record-free scenario rollouts, and the log-likelihood of
-every failing trace.  Search scores a formula with one batch of N traces;
+every failing trace.  Every draw comes from the generator the caller
+passes.  The baseline samples the scenario's proposal, the others its
+model.  Search scores a formula with one batch of N traces;
 re-evaluation and the baseline run one batch per trial, so every
 re-evaluated trial gets a fresh constraint draw, and roll their failing
 traces once more for the records they return.  Likelihoods are
@@ -24,7 +26,6 @@ names which definition it used.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -53,15 +54,12 @@ class MetricReport:
     n_infeasible: int = 0
     infeasible: bool = False  # no trial could be constrained at all
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
 
 def rollouts(
     scenario: Scenario,
     model: DisturbanceModel,
     formula: Formula | None,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     batches: int,
     size: int,
 ) -> tuple[list[SignalTrace], list[float], int]:
@@ -75,8 +73,6 @@ def rollouts(
     """
     if batches * size < 1:
         raise ValueError("trials must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng()
     m, dt = scenario.horizon, scenario.dt
     fails, lls, n_infeasible = [], [], 0
     for _ in range(batches):
@@ -118,31 +114,30 @@ def _summarize(
 
 def importance_sample(
     scenario: Scenario,
-    proposal: DisturbanceModel | None = None,
-    trials: int = 500,
-    rng: np.random.Generator | None = None,
+    trials: int,
+    rng: np.random.Generator,
 ) -> tuple[MetricReport, list[SimResult]]:
-    """Sample unconstrained traces from the proposal, keep the failures.
+    """Sample unconstrained traces from ``scenario.proposal``, keep the
+    failures.
 
     The fail rate is the raw fraction of proposal trials that failed; the
     likelihood statistic re-scores those failures under the true model.
-    Each trial is its own batch of one trace.
+    Each trial is its own batch of one trace, drawn with ``rng``.
     """
-    proposal = proposal or scenario.proposal
-    if set(proposal.models) != set(scenario.model.models):
-        raise ValueError("proposal channels do not match the scenario model")
-    fails, lls, n_infeasible = rollouts(scenario, proposal, None, rng, batches=trials, size=1)
+    fails, lls, n_infeasible = rollouts(
+        scenario, scenario.proposal, None, rng, batches=trials, size=1
+    )
     return _summarize(scenario, lls, trials, n_infeasible), [scenario.run(t) for t in fails]
 
 
 def evaluate_expression(
     formula: Formula,
     scenario: Scenario,
-    trials: int = 500,
-    rng: np.random.Generator | None = None,
+    trials: int,
+    rng: np.random.Generator,
 ) -> tuple[MetricReport, list[SimResult]]:
     """Re-evaluate a formula: fresh constraints per trial, one conforming
-    trace each, scenario rollout, failure metrics.
+    trace each drawn with ``rng``, scenario rollout, failure metrics.
 
     Trials whose constraint draw stays infeasible through the retry budget
     are counted but produce no trace; if every trial is infeasible the

@@ -248,8 +248,9 @@ def cmd_baseline(cfg: dict) -> int:
         os.path.join(out_dir, "result.json"),
         {"scenario": sc.name, "seed": cfg["seed"], "trials": trials, "rollouts": rollouts},
     )
-    _write_json(os.path.join(out_dir, "report.json"), _report_payload(report))
-    print(report.to_json())
+    payload = _report_payload(report)
+    _write_json(os.path.join(out_dir, "report.json"), payload)
+    print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
 

@@ -7,7 +7,9 @@ a true disjunction only one true side).  Windowed operators move between the
 scalar and series levels: a true "always" pins its whole window, a false one
 pins a single uniformly chosen refutation step, "eventually" mirrors that
 with a single witness step when true and a fully pinned window when false.
-Steps outside a window stay arbitrary.
+Steps outside a window stay arbitrary.  A required output is an int8
+``Output`` code at both levels: a scalar at a scalar node and one code per
+step at a series node.
 
 The leaves of the descent are comparisons annotated with a per-step output
 series.  Compiling them intersects everything into per-channel boxes: an
@@ -15,7 +17,8 @@ interval [lower, upper] per step for continuous channels and a per-step
 mask of allowed symbols for categorical ones.  Falsified inequalities shift the
 boundary by a small epsilon so that sampling the complement stays a closed
 interval; a falsified equality on a continuous channel removes only a
-measure-zero set and tightens nothing.
+measure-zero set and tightens nothing, unless the step is pinned to that
+value: then the draw is infeasible.
 """
 
 from __future__ import annotations
@@ -61,11 +64,6 @@ class Output(IntEnum):
     FALSE = 2
 
 
-# The descent runs once per constraint draw, so it avoids enum class
-# attribute lookups: scalar outputs are compared by identity against these
-# aliases, and series code arrays only ever meet int8 scalars (an IntEnum
-# operand makes numpy probe the enum class for array protocols).
-_ARBITRARY, _TRUE, _FALSE = Output.ARBITRARY, Output.TRUE, Output.FALSE
 _ARBITRARY_CODE, _TRUE_CODE, _FALSE_CODE = np.int8(0), np.int8(1), np.int8(2)
 _NEG = np.array([_ARBITRARY_CODE, _FALSE_CODE, _TRUE_CODE])  # _NEG[code] negates
 
@@ -82,14 +80,6 @@ class LeafConstraint:
     outputs: np.ndarray  # int8 codes per step
 
 
-def _negate(out):
-    if isinstance(out, Output):
-        if out is _ARBITRARY:
-            return out
-        return _FALSE if out is _TRUE else _TRUE
-    return _NEG[out]
-
-
 def _split_conjunctive(out, rng, false_splits: bool):
     """Children of and (false_splits=True) or or (false_splits=False).
 
@@ -97,34 +87,33 @@ def _split_conjunctive(out, rng, false_splits: bool):
     a random side; "or" is the mirror image.  A series ``out`` draws one coin
     per step, whether or not that step splits.
     """
-    one_side = _FALSE if false_splits else _TRUE
-    if isinstance(out, Output):
-        if out is not one_side:
+    one_side = _FALSE_CODE if false_splits else _TRUE_CODE
+    if out.ndim == 0:
+        if out != one_side:
             return out, out
         if rng.integers(2):
-            return one_side, _ARBITRARY
-        return _ARBITRARY, one_side
-    split = out == (_FALSE_CODE if false_splits else _TRUE_CODE)
+            return one_side, _ARBITRARY_CODE
+        return _ARBITRARY_CODE, one_side
+    split = out == one_side
     to_right = split & (rng.integers(0, 2, size=len(out)) == 1)
     left = np.where(to_right, _ARBITRARY_CODE, out)
     right = np.where(split ^ to_right, _ARBITRARY_CODE, out)
     return left, right
 
 
-def _window(op: str, out: Output, interval: TimeInterval, m: int, rng) -> np.ndarray:
+def _window(op: str, out, interval: TimeInterval, m: int, rng) -> np.ndarray:
     """Series codes for the argument of a windowed operator."""
     if interval.hi >= m:
         raise FormulaTypeError(
             f"interval [{interval.lo}, {interval.hi}] exceeds horizon {m}"
         )
     child = np.zeros(m, dtype=np.int8)
-    if out is _ARBITRARY:
+    if out == _ARBITRARY_CODE:
         return child
-    code = _TRUE_CODE if out is _TRUE else _FALSE_CODE
-    if (op == "always") == (out is _TRUE):
-        child[interval.lo : interval.hi + 1] = code
+    if (op == "always") == (out == _TRUE_CODE):
+        child[interval.lo : interval.hi + 1] = out
     else:
-        child[int(rng.integers(interval.lo, interval.hi + 1))] = code
+        child[int(rng.integers(interval.lo, interval.hi + 1))] = out
     return child
 
 
@@ -137,13 +126,15 @@ def subexpression_outputs(
 ):
     """Required outputs for the children of one operator application.
 
-    ``out`` is an Output for scalar context or an int8 code array for series
-    context.  Windowed operators ("always", "eventually") take a scalar
+    ``out`` is one Output code for scalar context or an array of codes for
+    series context; the children's codes come back as int8 of the same
+    shape.  Windowed operators ("always", "eventually") take a scalar
     ``out`` plus their interval and the trace length ``m``, and return a
     one-element tuple holding the child's series codes.
     """
+    out = np.asarray(out, dtype=np.int8)[()]
     if op == "not":
-        return (_negate(out),)
+        return (_NEG[out],)
     if op == "and":
         return _split_conjunctive(out, rng, false_splits=True)
     if op == "or":
@@ -175,39 +166,32 @@ def sample_constraints(
     the root is lifted over all m steps, matching ``stl.evaluate``.
 
     The root's level is read off its leftmost path, and the descent, which
-    visits every node, raises FormulaTypeError at a node of the wrong level.
+    visits every node, raises FormulaTypeError at a node of the wrong level:
+    a comparison whose output is a scalar or a window whose output is a
+    series.
     """
     if _root_is_series(formula):
         formula = Always(TimeInterval(0, m - 1), formula)
     leaves: list[LeafConstraint] = []
 
-    def scalar(f, out: Output):
-        if isinstance(f, Not):
-            scalar(f.arg, _negate(out))
-        elif isinstance(f, (And, Or)):
-            left, right = _split_conjunctive(out, rng, isinstance(f, And))
-            scalar(f.lhs, left)
-            scalar(f.rhs, right)
-        elif isinstance(f, (Always, Eventually)):
-            op = "always" if isinstance(f, Always) else "eventually"
-            series(f.arg, _window(op, out, f.interval, m, rng))
-        else:
-            raise FormulaTypeError(f"not a scalar formula: {f!r}")
-
-    def series(f, out: np.ndarray):
-        if isinstance(f, Cmp):
+    def visit(f, out):  # branches in order of how common the node is
+        if isinstance(f, Cmp) and out.ndim:
             if out.any():
                 leaves.append(LeafConstraint(f, out))
-        elif isinstance(f, Not):
-            series(f.arg, _NEG[out])
         elif isinstance(f, (And, Or)):
             left, right = _split_conjunctive(out, rng, isinstance(f, And))
-            series(f.lhs, left)
-            series(f.rhs, right)
+            visit(f.lhs, left)
+            visit(f.rhs, right)
+        elif isinstance(f, Not):
+            visit(f.arg, _NEG[out])
+        elif isinstance(f, (Always, Eventually)) and not out.ndim:
+            op = "always" if isinstance(f, Always) else "eventually"
+            visit(f.arg, _window(op, out, f.interval, m, rng))
         else:
-            raise FormulaTypeError(f"not a series formula: {f!r}")
+            level = "series" if out.ndim else "scalar"
+            raise FormulaTypeError(f"not a {level} formula: {f!r}")
 
-    scalar(formula, _TRUE)
+    visit(formula, _TRUE_CODE)
     return leaves
 
 
@@ -253,6 +237,7 @@ def compile_constraints(
     """Intersect leaf constraints into one feasible ConstraintSet."""
     cs = ConstraintSet(channels, m)
     by_name = {ch.name: ch for ch in cs.channels}
+    unequal = []  # (channel, value, steps) of each falsified continuous "="
     for leaf in leaves:
         atom = leaf.atom
         if atom.channel not in by_name:
@@ -276,9 +261,13 @@ def compile_constraints(
         elif atom.op == ">=":
             np.maximum(lo, v, out=lo, where=true_at)
             np.minimum(hi, v - EPSILON, out=hi, where=false_at)
-        else:  # "=": pin when true; a falsified equality tightens nothing
+        else:  # "=": pin when true; a falsified one is checked below
             np.maximum(lo, v, out=lo, where=true_at)
             np.minimum(hi, v, out=hi, where=true_at)
+            unequal.append((ch.name, v, false_at))
+    for name, v, false_at in unequal:
+        if (false_at & (cs.lower[name] == v) & (cs.upper[name] == v)).any():
+            raise InfeasibleError(f"channel {name} is pinned to {v} where it must differ")
     cs._check_feasible()
     return cs
 

@@ -54,24 +54,27 @@ class GpConfig:
 class Individual:
     formula: Formula
     cost: float
-    feasible: bool
     fail_count: int
     mean_fail_loglik: float  # -inf when no rollout failed
-    n_evals: int
+    n_evals: int  # 0 when the formula stayed infeasible
+
+    @property
+    def feasible(self) -> bool:
+        return self.n_evals > 0
 
     def sort_key(self):
         """Lower is better; ties on cost break toward likelier failures."""
         return (self.cost, -self.mean_fail_loglik)
 
 
-_WORST = dict(cost=0.0, feasible=False, fail_count=0, mean_fail_loglik=-math.inf, n_evals=0)
+_WORST = dict(cost=0.0, fail_count=0, mean_fail_loglik=-math.inf, n_evals=0)
 
 
 def evaluate_cost(
     formula: Formula,
     scenario,
-    N: int = 10,
-    rng: np.random.Generator | None = None,
+    N: int,
+    rng: np.random.Generator,
 ) -> Individual:
     """Score one formula with N constrained rollouts.
 
@@ -94,7 +97,6 @@ def evaluate_cost(
     return Individual(
         formula=formula,
         cost=cost,
-        feasible=True,
         fail_count=fails,
         mean_fail_loglik=(sum(fail_lls) / len(fail_lls)) if fail_lls else -math.inf,
         n_evals=N,

@@ -420,10 +420,13 @@ class CrosswalkConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    failure: bool
     fail_step: int | None
     records: tuple[dict, ...]
     trace: SignalTrace = field(repr=False)
+
+    @property
+    def failure(self) -> bool:
+        return self.fail_step is not None
 
     def to_csv(self, path) -> None:
         if not self.records:
@@ -450,10 +453,13 @@ class Scenario:
 
     name: str
     config: LeftTurnConfig | CrosswalkConfig
-    channels: tuple[ChannelSpec, ...]
     model: DisturbanceModel
     proposal: DisturbanceModel
     phrases: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def channels(self) -> tuple[ChannelSpec, ...]:
+        return self.model.channels
 
     @property
     def dt(self) -> float:
@@ -498,7 +504,7 @@ def run(scenario: Scenario, trace: SignalTrace) -> SimResult:
     """Roll the scenario to the horizon or the first collision, with records."""
     records: list[dict] = []
     step = scenario.config.roll(_checked_values(scenario, trace), records)
-    return SimResult(failure=step is not None, fail_step=step, records=tuple(records), trace=trace)
+    return SimResult(fail_step=step, records=tuple(records), trace=trace)
 
 
 def fail_step(scenario: Scenario, trace: SignalTrace) -> int | None:
@@ -542,7 +548,6 @@ def _lt_scenario(name: str, inits: tuple[float, float, float, float]) -> Scenari
     return Scenario(
         name=name,
         config=cfg,
-        channels=channels,
         model=model,
         proposal=uniform,
         phrases=LT_PHRASES,
@@ -552,12 +557,12 @@ def _lt_scenario(name: str, inits: tuple[float, float, float, float]) -> Scenari
 def _pc_scenario(name: str, sigma_acc: float, sigma_pos: float, sigma_vel: float) -> Scenario:
     cfg = CrosswalkConfig()
     channels = (
-        ContinuousChannel("a_x", -2.0, 2.0, units="m/s^2"),
-        ContinuousChannel("a_y", -2.0, 2.0, units="m/s^2"),
-        ContinuousChannel("n_x", -1.0, 1.0, units="m"),
-        ContinuousChannel("n_y", -1.0, 1.0, units="m"),
-        ContinuousChannel("n_vx", -2.0, 2.0, units="m/s"),
-        ContinuousChannel("n_vy", -2.0, 2.0, units="m/s"),
+        ContinuousChannel("a_x", -2.0, 2.0),
+        ContinuousChannel("a_y", -2.0, 2.0),
+        ContinuousChannel("n_x", -1.0, 1.0),
+        ContinuousChannel("n_y", -1.0, 1.0),
+        ContinuousChannel("n_vx", -2.0, 2.0),
+        ContinuousChannel("n_vy", -2.0, 2.0),
     )
 
     def models(s_acc, s_pos, s_vel):
@@ -577,7 +582,6 @@ def _pc_scenario(name: str, sigma_acc: float, sigma_pos: float, sigma_vel: float
     return Scenario(
         name=name,
         config=cfg,
-        channels=channels,
         model=model,
         proposal=doubled,
     )

@@ -96,7 +96,6 @@ class ContinuousChannel:
     name: str
     lo: float
     hi: float
-    units: str = ""
 
 
 @dataclass(frozen=True)
@@ -106,11 +105,9 @@ class CategoricalChannel:
 
     name: str
     symbols: tuple[str, ...]
-    aliases: tuple[tuple[str, str], ...] = ()  # also accepts a plain dict
+    aliases: tuple[tuple[str, str], ...] = ()  # (alternate, canonical) pairs
 
     def __post_init__(self):
-        if isinstance(self.aliases, dict):
-            object.__setattr__(self, "aliases", tuple(sorted(self.aliases.items())))
         if len(set(self.symbols)) != len(self.symbols):
             raise FormulaTypeError(f"duplicate symbols on channel {self.name}")
 

@@ -143,7 +143,7 @@ def test_03_truncated_normal_sampler():
 
 def test_04_gp_sampler_covariance():
     m, dt, ell = 10, 0.2, 0.4
-    ch = ContinuousChannel(name="g", lo=-6.0, hi=6.0, units="")
+    ch = ContinuousChannel(name="g", lo=-6.0, hi=6.0)
     model = sf.DisturbanceModel(
         channels=(ch,), models={"g": sf.GaussianProcess(1.0, ell)}
     )

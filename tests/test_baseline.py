@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -12,9 +13,10 @@ from stlfalsify.baseline import (
     evaluate_expression,
     importance_sample,
 )
+from stlfalsify.cli import _report_payload
 from stlfalsify.constraints import InfeasibleError, constraints_for
 from stlfalsify.optimize import evaluate_cost
-from stlfalsify.samplers import Categorical, DisturbanceModel, log_likelihood, sample_traces
+from stlfalsify.samplers import log_likelihood, sample_traces
 from stlfalsify.sim import Scenario, scenario
 from stlfalsify.stl import parse
 
@@ -28,7 +30,7 @@ def test_report_serializes():
         fail_rate=0.25, fail_rate_se=0.02, n_trials=400, n_failures=100,
         likelihood=0.5, likelihood_se=0.01, likelihood_kind=GEOMEAN_STEP_PROB,
     )
-    blob = json.loads(rep.to_json())
+    blob = json.loads(json.dumps(_report_payload(rep), sort_keys=True))
     assert blob["fail_rate"] == 0.25
     assert blob["likelihood_kind"] == GEOMEAN_STEP_PROB
     assert blob["infeasible"] is False
@@ -36,7 +38,9 @@ def test_report_serializes():
 
 def test_importance_sampling_on_true_model_finds_almost_nothing():
     sc = scenario("lt1")
-    rep, fails = importance_sample(sc, proposal=sc.model, trials=400, rng=rng(1))
+    rep, fails = importance_sample(
+        dataclasses.replace(sc, proposal=sc.model), trials=400, rng=rng(1)
+    )
     assert rep.fail_rate <= 0.01
     assert rep.n_trials == 400
     assert len(fails) == rep.n_failures
@@ -69,19 +73,6 @@ def test_likelihood_is_scored_under_true_model_not_proposal():
     # statistic being averaged
     vals = [math.exp(log_likelihood(sc.model, f.trace) / f.trace.m) for f in fails]
     assert rep.likelihood == pytest.approx(float(np.mean(vals)))
-
-
-def test_proposal_channel_mismatch_is_rejected():
-    sc = scenario("lt1")
-    wrong = DisturbanceModel(
-        channels=sc.channels,
-        models={"disturbance": Categorical({"none": 1.0})},
-    )
-    bad = DisturbanceModel.__new__(DisturbanceModel)
-    object.__setattr__(bad, "channels", sc.channels)
-    object.__setattr__(bad, "models", {"other": wrong.models["disturbance"]})
-    with pytest.raises(ValueError):
-        importance_sample(sc, proposal=bad, trials=10, rng=rng())
 
 
 def test_trial_counts_are_validated():

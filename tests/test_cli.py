@@ -100,6 +100,15 @@ def test_sample_infeasible_formula_exits_3(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_sample_pinned_and_negated_equality_exits_3(tmp_path, capsys):
+    code = main([
+        "sample", "--scenario", "pc1", "--out", str(tmp_path / "x"),
+        "--", "(n_x = 0 & !n_x = 0)",
+    ])
+    assert code == 3
+    assert "infeasible" in capsys.readouterr().err
+
+
 def test_sample_rejects_zero_trials(tmp_path, capsys):
     code = main([
         "sample", "a_maj", "--scenario", "lt1",
@@ -120,8 +129,11 @@ def test_baseline_writes_report_bundle(tmp_path, capsys):
     ])
     assert code == 0
     report = json.loads(read(out_dir / "report.json"))
+    assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"
     assert report["n_trials"] == 200
     assert 0.0 <= report["fail_rate"] <= 1.0
+    assert report["likelihood_kind"] == "geometric_mean_step_probability"
+    assert report["infeasible"] is False
     result = json.loads(read(out_dir / "result.json"))
     assert result["scenario"] == "lt1"
     for name in result["rollouts"]:

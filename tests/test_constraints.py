@@ -12,14 +12,18 @@ import pytest
 from stlfalsify.constraints import (
     EPSILON,
     InfeasibleError,
+    _NEG,
     Output,
-    _negate,
+    _root_is_series,
     _split_conjunctive,
     compile_constraints,
     constraints_for,
     sample_constraints,
     subexpression_outputs,
 )
+from stlfalsify.grammar import sample_expression
+from stlfalsify.samplers import sample_trace
+from stlfalsify.sim import scenario
 from stlfalsify.stl import (
     Always,
     And,
@@ -31,6 +35,7 @@ from stlfalsify.stl import (
     Not,
     Or,
     TimeInterval,
+    evaluate,
     parse,
 )
 
@@ -38,7 +43,7 @@ DIST = CategoricalChannel(
     name="disturbance",
     symbols=("none", "d_med", "d_maj", "a_med", "a_maj", "S", "L"),
 )
-ACC = ContinuousChannel(name="a_y", lo=-2.0, hi=2.0, units="m/s^2")
+ACC = ContinuousChannel(name="a_y", lo=-2.0, hi=2.0)
 CHANNELS = (DIST, ACC)
 
 T, F, A = Output.TRUE, Output.FALSE, Output.ARBITRARY
@@ -249,6 +254,27 @@ def test_negated_equality_on_continuous_tightens_nothing():
     assert np.isinf(cs.upper["a_y"]).all()
 
 
+def test_negated_equality_on_a_step_pinned_to_its_value_is_infeasible():
+    f = parse("G_[0,0]((a_y = 0.25 & !a_y = 0.25))", CHANNELS)
+    with pytest.raises(InfeasibleError):
+        constraints_for(f, CHANNELS, 1, rng())
+    # a step pinned to another value stays satisfiable
+    g = parse("G_[0,0]((a_y >= 0.25 & a_y <= 0.25 & !a_y = 0.5))", CHANNELS)
+    assert constraints_for(g, CHANNELS, 1, rng()).lower["a_y"][0] == 0.25
+
+
+def test_pinned_and_negated_equalities_sample_satisfying_traces():
+    # F's witness lands on a step G pins to 0.5 on two of five draws; those
+    # draws must be redrawn, not sampled at 0.5.  Only the witness step
+    # meets n_y >= 1.0 in practice, so no other step rescues F.
+    sc = scenario("pc1")
+    f = parse("(G_[3,5](n_x = 0.5) & F_[4,8]((!n_x = 0.5 & n_y >= 1.0)))", sc.channels)
+    r = rng(5)
+    for _ in range(40):
+        cs = constraints_for(f, sc.channels, sc.horizon, r)
+        assert evaluate(f, sample_trace(sc.model, sc.horizon, sc.dt, cs, rng=r))
+
+
 def test_conjoined_bounds_intersect():
     f = parse("G_[0,2]((a_y >= -0.5 & a_y <= 0.5))", CHANNELS)
     cs = constraints_for(f, CHANNELS, 3, rng())
@@ -300,7 +326,7 @@ def test_series_helpers_match_reference_draw_for_draw():
     codes = rng(99)
     for seed in range(200):
         out = codes.integers(0, 3, size=int(codes.integers(1, 40))).astype(np.int8)
-        got = _negate(out)
+        got = _NEG[out]
         assert got.dtype == np.int8
         assert np.array_equal(got, _negate_reference(out))
         for false_splits in (True, False):
@@ -311,3 +337,109 @@ def test_series_helpers_match_reference_draw_for_draw():
                 assert g.dtype == np.int8
                 assert np.array_equal(g, w)
             assert new_rng.random() == ref_rng.random()
+
+
+# ---------------------------------------------------------------------------
+# the descent against a frozen copy of its two-encoding form, which held a
+# scalar output as an Output member and a series output as int8 codes
+
+
+_REF_ARB, _REF_TRUE, _REF_FALSE = Output.ARBITRARY, Output.TRUE, Output.FALSE
+_REF_CODES = {Output.ARBITRARY: np.int8(0), Output.TRUE: np.int8(1), Output.FALSE: np.int8(2)}
+_REF_NEG = np.array([np.int8(0), np.int8(2), np.int8(1)])
+
+
+def _negate_frozen(out):
+    if isinstance(out, Output):
+        if out is _REF_ARB:
+            return out
+        return _REF_FALSE if out is _REF_TRUE else _REF_TRUE
+    return _REF_NEG[out]
+
+
+def _split_conjunctive_frozen(out, r, false_splits):
+    one_side = _REF_FALSE if false_splits else _REF_TRUE
+    if isinstance(out, Output):
+        if out is not one_side:
+            return out, out
+        if r.integers(2):
+            return one_side, _REF_ARB
+        return _REF_ARB, one_side
+    split = out == _REF_CODES[one_side]
+    to_right = split & (r.integers(0, 2, size=len(out)) == 1)
+    left = np.where(to_right, np.int8(0), out)
+    right = np.where(split ^ to_right, np.int8(0), out)
+    return left, right
+
+
+def _window_frozen(op, out, interval, m, r):
+    if interval.hi >= m:
+        raise FormulaTypeError("interval exceeds horizon")
+    child = np.zeros(m, dtype=np.int8)
+    if out is _REF_ARB:
+        return child
+    if (op == "always") == (out is _REF_TRUE):
+        child[interval.lo : interval.hi + 1] = _REF_CODES[out]
+    else:
+        child[int(r.integers(interval.lo, interval.hi + 1))] = _REF_CODES[out]
+    return child
+
+
+def sample_constraints_frozen(formula, m, r):
+    if _root_is_series(formula):
+        formula = Always(TimeInterval(0, m - 1), formula)
+    leaves = []
+
+    def scalar(f, out):
+        if isinstance(f, Not):
+            scalar(f.arg, _negate_frozen(out))
+        elif isinstance(f, (And, Or)):
+            left, right = _split_conjunctive_frozen(out, r, isinstance(f, And))
+            scalar(f.lhs, left)
+            scalar(f.rhs, right)
+        elif isinstance(f, (Always, Eventually)):
+            op = "always" if isinstance(f, Always) else "eventually"
+            series(f.arg, _window_frozen(op, out, f.interval, m, r))
+        else:
+            raise FormulaTypeError(f"not a scalar formula: {f!r}")
+
+    def series(f, out):
+        if isinstance(f, Cmp):
+            if out.any():
+                leaves.append((f, out))
+        elif isinstance(f, Not):
+            series(f.arg, _REF_NEG[out])
+        elif isinstance(f, (And, Or)):
+            left, right = _split_conjunctive_frozen(out, r, isinstance(f, And))
+            series(f.lhs, left)
+            series(f.rhs, right)
+        else:
+            raise FormulaTypeError(f"not a series formula: {f!r}")
+
+    scalar(formula, _REF_TRUE)
+    return leaves
+
+
+def _first_series(f):
+    """The argument of the leftmost window, so a series root is tested too."""
+    while isinstance(f, (Not, And, Or)):
+        f = f.arg if isinstance(f, Not) else f.lhs
+    return f.arg
+
+
+@pytest.mark.parametrize("name", ["lt1", "pc1"])
+def test_descent_matches_frozen_two_encoding_descent(name):
+    sc = scenario(name)
+    make = rng(2024)
+    for i in range(2000):
+        f = sample_expression(sc.grammar, make)
+        if i % 4 == 0:
+            f = _first_series(f)
+        new_rng, ref_rng = rng(i), rng(i)
+        got = sample_constraints(f, sc.horizon, new_rng)
+        want = sample_constraints_frozen(f, sc.horizon, ref_rng)
+        assert [leaf.atom for leaf in got] == [atom for atom, _ in want]
+        for leaf, (_, codes) in zip(got, want):
+            assert leaf.outputs.dtype == codes.dtype == np.int8
+            assert np.array_equal(leaf.outputs, codes)
+        assert new_rng.random() == ref_rng.random()

@@ -36,7 +36,7 @@ CHANNELS = (
         name="disturbance",
         symbols=("none", "d_med", "d_maj", "a_med", "a_maj", "S", "L"),
     ),
-    ContinuousChannel(name="a_y", lo=-2.0, hi=2.0, units="m/s^2"),
+    ContinuousChannel(name="a_y", lo=-2.0, hi=2.0),
 )
 GRAMMAR = GrammarSpec(channels=CHANNELS, t_max=23)
 

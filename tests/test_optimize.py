@@ -87,12 +87,9 @@ def test_infeasible_formula_gets_worst_cost():
 
 
 def test_continuous_ranking_is_lexicographic():
-    lo = Individual(None, cost=-0.8, feasible=True, fail_count=8,
-                    mean_fail_loglik=-50.0, n_evals=10)
-    hi = Individual(None, cost=-0.8, feasible=True, fail_count=8,
-                    mean_fail_loglik=-10.0, n_evals=10)
-    weak = Individual(None, cost=-0.2, feasible=True, fail_count=2,
-                      mean_fail_loglik=5.0, n_evals=10)
+    lo = Individual(None, cost=-0.8, fail_count=8, mean_fail_loglik=-50.0, n_evals=10)
+    hi = Individual(None, cost=-0.8, fail_count=8, mean_fail_loglik=-10.0, n_evals=10)
+    weak = Individual(None, cost=-0.2, fail_count=2, mean_fail_loglik=5.0, n_evals=10)
     assert hi.sort_key() < lo.sort_key()  # same fail rate, likelier failures win
     assert lo.sort_key() < weak.sort_key()  # fail rate dominates
 

@@ -31,8 +31,8 @@ LT_PROBS = {
     "none": 0.976, "d_med": 1e-2, "d_maj": 1e-3,
     "a_med": 1e-2, "a_maj": 1e-3, "S": 1e-3, "L": 1e-3,
 }
-ACC = ContinuousChannel(name="a_y", lo=-2.0, hi=2.0, units="m/s^2")
-NOISE = ContinuousChannel(name="n_y", lo=-1.0, hi=1.0, units="m")
+ACC = ContinuousChannel(name="a_y", lo=-2.0, hi=2.0)
+NOISE = ContinuousChannel(name="n_y", lo=-1.0, hi=1.0)
 
 
 def rng(seed=0):

@@ -28,9 +28,9 @@ from stlfalsify.stl import (
 DIST = CategoricalChannel(
     name="disturbance",
     symbols=("none", "d_med", "d_maj", "a_med", "a_maj", "S", "L"),
-    aliases={"B": "S"},
+    aliases=(("B", "S"),),
 )
-ACC = ContinuousChannel(name="a_y", lo=-2.0, hi=2.0, units="m/s^2")
+ACC = ContinuousChannel(name="a_y", lo=-2.0, hi=2.0)
 CHANNELS = (DIST, ACC)
 
 

@@ -36,9 +36,11 @@ from .stl import (
     Eventually,
     Formula,
     FormulaTypeError,
+    Level,
     Not,
     Or,
     TimeInterval,
+    root_level,
 )
 
 __all__ = [
@@ -146,13 +148,6 @@ def subexpression_outputs(
     raise ValueError(f"unknown operator {op!r}")
 
 
-def _root_is_series(formula: Formula) -> bool:
-    """Whether the leftmost leaf below the root's connectives is a comparison."""
-    while isinstance(formula, (Not, And, Or)):
-        formula = formula.arg if isinstance(formula, Not) else formula.lhs
-    return isinstance(formula, Cmp)
-
-
 def sample_constraints(
     formula: Formula,
     m: int,
@@ -165,12 +160,12 @@ def sample_constraints(
     everywhere arbitrary, in left-to-right leaf order.  A series formula at
     the root is lifted over all m steps, matching ``stl.evaluate``.
 
-    The root's level is read off its leftmost path, and the descent, which
-    visits every node, raises FormulaTypeError at a node of the wrong level:
-    a comparison whose output is a scalar or a window whose output is a
-    series.
+    The root's level is read off its leftmost path (``stl.root_level``),
+    and the descent, which visits every node, raises FormulaTypeError at a
+    node of the wrong level: a comparison whose output is a scalar or a
+    window whose output is a series.
     """
-    if _root_is_series(formula):
+    if root_level(formula) is Level.SERIES:
         formula = Always(TimeInterval(0, m - 1), formula)
     leaves: list[LeafConstraint] = []
 
@@ -211,7 +206,6 @@ class ConstraintSet:
 
     def __init__(self, channels, m: int):
         self.channels = tuple(channels)
-        self.m = m
         self.lower: dict[str, np.ndarray] = {}
         self.upper: dict[str, np.ndarray] = {}
         self.allowed: dict[str, np.ndarray] = {}

@@ -27,12 +27,13 @@ from .stl import (
     Cmp,
     Eventually,
     Formula,
+    FormulaTypeError,
     Level,
     Not,
     Or,
     TimeInterval,
     depth,
-    level,
+    root_level,
 )
 
 __all__ = [
@@ -108,6 +109,11 @@ def sample_expression(
 ) -> Formula:
     """Draw a random well-typed formula of depth at most ``max_depth``.
 
+    Each node draws one index into its level's rule order, cut to the rules
+    that finish within the remaining budget: the atoms, then ``&``, ``|``,
+    ``!`` for a series (only the atoms at budget 1); ``&``, ``|``, ``!``,
+    then the windows ``G``, ``F`` for a scalar (only the windows at budget 2).
+
     Raises GrammarError when no rule of the start level can terminate within
     the budget (a scalar needs depth 2, a series depth 1).
     """
@@ -117,42 +123,48 @@ def sample_expression(
         )
     atoms = _atom_rules(grammar)
 
-    def series(budget: int) -> Formula:
-        # rule -> minimal completion depth
-        rules: list[tuple[str, int]] = [(f"atom:{i}", 1) for i in range(len(atoms))]
-        rules += [("and", 2), ("or", 2), ("not", 2)]
-        feasible = [r for r, need in rules if need <= budget]
-        rule = feasible[int(rng.integers(len(feasible)))]
-        if rule.startswith("atom:"):
-            name, op = atoms[int(rule.split(":")[1])]
-            return Cmp(name, op, _sample_value(grammar, name, rng))
-        if rule == "not":
-            return Not(series(budget - 1))
-        lhs, rhs = series(budget - 1), series(budget - 1)
-        return And(lhs, rhs) if rule == "and" else Or(lhs, rhs)
+    def draw(lvl: Level, budget: int) -> Formula:
+        if lvl is Level.SERIES:
+            rule = int(rng.integers(len(atoms) + 3 if budget >= 2 else len(atoms)))
+            if rule < len(atoms):
+                name, op = atoms[rule]
+                return Cmp(name, op, _sample_value(grammar, name, rng))
+            rule -= len(atoms)  # 0, 1, 2: &, |, !
+        else:  # 0, 1, 2, 3, 4: &, |, !, G, F
+            rule = int(rng.integers(5)) if budget >= 3 else 3 + int(rng.integers(2))
+            if rule >= 3:
+                iv = _sample_interval(grammar, rng)
+                arg = draw(Level.SERIES, budget - 1)
+                return Always(iv, arg) if rule == 3 else Eventually(iv, arg)
+        if rule == 2:
+            return Not(draw(lvl, budget - 1))
+        lhs, rhs = draw(lvl, budget - 1), draw(lvl, budget - 1)
+        return And(lhs, rhs) if rule == 0 else Or(lhs, rhs)
 
-    def scalar(budget: int) -> Formula:
-        rules = [("and", 3), ("or", 3), ("not", 3), ("always", 2), ("eventually", 2)]
-        feasible = [r for r, need in rules if need <= budget]
-        rule = feasible[int(rng.integers(len(feasible)))]
-        if rule in ("always", "eventually"):
-            iv = _sample_interval(grammar, rng)
-            arg = series(budget - 1)
-            return Always(iv, arg) if rule == "always" else Eventually(iv, arg)
-        if rule == "not":
-            return Not(scalar(budget - 1))
-        lhs, rhs = scalar(budget - 1), scalar(budget - 1)
-        return And(lhs, rhs) if rule == "and" else Or(lhs, rhs)
-
-    return series(max_depth) if start is Level.SERIES else scalar(max_depth)
+    return draw(start, max_depth)
 
 
 # ---------------------------------------------------------------------------
 # Node addressing
 #
-# Paths are tuples of child slots.  For and/or the slots are 0 (lhs) and
-# 1 (rhs); for not, 0 (arg).  Windowed operators expose slot 0 (interval lo),
-# 1 (interval hi) and 2 (arg); comparisons expose slot 0 (their value).
+# Paths are tuples of child slots, in the order ``_slots`` gives them.
+
+
+def _slots(node) -> tuple:
+    """A node's slots in path order; an endpoint or a value has none.
+
+    and/or: 0 (lhs), 1 (rhs); not: 0 (arg); a window: 0 (interval lo),
+    1 (interval hi), 2 (arg); a comparison: 0 (its value).
+    """
+    if isinstance(node, Cmp):
+        return (node.value,)
+    if isinstance(node, Not):
+        return (node.arg,)
+    if isinstance(node, (And, Or)):
+        return (node.lhs, node.rhs)
+    if isinstance(node, (Always, Eventually)):
+        return (node.interval.lo, node.interval.hi, node.arg)
+    return ()
 
 
 @dataclass(frozen=True)
@@ -170,61 +182,47 @@ class NodeLocus:
     depth: int
 
 
+_TAG = {Level.SCALAR: "B", Level.SERIES: "S"}
+
+
 def loci(formula: Formula) -> list[NodeLocus]:
     """All node addresses in ``formula``, root first.
 
-    ``level`` runs once, on the root, and validates the whole tree; below
-    it a node's tag follows from its type: comparisons are series, windows
-    are scalar over a series argument, and connectives share their parent's
-    level.
+    The root's level is read off its leftmost path (``stl.root_level``);
+    below it each node's level follows from its parent's, and the walk
+    raises FormulaTypeError at the first node of the wrong level.
     """
     out: list[NodeLocus] = []
 
-    def walk(f, path, d, tag):
-        if isinstance(f, Cmp):
+    def walk(f, path, d, lvl):
+        if isinstance(f, (Not, And, Or)):
+            out.append(NodeLocus(path, (_TAG[lvl],), d))
+            for i, child in enumerate(_slots(f)):
+                walk(child, path + (i,), d + 1, lvl)
+        elif isinstance(f, Cmp) and lvl is Level.SERIES:
             out.append(NodeLocus(path, ("S",), d))
             out.append(NodeLocus(path + (0,), ("X", f.channel), d))
-        elif isinstance(f, Not):
-            out.append(NodeLocus(path, (tag,), d))
-            walk(f.arg, path + (0,), d + 1, tag)
-        elif isinstance(f, (And, Or)):
-            out.append(NodeLocus(path, (tag,), d))
-            walk(f.lhs, path + (0,), d + 1, tag)
-            walk(f.rhs, path + (1,), d + 1, tag)
-        else:  # Always / Eventually
+        elif isinstance(f, (Always, Eventually)) and lvl is Level.SCALAR:
             out.append(NodeLocus(path, ("B",), d))
             out.append(NodeLocus(path + (0,), ("T",), d))
             out.append(NodeLocus(path + (1,), ("T",), d))
-            walk(f.arg, path + (2,), d + 1, "S")
+            walk(f.arg, path + (2,), d + 1, Level.SERIES)
+        else:
+            raise FormulaTypeError(f"not a {lvl.value} formula: {f!r}")
 
-    walk(formula, (), 1, "B" if level(formula) is Level.SCALAR else "S")
+    walk(formula, (), 1, root_level(formula))
     return out
 
 
 def get_at(formula: Formula, path: tuple[int, ...]):
     """Fetch the node at ``path``: a formula, an endpoint int, or a value."""
-    if not path:
-        return formula
-    head, rest = path[0], path[1:]
-    if isinstance(formula, Cmp):
-        if head == 0 and not rest:
-            return formula.value
-    elif isinstance(formula, Not):
-        if head == 0:
-            return get_at(formula.arg, rest)
-    elif isinstance(formula, (And, Or)):
-        if head == 0:
-            return get_at(formula.lhs, rest)
-        if head == 1:
-            return get_at(formula.rhs, rest)
-    elif isinstance(formula, (Always, Eventually)):
-        if head == 0 and not rest:
-            return formula.interval.lo
-        if head == 1 and not rest:
-            return formula.interval.hi
-        if head == 2:
-            return get_at(formula.arg, rest)
-    raise GrammarError(f"no node at path {path} in {type(formula).__name__}")
+    node = formula
+    for head in path:
+        slots = _slots(node)
+        if not 0 <= head < len(slots):
+            raise GrammarError(f"no node at path {path}: {type(node).__name__} has no slot {head}")
+        node = slots[head]
+    return node
 
 
 def replace_at(formula: Formula, path: tuple[int, ...], new) -> Formula:
@@ -236,28 +234,16 @@ def replace_at(formula: Formula, path: tuple[int, ...], new) -> Formula:
     if not path:
         return new
     head, rest = path[0], path[1:]
+    slots = list(_slots(formula))
+    if not 0 <= head < len(slots):
+        raise GrammarError(f"no node at path {path} in {type(formula).__name__}")
+    slots[head] = replace_at(slots[head], rest, new)
     if isinstance(formula, Cmp):
-        if head == 0 and not rest:
-            return Cmp(formula.channel, formula.op, new)
-    elif isinstance(formula, Not):
-        if head == 0:
-            return Not(replace_at(formula.arg, rest, new))
-    elif isinstance(formula, (And, Or)):
-        cls = type(formula)
-        if head == 0:
-            return cls(replace_at(formula.lhs, rest, new), formula.rhs)
-        if head == 1:
-            return cls(formula.lhs, replace_at(formula.rhs, rest, new))
-    elif isinstance(formula, (Always, Eventually)):
-        cls = type(formula)
-        if head in (0, 1) and not rest:
-            pair = [formula.interval.lo, formula.interval.hi]
-            pair[head] = int(new)
-            iv = TimeInterval(min(pair), max(pair))
-            return cls(iv, formula.arg)
-        if head == 2:
-            return cls(formula.interval, replace_at(formula.arg, rest, new))
-    raise GrammarError(f"no node at path {path} in {type(formula).__name__}")
+        return Cmp(formula.channel, formula.op, slots[0])
+    if isinstance(formula, (Always, Eventually)):
+        lo, hi = sorted(int(x) for x in slots[:2])
+        return type(formula)(TimeInterval(lo, hi), slots[2])
+    return type(formula)(*slots)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ blocks in update order (see ``truncated_mvn_sample``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -139,19 +140,11 @@ def se_kernel(times: np.ndarray, variance: float, lengthscale: float) -> np.ndar
     return variance * np.exp(-(d * d) / (2.0 * lengthscale**2))
 
 
-_kernel_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _kernel_and_chol(variance, lengthscale, m, dt):
     """Cached (K, cholesky(K + jitter)) for a step grid.  Do not mutate."""
-    key = (float(variance), float(lengthscale), int(m), float(dt))
-    hit = _kernel_cache.get(key)
-    if hit is None:
-        K = se_kernel(np.arange(m) * dt, variance, lengthscale)
-        L = np.linalg.cholesky(K + GP_JITTER * variance * np.eye(m))
-        hit = (K, L)
-        _kernel_cache[key] = hit
-    return hit
+    K = se_kernel(np.arange(m) * dt, variance, lengthscale)
+    return K, np.linalg.cholesky(K + GP_JITTER * variance * np.eye(m))
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from .samplers import (
     GaussianProcess,
     IndependentNormal,
 )
-from .stl import CategoricalChannel, ChannelSpec, ContinuousChannel, SignalTrace
+from .stl import CategoricalChannel, ChannelSpec, ContinuousChannel, SignalTrace, write_csv
 
 __all__ = [
     "idm_accel",
@@ -177,21 +177,14 @@ class LeftTurnConfig:
     y_stopline = 6.0
     stop_margin = 2.0
 
-    @property
-    def straight_len(self) -> float:
-        return self.s_ego + self.turn_entry_y  # distance to the arc entry
-
-    @property
-    def u_clear(self) -> float:
-        return self.straight_len + self.u_clear_extra
-
     def roll(self, values, records: list | None = None) -> int | None:
         """Roll ``values["disturbance"]`` to the horizon or the first collision.
 
         Returns the 1-based step of the first collision, or None.  When
         ``records`` is a list, each step's record is appended to it.
         """
-        d0, u_clear = self.straight_len, self.u_clear
+        d0 = self.s_ego + self.turn_entry_y  # distance to the arc entry
+        u_clear = d0 + self.u_clear_extra
         if d0 <= 0:
             raise ValueError("ego must start before the turn entry")
         dt, arc_end, r, c = self.dt, d0 + self.arc_len, self.arc_radius, self.turn_entry_y
@@ -432,19 +425,7 @@ class SimResult:
         if not self.records:
             raise ValueError("empty rollout")
         names = list(self.records[0])
-        with open(path, "w") as fh:
-            fh.write(",".join(names) + "\n")
-            for rec in self.records:
-                cells = []
-                for n in names:
-                    v = rec[n]
-                    if isinstance(v, bool):
-                        cells.append(str(int(v)))
-                    elif isinstance(v, float):
-                        cells.append(f"{v:.6g}")
-                    else:
-                        cells.append(str(v))
-                fh.write(",".join(cells) + "\n")
+        write_csv(path, names, ([rec[n] for n in names] for rec in self.records))
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,9 @@ __all__ = [
     "FormulaTypeError",
     "ParseError",
     "SignalTrace",
+    "write_csv",
     "level",
+    "root_level",
     "depth",
     "check",
     "evaluate",
@@ -79,9 +81,6 @@ class TimeInterval:
     def __post_init__(self):
         if self.lo < 0 or self.hi < self.lo:
             raise FormulaTypeError(f"bad interval [{self.lo}, {self.hi}]")
-
-    def steps(self) -> range:
-        return range(self.lo, self.hi + 1)
 
 
 @dataclass(frozen=True)
@@ -190,6 +189,19 @@ def level(formula: Formula) -> Level:
     raise FormulaTypeError(f"not a formula: {formula!r}")
 
 
+def root_level(formula: Formula) -> Level:
+    """The level of a well-typed formula, read off its leftmost path.
+
+    Connectives share their children's level, so the first node below the
+    root's connectives decides it: a comparison makes a series, anything
+    else a scalar.  Nothing else is checked; the walks that use this raise
+    FormulaTypeError at the first node of the wrong level.
+    """
+    while isinstance(formula, (Not, And, Or)):
+        formula = formula.arg if isinstance(formula, Not) else formula.lhs
+    return Level.SERIES if isinstance(formula, Cmp) else Level.SCALAR
+
+
 def depth(formula: Formula) -> int:
     """Tree depth counting formula nodes only; a lone comparison has depth 1.
 
@@ -267,22 +279,44 @@ def check(formula: Formula, channels) -> Level:
 # Traces
 
 
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(float(value))  # full precision; float() unwraps numpy scalars
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``rows`` under ``header``: floats at full precision (``repr``),
+    bools as 0/1 and anything else, such as a symbol, as text."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
 @dataclass
 class SignalTrace:
     """A fixed-rate recording of every channel over m steps.
 
     ``values`` maps channel name to a 1-D array: float dtype for continuous
     channels, string/object dtype for categorical ones.  Step i corresponds
-    to time ``i * dt`` seconds.
+    to time ``i * dt`` seconds.  The trace keeps its own converted copy of
+    ``values``, and a key that names no declared channel is an error.
     """
 
     dt: float
     channels: tuple[ChannelSpec, ...]
     values: dict[str, np.ndarray] = field(repr=False)
+    m: int = field(init=False)
 
     def __post_init__(self):
         self.channels = tuple(self.channels)
-        lengths = set()
+        undeclared = set(self.values) - {ch.name for ch in self.channels}
+        if undeclared:
+            raise ValueError(f"trace values for undeclared channels {sorted(undeclared)}")
+        values, lengths = {}, set()
         for ch in self.channels:
             if ch.name not in self.values:
                 raise ValueError(f"trace missing channel {ch.name}")
@@ -294,25 +328,20 @@ class SignalTrace:
                     raise ValueError(f"unknown symbols {bad} on channel {ch.name}")
             else:
                 arr = arr.astype(float)
-            self.values[ch.name] = arr
+            values[ch.name] = arr
             lengths.add(arr.shape[0])
         if len(lengths) != 1:
             raise ValueError(f"channel lengths differ: {sorted(lengths)}")
-
-    @property
-    def m(self) -> int:
-        return next(iter(self.values.values())).shape[0]
+        self.values = values
+        self.m = lengths.pop()
 
     def to_csv(self, path) -> None:
-        names = [ch.name for ch in self.channels]
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(names) + "\n")
-            for i in range(self.m):
-                cells = [f"{i * self.dt:.6g}"]
-                for ch in self.channels:
-                    v = self.values[ch.name][i]
-                    cells.append(str(v) if isinstance(ch, CategoricalChannel) else repr(float(v)))
-                fh.write(",".join(cells) + "\n")
+        columns = [self.values[ch.name].tolist() for ch in self.channels]
+        write_csv(
+            path,
+            ["t"] + [ch.name for ch in self.channels],
+            ([f"{i * self.dt:.6g}", *row] for i, row in enumerate(zip(*columns))),
+        )
 
     @classmethod
     def from_csv(cls, path, channels, dt: float) -> "SignalTrace":
@@ -336,6 +365,8 @@ class SignalTrace:
         missing = [ch.name for ch in channels if ch.name not in col]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
+        if not rows:
+            raise ValueError(f"{path}: no rows, a trace needs at least one step")
         values = {}
         for ch in channels:
             cells = [r[col[ch.name]] for r in rows]
@@ -384,9 +415,12 @@ def evaluate(formula: Formula, trace: SignalTrace) -> bool:
     """Truth of a formula on a whole trace.
 
     A bare series formula at the root is read as "at every step", i.e. it is
-    lifted with an implicit always over [0, m-1].
+    lifted with an implicit always over [0, m-1].  Both sides of every
+    and/or are evaluated, so the walk reaches every node: it raises
+    FormulaTypeError at the first node of the wrong level and at any window
+    past the trace's end, wherever it sits.
     """
-    if level(formula) is Level.SERIES:
+    if root_level(formula) is Level.SERIES:
         formula = Always(TimeInterval(0, trace.m - 1), formula)
 
     def scalar(f) -> bool:
@@ -397,9 +431,9 @@ def evaluate(formula: Formula, trace: SignalTrace) -> bool:
         if isinstance(f, Not):
             return not scalar(f.arg)
         if isinstance(f, And):
-            return scalar(f.lhs) and scalar(f.rhs)
+            return scalar(f.lhs) & scalar(f.rhs)
         if isinstance(f, Or):
-            return scalar(f.lhs) or scalar(f.rhs)
+            return scalar(f.lhs) | scalar(f.rhs)
         raise FormulaTypeError(f"not a scalar formula: {f!r}")
 
     return scalar(formula)

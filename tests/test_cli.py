@@ -7,8 +7,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stlfalsify import cli
 from stlfalsify.cli import main
+from stlfalsify.constraints import constraints_for
+from stlfalsify.samplers import sample_trace
 from stlfalsify.sim import scenario
-from stlfalsify.stl import SignalTrace
+from stlfalsify.stl import SignalTrace, parse
 
 
 def read(path):
@@ -278,6 +280,33 @@ def test_monitor_ragged_csv_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 4" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("formula", ["a_maj", "G_[0,0](a_maj)"])
+def test_monitor_trace_without_rows_exits_2(tmp_path, capsys, formula):
+    trace_path = tmp_path / "header_only.csv"
+    trace_path.write_text("t,disturbance\n")
+    code = main(["monitor", "--scenario", "lt1", formula, str(trace_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(trace_path) in err and "no rows" in err and "Traceback" not in err
+
+
+def test_monitor_rechecks_a_rollout_csv_at_full_precision(tmp_path, capsys):
+    # An exact pin reads true on the rollout CSV as on the trace CSV: the
+    # rollout writes its floats at full precision, not rounded to six digits.
+    sc = scenario("pc1")
+    text = "G_[2,4](n_y = 0.2013579)"
+    rng = np.random.default_rng(5)
+    cs = constraints_for(parse(text, sc.channels), sc.channels, sc.horizon, rng)
+    trace = sample_trace(sc.model, sc.horizon, sc.dt, cs, rng=rng)
+    res = sc.run(trace)
+    assert len(res.records) > 4  # the rollout reaches the pinned window
+    trace.to_csv(tmp_path / "trace.csv")
+    res.to_csv(tmp_path / "rollout.csv")
+    for name in ("trace.csv", "rollout.csv"):
+        assert main(["monitor", "--scenario", "pc1", text, str(tmp_path / name)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "True"
 
 
 def test_baseline_rejects_zero_trials(tmp_path, capsys):

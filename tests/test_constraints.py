@@ -14,7 +14,6 @@ from stlfalsify.constraints import (
     InfeasibleError,
     _NEG,
     Output,
-    _root_is_series,
     _split_conjunctive,
     compile_constraints,
     constraints_for,
@@ -32,11 +31,13 @@ from stlfalsify.stl import (
     ContinuousChannel,
     Eventually,
     FormulaTypeError,
+    Level,
     Not,
     Or,
     TimeInterval,
     evaluate,
     parse,
+    root_level,
 )
 
 DIST = CategoricalChannel(
@@ -386,7 +387,7 @@ def _window_frozen(op, out, interval, m, r):
 
 
 def sample_constraints_frozen(formula, m, r):
-    if _root_is_series(formula):
+    if root_level(formula) is Level.SERIES:
         formula = Always(TimeInterval(0, m - 1), formula)
     leaves = []
 

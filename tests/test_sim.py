@@ -280,34 +280,34 @@ def test_rollout_csv_is_stable(tmp_path):
 
 LT1_A_MAJ_CSV = (
     "t,ego_x,ego_y,ego_heading,ego_v,adv_x,adv_y,adv_v,signal,intent,adv_mode,committed,disturbance,collision\n"
-    "0.18,1.85,-13.308,1.5708,9.4,-1.85,27.007,11.0724,0,0,normal,1,a_maj,0\n"
-    "0.36,1.85,-11.5436,1.5708,9.80197,-1.85,24.8216,12.1409,0,0,normal,1,a_maj,0\n"
-    "0.54,1.85,-9.70646,1.5708,10.2066,-1.85,22.4448,13.2043,0,0,continue,1,a_maj,0\n"
-    "0.72,1.85,-7.79574,1.5708,10.6151,-1.85,19.975,13.7211,0,0,continue,1,none,0\n"
-    "0.9,1.8477,-5.80999,1.595,11.0321,-1.85,17.4129,14.234,0,0,continue,1,none,0\n"
-    "1.08,1.55197,-3.8575,1.84723,11,-1.85,14.7592,14.7427,0,0,continue,1,none,0\n"
-    "1.26,0.778321,-2.0406,2.09946,11,-1.85,12.0148,15.2466,0,0,continue,1,none,0\n"
-    "1.44,-0.424277,-0.474259,2.35169,11,-1.85,9.18068,15.7454,0,0,continue,1,none,0\n"
-    "1.62,-1.97972,0.742394,2.60392,11,-1.85,6.25776,16.2384,0,0,continue,1,none,0\n"
-    "1.8,-3.78959,1.53237,2.85615,11,-1.85,3.24719,16.7254,0,0,continue,1,none,1\n"
+    "0.18,1.85,-13.308,1.5707963267948966,9.4,-1.85,27.00697427698468,11.0723651278629,0,0,normal,1,a_maj,0\n"
+    "0.36,1.85,-11.543645320197044,1.5707963267948966,9.801970443349754,-1.85,24.821614104713834,12.140889845949129,0,0,normal,1,a_maj,0\n"
+    "0.54,1.85,-9.70646378033906,1.5707963267948966,10.206564110322136,-1.85,22.444839839934847,13.20430147099438,0,0,continue,1,a_maj,0\n"
+    "0.72,1.85,-7.795739907152896,1.5707963267948966,10.615132628812026,-1.85,19.975043263114692,13.721092093445295,0,0,continue,1,none,0\n"
+    "0.9,1.8476999694146148,-5.809986342464914,1.5950042525979826,11.03206735948401,-1.85,17.412917808109086,14.234030305586696,0,0,continue,1,none,0\n"
+    "1.08,1.5519663479146546,-3.857500459751604,1.84723355196104,11.0,-1.85,14.759233739122733,14.742689272146402,0,0,continue,1,none,0\n"
+    "1.26,0.7783212932486299,-2.040598473823069,2.0994628513240974,11.0,-1.85,12.014841709161601,15.246622388672952,0,0,continue,1,none,0\n"
+    "1.44,-0.4242765790648173,-0.4742594764832777,2.3516921506871546,11.0,-1.85,9.180675916977489,15.745365512133965,0,0,continue,1,none,0\n"
+    "1.62,-1.97972321265122,0.7423938295760033,2.603921450050212,11.0,-1.85,6.257756789605043,16.238439596513583,0,0,continue,1,none,0\n"
+    "1.8,-3.789585206774375,1.5323679173211735,2.8561507494132696,11.0,-1.85,3.2471931189578265,16.72535372581787,0,0,continue,1,none,1\n"
 )
 
 PC1_FALSE_SLOW_CSV = (
     "t,ego_x,ego_y,ego_v,ped_x,ped_y,ped_vx,ped_vy,perc_x,perc_y,perc_vx,perc_vy,committed,a_x,a_y,n_x,n_y,n_vx,n_vy,collision\n"
-    "0.2,-32.66,0,11.7,0,-3.7,0,1.5,0,-4,0,0.1,1,0,0,0,0,0,-1.4,0\n"
-    "0.4,-30.32,0,11.7,0,-3.4,0,1.5,0,-3.7,0,0.1,1,0,0,0,0,0,-1.4,0\n"
-    "0.6,-27.98,0,11.7,0,-3.1,0,1.5,0,-3.4,0,0.1,1,0,0,0,0,0,-1.4,0\n"
-    "0.8,-25.64,0,11.7,0,-2.8,0,1.5,0,-3.1,0,1.5,1,0,0,0,0,0,0,0\n"
-    "1,-23.3,0,11.7,0,-2.5,0,1.5,0,-2.8,0,1.5,1,0,0,0,0,0,0,0\n"
-    "1.2,-20.96,0,11.7,0,-2.2,0,1.5,0,-2.5,0,1.5,1,0,0,0,0,0,0,0\n"
-    "1.4,-18.62,0,11.7,0,-1.9,0,1.5,0,-2.2,0,1.5,1,0,0,0,0,0,0,0\n"
-    "1.6,-16.28,0,11.7,0,-1.6,0,1.5,0,-1.9,0,1.5,1,0,0,0,0,0,0,0\n"
-    "1.8,-13.94,0,11.7,0,-1.3,0,1.5,0,-1.6,0,1.5,1,0,0,0,0,0,0,0\n"
-    "2,-11.6,0,11.7,0,-1,0,1.5,0,-1.3,0,1.5,1,0,0,0,0,0,0,0\n"
-    "2.2,-9.26,0,11.7,0,-0.7,0,1.5,0,-1,0,1.5,1,0,0,0,0,0,0,0\n"
-    "2.4,-6.92,0,11.7,0,-0.4,0,1.5,0,-0.7,0,1.5,1,0,0,0,0,0,0,0\n"
-    "2.6,-4.58,0,11.7,0,-0.1,0,1.5,0,-0.4,0,1.5,1,0,0,0,0,0,0,0\n"
-    "2.8,-2.24,0,11.7,0,0.2,0,1.5,0,-0.1,0,1.5,1,0,0,0,0,0,0,1\n"
+    "0.2,-32.66,0.0,11.7,0.0,-3.7,0.0,1.5,0.0,-4.0,0.0,0.10000000000000009,1,0.0,0.0,0.0,0.0,0.0,-1.4,0\n"
+    "0.4,-30.319999999999997,0.0,11.7,0.0,-3.4000000000000004,0.0,1.5,0.0,-3.7,0.0,0.10000000000000009,1,0.0,0.0,0.0,0.0,0.0,-1.4,0\n"
+    "0.6,-27.979999999999997,0.0,11.7,0.0,-3.1000000000000005,0.0,1.5,0.0,-3.4000000000000004,0.0,0.10000000000000009,1,0.0,0.0,0.0,0.0,0.0,-1.4,0\n"
+    "0.8,-25.639999999999997,0.0,11.7,0.0,-2.8000000000000007,0.0,1.5,0.0,-3.1000000000000005,0.0,1.5,1,0.0,0.0,0.0,0.0,0.0,0.0,0\n"
+    "1.0,-23.299999999999997,0.0,11.7,0.0,-2.500000000000001,0.0,1.5,0.0,-2.8000000000000007,0.0,1.5,1,0.0,0.0,0.0,0.0,0.0,0.0,0\n"
+    "1.2,-20.959999999999997,0.0,11.7,0.0,-2.200000000000001,0.0,1.5,0.0,-2.500000000000001,0.0,1.5,1,0.0,0.0,0.0,0.0,0.0,0.0,0\n"
+    "1.4,-18.619999999999997,0.0,11.7,0.0,-1.900000000000001,0.0,1.5,0.0,-2.200000000000001,0.0,1.5,1,0.0,0.0,0.0,0.0,0.0,0.0,0\n"
+    "1.6,-16.279999999999998,0.0,11.7,0.0,-1.600000000000001,0.0,1.5,0.0,-1.900000000000001,0.0,1.5,1,0.0,0.0,0.0,0.0,0.0,0.0,0\n"
+    "1.8,-13.939999999999998,0.0,11.7,0.0,-1.300000000000001,0.0,1.5,0.0,-1.600000000000001,0.0,1.5,1,0.0,0.0,0.0,0.0,0.0,0.0,0\n"
+    "2.0,-11.599999999999998,0.0,11.7,0.0,-1.0000000000000009,0.0,1.5,0.0,-1.300000000000001,0.0,1.5,1,0.0,0.0,0.0,0.0,0.0,0.0,0\n"
+    "2.2,-9.259999999999998,0.0,11.7,0.0,-0.7000000000000008,0.0,1.5,0.0,-1.0000000000000009,0.0,1.5,1,0.0,0.0,0.0,0.0,0.0,0.0,0\n"
+    "2.4,-6.919999999999998,0.0,11.7,0.0,-0.4000000000000008,0.0,1.5,0.0,-0.7000000000000008,0.0,1.5,1,0.0,0.0,0.0,0.0,0.0,0.0,0\n"
+    "2.6,-4.579999999999998,0.0,11.7,0.0,-0.10000000000000075,0.0,1.5,0.0,-0.4000000000000008,0.0,1.5,1,0.0,0.0,0.0,0.0,0.0,0.0,0\n"
+    "2.8,-2.2399999999999984,0.0,11.7,0.0,0.1999999999999993,0.0,1.5,0.0,-0.10000000000000075,0.0,1.5,1,0.0,0.0,0.0,0.0,0.0,0.0,1\n"
 )
 
 

@@ -52,9 +52,16 @@ def make_trace(symbols, acc=None):
 # interval and node construction
 
 
+def _only_at(steps, m=8):
+    """A trace that reads a_maj at ``steps`` and none elsewhere."""
+    return make_trace(["a_maj" if i in steps else "none" for i in range(m)])
+
+
 def test_interval_orders_bounds():
+    atom = Cmp("disturbance", "=", "a_maj")
     iv = TimeInterval(2, 5)
-    assert list(iv.steps()) == [2, 3, 4, 5]
+    assert evaluate(Always(iv, atom), _only_at({2, 3, 4, 5}))
+    assert not evaluate(Eventually(iv, atom), _only_at({1, 6}))
     with pytest.raises(ValueError):
         TimeInterval(5, 2)
     with pytest.raises(ValueError):
@@ -62,7 +69,11 @@ def test_interval_orders_bounds():
 
 
 def test_interval_is_closed_on_both_ends():
-    assert list(TimeInterval(3, 3).steps()) == [3]
+    atom = Cmp("disturbance", "=", "a_maj")
+    for lo, hi in ((2, 5), (3, 3)):
+        window = Eventually(TimeInterval(lo, hi), atom)
+        assert evaluate(window, _only_at({lo})) and evaluate(window, _only_at({hi}))
+        assert not evaluate(window, _only_at({lo - 1, hi + 1}))
 
 
 def test_cmp_rejects_symbol_inequalities():
@@ -147,6 +158,19 @@ def test_window_beyond_horizon_is_an_error():
         evaluate(Always(TimeInterval(0, 3), Cmp("disturbance", "=", "none")), tr)
 
 
+def test_evaluate_walks_both_sides_of_every_connective():
+    # The left side decides each of these, so a short-circuit never reaches
+    # the right side's window past the end or its node of the wrong level.
+    tr = make_trace(["none"] * 24)
+    atom = Cmp("disturbance", "=", "a_maj")
+    short, long = Always(TimeInterval(0, 1), atom), Always(TimeInterval(0, 99), atom)
+    never = Not(Eventually(TimeInterval(0, 1), atom))
+    for f in (And(short, long), And(long, short), Or(never, long), Or(never, atom),
+              And(short, Not(atom)), Or(atom, never)):
+        with pytest.raises(FormulaTypeError):
+            evaluate(f, tr)
+
+
 def test_bare_series_root_means_at_every_step():
     atom = Cmp("disturbance", "=", "none")
     assert evaluate(atom, make_trace(["none"] * 4))
@@ -185,6 +209,18 @@ def test_trace_validates_lengths_and_symbols():
         )
     with pytest.raises(ValueError):
         make_trace(["none", "bogus"])
+
+
+def test_trace_rejects_undeclared_channels_and_keeps_its_own_values():
+    lt1 = (CategoricalChannel("disturbance", symbols=DIST.symbols),)
+    values = {"disturbance": ["none"] * 24, "extra": [1.0, 2.0, 3.0]}
+    with pytest.raises(ValueError, match="extra"):
+        SignalTrace(dt=0.18, channels=lt1, values=values)
+    del values["extra"]
+    trace = SignalTrace(dt=0.18, channels=lt1, values=values)
+    assert trace.m == 24
+    assert isinstance(values["disturbance"], list)  # the caller's dict is untouched
+    assert trace.values is not values
 
 
 def test_trace_values_may_leave_the_threshold_range():

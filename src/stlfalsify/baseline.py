@@ -3,8 +3,9 @@ failure metrics.
 
 Search, re-evaluation and the baseline all roll traces through
 ``rollouts``: one constraint draw per batch (none for the baseline),
-sampled traces, record-free scenario rollouts, and the log-likelihood of
-every failing trace.  Every draw comes from the generator the caller
+sampled traces, record-free scenario rollouts (one per distinct symbol
+sequence when the model is discrete), and the log-likelihood of every
+failing trace.  Every draw comes from the generator the caller
 passes.  The baseline samples the scenario's proposal, the others its
 model.  Search scores a formula with one batch of N traces;
 re-evaluation and the baseline run one batch per trial, so every
@@ -70,10 +71,16 @@ def rollouts(
     infeasible through the retry budget rolls nothing and adds ``size`` to
     the infeasible count.  Returns the failing traces, their
     log-likelihoods under ``scenario.model`` and the infeasible count.
+
+    Rollouts and likelihoods draw no random numbers, so a trace's outcome
+    depends on its values alone.  When ``scenario.model`` is discrete,
+    each distinct symbol sequence is rolled and scored once per call, and
+    every repeat of it reuses that outcome.
     """
     if batches * size < 1:
         raise ValueError("trials must be at least 1")
     m, dt = scenario.horizon, scenario.dt
+    known = {} if scenario.model.discrete else None  # symbol sequence -> outcome
     fails, lls, n_infeasible = [], [], 0
     for _ in range(batches):
         try:
@@ -83,10 +90,25 @@ def rollouts(
             n_infeasible += size
             continue
         for trace in traces:
-            if scenario.fail_step(trace) is not None:
+            if known is None:
+                ll = _outcome(scenario, trace)
+            else:
+                key = tuple([tuple(col.tolist()) for col in trace.values.values()])
+                if key not in known:
+                    known[key] = _outcome(scenario, trace)
+                ll = known[key]
+            if ll is not None:
                 fails.append(trace)
-                lls.append(log_likelihood(scenario.model, trace))
+                lls.append(ll)
     return fails, lls, n_infeasible
+
+
+def _outcome(scenario: Scenario, trace: SignalTrace) -> float | None:
+    """The log-likelihood of a failing trace under ``scenario.model``, or
+    None when the trace does not fail."""
+    if scenario.fail_step(trace) is None:
+        return None
+    return log_likelihood(scenario.model, trace)
 
 
 def _summarize(

@@ -7,18 +7,34 @@ a true disjunction only one true side).  Windowed operators move between the
 scalar and series levels: a true "always" pins its whole window, a false one
 pins a single uniformly chosen refutation step, "eventually" mirrors that
 with a single witness step when true and a fully pinned window when false.
-Steps outside a window stay arbitrary.  A required output is an int8
-``Output`` code at both levels: a scalar at a scalar node and one code per
-step at a series node.
+Steps outside a window stay arbitrary.
 
-The leaves of the descent are comparisons annotated with a per-step output
-series.  Compiling them intersects everything into per-channel boxes: an
+A scalar node's required output is an ``Output`` code.  A series node's is
+a pair of Python-int step masks: bit i of the first is set where step i
+must be true, bit i of the second where it must be false, and a step in
+neither is arbitrary.  The split rules are mask operations: ``&`` splits
+the false mask with a coin mask c into ``F & ~c`` (left) and ``F & c``
+(right), ``|`` splits the true mask the same way, and ``!`` swaps the two
+masks.  Every series ``&``/``|`` node draws one coin per step, whether or
+not that step splits.
+
+A window's series argument holds no window, so its coins are drawn in
+preorder with no other draw in between, and the window draws them as one
+``rng.integers(0, 2, size=(k, m))`` block for its k connectives (nothing
+when k is 0).  That block equals k calls of ``size=m`` and leaves the
+generator in the same state: numpy serves each coin from one 32-bit half
+of the bit generator's output, and the buffered half lives in the
+generator state, not in the call (``tests/test_constraints.py`` pins this).
+
+The leaves of the descent are comparisons annotated with their two step
+masks.  Compiling them intersects everything into per-channel boxes: an
 interval [lower, upper] per step for continuous channels and a per-step
-mask of allowed symbols for categorical ones.  Falsified inequalities shift the
-boundary by a small epsilon so that sampling the complement stays a closed
-interval; a falsified equality on a continuous channel removes only a
-measure-zero set and tightens nothing, unless the step is pinned to that
-value: then the draw is infeasible.
+mask of allowed symbols for categorical ones, built from one allowed-steps
+mask per symbol.  Falsified inequalities shift the boundary by a small
+epsilon so that sampling the complement stays a closed interval; a
+falsified equality on a continuous channel removes only a measure-zero set
+and tightens nothing, unless the step is pinned to that value: then the
+draw is infeasible.
 """
 
 from __future__ import annotations
@@ -66,57 +82,102 @@ class Output(IntEnum):
     FALSE = 2
 
 
-_ARBITRARY_CODE, _TRUE_CODE, _FALSE_CODE = np.int8(0), np.int8(1), np.int8(2)
-_NEG = np.array([_ARBITRARY_CODE, _FALSE_CODE, _TRUE_CODE])  # _NEG[code] negates
+_ARB, _TRUE, _FALSE = 0, 1, 2  # Output codes as plain ints for the descent
+_NEG = (_ARB, _FALSE, _TRUE)  # _NEG[code] negates a scalar code
 
 
 class InfeasibleError(Exception):
     """The sampled constraint set admits no trace."""
 
 
+def _bit_rows(masks, m: int) -> np.ndarray:
+    """Step masks as a (len(masks), m) bool array, step 0 first in each row."""
+    width = (m + 7) // 8
+    raw = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=m, bitorder="little").view(bool)
+
+
+def _mask(steps: np.ndarray) -> int:
+    """Bool per step as a step mask."""
+    return int.from_bytes(np.packbits(steps, bitorder="little").tobytes(), "little")
+
+
+def _codes(true: int, false: int, m: int) -> np.ndarray:
+    """Two step masks as int8 Output codes per step."""
+    true_at, false_at = _bit_rows((true, false), m)
+    codes = true_at.astype(np.int8)
+    codes[false_at] = _FALSE
+    return codes
+
+
 @dataclass(frozen=True)
 class LeafConstraint:
-    """One comparison plus the output it must produce at each step."""
+    """One comparison plus the steps where it must be true or false."""
 
     atom: Cmp
-    outputs: np.ndarray  # int8 codes per step
+    true: int  # step mask: bit i set where step i must be true
+    false: int  # step mask: bit i set where step i must be false
+    m: int
+
+    @property
+    def outputs(self) -> np.ndarray:
+        """int8 Output codes per step."""
+        return _codes(self.true, self.false, self.m)
 
 
-def _split_conjunctive(out, rng, false_splits: bool):
-    """Children of and (false_splits=True) or or (false_splits=False).
-
-    For "and" a true output copies to both children and a false one lands on
-    a random side; "or" is the mirror image.  A series ``out`` draws one coin
-    per step, whether or not that step splits.
-    """
-    one_side = _FALSE_CODE if false_splits else _TRUE_CODE
-    if out.ndim == 0:
-        if out != one_side:
-            return out, out
-        if rng.integers(2):
-            return one_side, _ARBITRARY_CODE
-        return _ARBITRARY_CODE, one_side
-    split = out == one_side
-    to_right = split & (rng.integers(0, 2, size=len(out)) == 1)
-    left = np.where(to_right, _ARBITRARY_CODE, out)
-    right = np.where(split ^ to_right, _ARBITRARY_CODE, out)
-    return left, right
+def _split_scalar(out: int, rng, is_and: bool) -> tuple[int, int]:
+    """Children of a scalar and/or: a true "and" (false "or") copies to
+    both, a false "and" (true "or") lands on a random side."""
+    one_side = _FALSE if is_and else _TRUE
+    if out != one_side:
+        return out, out
+    if rng.integers(2):
+        return one_side, _ARB
+    return _ARB, one_side
 
 
-def _window(op: str, out, interval: TimeInterval, m: int, rng) -> np.ndarray:
-    """Series codes for the argument of a windowed operator."""
+def _split_series(true: int, false: int, coins: int, is_and: bool):
+    """Children's (true, false) masks of a series and/or: the steps that
+    split go right where ``coins`` has a bit and left elsewhere."""
+    if is_and:
+        return (true, false & ~coins), (true, false & coins)
+    return (true & ~coins, false), (true & coins, false)
+
+
+def _window(is_always: bool, out: int, interval: TimeInterval, m: int, rng) -> tuple[int, int]:
+    """The (true, false) masks of a windowed operator's argument."""
     if interval.hi >= m:
         raise FormulaTypeError(
             f"interval [{interval.lo}, {interval.hi}] exceeds horizon {m}"
         )
-    child = np.zeros(m, dtype=np.int8)
-    if out == _ARBITRARY_CODE:
-        return child
-    if (op == "always") == (out == _TRUE_CODE):
-        child[interval.lo : interval.hi + 1] = out
+    if out == _ARB:
+        return 0, 0
+    if is_always == (out == _TRUE):
+        steps = ((1 << (interval.hi - interval.lo + 1)) - 1) << interval.lo
     else:
-        child[int(rng.integers(interval.lo, interval.hi + 1))] = out
-    return child
+        steps = 1 << int(rng.integers(interval.lo, interval.hi + 1))
+    return (steps, 0) if out == _TRUE else (0, steps)
+
+
+def _coin_rows(rng, k: int, m: int) -> list[int]:
+    """k coin masks of m steps from one block draw, row by row."""
+    if k == 0:
+        return []
+    packed = np.packbits(rng.integers(0, 2, size=(k, m)), axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(k)]
+
+
+def _connectives(f) -> int:
+    """The number of and/or nodes in a series formula."""
+    if isinstance(f, Cmp):
+        return 0
+    if isinstance(f, Not):
+        return _connectives(f.arg)
+    if isinstance(f, (And, Or)):
+        return 1 + _connectives(f.lhs) + _connectives(f.rhs)
+    raise FormulaTypeError(f"not a series formula: {f!r}")
 
 
 def subexpression_outputs(
@@ -132,20 +193,26 @@ def subexpression_outputs(
     series context; the children's codes come back as int8 of the same
     shape.  Windowed operators ("always", "eventually") take a scalar
     ``out`` plus their interval and the trace length ``m``, and return a
-    one-element tuple holding the child's series codes.
+    one-element tuple holding the child's series codes.  Series codes pass
+    through the descent's step masks, so the draws are the descent's.
     """
-    out = np.asarray(out, dtype=np.int8)[()]
-    if op == "not":
-        return (_NEG[out],)
-    if op == "and":
-        return _split_conjunctive(out, rng, false_splits=True)
-    if op == "or":
-        return _split_conjunctive(out, rng, false_splits=False)
+    out = np.asarray(out, dtype=np.int8)
+    if op not in ("not", "and", "or", "always", "eventually"):
+        raise ValueError(f"unknown operator {op!r}")
     if op in ("always", "eventually"):
         if interval is None or m is None:
             raise ValueError(f"{op} needs interval and m")
-        return (_window(op, out, interval, m, rng),)
-    raise ValueError(f"unknown operator {op!r}")
+        return (_codes(*_window(op == "always", int(out), interval, m, rng), m),)
+    if out.ndim == 0:
+        if op == "not":
+            return (np.int8(_NEG[int(out)]),)
+        return tuple(np.int8(c) for c in _split_scalar(int(out), rng, op == "and"))
+    n = len(out)
+    true, false = _mask(out == _TRUE), _mask(out == _FALSE)
+    if op == "not":
+        return (_codes(false, true, n),)
+    (coins,) = _coin_rows(rng, 1, n)
+    return tuple(_codes(t, f, n) for t, f in _split_series(true, false, coins, op == "and"))
 
 
 def sample_constraints(
@@ -161,32 +228,41 @@ def sample_constraints(
     the root is lifted over all m steps, matching ``stl.evaluate``.
 
     The root's level is read off its leftmost path (``stl.root_level``),
-    and the descent, which visits every node, raises FormulaTypeError at a
-    node of the wrong level: a comparison whose output is a scalar or a
-    window whose output is a series.
+    and every node's level is checked: the descent raises FormulaTypeError
+    at a comparison whose output is a scalar, and the walk that counts a
+    window's connectives at a window inside its argument.
     """
     if root_level(formula) is Level.SERIES:
         formula = Always(TimeInterval(0, m - 1), formula)
     leaves: list[LeafConstraint] = []
 
-    def visit(f, out):  # branches in order of how common the node is
-        if isinstance(f, Cmp) and out.ndim:
-            if out.any():
-                leaves.append(LeafConstraint(f, out))
-        elif isinstance(f, (And, Or)):
-            left, right = _split_conjunctive(out, rng, isinstance(f, And))
-            visit(f.lhs, left)
-            visit(f.rhs, right)
+    def series(f, true, false, coins):  # coins: one mask per and/or, in preorder
+        if isinstance(f, Cmp):
+            if true or false:
+                leaves.append(LeafConstraint(f, true, false, m))
         elif isinstance(f, Not):
-            visit(f.arg, _NEG[out])
-        elif isinstance(f, (Always, Eventually)) and not out.ndim:
-            op = "always" if isinstance(f, Always) else "eventually"
-            visit(f.arg, _window(op, out, f.interval, m, rng))
+            series(f.arg, false, true, coins)
         else:
-            level = "series" if out.ndim else "scalar"
-            raise FormulaTypeError(f"not a {level} formula: {f!r}")
+            left, right = _split_series(true, false, next(coins), isinstance(f, And))
+            series(f.lhs, *left, coins)
+            series(f.rhs, *right, coins)
 
-    visit(formula, _TRUE_CODE)
+    def scalar(f, out):  # branches in order of how common the node is
+        if isinstance(f, (Always, Eventually)):
+            true, false = _window(isinstance(f, Always), out, f.interval, m, rng)
+            coins = _coin_rows(rng, _connectives(f.arg), m)
+            if true or false:  # an arbitrary window still draws its coins
+                series(f.arg, true, false, iter(coins))
+        elif isinstance(f, (And, Or)):
+            left, right = _split_scalar(out, rng, isinstance(f, And))
+            scalar(f.lhs, left)
+            scalar(f.rhs, right)
+        elif isinstance(f, Not):
+            scalar(f.arg, _NEG[out])
+        else:
+            raise FormulaTypeError(f"not a scalar formula: {f!r}")
+
+    scalar(formula, _TRUE)
     return leaves
 
 
@@ -210,19 +286,33 @@ class ConstraintSet:
         self.upper: dict[str, np.ndarray] = {}
         self.allowed: dict[str, np.ndarray] = {}
         for ch in self.channels:
-            if isinstance(ch, CategoricalChannel):
-                self.allowed[ch.name] = np.ones((m, len(ch.symbols)), dtype=bool)
-            else:
+            if not isinstance(ch, CategoricalChannel):
                 self.lower[ch.name] = np.full(m, -np.inf)
                 self.upper[ch.name] = np.full(m, np.inf)
 
-    def _check_feasible(self):
-        for name in self.lower:
-            if (self.lower[name] > self.upper[name]).any():
-                raise InfeasibleError(f"empty interval on channel {name}")
-        for name, mask in self.allowed.items():
-            if not mask.any(axis=1).all():
-                raise InfeasibleError(f"no symbol left on channel {name}")
+
+def _allowed(ch: CategoricalChannel, true_for: dict, false_for: dict, m: int) -> np.ndarray:
+    """The (m, len(ch.symbols)) allowed mask of a categorical channel.
+
+    ``true_for`` and ``false_for`` map a symbol to the steps where some
+    leaf requires the channel to equal it, or to differ from it.  A symbol
+    is allowed at the steps where it is neither required to differ nor
+    another symbol required.
+    """
+    full = (1 << m) - 1
+    steps = []
+    for s in ch.symbols:
+        blocked = false_for.get(s, 0)
+        for v, true in true_for.items():
+            if v != s:
+                blocked |= true
+        steps.append(full & ~blocked)
+    some = 0
+    for mask in steps:
+        some |= mask
+    if some != full:
+        raise InfeasibleError(f"no symbol left on channel {ch.name}")
+    return _bit_rows(steps, m).T
 
 
 def compile_constraints(
@@ -231,38 +321,58 @@ def compile_constraints(
     """Intersect leaf constraints into one feasible ConstraintSet."""
     cs = ConstraintSet(channels, m)
     by_name = {ch.name: ch for ch in cs.channels}
-    unequal = []  # (channel, value, steps) of each falsified continuous "="
+    symbol_steps = {  # per categorical channel: symbol -> (true steps, false steps)
+        ch.name: ({}, {}) for ch in cs.channels if isinstance(ch, CategoricalChannel)
+    }
+    continuous = []
     for leaf in leaves:
         atom = leaf.atom
         if atom.channel not in by_name:
             raise FormulaTypeError(f"unknown channel {atom.channel!r}")
-        ch = by_name[atom.channel]
-        if leaf.outputs.shape[0] != m:
+        if leaf.m != m:
             raise ValueError("leaf output length differs from horizon")
-        true_at = leaf.outputs == _TRUE_CODE
-        false_at = leaf.outputs == _FALSE_CODE
-        if isinstance(ch, CategoricalChannel):
-            mask = cs.allowed[ch.name]
-            is_sym = np.array([s == atom.value for s in ch.symbols])
-            np.logical_and(mask, is_sym, out=mask, where=true_at[:, None])
-            np.logical_and(mask, ~is_sym, out=mask, where=false_at[:, None])
-            continue
+        if atom.channel in symbol_steps:
+            true_for, false_for = symbol_steps[atom.channel]
+            if leaf.true:
+                true_for[atom.value] = true_for.get(atom.value, 0) | leaf.true
+            if leaf.false:
+                false_for[atom.value] = false_for.get(atom.value, 0) | leaf.false
+        else:
+            continuous.append(leaf)
+    # one conversion for every continuous leaf: rows 2i and 2i + 1 are
+    # leaf i's true and false steps
+    masks = [mask for leaf in continuous for mask in (leaf.true, leaf.false)]
+    steps = _bit_rows(masks, m) if masks else None
+    unequal = []  # (channel, value, steps) of each falsified continuous "="
+    for i, leaf in enumerate(continuous):
+        atom = leaf.atom
+        true_at, false_at = steps[2 * i], steps[2 * i + 1]
         v = float(atom.value)
-        lo, hi = cs.lower[ch.name], cs.upper[ch.name]
+        lo, hi = cs.lower[atom.channel], cs.upper[atom.channel]
         if atom.op == "<=":
-            np.minimum(hi, v, out=hi, where=true_at)
-            np.maximum(lo, v + EPSILON, out=lo, where=false_at)
+            if leaf.true:
+                np.minimum(hi, v, out=hi, where=true_at)
+            if leaf.false:
+                np.maximum(lo, v + EPSILON, out=lo, where=false_at)
         elif atom.op == ">=":
-            np.maximum(lo, v, out=lo, where=true_at)
-            np.minimum(hi, v - EPSILON, out=hi, where=false_at)
+            if leaf.true:
+                np.maximum(lo, v, out=lo, where=true_at)
+            if leaf.false:
+                np.minimum(hi, v - EPSILON, out=hi, where=false_at)
         else:  # "=": pin when true; a falsified one is checked below
-            np.maximum(lo, v, out=lo, where=true_at)
-            np.minimum(hi, v, out=hi, where=true_at)
-            unequal.append((ch.name, v, false_at))
+            if leaf.true:
+                np.maximum(lo, v, out=lo, where=true_at)
+                np.minimum(hi, v, out=hi, where=true_at)
+            if leaf.false:
+                unequal.append((atom.channel, v, false_at))
     for name, v, false_at in unequal:
         if (false_at & (cs.lower[name] == v) & (cs.upper[name] == v)).any():
             raise InfeasibleError(f"channel {name} is pinned to {v} where it must differ")
-    cs._check_feasible()
+    for name in cs.lower:
+        if (cs.lower[name] > cs.upper[name]).any():
+            raise InfeasibleError(f"empty interval on channel {name}")
+    for name, (true_for, false_for) in symbol_steps.items():
+        cs.allowed[name] = _allowed(by_name[name], true_for, false_for, m)
     return cs
 
 

@@ -345,10 +345,25 @@ class SignalTrace:
 
     @classmethod
     def from_csv(cls, path, channels, dt: float) -> "SignalTrace":
+        """Read a trace written by ``to_csv`` or a rollout's ``to_csv``.
+
+        The ``t`` column must hold numbers ``dt`` apart, within the six
+        significant digits ``to_csv`` writes; the first row may sit at any
+        time (trace files start at 0, rollout files at ``dt``).
+        """
         channels = tuple(channels)
+
+        def number(cell: str, lineno: int) -> float:
+            try:
+                return float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: {cell!r} is not a number") from None
+
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            rows = []
+            if header[0] != "t":
+                raise ValueError(f"{path}: first column must be 't'")
+            rows, prev = [], None
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
@@ -358,9 +373,16 @@ class SignalTrace:
                         f"{path}: line {lineno} has {len(cells)} cells, "
                         f"the header has {len(header)}"
                     )
-                rows.append(cells)
-        if not header or header[0] != "t":
-            raise ValueError(f"{path}: first column must be 't'")
+                t = number(cells[0], lineno)
+                if not math.isfinite(t):
+                    raise ValueError(f"{path}: line {lineno}: t = {cells[0]} is not finite")
+                if prev is not None and abs(t - prev - dt) > 1e-5 * max(abs(t), abs(prev)):
+                    raise ValueError(
+                        f"{path}: line {lineno}: t = {cells[0]} is not {dt:g} s after "
+                        f"the previous row's {prev:g}"
+                    )
+                rows.append((lineno, cells))
+                prev = t
         col = {name: j for j, name in enumerate(header)}
         missing = [ch.name for ch in channels if ch.name not in col]
         if missing:
@@ -369,11 +391,11 @@ class SignalTrace:
             raise ValueError(f"{path}: no rows, a trace needs at least one step")
         values = {}
         for ch in channels:
-            cells = [r[col[ch.name]] for r in rows]
+            j = col[ch.name]
             if isinstance(ch, CategoricalChannel):
-                values[ch.name] = np.array(cells, dtype=object)
+                values[ch.name] = np.array([cells[j] for _, cells in rows], dtype=object)
             else:
-                values[ch.name] = np.array([float(c) for c in cells])
+                values[ch.name] = np.array([number(cells[j], lineno) for lineno, cells in rows])
         return cls(dt=dt, channels=channels, values=values)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import stlfalsify.baseline as baseline
+import stlfalsify.sim as sim
 from stlfalsify.baseline import (
     GEOMEAN_STEP_PROB,
     TRAJECTORY_LOGLIK,
@@ -206,6 +207,45 @@ def test_rollouts_match_a_loop_that_runs_every_trace(name, which, text, batches,
     for res, ref in zip(fails, ref_fails):
         for ch in sc.channels:
             assert np.array_equal(res.trace.values[ch.name], ref.trace.values[ch.name])
+
+
+@pytest.mark.parametrize("name,text", [
+    ("lt1", "G_[0,1](disturbance = a_maj)"),
+    ("pc1", "G_[0,2](n_vy <= -0.8)"),
+])
+def test_rollouts_roll_each_distinct_symbol_sequence_once(monkeypatch, name, text):
+    # lt1's model is discrete, so repeated symbol sequences reuse one
+    # rollout and one likelihood; pc1's is not, so every trace is rolled
+    sc = scenario(name)
+    formula = parse(text, sc.channels)
+    ref_fails, ref_lls, ref_inf = _rollouts_through_run(sc, sc.model, formula, rng(24), 4, 25)
+    drawn, rolled = [], []
+    real_sample, real_fail_step = baseline.sample_traces, sim.fail_step
+
+    def recording(*args, **kwargs):
+        traces = real_sample(*args, **kwargs)
+        drawn.extend(traces)
+        return traces
+
+    def counting(scenario, trace):
+        rolled.append(trace)
+        return real_fail_step(scenario, trace)
+
+    monkeypatch.setattr(baseline, "sample_traces", recording)
+    monkeypatch.setattr(sim, "fail_step", counting)
+    traces, lls, n_inf = baseline.rollouts(sc, sc.model, formula, rng(24), 4, 25)
+    assert (lls, n_inf) == (ref_lls, ref_inf)
+    assert len(traces) == len(ref_fails) > 0
+    for trace, ref in zip(traces, ref_fails):
+        for ch in sc.channels:
+            assert np.array_equal(trace.values[ch.name], ref.trace.values[ch.name])
+    assert len(drawn) == 100
+    if sc.model.discrete:
+        distinct = {tuple(tr.values["disturbance"]) for tr in drawn}
+        assert len(rolled) == len(distinct) < len(drawn)
+    else:
+        assert len(rolled) == len(drawn)
+        assert all(a is b for a, b in zip(rolled, drawn))
 
 
 def _count_record_passes(monkeypatch) -> list:

@@ -282,6 +282,19 @@ def test_monitor_ragged_csv_exits_2(tmp_path, capsys):
     assert "line 4" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rows,line", [
+    ("abc,a_maj\nxyz,a_maj\n", "line 2"),  # no time column
+    ("0,a_maj\n0.36,a_maj\n", "line 3"),  # lt1 steps are 0.18 s apart
+])
+def test_monitor_bad_time_column_exits_2(tmp_path, capsys, rows, line):
+    trace_path = tmp_path / "bad_t.csv"
+    trace_path.write_text("t,disturbance\n" + rows)
+    code = main(["monitor", "--scenario", "lt1", "G_[0,1](a_maj)", str(trace_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert line in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("formula", ["a_maj", "G_[0,0](a_maj)"])
 def test_monitor_trace_without_rows_exits_2(tmp_path, capsys, formula):
     trace_path = tmp_path / "header_only.csv"

@@ -12,15 +12,13 @@ import pytest
 from stlfalsify.constraints import (
     EPSILON,
     InfeasibleError,
-    _NEG,
     Output,
-    _split_conjunctive,
     compile_constraints,
     constraints_for,
     sample_constraints,
     subexpression_outputs,
 )
-from stlfalsify.grammar import sample_expression
+from stlfalsify.grammar import GrammarSpec, sample_expression
 from stlfalsify.samplers import sample_trace
 from stlfalsify.sim import scenario
 from stlfalsify.stl import (
@@ -301,7 +299,8 @@ def test_retries_find_a_feasible_coin_assignment():
 
 
 # ---------------------------------------------------------------------------
-# the series helpers against their copy-and-assign definitions
+# the series rules, through the descent's step masks, against their
+# copy-and-assign definitions
 
 
 def _negate_reference(out):
@@ -327,12 +326,12 @@ def test_series_helpers_match_reference_draw_for_draw():
     codes = rng(99)
     for seed in range(200):
         out = codes.integers(0, 3, size=int(codes.integers(1, 40))).astype(np.int8)
-        got = _NEG[out]
+        (got,) = subexpression_outputs("not", out, rng())
         assert got.dtype == np.int8
         assert np.array_equal(got, _negate_reference(out))
         for false_splits in (True, False):
             new_rng, ref_rng = rng(seed), rng(seed)
-            got = _split_conjunctive(out, new_rng, false_splits)
+            got = subexpression_outputs("and" if false_splits else "or", out, new_rng)
             want = _split_reference(out, ref_rng, false_splits)
             for g, w in zip(got, want):
                 assert g.dtype == np.int8
@@ -444,3 +443,39 @@ def test_descent_matches_frozen_two_encoding_descent(name):
             assert leaf.outputs.dtype == codes.dtype == np.int8
             assert np.array_equal(leaf.outputs, codes)
         assert new_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("name", ["lt1", "pc1"])
+@pytest.mark.parametrize("m", [1, 70])
+def test_descent_matches_frozen_descent_at_any_horizon(name, m):
+    # m = 1 leaves one bit per mask; m = 70 needs more than 64 bits per mask
+    grammar = GrammarSpec(channels=scenario(name).channels, t_max=m - 1)
+    make = rng(m)
+    for i in range(500):
+        f = sample_expression(grammar, make)
+        if i % 4 == 0:
+            f = _first_series(f)
+        new_rng, ref_rng = rng(i), rng(i)
+        got = sample_constraints(f, m, new_rng)
+        want = sample_constraints_frozen(f, m, ref_rng)
+        assert [leaf.atom for leaf in got] == [atom for atom, _ in want]
+        for leaf, (_, codes) in zip(got, want):
+            assert np.array_equal(leaf.outputs, codes)
+        assert new_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("m", [1, 3, 7, 24, 64, 65, 70])
+def test_coin_calls_equal_one_block_draw(m):
+    # The descent draws a window's coins as one (k, m) block in place of k
+    # calls of size m.  That keeps the stream only while numpy serves each
+    # coin from one buffered 32-bit half that lives in the generator state.
+    for k in range(1, 6):
+        for seed in range(5):
+            calls, block = rng(seed), rng(seed)
+            before = [calls.integers(2), calls.integers(0, m)]
+            assert [block.integers(2), block.integers(0, m)] == before
+            rows = [calls.integers(0, 2, size=m) for _ in range(k)]
+            assert np.array_equal(np.stack(rows), block.integers(0, 2, size=(k, m)))
+            assert calls.integers(2) == block.integers(2)
+            assert calls.bit_generator.state == block.bit_generator.state
+            assert calls.random() == block.random()

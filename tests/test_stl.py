@@ -237,6 +237,67 @@ def test_trace_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.values["a_y"], tr.values["a_y"])
 
 
+def test_trace_csv_roundtrip_over_many_steps_at_an_inexact_rate(tmp_path):
+    # t is written to six significant digits, so 1/3 s steps read back
+    # rounded: the spacing check must allow for that, up to t = 333
+    n = 1000
+    tr = SignalTrace(dt=1 / 3, channels=CHANNELS, values={
+        "disturbance": np.array(["none", "S"] * (n // 2), dtype=object),
+        "a_y": np.linspace(-1.0, 1.0, n),
+    })
+    path = tmp_path / "trace.csv"
+    tr.to_csv(path)
+    back = SignalTrace.from_csv(path, CHANNELS, dt=tr.dt)
+    assert back.m == n
+    np.testing.assert_array_equal(back.values["a_y"], tr.values["a_y"])
+
+
+@pytest.mark.parametrize("name", ["lt1", "pc1"])
+def test_rollout_csv_roundtrip(tmp_path, name):
+    # rollout rows start at t = dt, one per simulated step
+    from stlfalsify.sim import scenario
+
+    sc = scenario(name)
+    trace = sc.nominal_trace()
+    res = sc.run(trace)
+    path = tmp_path / "rollout.csv"
+    res.to_csv(path)
+    assert path.read_text().splitlines()[1].split(",")[0] == repr(round(sc.dt, 9))
+    back = SignalTrace.from_csv(path, sc.channels, dt=sc.dt)
+    assert back.m == len(res.records)
+    for ch in sc.channels:
+        assert back.values[ch.name].tolist() == trace.values[ch.name][: back.m].tolist()
+
+
+def _rows(path):
+    return path.read_text().splitlines()
+
+
+def test_trace_csv_at_another_rate_names_the_line(tmp_path):
+    path = tmp_path / "trace.csv"
+    make_trace(["none", "a_maj", "S"]).to_csv(path)  # dt = 0.5
+    with pytest.raises(ValueError, match="line 3"):
+        SignalTrace.from_csv(path, CHANNELS, dt=0.25)
+    lines = _rows(path)
+    lines[3] = "1.5," + lines[3].split(",", 1)[1]  # a skipped row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 4"):
+        SignalTrace.from_csv(path, CHANNELS, dt=0.5)
+
+
+@pytest.mark.parametrize("column,cell", [(0, "abc"), (0, "nan"), (0, "inf"), (2, "xyz")])
+def test_trace_csv_garbage_cell_names_the_line(tmp_path, column, cell):
+    path = tmp_path / "trace.csv"
+    make_trace(["none", "a_maj", "S"]).to_csv(path)
+    lines = _rows(path)
+    cells = lines[2].split(",")
+    cells[column] = cell
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 3"):
+        SignalTrace.from_csv(path, CHANNELS, dt=0.5)
+
+
 # ---------------------------------------------------------------------------
 # text forms
 

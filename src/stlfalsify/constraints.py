@@ -7,7 +7,9 @@ a true disjunction only one true side).  Windowed operators move between the
 scalar and series levels: a true "always" pins its whole window, a false one
 pins a single uniformly chosen refutation step, "eventually" mirrors that
 with a single witness step when true and a fully pinned window when false.
-Steps outside a window stay arbitrary.
+Steps outside a window stay arbitrary.  A series root and a window past
+the horizon are read as ``stl.evaluate`` reads them (``stl.lift``,
+``stl.check_horizon``).
 
 A scalar node's required output is an ``Output`` code.  A series node's is
 a pair of Python-int step masks: bit i of the first is set where step i
@@ -52,11 +54,11 @@ from .stl import (
     Eventually,
     Formula,
     FormulaTypeError,
-    Level,
     Not,
     Or,
     TimeInterval,
-    root_level,
+    check_horizon,
+    lift,
 )
 
 __all__ = [
@@ -146,10 +148,7 @@ def _split_series(true: int, false: int, coins: int, is_and: bool):
 
 def _window(is_always: bool, out: int, interval: TimeInterval, m: int, rng) -> tuple[int, int]:
     """The (true, false) masks of a windowed operator's argument."""
-    if interval.hi >= m:
-        raise FormulaTypeError(
-            f"interval [{interval.lo}, {interval.hi}] exceeds horizon {m}"
-        )
+    check_horizon(interval, m)
     if out == _ARB:
         return 0, 0
     if is_always == (out == _TRUE):
@@ -224,16 +223,12 @@ def sample_constraints(
     comparison must output.
 
     Returns one LeafConstraint per comparison whose outputs are not
-    everywhere arbitrary, in left-to-right leaf order.  A series formula at
-    the root is lifted over all m steps, matching ``stl.evaluate``.
-
-    The root's level is read off its leftmost path (``stl.root_level``),
-    and every node's level is checked: the descent raises FormulaTypeError
-    at a comparison whose output is a scalar, and the walk that counts a
-    window's connectives at a window inside its argument.
+    everywhere arbitrary, in left-to-right leaf order.  Besides a window
+    past the horizon, a node of the wrong level raises FormulaTypeError:
+    the descent raises at a comparison whose output is a scalar, and the
+    walk that counts a window's connectives at a window inside its argument.
     """
-    if root_level(formula) is Level.SERIES:
-        formula = Always(TimeInterval(0, m - 1), formula)
+    formula = lift(formula, m)
     leaves: list[LeafConstraint] = []
 
     def series(f, true, false, coins):  # coins: one mask per and/or, in preorder

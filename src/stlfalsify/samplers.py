@@ -113,9 +113,10 @@ class DisturbanceModel:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
+        declared = sorted(ch.name for ch in self.channels)
+        if sorted(self.models) != declared:
+            raise ValueError(f"models for {sorted(self.models)} do not match channels {declared}")
         for ch in self.channels:
-            if ch.name not in self.models:
-                raise ValueError(f"no model for channel {ch.name!r}")
             m = self.models[ch.name]
             if isinstance(ch, CategoricalChannel) != isinstance(m, Categorical):
                 raise ValueError(f"model kind mismatch on channel {ch.name!r}")

@@ -11,6 +11,12 @@ reads "s holds at steps 0, 1 and 2".  Channels are either continuous (float
 samples, thresholds drawn from a declared range) or categorical (string
 symbols, equality tests only).
 
+Every reader types a formula top down: ``root_level`` reads the root's
+level off its leftmost path, and the reader's walk raises FormulaTypeError
+at the first node of the wrong level.  On an m-step trace a series root
+holds at every step (``lift``) and a window must end inside the trace
+(``check_horizon``).
+
 The canonical text form (see ``canonical_text`` / ``parse``) is a plain ASCII
 syntax::
 
@@ -52,6 +58,8 @@ __all__ = [
     "root_level",
     "depth",
     "check",
+    "lift",
+    "check_horizon",
     "evaluate",
     "eval_series",
     "canonical_text",
@@ -171,31 +179,12 @@ class Eventually:
 Formula = Union[Cmp, Not, And, Or, Always, Eventually]
 
 
-def level(formula: Formula) -> Level:
-    """Scalar or series.  Raises FormulaTypeError on mixed-level connectives."""
-    if isinstance(formula, Cmp):
-        return Level.SERIES
-    if isinstance(formula, (Always, Eventually)):
-        if level(formula.arg) is not Level.SERIES:
-            raise FormulaTypeError("windowed operators need a series argument")
-        return Level.SCALAR
-    if isinstance(formula, Not):
-        return level(formula.arg)
-    if isinstance(formula, (And, Or)):
-        left, right = level(formula.lhs), level(formula.rhs)
-        if left is not right:
-            raise FormulaTypeError("and/or children must share a level")
-        return left
-    raise FormulaTypeError(f"not a formula: {formula!r}")
-
-
 def root_level(formula: Formula) -> Level:
     """The level of a well-typed formula, read off its leftmost path.
 
     Connectives share their children's level, so the first node below the
     root's connectives decides it: a comparison makes a series, anything
-    else a scalar.  Nothing else is checked; the walks that use this raise
-    FormulaTypeError at the first node of the wrong level.
+    else a scalar.  Nothing else is checked.
     """
     while isinstance(formula, (Not, And, Or)):
         formula = formula.arg if isinstance(formula, Not) else formula.lhs
@@ -232,47 +221,73 @@ def _channel_map(channels) -> dict[str, ChannelSpec]:
     return out
 
 
+def level(formula: Formula) -> Level:
+    """Scalar or series: ``check``'s walk without the channel checks."""
+    return _typed(formula, None)
+
+
 def check(formula: Formula, channels) -> Level:
     """Validate a formula against ``channels`` and return its level.
 
-    Checks that every comparison names a known channel, that categorical
-    tests use declared symbols, and that continuous thresholds lie inside
-    the channel's declared range.
+    Raises FormulaTypeError at the first node of the wrong level or at a
+    comparison of an unknown channel, an undeclared symbol or a threshold
+    outside the channel's declared range.
     """
-    by_name = _channel_map(channels)
+    return _typed(formula, _channel_map(channels))
 
-    def walk(f: Formula):
-        if isinstance(f, Cmp):
-            if f.channel not in by_name:
-                raise FormulaTypeError(f"unknown channel {f.channel!r}")
-            ch = by_name[f.channel]
-            if isinstance(ch, CategoricalChannel):
-                if f.op != "=":
-                    raise FormulaTypeError(
-                        f"channel {ch.name} is categorical; only '=' applies"
-                    )
-                if f.value not in ch.symbols:
-                    raise FormulaTypeError(
-                        f"unknown symbol {f.value!r} on channel {ch.name}"
-                    )
-            else:
-                if isinstance(f.value, str):
-                    raise FormulaTypeError(
-                        f"channel {ch.name} is continuous, got symbol {f.value!r}"
-                    )
-                if not (ch.lo <= float(f.value) <= ch.hi):
-                    raise FormulaTypeError(
-                        f"threshold {f.value} outside [{ch.lo}, {ch.hi}] "
-                        f"for channel {ch.name}"
-                    )
-        elif isinstance(f, (Always, Eventually, Not)):
-            walk(f.arg)
+
+def _typed(formula: Formula, by_name) -> Level:
+    """The root's level, after one top-down walk that checks every node's
+    level and, given a channel map, every comparison against it."""
+
+    def walk(f: Formula, lvl: Level):
+        if isinstance(f, Not):
+            walk(f.arg, lvl)
         elif isinstance(f, (And, Or)):
-            walk(f.lhs)
-            walk(f.rhs)
+            walk(f.lhs, lvl)
+            walk(f.rhs, lvl)
+        elif isinstance(f, (Always, Eventually)) and lvl is Level.SCALAR:
+            walk(f.arg, Level.SERIES)
+        elif isinstance(f, Cmp) and lvl is Level.SERIES:
+            if by_name is not None:
+                _check_atom(f, by_name)
+        else:  # canonical_text raises in turn at a node that is no formula
+            raise FormulaTypeError(f"not a {lvl.value} formula: {canonical_text(f)}")
 
-    walk(formula)
-    return level(formula)  # raises on mixed levels
+    lvl = root_level(formula)
+    walk(formula, lvl)
+    return lvl
+
+
+def _check_atom(f: Cmp, by_name: dict[str, ChannelSpec]) -> None:
+    ch = by_name.get(f.channel)
+    if ch is None:
+        raise FormulaTypeError(f"unknown channel {f.channel!r}")
+    if isinstance(ch, CategoricalChannel):
+        if f.op != "=":
+            raise FormulaTypeError(f"channel {ch.name} is categorical; only '=' applies")
+        if f.value not in ch.symbols:
+            raise FormulaTypeError(f"unknown symbol {f.value!r} on channel {ch.name}")
+    elif isinstance(f.value, str):
+        raise FormulaTypeError(f"channel {ch.name} is continuous, got symbol {f.value!r}")
+    elif not (ch.lo <= float(f.value) <= ch.hi):
+        raise FormulaTypeError(
+            f"threshold {f.value} outside [{ch.lo}, {ch.hi}] for channel {ch.name}"
+        )
+
+
+def lift(formula: Formula, m: int) -> Formula:
+    """The scalar formula that ``formula`` states about an m-step trace: a
+    series root holds "at every step", an always over [0, m-1]."""
+    if root_level(formula) is Level.SERIES:
+        return Always(TimeInterval(0, m - 1), formula)
+    return formula
+
+
+def check_horizon(interval: TimeInterval, m: int) -> None:
+    """Raise FormulaTypeError unless the window ends inside an m-step trace."""
+    if interval.hi >= m:
+        raise FormulaTypeError(f"interval [{interval.lo}, {interval.hi}] exceeds trace horizon {m}")
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +364,19 @@ class SignalTrace:
 
         The ``t`` column must hold numbers ``dt`` apart, within the six
         significant digits ``to_csv`` writes; the first row may sit at any
-        time (trace files start at 0, rollout files at ``dt``).
+        time (trace files start at 0, rollout files at ``dt``).  ``t`` and
+        every continuous cell must be a finite number.
         """
         channels = tuple(channels)
 
         def number(cell: str, lineno: int) -> float:
             try:
-                return float(cell)
+                value = float(cell)
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: {cell!r} is not a number") from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno}: {cell!r} is not a finite number")
+            return value
 
         with open(path) as fh:
             header = fh.readline().strip().split(",")
@@ -374,8 +393,6 @@ class SignalTrace:
                         f"the header has {len(header)}"
                     )
                 t = number(cells[0], lineno)
-                if not math.isfinite(t):
-                    raise ValueError(f"{path}: line {lineno}: t = {cells[0]} is not finite")
                 if prev is not None and abs(t - prev - dt) > 1e-5 * max(abs(t), abs(prev)):
                     raise ValueError(
                         f"{path}: line {lineno}: t = {cells[0]} is not {dt:g} s after "
@@ -424,32 +441,20 @@ def eval_series(formula: Formula, trace: SignalTrace) -> np.ndarray:
     raise FormulaTypeError(f"not a series formula: {formula!r}")
 
 
-def _window(formula, trace) -> np.ndarray:
-    iv = formula.interval
-    if iv.hi >= trace.m:
-        raise FormulaTypeError(
-            f"interval [{iv.lo}, {iv.hi}] exceeds trace horizon {trace.m}"
-        )
-    return eval_series(formula.arg, trace)[iv.lo : iv.hi + 1]
-
-
 def evaluate(formula: Formula, trace: SignalTrace) -> bool:
     """Truth of a formula on a whole trace.
 
-    A bare series formula at the root is read as "at every step", i.e. it is
-    lifted with an implicit always over [0, m-1].  Both sides of every
-    and/or are evaluated, so the walk reaches every node: it raises
-    FormulaTypeError at the first node of the wrong level and at any window
-    past the trace's end, wherever it sits.
+    Both sides of every and/or are evaluated, so the walk reaches every
+    node: it raises FormulaTypeError at the first node of the wrong level
+    and at any window past the trace's end, wherever it sits.
     """
-    if root_level(formula) is Level.SERIES:
-        formula = Always(TimeInterval(0, trace.m - 1), formula)
 
     def scalar(f) -> bool:
-        if isinstance(f, Always):
-            return bool(_window(f, trace).all())
-        if isinstance(f, Eventually):
-            return bool(_window(f, trace).any())
+        if isinstance(f, (Always, Eventually)):
+            iv = f.interval
+            check_horizon(iv, trace.m)
+            steps = eval_series(f.arg, trace)[iv.lo : iv.hi + 1]
+            return bool(steps.all() if isinstance(f, Always) else steps.any())
         if isinstance(f, Not):
             return not scalar(f.arg)
         if isinstance(f, And):
@@ -458,7 +463,7 @@ def evaluate(formula: Formula, trace: SignalTrace) -> bool:
             return scalar(f.lhs) | scalar(f.rhs)
         raise FormulaTypeError(f"not a scalar formula: {f!r}")
 
-    return scalar(formula)
+    return scalar(lift(formula, trace.m))
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +486,10 @@ def canonical_text(formula: Formula) -> str:
         return f"({canonical_text(formula.lhs)} & {canonical_text(formula.rhs)})"
     if isinstance(formula, Or):
         return f"({canonical_text(formula.lhs)} | {canonical_text(formula.rhs)})"
-    if isinstance(formula, Always):
+    if isinstance(formula, (Always, Eventually)):
+        op = "G" if isinstance(formula, Always) else "F"
         iv = formula.interval
-        return f"G_[{iv.lo},{iv.hi}]({canonical_text(formula.arg)})"
-    if isinstance(formula, Eventually):
-        iv = formula.interval
-        return f"F_[{iv.lo},{iv.hi}]({canonical_text(formula.arg)})"
+        return f"{op}_[{iv.lo},{iv.hi}]({canonical_text(formula.arg)})"
     raise FormulaTypeError(f"not a formula: {formula!r}")
 
 

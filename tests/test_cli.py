@@ -295,6 +295,23 @@ def test_monitor_bad_time_column_exits_2(tmp_path, capsys, rows, line):
     assert line in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("formula", ["G_[0,0](a_x <= 0.5)", "G_[0,0](!a_x <= 0.5)"])
+def test_monitor_non_finite_cell_exits_2(tmp_path, capsys, formula, cell):
+    trace_path = tmp_path / "nan.csv"
+    scenario("pc1").nominal_trace().to_csv(trace_path)
+    lines = trace_path.read_text().splitlines()
+    col = lines[0].split(",").index("a_x")
+    cells = lines[1].split(",")
+    cells[col] = cell
+    lines[1] = ",".join(cells)
+    trace_path.write_text("\n".join(lines) + "\n")
+    code = main(["monitor", "--scenario", "pc1", formula, str(trace_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "line 2" in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("formula", ["a_maj", "G_[0,0](a_maj)"])
 def test_monitor_trace_without_rows_exits_2(tmp_path, capsys, formula):
     trace_path = tmp_path / "header_only.csv"

@@ -18,7 +18,7 @@ from stlfalsify.constraints import (
     sample_constraints,
     subexpression_outputs,
 )
-from stlfalsify.grammar import GrammarSpec, sample_expression
+from stlfalsify.grammar import GrammarSpec, loci, sample_expression
 from stlfalsify.samplers import sample_trace
 from stlfalsify.sim import scenario
 from stlfalsify.stl import (
@@ -32,8 +32,11 @@ from stlfalsify.stl import (
     Level,
     Not,
     Or,
+    SignalTrace,
     TimeInterval,
+    check,
     evaluate,
+    level,
     parse,
     root_level,
 )
@@ -193,10 +196,11 @@ def test_series_root_is_lifted_to_whole_horizon():
     assert leaves[0].outputs.tolist() == [T, T, T]
 
 
-# Mixed-level formulas, which the parser rejects, built by hand.  Each one
-# puts the wrong-level node somewhere else: under a lifted series root,
-# beside a scalar root, as a window's argument, or on a side that the
-# descent only reaches with an arbitrary output.
+# Ill-typed trees, which the parser rejects, built by hand.  Each one puts
+# the wrong-level node somewhere else: under a lifted series root, beside a
+# scalar root, as a window's argument, or on a side that the descent only
+# reaches with an arbitrary output.  The last two hold a node that is no
+# formula at all, at each level.
 _SYM, _W = Cmp("disturbance", "=", "a_maj"), TimeInterval(0, 1)
 MIXED_LEVEL = [
     And(_SYM, Always(_W, _SYM)),
@@ -204,7 +208,44 @@ MIXED_LEVEL = [
     Always(_W, Eventually(_W, _SYM)),
     Not(And(Eventually(_W, _SYM), Not(_SYM))),
     Or(Always(_W, _SYM), Always(_W, Or(_SYM, Always(_W, _SYM)))),
+    And(Always(_W, _SYM), "a_maj"),
+    Always(_W, Not(None)),
 ]
+
+
+def _trace(m):
+    values = {"disturbance": ["none"] * m, "a_y": [0.0] * m}
+    return SignalTrace(dt=0.5, channels=CHANNELS, values=values)
+
+
+READERS = {
+    "level": level,
+    "check": lambda f: check(f, CHANNELS),
+    "evaluate": lambda f: evaluate(f, _trace(3)),
+    "loci": loci,
+    "sample_constraints": lambda f: sample_constraints(f, m=3, rng=rng()),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("f", MIXED_LEVEL)
+def test_every_reader_rejects_mixed_levels(f, reader):
+    with pytest.raises(FormulaTypeError, match="not a (scalar |series )?formula"):
+        READERS[reader](f)
+
+
+@pytest.mark.parametrize("f", [
+    Eventually(TimeInterval(1, 3), _SYM),
+    Or(Always(_W, _SYM), Always(TimeInterval(2, 3), _SYM)),
+    Not(And(Eventually(_W, _SYM), Always(TimeInterval(0, 3), Not(_SYM)))),
+])
+def test_window_ending_at_step_m_raises_one_message(f):
+    with pytest.raises(FormulaTypeError) as read:
+        evaluate(f, _trace(3))
+    with pytest.raises(FormulaTypeError) as drawn:
+        sample_constraints(f, m=3, rng=rng())
+    assert str(read.value) == str(drawn.value)
+    assert str(read.value).endswith("] exceeds trace horizon 3")
 
 
 @pytest.mark.parametrize("f", MIXED_LEVEL)

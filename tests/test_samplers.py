@@ -414,6 +414,11 @@ def test_model_validation():
         DisturbanceModel(channels=(DIST,), models={})
     with pytest.raises(ValueError):
         DisturbanceModel(channels=(DIST,), models={"disturbance": IndependentNormal(0, 1)})
+    with pytest.raises(ValueError, match="junk"):  # a model on no declared channel
+        DisturbanceModel(
+            channels=(DIST,),
+            models={"disturbance": Categorical(LT_PROBS), "junk": GaussianProcess(1.0, 0.4)},
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,9 @@ def test_trace_csv_at_another_rate_names_the_line(tmp_path):
         SignalTrace.from_csv(path, CHANNELS, dt=0.5)
 
 
-@pytest.mark.parametrize("column,cell", [(0, "abc"), (0, "nan"), (0, "inf"), (2, "xyz")])
+@pytest.mark.parametrize("column,cell", [
+    (0, "abc"), (0, "nan"), (0, "inf"), (2, "xyz"), (2, "nan"), (2, "inf"), (2, "-inf"),
+])
 def test_trace_csv_garbage_cell_names_the_line(tmp_path, column, cell):
     path = tmp_path / "trace.csv"
     make_trace(["none", "a_maj", "S"]).to_csv(path)

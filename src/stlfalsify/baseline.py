@@ -111,27 +111,36 @@ def _outcome(scenario: Scenario, trace: SignalTrace) -> float | None:
     return log_likelihood(scenario.model, trace)
 
 
-def _summarize(
-    scenario: Scenario, lls: list[float], n_trials: int, n_infeasible: int
-) -> MetricReport:
+def _trial_batch(
+    scenario: Scenario,
+    model: DisturbanceModel,
+    formula: Formula | None,
+    trials: int,
+    rng: np.random.Generator,
+) -> tuple[MetricReport, list[SimResult]]:
+    """One batch of one trace per trial, drawn from ``model`` under fresh
+    constraints for ``formula``: the report, and the failing trials rolled
+    again for their records."""
+    fails, lls, n_infeasible = rollouts(scenario, model, formula, rng, batches=trials, size=1)
     discrete = scenario.model.discrete
     vals = [math.exp(ll / scenario.horizon) for ll in lls] if discrete else lls
-    rate = len(lls) / n_trials
+    rate = len(lls) / trials
     likelihood = likelihood_se = None
     if vals:
         likelihood = float(np.mean(vals))
         likelihood_se = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return MetricReport(
+    report = MetricReport(
         fail_rate=rate,
-        fail_rate_se=math.sqrt(rate * (1.0 - rate) / n_trials),
-        n_trials=n_trials,
+        fail_rate_se=math.sqrt(rate * (1.0 - rate) / trials),
+        n_trials=trials,
         n_failures=len(lls),
         likelihood=likelihood,
         likelihood_se=likelihood_se,
         likelihood_kind=GEOMEAN_STEP_PROB if discrete else TRAJECTORY_LOGLIK,
         n_infeasible=n_infeasible,
-        infeasible=n_infeasible >= n_trials,
+        infeasible=n_infeasible >= trials,
     )
+    return report, [scenario.run(t) for t in fails]
 
 
 def importance_sample(
@@ -146,10 +155,7 @@ def importance_sample(
     likelihood statistic re-scores those failures under the true model.
     Each trial is its own batch of one trace, drawn with ``rng``.
     """
-    fails, lls, n_infeasible = rollouts(
-        scenario, scenario.proposal, None, rng, batches=trials, size=1
-    )
-    return _summarize(scenario, lls, trials, n_infeasible), [scenario.run(t) for t in fails]
+    return _trial_batch(scenario, scenario.proposal, None, trials, rng)
 
 
 def evaluate_expression(
@@ -165,7 +171,4 @@ def evaluate_expression(
     are counted but produce no trace; if every trial is infeasible the
     report says so and the fail rate is 0.
     """
-    fails, lls, n_infeasible = rollouts(
-        scenario, scenario.model, formula, rng, batches=trials, size=1
-    )
-    return _summarize(scenario, lls, trials, n_infeasible), [scenario.run(t) for t in fails]
+    return _trial_batch(scenario, scenario.model, formula, trials, rng)

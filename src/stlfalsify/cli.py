@@ -105,14 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _option_types(parser: argparse.ArgumentParser, command: str) -> dict[str, type]:
-    """Value type of each option of ``command`` that takes a value."""
+def _option_types(parser: argparse.ArgumentParser) -> dict[str, type]:
+    """Value type of each option that takes a value, over all subcommands."""
     (subparsers,) = [
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ]
     return {
         a.dest: a.type or str
-        for a in subparsers.choices[command]._actions
+        for sub in subparsers.choices.values()
+        for a in sub._actions
         if a.option_strings and a.nargs != 0
     }
 
@@ -120,9 +121,10 @@ def _option_types(parser: argparse.ArgumentParser, command: str) -> dict[str, ty
 def _merge_config(args: argparse.Namespace, types: dict[str, type]) -> dict:
     """Config file values fill in flags the user did not pass.
 
-    A config value for an option must have the option's type: JSON integers
-    (not booleans) for integer options, JSON strings for the others.  The
-    seed, from either source, must be non-negative.
+    A config key must name an option of some subcommand, so that one config
+    can serve several commands, and its value must have the option's type:
+    JSON integers (not booleans) for integer options, JSON strings for the
+    others.  The seed, from either source, must be non-negative.
     """
     merged = {}
     if args.config:
@@ -135,7 +137,9 @@ def _merge_config(args: argparse.Namespace, types: dict[str, type]) -> dict:
             raise ValueError(f"config {args.config} must hold a JSON object")
         for key, val in merged.items():
             want = types.get(key)
-            if want is not None and (not isinstance(val, want) or isinstance(val, bool)):
+            if want is None:
+                raise ValueError(f"config {args.config}: {key!r} is no option of any command")
+            if not isinstance(val, want) or isinstance(val, bool):
                 raise ValueError(
                     f"config {args.config}: {key!r} must be of type {want.__name__}, "
                     f"not {type(val).__name__}"
@@ -291,7 +295,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args, _option_types(parser, args.command))
+        cfg = _merge_config(args, _option_types(parser))
         if args.command == "optimize":
             return cmd_optimize(cfg)
         if args.command == "baseline":

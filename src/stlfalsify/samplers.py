@@ -65,11 +65,12 @@ class Categorical:
     def __init__(self, probs):
         items = tuple(sorted(dict(probs).items()))
         object.__setattr__(self, "probs", items)
+        for s, p in items:
+            if not p >= 0:  # also false for nan
+                raise ValueError(f"probability of {s!r} is {p}, not a non-negative number")
         total = sum(p for _, p in items)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        if any(p < 0 for _, p in items):
-            raise ValueError("negative probability")
 
     def prob(self, symbol: str) -> float:
         return dict(self.probs).get(symbol, 0.0)
@@ -81,8 +82,8 @@ class IndependentNormal:
     variance: float
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
+        if not (math.isfinite(self.mean) and 0 < self.variance < math.inf):
+            raise ValueError("mean must be finite and variance finite and positive")
 
     @property
     def std(self) -> float:
@@ -97,8 +98,8 @@ class GaussianProcess:
     lengthscale: float  # seconds
 
     def __post_init__(self):
-        if self.variance <= 0 or self.lengthscale <= 0:
-            raise ValueError("variance and lengthscale must be positive")
+        if not (0 < self.variance < math.inf and 0 < self.lengthscale < math.inf):
+            raise ValueError("variance and lengthscale must be finite and positive")
 
 
 ChannelModel = Categorical | IndependentNormal | GaussianProcess
@@ -309,42 +310,39 @@ def _sample_categorical(ch, model: Categorical, m, cs, rng, size) -> np.ndarray:
     return symbols[idx]
 
 
-def _gp_posterior(K, obs_idx, obs_val):
-    """Mean and covariance of the GP at all steps given exact observations."""
-    m = K.shape[0]
+def _gp_posterior(K, obs_idx, obs_val, jit):
+    """Mean and covariance of the GP at all steps given exact observations,
+    with ``jit`` added to the observed block's diagonal.  Do not mutate."""
     if obs_idx.size == 0:
-        return np.zeros(m), K.copy()
-    Koo = K[np.ix_(obs_idx, obs_idx)]
+        return np.zeros(K.shape[0]), K
     Kxo = K[:, obs_idx]
-    L = np.linalg.cholesky(Koo + GP_JITTER * np.max(np.diag(Koo)) * np.eye(obs_idx.size))
+    L = np.linalg.cholesky(K[np.ix_(obs_idx, obs_idx)] + jit * np.eye(obs_idx.size))
     alpha = np.linalg.solve(L.T, np.linalg.solve(L, obs_val))
-    mean = Kxo @ alpha
     V = np.linalg.solve(L, Kxo.T)
-    cov = K - V.T @ V
-    return mean, cov
+    return Kxo @ alpha, K - V.T @ V
 
 
 def _sample_gp(ch, model: GaussianProcess, m, dt, cs, rng, size):
+    """(size, m) values.  Equality, box and free steps partition the
+    horizon, and each kind fills its own columns."""
     K, L_full = _kernel_and_chol(model.variance, model.lengthscale, m, dt)
+    jit = GP_JITTER * model.variance  # the SE kernel's diagonal is the variance
     lo, hi = _bounds_for(cs, ch.name, m)
     eq = np.isfinite(lo) & (lo == hi)
     box = (np.isfinite(lo) | np.isfinite(hi)) & ~eq
     obs_idx = np.flatnonzero(eq)
-    mean, cov = _gp_posterior(K, obs_idx, lo[obs_idx])
+    mean, cov = _gp_posterior(K, obs_idx, lo[obs_idx], jit)
 
-    out = np.tile(mean, (size, 1))
+    out = np.empty((size, m))
     c_idx = np.flatnonzero(box)
     f_idx = np.flatnonzero(~eq & ~box)
     if c_idx.size:
-        xc = truncated_mvn_sample(
-            mean[c_idx], cov[np.ix_(c_idx, c_idx)], lo[c_idx], hi[c_idx], rng, size=size
-        )
+        Ccc = cov[np.ix_(c_idx, c_idx)]
+        xc = truncated_mvn_sample(mean[c_idx], Ccc, lo[c_idx], hi[c_idx], rng, size=size)
         out[:, c_idx] = xc
         if f_idx.size:
-            Ccc = cov[np.ix_(c_idx, c_idx)]
             Cfc = cov[np.ix_(f_idx, c_idx)]
             Cff = cov[np.ix_(f_idx, f_idx)]
-            jit = GP_JITTER * model.variance
             Lc = np.linalg.cholesky(Ccc + jit * np.eye(c_idx.size))
             W = np.linalg.solve(Lc, Cfc.T)  # (|C|, |F|)
             cond_cov = Cff - W.T @ W
@@ -355,13 +353,11 @@ def _sample_gp(ch, model: GaussianProcess, m, dt, cs, rng, size):
                 out[i, f_idx] = mu_f + Lf @ rng.standard_normal(f_idx.size)
     elif f_idx.size:
         if obs_idx.size:
-            jit = GP_JITTER * model.variance
             Lf = np.linalg.cholesky(cov[np.ix_(f_idx, f_idx)] + jit * np.eye(f_idx.size))
         else:
             Lf = L_full  # unconstrained: reuse the cached factor
         out[:, f_idx] = mean[f_idx] + rng.standard_normal((size, f_idx.size)) @ Lf.T
-    if obs_idx.size:
-        out[:, obs_idx] = lo[obs_idx]
+    out[:, obs_idx] = lo[obs_idx]
     return out
 
 
@@ -375,25 +371,22 @@ def sample_traces(
     size: int = 1,
 ) -> list[SignalTrace]:
     """Draw ``size`` traces, every one satisfying ``constraints`` if given."""
-    columns: dict[str, list] = {}
+    blocks = {}  # channel name -> (size, m) values
     for ch in model.channels:
         cm = model.models[ch.name]
         if isinstance(cm, Categorical):
-            columns[ch.name] = list(_sample_categorical(ch, cm, m, constraints, rng, size))
+            blocks[ch.name] = _sample_categorical(ch, cm, m, constraints, rng, size)
         elif isinstance(cm, IndependentNormal):
             lo, hi = _bounds_for(constraints, ch.name, m)
-            vals = truncated_normal(
+            blocks[ch.name] = truncated_normal(
                 cm.mean, cm.std, lo[None, :].repeat(size, 0), hi[None, :].repeat(size, 0), rng
             )
-            columns[ch.name] = [vals[i] for i in range(size)]
         else:
-            block = _sample_gp(ch, cm, m, dt, constraints, rng, size)
-            columns[ch.name] = [block[i] for i in range(size)]
-    traces = []
-    for i in range(size):
-        values = {name: col[i] for name, col in columns.items()}
-        traces.append(SignalTrace(dt=dt, channels=model.channels, values=values))
-    return traces
+            blocks[ch.name] = _sample_gp(ch, cm, m, dt, constraints, rng, size)
+    return [
+        SignalTrace(dt=dt, channels=model.channels, values={n: b[i] for n, b in blocks.items()})
+        for i in range(size)
+    ]
 
 
 def sample_trace(

@@ -123,16 +123,20 @@ def boxes_overlap(pose_a, dims_a, pose_b, dims_b) -> bool:
 # ---------------------------------------------------------------------------
 # Left turn
 
-LT_SYMBOLS = ("none", "d_med", "d_maj", "a_med", "a_maj", "S", "L")
-LT_OFFSETS = {
-    "none": 0.0,
-    "d_med": -1.5,
-    "d_maj": -3.0,
-    "a_med": 1.5,
-    "a_maj": 3.0,
-    "S": 0.0,
-    "L": 0.0,
+# The left turn's disturbance symbols, in channel order (which fixes the
+# categorical CDF and so the draws): each one's acceleration offset on the
+# oncoming car (m/s^2), model probability and English phrase.
+LT_DISTURBANCES = {
+    "none": (0.0, 0.976, "nothing unusual happens"),
+    "d_med": (-1.5, 1e-2, "the oncoming car slows moderately"),
+    "d_maj": (-3.0, 1e-3, "the oncoming car brakes hard"),
+    "a_med": (1.5, 1e-2, "the oncoming car speeds up moderately"),
+    "a_maj": (3.0, 1e-3, "the oncoming car accelerates hard"),
+    "S": (0.0, 1e-3, "the oncoming car toggles its turn signal"),
+    "L": (0.0, 1e-3, "the oncoming car decides to turn"),
 }
+LT_SYMBOLS = tuple(LT_DISTURBANCES)
+LT_OFFSETS = {s: offset for s, (offset, _, _) in LT_DISTURBANCES.items()}
 _NORMAL, _YIELD, _CONTINUE = range(3)  # the oncoming car's modes
 _MODES = ("normal", "yield", "continue")
 
@@ -496,42 +500,17 @@ def fail_step(scenario: Scenario, trace: SignalTrace) -> int | None:
 # ---------------------------------------------------------------------------
 # Built-in scenarios
 
-LT_PROBS = {
-    "none": 0.976,
-    "d_med": 1e-2,
-    "a_med": 1e-2,
-    "d_maj": 1e-3,
-    "a_maj": 1e-3,
-    "S": 1e-3,
-    "L": 1e-3,
-}
-
-LT_PHRASES = {
-    ("disturbance", "none"): "nothing unusual happens",
-    ("disturbance", "d_med"): "the oncoming car slows moderately",
-    ("disturbance", "d_maj"): "the oncoming car brakes hard",
-    ("disturbance", "a_med"): "the oncoming car speeds up moderately",
-    ("disturbance", "a_maj"): "the oncoming car accelerates hard",
-    ("disturbance", "S"): "the oncoming car toggles its turn signal",
-    ("disturbance", "L"): "the oncoming car decides to turn",
-}
-
 
 def _lt_scenario(name: str, inits: tuple[float, float, float, float]) -> Scenario:
-    ch = CategoricalChannel("disturbance", symbols=LT_SYMBOLS, aliases=(("B", "S"),))
-    channels = (ch,)
-    model = DisturbanceModel(channels=channels, models={"disturbance": Categorical(LT_PROBS)})
-    uniform = DisturbanceModel(
-        channels=channels,
-        models={"disturbance": Categorical({s: 1.0 / len(LT_SYMBOLS) for s in LT_SYMBOLS})},
-    )
-    cfg = LeftTurnConfig(*inits)
+    channels = (CategoricalChannel("disturbance", symbols=LT_SYMBOLS, aliases=(("B", "S"),)),)
+    probs = {s: p for s, (_, p, _) in LT_DISTURBANCES.items()}
+    uniform = {s: 1.0 / len(LT_SYMBOLS) for s in LT_SYMBOLS}
     return Scenario(
         name=name,
-        config=cfg,
-        model=model,
-        proposal=uniform,
-        phrases=LT_PHRASES,
+        config=LeftTurnConfig(*inits),
+        model=DisturbanceModel(channels=channels, models={"disturbance": Categorical(probs)}),
+        proposal=DisturbanceModel(channels=channels, models={"disturbance": Categorical(uniform)}),
+        phrases={("disturbance", s): phrase for s, (_, _, phrase) in LT_DISTURBANCES.items()},
     )
 
 

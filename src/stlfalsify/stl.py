@@ -382,6 +382,10 @@ class SignalTrace:
             header = fh.readline().strip().split(",")
             if header[0] != "t":
                 raise ValueError(f"{path}: first column must be 't'")
+            col = {name: j for j, name in enumerate(header)}
+            if len(col) < len(header):
+                twice = next(name for j, name in enumerate(header) if col[name] != j)
+                raise ValueError(f"{path}: column {twice!r} appears more than once in the header")
             rows, prev = [], None
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
@@ -400,7 +404,6 @@ class SignalTrace:
                     )
                 rows.append((lineno, cells))
                 prev = t
-        col = {name: j for j, name in enumerate(header)}
         missing = [ch.name for ch in channels if ch.name not in col]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
@@ -424,14 +427,10 @@ def eval_series(formula: Formula, trace: SignalTrace) -> np.ndarray:
     """Pointwise truth of a series formula: one bool per step."""
     if isinstance(formula, Cmp):
         vals = trace.values[formula.channel]
-        if isinstance(formula.value, str):
+        if formula.op == "=":  # a symbol or a number
             return np.asarray(vals == formula.value, dtype=bool)
         v = float(formula.value)
-        if formula.op == "<=":
-            return np.asarray(vals <= v)
-        if formula.op == ">=":
-            return np.asarray(vals >= v)
-        return np.asarray(vals == v)
+        return np.asarray(vals <= v if formula.op == "<=" else vals >= v)
     if isinstance(formula, Not):
         return ~eval_series(formula.arg, trace)
     if isinstance(formula, And):

@@ -233,6 +233,10 @@ def test_missing_scenario_exits_2(capsys):
         ("sample", {"trials": "5"}),
         ("baseline", {"seed": "3"}),
         ("optimize", {"pop": True}),
+        # keys that name no option of any command
+        ("baseline", {"trails": 3}),
+        ("optimize", {"formula": "a_maj"}),
+        ("sample", {"help": True}),
     ],
 )
 def test_mistyped_config_value_exits_2(tmp_path, capsys, command, extra):
@@ -246,6 +250,15 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, command, extra):
     err = capsys.readouterr().err
     assert repr(key) in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_config_keys_of_other_commands_are_accepted(tmp_path, capsys):
+    # one config can serve several commands: baseline ignores optimize's pop and gens
+    cfg = tmp_path / "shared.json"
+    cfg.write_text(json.dumps({"scenario": "lt1", "pop": 4, "gens": 1, "trials": 2,
+                               "out": str(tmp_path / "o")}))
+    assert main(["baseline", "--config", str(cfg)]) == 0
+    assert json.loads(read(tmp_path / "o" / "result.json"))["trials"] == 2
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
@@ -280,6 +293,17 @@ def test_monitor_ragged_csv_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 4" in err and "Traceback" not in err
+
+
+def test_monitor_repeated_column_exits_2(tmp_path, capsys):
+    # the first disturbance column holds a_maj at steps 0-1, the second does not
+    trace_path = tmp_path / "twice.csv"
+    trace_path.write_text("t,disturbance,disturbance\n0,a_maj,none\n0.18,a_maj,none\n")
+    code = main(["monitor", "--scenario", "lt1", "G_[0,1](a_maj)", str(trace_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert str(trace_path) in captured.err and "'disturbance'" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("rows,line", [

@@ -419,6 +419,19 @@ def test_model_validation():
             channels=(DIST,),
             models={"disturbance": Categorical(LT_PROBS), "junk": GaussianProcess(1.0, 0.4)},
         )
+    # non-finite parameters: nan fails every comparison, so each needs its own test
+    with pytest.raises(ValueError, match="'a'"):
+        Categorical({"a": math.nan, "b": 0.5})
+    with pytest.raises(ValueError, match="'b'"):
+        Categorical({"a": 1.5, "b": -0.5})
+    for mean, variance in [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)]:
+        with pytest.raises(ValueError):
+            IndependentNormal(mean, variance)
+    for variance, lengthscale in [(math.nan, 0.4), (math.inf, 0.4), (1.0, math.nan), (1.0, math.inf)]:
+        with pytest.raises(ValueError):
+            GaussianProcess(variance, lengthscale)
+    with pytest.raises(ValueError):
+        GaussianProcess(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -519,3 +532,142 @@ def test_gp_box_blocks_never_carry_pinned_coordinates(monkeypatch):
     assert blocks and mixed
     for lo, hi in blocks:
         assert (lo < hi).all()
+
+
+# ---------------------------------------------------------------------------
+# sample_traces against a frozen copy of its earlier form: one list of rows
+# per channel, a posterior that takes its jitter from the observed block's
+# largest variance and a GP block filled with the posterior mean first
+
+
+def _gp_posterior_frozen(K, obs_idx, obs_val):
+    m = K.shape[0]
+    if obs_idx.size == 0:
+        return np.zeros(m), K.copy()
+    Koo = K[np.ix_(obs_idx, obs_idx)]
+    Kxo = K[:, obs_idx]
+    L = np.linalg.cholesky(Koo + GP_JITTER * np.max(np.diag(Koo)) * np.eye(obs_idx.size))
+    alpha = np.linalg.solve(L.T, np.linalg.solve(L, obs_val))
+    mean = Kxo @ alpha
+    V = np.linalg.solve(L, Kxo.T)
+    cov = K - V.T @ V
+    return mean, cov
+
+
+def _sample_gp_frozen(ch, model, m, dt, cs, r, size):
+    from stlfalsify.samplers import _bounds_for, _kernel_and_chol
+
+    K, L_full = _kernel_and_chol(model.variance, model.lengthscale, m, dt)
+    lo, hi = _bounds_for(cs, ch.name, m)
+    eq = np.isfinite(lo) & (lo == hi)
+    box = (np.isfinite(lo) | np.isfinite(hi)) & ~eq
+    obs_idx = np.flatnonzero(eq)
+    mean, cov = _gp_posterior_frozen(K, obs_idx, lo[obs_idx])
+
+    out = np.tile(mean, (size, 1))
+    c_idx = np.flatnonzero(box)
+    f_idx = np.flatnonzero(~eq & ~box)
+    if c_idx.size:
+        xc = truncated_mvn_sample(
+            mean[c_idx], cov[np.ix_(c_idx, c_idx)], lo[c_idx], hi[c_idx], r, size=size
+        )
+        out[:, c_idx] = xc
+        if f_idx.size:
+            Ccc = cov[np.ix_(c_idx, c_idx)]
+            Cfc = cov[np.ix_(f_idx, c_idx)]
+            Cff = cov[np.ix_(f_idx, f_idx)]
+            jit = GP_JITTER * model.variance
+            Lc = np.linalg.cholesky(Ccc + jit * np.eye(c_idx.size))
+            W = np.linalg.solve(Lc, Cfc.T)
+            cond_cov = Cff - W.T @ W
+            Lf = np.linalg.cholesky(cond_cov + jit * np.eye(f_idx.size))
+            for i in range(size):
+                u = np.linalg.solve(Lc.T, np.linalg.solve(Lc, xc[i] - mean[c_idx]))
+                mu_f = mean[f_idx] + Cfc @ u
+                out[i, f_idx] = mu_f + Lf @ r.standard_normal(f_idx.size)
+    elif f_idx.size:
+        if obs_idx.size:
+            jit = GP_JITTER * model.variance
+            Lf = np.linalg.cholesky(cov[np.ix_(f_idx, f_idx)] + jit * np.eye(f_idx.size))
+        else:
+            Lf = L_full
+        out[:, f_idx] = mean[f_idx] + r.standard_normal((size, f_idx.size)) @ Lf.T
+    if obs_idx.size:
+        out[:, obs_idx] = lo[obs_idx]
+    return out
+
+
+def sample_traces_frozen(model, m, dt, constraints, r, size):
+    from stlfalsify.samplers import _bounds_for, _sample_categorical
+    from stlfalsify.stl import SignalTrace
+
+    columns = {}
+    for ch in model.channels:
+        cm = model.models[ch.name]
+        if isinstance(cm, Categorical):
+            columns[ch.name] = list(_sample_categorical(ch, cm, m, constraints, r, size))
+        elif isinstance(cm, IndependentNormal):
+            lo, hi = _bounds_for(constraints, ch.name, m)
+            vals = truncated_normal(
+                cm.mean, cm.std, lo[None, :].repeat(size, 0), hi[None, :].repeat(size, 0), r
+            )
+            columns[ch.name] = [vals[i] for i in range(size)]
+        else:
+            block = _sample_gp_frozen(ch, cm, m, dt, constraints, r, size)
+            columns[ch.name] = [block[i] for i in range(size)]
+    traces = []
+    for i in range(size):
+        values = {name: col[i] for name, col in columns.items()}
+        traces.append(SignalTrace(dt=dt, channels=model.channels, values=values))
+    return traces
+
+
+FROZEN_FORMULAS = {
+    "lt1": [None, "G_[0,1](a_maj)", "(G_[0,3](!(none)) & F_[5,9]((a_maj | d_maj)))"],
+    "pc1": [
+        None,
+        # a_x: box and free steps; a_y: pinned and free steps
+        "G_[9,23](a_x <= -0.4) & G_[3,5](a_y = 0.5)",
+        # a_x: pinned, box and free steps; normal channels boxed and pinned
+        "G_[9,23](a_x <= -0.4) & G_[3,5](a_x = 0.5) & G_[0,29](n_y >= -0.5) & G_[2,2](n_x = 0.1)",
+        # a_y: box at every step, so no free steps
+        "G_[0,29](a_y >= -1.0) & G_[0,29](a_y <= 1.0)",
+    ],
+}
+
+
+@pytest.mark.parametrize("size", [0, 1, 15])
+@pytest.mark.parametrize("name", ["lt1", "pc1"])
+def test_sample_traces_matches_frozen_copy(name, size):
+    from stlfalsify.grammar import sample_expression
+    from stlfalsify.sim import scenario
+
+    sc = scenario(name)
+    make = rng(31)
+    formulas = [None if t is None else parse(t, sc.channels) for t in FROZEN_FORMULAS[name]]
+    formulas += [sample_expression(sc.grammar, make) for _ in range(20)]
+    gp_names = [n for n, cm in sc.model.models.items() if isinstance(cm, GaussianProcess)]
+    kinds = set()  # (pinned, boxed, free) steps present on a GP channel
+    for i, f in enumerate(formulas):
+        try:
+            cs = None if f is None else constraints_for(f, sc.channels, sc.horizon, make)
+        except InfeasibleError:
+            continue
+        for n in gp_names:
+            lo, hi = (cs.lower[n], cs.upper[n]) if cs is not None and n in cs.lower else (
+                np.full(sc.horizon, -np.inf), np.full(sc.horizon, np.inf))
+            eq = np.isfinite(lo) & (lo == hi)
+            boxed = (np.isfinite(lo) | np.isfinite(hi)) & ~eq
+            kinds.add((bool(eq.any()), bool(boxed.any()), bool((~eq & ~boxed).any())))
+        new_rng, ref_rng = rng(500 + i), rng(500 + i)
+        got = sample_traces(sc.model, sc.horizon, sc.dt, cs, rng=new_rng, size=size)
+        want = sample_traces_frozen(sc.model, sc.horizon, sc.dt, cs, ref_rng, size)
+        assert len(got) == len(want) == size
+        for g, w in zip(got, want):
+            for ch in sc.channels:
+                assert g.values[ch.name].dtype == w.values[ch.name].dtype
+                assert np.array_equal(g.values[ch.name], w.values[ch.name]), (i, ch.name)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state, i
+    if name == "pc1":
+        assert {(False, False, True), (True, False, True), (False, True, True),
+                (True, True, True), (False, True, False)} <= kinds

@@ -13,6 +13,8 @@ from stlfalsify.sim import (
     CAR_WIDTH,
     PED_SIZE,
     IDM_B,
+    LT_OFFSETS,
+    LT_SYMBOLS,
     CrosswalkConfig,
     LeftTurnConfig,
     Scenario,
@@ -102,6 +104,32 @@ def test_lt_channel_has_alias_for_signal_symbol():
     (ch,) = sc.channels
     assert ch.resolve("B") == "S"
     assert ch.resolve("S") == "S"
+
+
+@pytest.mark.parametrize("name", ["lt1", "lt2", "lt3"])
+def test_left_turn_disturbances_are_pinned(name):
+    # the symbol order fixes the categorical CDF, and so every lt draw
+    assert LT_SYMBOLS == ("none", "d_med", "d_maj", "a_med", "a_maj", "S", "L")
+    assert list(LT_OFFSETS.items()) == [
+        ("none", 0.0), ("d_med", -1.5), ("d_maj", -3.0), ("a_med", 1.5),
+        ("a_maj", 3.0), ("S", 0.0), ("L", 0.0),
+    ]
+    sc = scenario(name)
+    assert sc.channels[0].symbols == LT_SYMBOLS
+    assert sc.model.models["disturbance"].probs == (
+        ("L", 1e-3), ("S", 1e-3), ("a_maj", 1e-3), ("a_med", 1e-2),
+        ("d_maj", 1e-3), ("d_med", 1e-2), ("none", 0.976),
+    )
+    assert sc.proposal.models["disturbance"].probs == tuple((s, 1.0 / 7) for s in sorted(LT_SYMBOLS))
+    assert sc.phrases == {
+        ("disturbance", "none"): "nothing unusual happens",
+        ("disturbance", "d_med"): "the oncoming car slows moderately",
+        ("disturbance", "d_maj"): "the oncoming car brakes hard",
+        ("disturbance", "a_med"): "the oncoming car speeds up moderately",
+        ("disturbance", "a_maj"): "the oncoming car accelerates hard",
+        ("disturbance", "S"): "the oncoming car toggles its turn signal",
+        ("disturbance", "L"): "the oncoming car decides to turn",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,21 @@
 """Genetic programming over formulas, scored by constrained rollouts.
 
-Each candidate formula is scored by one batch of ``baseline.rollouts``,
-the loop that re-evaluation and the baseline also use: a single
-constraint draw, disturbance traces that satisfy it, scenario rollouts,
-and the likelihood of each failing trace under the scenario's model.  The
-cost averages -likelihood * failure over the batch, so low cost means the
-formula pins down likely failures.  With discrete disturbance models the
-likelihood is an honest probability and the average is used directly.
+Each candidate formula is scored by one batch of the rollout steps that
+re-evaluation and the baseline also use: a single constraint draw,
+disturbance traces that satisfy it (``baseline.draw_batch``), scenario
+rollouts, and the likelihood of each failing trace under the scenario's
+model (``baseline.outcomes``).  ``run`` splits drawing from rolling: each
+cache miss draws its batch at once, in the order the search makes its
+formulas, and the pending traces are rolled together, in one lockstep,
+once ``baseline.CHUNK`` of them have gathered or the generation ends.
+Then ``evaluate_cost`` scores each pending formula from its outcomes, once
+per cache miss.  Rollouts draw no random numbers and tournaments read only
+the previous generation, so the draws and results are those of scoring
+each formula as it is made.
+
+The cost averages -likelihood * failure over the batch, so low cost means
+the formula pins down likely failures.  With discrete disturbance models
+the likelihood is an honest probability and the average is used directly.
 With continuous models raw densities span hundreds of orders of magnitude,
 so individuals are ranked lexicographically: failure fraction first, then
 the mean log-likelihood of the failing rollouts.
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import rollouts
+from .baseline import CHUNK, draw_batch, outcomes
 from .grammar import crossover, mutate, sample_expression
 from .stl import Formula, canonical_text
 
@@ -70,21 +79,19 @@ class Individual:
 _WORST = dict(cost=0.0, fail_count=0, mean_fail_loglik=-math.inf, n_evals=0)
 
 
-def evaluate_cost(
-    formula: Formula,
-    scenario,
-    N: int,
-    rng: np.random.Generator,
-) -> Individual:
-    """Score one formula with N constrained rollouts.
+def evaluate_cost(formula: Formula, scenario, outcomes: list[float | None] | None) -> Individual:
+    """Score one formula from its batch's ``baseline.outcomes``.
 
-    One constraint draw serves the whole batch.  A formula that stays
-    infeasible through the retry budget gets the worst cost (0: it never
+    ``outcomes`` holds one entry per trace of the formula's single
+    constraint draw: the log-likelihood of a failing trace, None for one
+    that does not fail.  A formula whose draw stayed infeasible through
+    the retry budget (``outcomes`` None) gets the worst cost (0: it never
     demonstrates a failure).
     """
-    _, fail_lls, n_infeasible = rollouts(scenario, scenario.model, formula, rng, batches=1, size=N)
-    if n_infeasible:
+    if outcomes is None:
         return Individual(formula=formula, **_WORST)
+    N = len(outcomes)
+    fail_lls = [ll for ll in outcomes if ll is not None]
     fails = len(fail_lls)
     if scenario.model.discrete:
         mean_p_fail = 0.0
@@ -121,19 +128,48 @@ def run(scenario, config: GpConfig, progress=None) -> tuple[Individual, list[dic
     grammar = scenario.grammar
     rng = np.random.default_rng(config.seed)
     cache: dict[str, Individual] = {}
+    pending: dict[str, tuple[Formula, list | None]] = {}  # drawn, not yet rolled
+    n_pending = 0
 
-    def evaluate(formula: Formula) -> Individual:
+    def settle():
+        """Roll every pending trace together, then score each pending formula."""
+        nonlocal n_pending
+        outs = iter(outcomes(scenario, [t for _, batch in pending.values() if batch for t in batch]))
+        for key, (formula, batch) in pending.items():
+            scored = None if batch is None else [next(outs) for _ in batch]
+            cache[key] = evaluate_cost(formula, scenario, scored)
+        pending.clear()
+        n_pending = 0
+
+    def lookup(formula: Formula) -> str:
+        nonlocal n_pending
         key = canonical_text(formula)
-        hit = cache.get(key)
-        if hit is None:
-            hit = evaluate_cost(formula, scenario, config.samples_per_eval, rng)
-            cache[key] = hit
-        return hit
+        if key not in cache and key not in pending:
+            batch = draw_batch(scenario, scenario.model, formula, rng, config.samples_per_eval)
+            pending[key] = (formula, batch)
+            n_pending += config.samples_per_eval
+            if n_pending >= CHUNK:
+                settle()
+        return key
 
-    population = [
-        evaluate(sample_expression(grammar, rng))
-        for _ in range(config.population)
-    ]
+    def generation(make) -> list[Individual]:
+        """One population of ``make()`` formulas, every one scored."""
+        keys = [lookup(make()) for _ in range(config.population)]
+        settle()
+        return [cache[key] for key in keys]
+
+    def child() -> Formula:
+        r = rng.random()
+        if r < P_REPRODUCE:
+            return _tournament(population, TOURNAMENT_SIZE, rng).formula
+        if r < P_REPRODUCE + P_CROSSOVER:
+            recipient = _tournament(population, TOURNAMENT_SIZE, rng).formula
+            donor = _tournament(population, TOURNAMENT_SIZE, rng).formula
+            return crossover(donor, recipient, grammar, rng)
+        parent = _tournament(population, TOURNAMENT_SIZE, rng).formula
+        return mutate(parent, grammar, rng)
+
+    population = generation(lambda: sample_expression(grammar, rng))
     best = min(population, key=Individual.sort_key)
     history: list[dict] = []
 
@@ -156,19 +192,6 @@ def run(scenario, config: GpConfig, progress=None) -> tuple[Individual, list[dic
 
     record(0, population)
     for gen in range(1, config.generations):
-        offspring = []
-        for _ in range(config.population):
-            r = rng.random()
-            if r < P_REPRODUCE:
-                child = _tournament(population, TOURNAMENT_SIZE, rng).formula
-            elif r < P_REPRODUCE + P_CROSSOVER:
-                recipient = _tournament(population, TOURNAMENT_SIZE, rng).formula
-                donor = _tournament(population, TOURNAMENT_SIZE, rng).formula
-                child = crossover(donor, recipient, grammar, rng)
-            else:
-                parent = _tournament(population, TOURNAMENT_SIZE, rng).formula
-                child = mutate(parent, grammar, rng)
-            offspring.append(evaluate(child))
-        population = offspring
+        population = generation(child)
         record(gen, population)
     return best, history

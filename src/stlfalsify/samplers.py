@@ -71,9 +71,11 @@ class Categorical:
         total = sum(p for _, p in items)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total}, not 1")
+        # a lookup table, not a field: it stays out of eq, hash and repr
+        object.__setattr__(self, "_by_symbol", dict(items))
 
     def prob(self, symbol: str) -> float:
-        return dict(self.probs).get(symbol, 0.0)
+        return self._by_symbol.get(symbol, 0.0)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from stlfalsify.baseline import (
 )
 from stlfalsify.cli import _report_payload
 from stlfalsify.constraints import InfeasibleError, constraints_for
-from stlfalsify.optimize import evaluate_cost
+from stlfalsify.optimize import GpConfig, evaluate_cost, run
 from stlfalsify.samplers import log_likelihood, sample_traces
 from stlfalsify.sim import Scenario, scenario
 from stlfalsify.stl import parse
@@ -24,6 +24,12 @@ from stlfalsify.stl import parse
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def score(formula, sc, N, rng):
+    """evaluate_cost on one batch of N traces, drawn and rolled as search does."""
+    batch = baseline.draw_batch(sc, sc.model, formula, rng, N)
+    return evaluate_cost(formula, sc, None if batch is None else baseline.outcomes(sc, batch))
 
 
 def test_report_serializes():
@@ -141,7 +147,7 @@ def test_constraint_draws_per_batch_differ_by_caller(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(baseline, "constraints_for", counting)
-    evaluate_cost(f, sc, N=10, rng=rng(0))
+    score(f, sc, N=10, rng=rng(0))
     assert len(draws) == 1
     evaluate_expression(f, sc, trials=10, rng=rng(0))
     assert len(draws) == 11
@@ -160,7 +166,7 @@ def test_search_batch_shares_one_witness_step(monkeypatch):
         return traces
 
     monkeypatch.setattr(baseline, "sample_traces", recording)
-    evaluate_cost(parse("F_[0,5](disturbance = a_maj)", sc.channels), sc, N=10, rng=rng(1))
+    score(parse("F_[0,5](disturbance = a_maj)", sc.channels), sc, N=10, rng=rng(1))
     assert len(drawn) == 10
     a_maj = np.array([tr.values["disturbance"][:6] == "a_maj" for tr in drawn])
     assert a_maj.all(axis=0).any()  # one step is a_maj in every trace
@@ -189,6 +195,9 @@ ROLLOUT_CASES = [
     ("lt2", "model", "F_[0,1](disturbance = S)", 3, 20),
     ("pc1", "model", "G_[0,2](n_vy <= -0.8)", 2, 15),
     ("pc2", "proposal", None, 60, 1),
+    # above the lockstep's lane count, and across a chunk boundary
+    ("lt3", "proposal", None, 2100, 1),
+    ("pc2", "model", "F_[0,10](n_y >= 0.5)", 150, 15),
 ]
 
 
@@ -219,20 +228,20 @@ def test_rollouts_roll_each_distinct_symbol_sequence_once(monkeypatch, name, tex
     sc = scenario(name)
     formula = parse(text, sc.channels)
     ref_fails, ref_lls, ref_inf = _rollouts_through_run(sc, sc.model, formula, rng(24), 4, 25)
-    drawn, rolled = [], []
-    real_sample, real_fail_step = baseline.sample_traces, sim.fail_step
+    drawn, rolled = [], []  # traces drawn, lanes rolled
+    real_sample, real_fail_steps = baseline.sample_traces, sim.fail_steps
 
     def recording(*args, **kwargs):
         traces = real_sample(*args, **kwargs)
         drawn.extend(traces)
         return traces
 
-    def counting(scenario, trace):
-        rolled.append(trace)
-        return real_fail_step(scenario, trace)
+    def counting(scenario, traces):
+        rolled.extend(traces)
+        return real_fail_steps(scenario, traces)
 
     monkeypatch.setattr(baseline, "sample_traces", recording)
-    monkeypatch.setattr(sim, "fail_step", counting)
+    monkeypatch.setattr(sim, "fail_steps", counting)
     traces, lls, n_inf = baseline.rollouts(sc, sc.model, formula, rng(24), 4, 25)
     assert (lls, n_inf) == (ref_lls, ref_inf)
     assert len(traces) == len(ref_fails) > 0
@@ -275,6 +284,9 @@ def test_rollouts_run_only_the_failing_traces_with_records(monkeypatch):
 def test_search_scoring_builds_no_records(monkeypatch):
     sc = scenario("lt1")
     calls = _count_record_passes(monkeypatch)
-    ind = evaluate_cost(parse("G_[0,1](disturbance = a_maj)", sc.channels), sc, N=10, rng=rng(23))
+    ind = score(parse("G_[0,1](disturbance = a_maj)", sc.channels), sc, N=10, rng=rng(23))
     assert ind.fail_count > 0
+    assert calls == []
+    best, _ = run(scenario("pc1"), GpConfig(population=20, generations=2, seed=23))
+    assert best.fail_count > 0
     assert calls == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stlfalsify.optimize as optimize
+from stlfalsify.baseline import draw_batch, outcomes
 from stlfalsify.optimize import GpConfig, Individual, evaluate_cost, run
 from stlfalsify.samplers import Categorical, DisturbanceModel
 from stlfalsify.sim import scenario
@@ -36,8 +37,14 @@ class StubScenario:
     def run(self, trace: SignalTrace):
         return StubResult(self._fails_when(trace))
 
-    def fail_step(self, trace: SignalTrace):
-        return 1 if self._fails_when(trace) else None
+    def fail_steps(self, traces):
+        return [1 if self._fails_when(trace) else None for trace in traces]
+
+
+def score(formula, sc, N, rng):
+    """evaluate_cost on one batch of N traces, drawn and rolled as ``run`` does."""
+    batch = draw_batch(sc, sc.model, formula, rng, N)
+    return evaluate_cost(formula, sc, None if batch is None else outcomes(sc, batch))
 
 
 def test_config_validation():
@@ -51,8 +58,8 @@ def test_cost_is_exact_for_enumerable_model():
     rng = np.random.default_rng(0)
     common = parse("G_[0,0](common)", sc.channels)
     rare = parse("G_[0,0](rare)", sc.channels)
-    ind_common = evaluate_cost(common, sc, N=10, rng=rng)
-    ind_rare = evaluate_cost(rare, sc, N=10, rng=rng)
+    ind_common = score(common, sc, N=10, rng=rng)
+    ind_rare = score(rare, sc, N=10, rng=rng)
     assert ind_common.cost == pytest.approx(-0.9, abs=1e-12)
     assert ind_rare.cost == pytest.approx(-0.1, abs=1e-12)
     assert ind_common.fail_count == ind_rare.fail_count == 10
@@ -62,8 +69,8 @@ def test_rarer_disturbances_cost_more_at_equal_fail_rates():
     # both formulas always fail; the one forcing the rare action ranks worse
     sc = StubScenario()
     rng = np.random.default_rng(1)
-    common = evaluate_cost(parse("G_[0,0](common)", sc.channels), sc, N=5, rng=rng)
-    rare = evaluate_cost(parse("G_[0,0](rare)", sc.channels), sc, N=5, rng=rng)
+    common = score(parse("G_[0,0](common)", sc.channels), sc, N=5, rng=rng)
+    rare = score(parse("G_[0,0](rare)", sc.channels), sc, N=5, rng=rng)
     assert common.cost < rare.cost
     assert common.sort_key() < rare.sort_key()
 
@@ -71,7 +78,7 @@ def test_rarer_disturbances_cost_more_at_equal_fail_rates():
 def test_never_failing_formula_costs_zero():
     sc = StubScenario(fails_when=lambda trace: False)
     rng = np.random.default_rng(2)
-    ind = evaluate_cost(parse("G_[0,0](common)", sc.channels), sc, N=8, rng=rng)
+    ind = score(parse("G_[0,0](common)", sc.channels), sc, N=8, rng=rng)
     assert ind.cost == 0.0
     assert ind.feasible
     assert ind.fail_count == 0
@@ -81,9 +88,19 @@ def test_never_failing_formula_costs_zero():
 def test_infeasible_formula_gets_worst_cost():
     sc = StubScenario()
     f = parse("G_[0,0]((common & rare))", sc.channels)  # contradictory pin
-    ind = evaluate_cost(f, sc, N=5, rng=np.random.default_rng(3))
+    ind = score(f, sc, N=5, rng=np.random.default_rng(3))
     assert ind.cost == 0.0
     assert not ind.feasible
+
+
+def test_cost_reads_the_batch_outcomes_in_trace_order():
+    sc = StubScenario()
+    f = parse("G_[0,0](common)", sc.channels)
+    ind = evaluate_cost(f, sc, [None, math.log(0.5), None, math.log(0.25)])
+    assert ind.cost == pytest.approx(-(0.5 + 0.25) / 4, abs=1e-15)
+    assert (ind.fail_count, ind.n_evals) == (2, 4)
+    assert ind.mean_fail_loglik == pytest.approx((math.log(0.5) + math.log(0.25)) / 2, abs=1e-15)
+    assert evaluate_cost(f, sc, None) == Individual(f, 0.0, 0, -math.inf, 0)
 
 
 def test_continuous_ranking_is_lexicographic():
@@ -123,16 +140,24 @@ def test_run_is_deterministic_per_seed():
 
 def test_costs_are_cached_per_canonical_text(monkeypatch):
     sc = scenario("lt1")
-    calls = []
-    real = optimize.evaluate_cost
+    calls, looked_up = [], []
+    real, real_text = optimize.evaluate_cost, optimize.canonical_text
 
     def counting(formula, *args, **kwargs):
-        calls.append(canonical_text(formula))
+        calls.append(real_text(formula))
         return real(formula, *args, **kwargs)
 
+    def rendering(formula):
+        looked_up.append(real_text(formula))
+        return looked_up[-1]
+
     monkeypatch.setattr(optimize, "evaluate_cost", counting)
-    run(sc, GpConfig(population=30, generations=5, seed=4))
-    assert len(calls) == len(set(calls))  # every text evaluated at most once
+    monkeypatch.setattr(optimize, "canonical_text", rendering)
+    cfg = GpConfig(population=30, generations=5, seed=4)
+    run(sc, cfg)
+    # one rendering per lookup, two per history row
+    assert len(looked_up) == cfg.population * cfg.generations + 2 * cfg.generations
+    assert sorted(calls) == sorted(set(looked_up))  # every text looked up is scored exactly once
 
 
 def test_progress_callback_sees_every_generation():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -482,6 +483,17 @@ def test_categorical_sampler_matches_choice_loop(size, probs, text):
         assert new_rng.random() == ref_rng.random()
         if text is not None and "S" in text:
             assert (got[:, 1:5] == "S").all()
+
+
+def test_categorical_prob_table_is_no_field():
+    model = Categorical({**LT_PROBS, "S": 0.0, "none": 0.977})
+    for symbol, p in model.probs:
+        assert model.prob(symbol) == dict(model.probs)[symbol] == p
+    assert model.prob("unknown") == 0.0
+    same = Categorical(dict(reversed(model.probs)))
+    assert same == model and hash(same) == hash(model)
+    assert repr(model) == f"Categorical(probs={model.probs!r})"
+    assert [f.name for f in dataclasses.fields(model)] == ["probs"]
 
 
 def test_categorical_sampler_never_draws_zero_mass_symbols():

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import stlfalsify
-from stlfalsify.constraints import constraints_for
+from stlfalsify.constraints import InfeasibleError, constraints_for
+from stlfalsify.grammar import sample_expression
 from stlfalsify.samplers import sample_traces
 from stlfalsify.sim import (
     CAR_LENGTH,
     CAR_WIDTH,
+    LOCKSTEP_LANES,
     PED_SIZE,
     IDM_B,
     LT_OFFSETS,
@@ -20,6 +22,7 @@ from stlfalsify.sim import (
     Scenario,
     boxes_overlap,
     fail_step,
+    fail_steps,
     idm_accel,
     run,
     scenario,
@@ -289,6 +292,111 @@ def test_fail_step_agrees_with_run(name):
                 steps.append(res.fail_step)
     assert len(steps) == 400
     assert any(s is None for s in steps) and any(s is not None for s in steps)
+
+
+def _lockstep_traces(sc: Scenario, n: int, rng) -> list:
+    """n traces: a quarter each unconstrained from the model and the proposal,
+    the rest from either under the constraint draws of random formulas."""
+    m, dt = sc.horizon, sc.dt
+    traces = sample_traces(sc.model, m, dt, None, rng=rng, size=n // 4)
+    traces += sample_traces(sc.proposal, m, dt, None, rng=rng, size=n // 4)
+    while len(traces) < n:
+        formula = sample_expression(sc.grammar, rng)
+        try:
+            cs = constraints_for(formula, sc.channels, m, rng)
+        except InfeasibleError:
+            continue
+        model = (sc.model, sc.proposal)[len(traces) % 2]
+        traces += sample_traces(model, m, dt, cs, rng=rng, size=min(25, n - len(traces)))
+    return traces
+
+
+@pytest.mark.parametrize("names,per_scenario", [(("lt1", "lt2", "lt3"), 7000), (("pc1", "pc2"), 10500)])
+def test_lockstep_fail_steps_match_roll(names, per_scenario):
+    # over 20 000 traces per scenario kind; None means no collision
+    for name in names:
+        sc = scenario(name)
+        traces = _lockstep_traces(sc, per_scenario, np.random.default_rng(41))
+        want = [sc.config.roll(t.values) for t in traces]
+        assert sc.config.roll_lanes([t.values for t in traces]) == want
+        assert fail_steps(sc, traces) == want
+        failing = sum(s is not None for s in want)
+        assert 0 < failing < len(want), name
+
+
+@pytest.mark.parametrize("name", ["lt2", "pc1"])
+def test_fail_steps_agree_below_and_above_the_lockstep_lanes(name):
+    sc = scenario(name)
+    traces = _lockstep_traces(sc, 3 * LOCKSTEP_LANES, np.random.default_rng(43))
+    for n in (0, 1, LOCKSTEP_LANES - 1, LOCKSTEP_LANES, len(traces)):
+        assert fail_steps(sc, traces[:n]) == [fail_step(sc, t) for t in traces[:n]]
+    # traces past the horizon roll their first horizon steps only
+    longer = [
+        SignalTrace(dt=sc.dt, channels=sc.channels,
+                    values={k: np.concatenate([v, v[:3]]) for k, v in t.values.items()})
+        for t in traces[: 2 * LOCKSTEP_LANES]
+    ]
+    assert fail_steps(sc, longer) == fail_steps(sc, traces[: 2 * LOCKSTEP_LANES])
+
+
+def _raised(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_lockstep_raises_where_roll_raises():
+    cfg = scenario("lt1").config
+    good = {"disturbance": np.array(["none"] * cfg.horizon, dtype=object)}
+    late = {"disturbance": np.array(["none"] * 20 + ["zz", "none", "none", "none"], dtype=object)}
+    early = {"disturbance": np.array(["none", "q"] + ["none"] * 22, dtype=object)}
+    # the a_maj prefix collides at step 10, before roll reaches the unknown symbol
+    crash = {"disturbance": np.array(["a_maj"] * 3 + ["none"] * 17 + ["zz"] * 4, dtype=object)}
+    assert cfg.roll(crash) == 10
+    assert cfg.roll_lanes([good, crash]) == [None, 10]
+    for lanes in ([good, late, early], [crash, early, late], [late] * LOCKSTEP_LANES):
+        want = _raised(lambda: [cfg.roll(v) for v in lanes])
+        assert _raised(cfg.roll_lanes, lanes) == want
+    assert _raised(cfg.roll_lanes, [good, late, early]) == "unknown disturbance symbol 'zz'"
+
+
+@pytest.mark.parametrize("n", [1, LOCKSTEP_LANES - 1, LOCKSTEP_LANES, 2 * LOCKSTEP_LANES])
+def test_fail_steps_reject_what_fail_step_rejects(n):
+    sc = scenario("lt1")
+    short = SignalTrace(
+        dt=sc.dt, channels=sc.channels, values={"disturbance": np.array(["none"] * 3, dtype=object)}
+    )
+    for bad in (short, scenario("pc1").nominal_trace()):
+        traces = [sc.nominal_trace()] * (n - 1) + [bad]
+        assert _raised(fail_steps, sc, traces) == _raised(fail_step, sc, bad)
+    other = scenario("pc2")
+    assert _raised(fail_steps, other, [other.nominal_trace()] * (n - 1) + [sc.nominal_trace()]) == (
+        _raised(fail_step, other, sc.nominal_trace())
+    )
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 40.0), (0.0, 2.0), (1e-3, 1e4)])
+def test_float_power_matches_python_pow(lo, hi):
+    # The lockstep rolls use np.float_power where the scalar loops use **:
+    # both must call libm pow, or lockstep fail steps drift from roll's.
+    # Speeds reach 0-40 m/s, ratios such as v/v0 0-2; s_star/gap spans more.
+    x = np.random.default_rng(45).uniform(lo, hi, 100_000)
+    for p in (2.0, 4.0):
+        got = np.float_power(x, p)
+        want = np.array([v ** p for v in x.tolist()])
+        assert np.array_equal(got, want), f"np.float_power(x, {p}) differs from ** on this platform"
+    squares = np.array([v ** 2 for v in x.tolist()])
+    assert np.array_equal(np.float_power(x, 2.0), squares)
+
+
+def test_lockstep_transcendentals_match_math():
+    # the left-turn arc (cos, sin) and the crosswalk arrival time (sqrt)
+    rng = np.random.default_rng(46)
+    angles = rng.uniform(-1.0, 2.0 + math.pi / 2, 100_000)
+    roots = rng.uniform(0.0, 2000.0, 100_000)
+    cases = ((np.cos, math.cos, angles), (np.sin, math.sin, angles), (np.sqrt, math.sqrt, roots))
+    for np_fn, math_fn, x in cases:
+        assert np.array_equal(np_fn(x), [math_fn(v) for v in x.tolist()]), np_fn.__name__
 
 
 def test_rollout_csv_is_stable(tmp_path):

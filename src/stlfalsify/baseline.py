@@ -7,11 +7,12 @@ samples the batch's traces under it; every draw comes from the generator
 the caller passes.  ``outcomes`` then rolls many drawn traces at once,
 without records, in one ``Scenario.fail_steps`` call (a numpy lockstep
 from ``sim.LOCKSTEP_LANES`` traces on; one lane per distinct symbol
-sequence when the model is discrete), and scores the log-likelihood of
-every failing trace.  Rollouts and likelihoods draw no random numbers, so
-drawing batches first and rolling them afterwards gives the same draws
-and outcomes as rolling each batch as it is drawn.  ``rollouts`` rolls
-about ``CHUNK`` traces at a time, which keeps the pending traces few.
+sequence when the model is discrete), and scores the log-likelihoods of
+the failing traces in one ``samplers.log_likelihoods`` call.  Rollouts
+and likelihoods draw no random numbers, so drawing batches first and
+rolling them afterwards gives the same draws and outcomes as rolling
+each batch as it is drawn.  ``rollouts`` rolls about ``CHUNK`` traces
+at a time, which keeps the pending traces few.
 
 The baseline samples the scenario's proposal, the others its model.
 Search scores a formula with one batch of N traces (``optimize.run``
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import InfeasibleError, constraints_for
-from .samplers import DisturbanceModel, log_likelihood, sample_traces
+from .samplers import DisturbanceModel, log_likelihoods, sample_traces
 from .sim import Scenario, SimResult
 from .stl import Formula, SignalTrace
 
@@ -95,9 +96,11 @@ def outcomes(scenario: Scenario, traces: list[SignalTrace]) -> list[float | None
     """Each trace's log-likelihood under ``scenario.model`` if it fails, else None.
 
     All traces are rolled in one ``Scenario.fail_steps`` call, which steps
-    them in lockstep when there are enough of them.  When
-    ``scenario.model`` is discrete, each distinct symbol sequence is
-    rolled and scored once, and every repeat of it reuses that outcome.
+    them in lockstep when there are enough of them, and the failing ones
+    are scored in one ``log_likelihoods`` call, each to the bits of
+    ``log_likelihood``.  When ``scenario.model`` is discrete, each distinct
+    symbol sequence is rolled and scored once, and every repeat of it
+    reuses that outcome.
     """
     if scenario.model.discrete:
         slots: dict[tuple, int] = {}  # symbol sequence -> index into `distinct`
@@ -111,8 +114,9 @@ def outcomes(scenario: Scenario, traces: list[SignalTrace]) -> list[float | None
     else:
         distinct, index = traces, range(len(traces))
     steps = scenario.fail_steps(distinct)
-    lls = [None if step is None else log_likelihood(scenario.model, trace)
-           for trace, step in zip(distinct, steps)]
+    failing = [trace for trace, step in zip(distinct, steps) if step is not None]
+    scores = iter(log_likelihoods(scenario.model, failing).tolist())
+    lls = [None if step is None else next(scores) for step in steps]
     return [lls[i] for i in index]
 
 

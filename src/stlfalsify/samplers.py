@@ -21,13 +21,23 @@ channel consumes exactly one uniform per step, for the whole batch at once
 in trace-major order (one ``rng.random((size, m))`` call), and maps it
 through the step's CDF with the arithmetic of ``Generator.choice``; the
 draws are those of a per-step ``rng.choice`` loop over traces and steps.
+A run of consecutive normal channels draws one ``(channels, size, m)``
+block of uniforms, channel-major, which equals one block per channel.
 The Gibbs chain consumes one uniform per coordinate update, drawn in
-blocks in update order (see ``truncated_mvn_sample``).
+blocks in update order (see ``truncated_mvn_sample``); the free steps of
+a GP channel with box steps then draw one ``(size, |F|)`` standard normal
+block after the chain, the draws of one ``|F|`` block per trace.
+
+Batches: the free-step conditioning and the likelihoods solve and
+multiply all traces in one stacked call on ``(size, k, 1)`` right-hand
+sides, which numpy runs as one LAPACK or BLAS call per row, so each trace
+gets the bits a call of its own would give.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +58,7 @@ __all__ = [
     "sample_trace",
     "sample_traces",
     "log_likelihood",
+    "log_likelihoods",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -312,6 +323,20 @@ def _sample_categorical(ch, model: Categorical, m, cs, rng, size) -> np.ndarray:
     return symbols[idx]
 
 
+def _sample_normals(names, model: DisturbanceModel, m, cs, rng, size) -> np.ndarray:
+    """(len(names), size, m) values of consecutive normal channels.
+
+    One ``truncated_normal`` call on the whole block takes its uniforms in
+    channel-major order, so the draws equal one call per channel.
+    """
+    bounds = [_bounds_for(cs, name, m) for name in names]
+    lo = np.stack([b[0] for b in bounds])[:, None, :].repeat(size, 1)
+    hi = np.stack([b[1] for b in bounds])[:, None, :].repeat(size, 1)
+    mean = np.array([model.models[name].mean for name in names])[:, None, None]
+    std = np.array([model.models[name].std for name in names])[:, None, None]
+    return truncated_normal(mean, std, lo, hi, rng)
+
+
 def _gp_posterior(K, obs_idx, obs_val, jit):
     """Mean and covariance of the GP at all steps given exact observations,
     with ``jit`` added to the observed block's diagonal.  Do not mutate."""
@@ -349,10 +374,12 @@ def _sample_gp(ch, model: GaussianProcess, m, dt, cs, rng, size):
             W = np.linalg.solve(Lc, Cfc.T)  # (|C|, |F|)
             cond_cov = Cff - W.T @ W
             Lf = np.linalg.cholesky(cond_cov + jit * np.eye(f_idx.size))
-            for i in range(size):
-                u = np.linalg.solve(Lc.T, np.linalg.solve(Lc, xc[i] - mean[c_idx]))
-                mu_f = mean[f_idx] + Cfc @ u
-                out[i, f_idx] = mu_f + Lf @ rng.standard_normal(f_idx.size)
+            # stacked right-hand sides, not a (k, size) matrix: a matrix
+            # solve or a gemm would move the last bits of every trace
+            u = np.linalg.solve(Lc.T, np.linalg.solve(Lc, (xc - mean[c_idx])[:, :, None]))
+            mu_f = mean[f_idx] + (Cfc @ u)[:, :, 0]
+            z = rng.standard_normal((size, f_idx.size))
+            out[:, f_idx] = mu_f + (Lf @ z[:, :, None])[:, :, 0]
     elif f_idx.size:
         if obs_idx.size:
             Lf = np.linalg.cholesky(cov[np.ix_(f_idx, f_idx)] + jit * np.eye(f_idx.size))
@@ -374,17 +401,16 @@ def sample_traces(
 ) -> list[SignalTrace]:
     """Draw ``size`` traces, every one satisfying ``constraints`` if given."""
     blocks = {}  # channel name -> (size, m) values
-    for ch in model.channels:
+    for i, ch in enumerate(model.channels):
         cm = model.models[ch.name]
         if isinstance(cm, Categorical):
             blocks[ch.name] = _sample_categorical(ch, cm, m, constraints, rng, size)
-        elif isinstance(cm, IndependentNormal):
-            lo, hi = _bounds_for(constraints, ch.name, m)
-            blocks[ch.name] = truncated_normal(
-                cm.mean, cm.std, lo[None, :].repeat(size, 0), hi[None, :].repeat(size, 0), rng
-            )
-        else:
+        elif isinstance(cm, GaussianProcess):
             blocks[ch.name] = _sample_gp(ch, cm, m, dt, constraints, rng, size)
+        elif ch.name not in blocks:  # the first normal channel of a run draws the whole run
+            run = [c.name for c in itertools.takewhile(
+                lambda c: isinstance(model.models[c.name], IndependentNormal), model.channels[i:])]
+            blocks.update(zip(run, _sample_normals(run, model, m, constraints, rng, size)))
     return [
         SignalTrace(dt=dt, channels=model.channels, values={n: b[i] for n, b in blocks.items()})
         for i in range(size)
@@ -406,34 +432,59 @@ def sample_trace(
 # Likelihood
 
 
-def log_likelihood(model: DisturbanceModel, trace: SignalTrace) -> float:
-    """Log density of ``trace`` under the unconstrained model.
+def log_likelihoods(model: DisturbanceModel, traces: list[SignalTrace]) -> np.ndarray:
+    """Log density of each trace under the unconstrained model, as an array.
 
-    Channels are independent, so contributions add.  A categorical symbol
-    of zero model probability gives -inf rather than an error.
+    Channels are independent, so contributions add, in channel order.  A
+    categorical symbol of zero model probability gives -inf rather than an
+    error.  Every trace must carry the model's channels, and all must share
+    one step count and ``dt``.  Each GP channel is one stacked solve and one
+    ``np.vecdot``, each normal channel one row sum, and each categorical
+    channel a running sum step by step, so every row takes the float
+    operations of scoring its trace alone.
     """
-    total = 0.0
-    m = trace.m
+    if not traces:
+        return np.empty(0)
+    m, dt = traces[0].m, traces[0].dt
+    for i, trace in enumerate(traces):
+        for ch in model.channels:
+            if ch.name not in trace.values:
+                raise ValueError(f"trace {i} has no channel {ch.name!r} of the model")
+        if (trace.m, trace.dt) != (m, dt):
+            raise ValueError(
+                f"traces differ in step count or dt: trace 0 has {m} steps of {dt} s, "
+                f"trace {i} {trace.m} steps of {trace.dt} s"
+            )
+    total = np.zeros(len(traces))
+    impossible = np.zeros(len(traces), dtype=bool)  # a zero-probability symbol
     for ch in model.channels:
         cm = model.models[ch.name]
-        vals = trace.values[ch.name]
         if isinstance(cm, Categorical):
-            for s in vals.tolist():
-                p = cm.prob(s)
-                if p <= 0.0:
-                    return -np.inf
-                total += math.log(p)
-        elif isinstance(cm, IndependentNormal):
-            v = np.asarray(vals, dtype=float)
+            # a running sum step by step in Python floats, as for one trace
+            log_p = {s: math.log(p) for s, p in cm.probs if p > 0.0}
+            sums = []
+            for i, (trace, acc) in enumerate(zip(traces, total.tolist())):
+                for s in trace.values[ch.name].tolist():
+                    if s not in log_p:
+                        impossible[i] = True
+                        break
+                    acc += log_p[s]
+                sums.append(acc)
+            total = np.array(sums)
+            continue
+        v = np.array([t.values[ch.name] for t in traces])  # (traces, m)
+        if isinstance(cm, IndependentNormal):
             z = (v - cm.mean) / cm.std
-            total += float(-0.5 * np.sum(z * z) - m * (0.5 * _LOG_2PI + math.log(cm.std)))
+            total += -0.5 * np.sum(z * z, axis=1) - m * (0.5 * _LOG_2PI + math.log(cm.std))
         else:
-            _, L = _kernel_and_chol(cm.variance, cm.lengthscale, m, trace.dt)
-            v = np.asarray(vals, dtype=float)
-            w = np.linalg.solve(L, v)
-            total += float(
-                -0.5 * np.dot(w, w)
-                - np.sum(np.log(np.diag(L)))
-                - 0.5 * m * _LOG_2PI
-            )
+            _, L = _kernel_and_chol(cm.variance, cm.lengthscale, m, dt)
+            w = np.linalg.solve(L, v[:, :, None])[:, :, 0]
+            total += -0.5 * np.vecdot(w, w) - np.sum(np.log(np.diag(L))) - 0.5 * m * _LOG_2PI
+    total[impossible] = -np.inf
     return total
+
+
+def log_likelihood(model: DisturbanceModel, trace: SignalTrace) -> float:
+    """Log density of one trace under the unconstrained model
+    (``log_likelihoods`` of a one-trace batch)."""
+    return float(log_likelihoods(model, [trace])[0])

@@ -16,6 +16,7 @@ from stlfalsify.samplers import (
     GaussianProcess,
     IndependentNormal,
     log_likelihood,
+    log_likelihoods,
     sample_trace,
     sample_traces,
     se_kernel,
@@ -634,6 +635,25 @@ def sample_traces_frozen(model, m, dt, constraints, r, size):
     return traces
 
 
+# normal, GP, normal, normal, GP: runs of normal channels that open the
+# model, hold one channel, or hold two between GP channels
+MIXED_CHANNELS = (
+    ContinuousChannel("n_a", -1.0, 1.0),
+    ContinuousChannel("g_a", -2.0, 2.0),
+    ContinuousChannel("n_b", -1.0, 1.0),
+    ContinuousChannel("n_c", -2.0, 2.0),
+    ContinuousChannel("g_b", -2.0, 2.0),
+)
+MIXED_MODEL = DisturbanceModel(
+    channels=MIXED_CHANNELS,
+    models={
+        "n_a": IndependentNormal(0.1, 0.09),
+        "g_a": GaussianProcess(1.0, 0.4),
+        "n_b": IndependentNormal(-0.2, 0.25),
+        "n_c": IndependentNormal(0.0, 1.0),
+        "g_b": GaussianProcess(0.5, 0.6),
+    },
+)
 FROZEN_FORMULAS = {
     "lt1": [None, "G_[0,1](a_maj)", "(G_[0,3](!(none)) & F_[5,9]((a_maj | d_maj)))"],
     "pc1": [
@@ -645,16 +665,37 @@ FROZEN_FORMULAS = {
         # a_y: box at every step, so no free steps
         "G_[0,29](a_y >= -1.0) & G_[0,29](a_y <= 1.0)",
     ],
+    "mixed": [
+        None,
+        "G_[0,11](n_b >= -0.3) & G_[2,4](n_a = 0.2) & G_[3,7](g_a <= -0.5)",
+        "G_[1,3](n_c <= -1.5) & G_[0,5](g_b >= 0.5) & G_[6,6](g_b = 0.1) & G_[0,11](n_a <= 0.0)",
+        "G_[2,3](g_a = 0.5) & G_[0,11](g_b >= -1.0) & G_[4,4](n_c = 0.3)",
+    ],
 }
+FROZEN_FORMULAS["pc2"] = FROZEN_FORMULAS["pc1"]  # the same channels
+
+
+def _frozen_case(name):
+    """A model to sample, with its channels, horizon, dt and grammar."""
+    from types import SimpleNamespace
+
+    from stlfalsify.grammar import GrammarSpec
+    from stlfalsify.sim import scenario
+
+    if name != "mixed":
+        return scenario(name)
+    return SimpleNamespace(
+        model=MIXED_MODEL, channels=MIXED_CHANNELS, horizon=12, dt=0.2,
+        grammar=GrammarSpec(channels=MIXED_CHANNELS, t_max=11),
+    )
 
 
 @pytest.mark.parametrize("size", [0, 1, 15])
-@pytest.mark.parametrize("name", ["lt1", "pc1"])
+@pytest.mark.parametrize("name", ["lt1", "pc1", "pc2", "mixed"])
 def test_sample_traces_matches_frozen_copy(name, size):
     from stlfalsify.grammar import sample_expression
-    from stlfalsify.sim import scenario
 
-    sc = scenario(name)
+    sc = _frozen_case(name)
     make = rng(31)
     formulas = [None if t is None else parse(t, sc.channels) for t in FROZEN_FORMULAS[name]]
     formulas += [sample_expression(sc.grammar, make) for _ in range(20)]
@@ -680,6 +721,129 @@ def test_sample_traces_matches_frozen_copy(name, size):
                 assert g.values[ch.name].dtype == w.values[ch.name].dtype
                 assert np.array_equal(g.values[ch.name], w.values[ch.name]), (i, ch.name)
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state, i
-    if name == "pc1":
+    if name != "lt1":
         assert {(False, False, True), (True, False, True), (False, True, True),
                 (True, True, True), (False, True, False)} <= kinds
+
+
+# ---------------------------------------------------------------------------
+# log_likelihoods against a frozen copy of the per-trace log_likelihood
+
+
+def log_likelihood_frozen(model, trace):
+    from stlfalsify.samplers import _kernel_and_chol
+
+    total = 0.0
+    m = trace.m
+    for ch in model.channels:
+        cm = model.models[ch.name]
+        vals = trace.values[ch.name]
+        if isinstance(cm, Categorical):
+            for s in vals.tolist():
+                p = cm.prob(s)
+                if p <= 0.0:
+                    return -np.inf
+                total += math.log(p)
+        elif isinstance(cm, IndependentNormal):
+            v = np.asarray(vals, dtype=float)
+            z = (v - cm.mean) / cm.std
+            total += float(-0.5 * np.sum(z * z) - m * (0.5 * math.log(2.0 * math.pi) + math.log(cm.std)))
+        else:
+            _, L = _kernel_and_chol(cm.variance, cm.lengthscale, m, trace.dt)
+            v = np.asarray(vals, dtype=float)
+            w = np.linalg.solve(L, v)
+            total += float(
+                -0.5 * np.dot(w, w)
+                - np.sum(np.log(np.diag(L)))
+                - 0.5 * m * math.log(2.0 * math.pi)
+            )
+    return total
+
+
+def _assert_scores_match_frozen(model, traces):
+    got = log_likelihoods(model, traces)
+    want = [log_likelihood_frozen(model, t) for t in traces]
+    assert got.shape == (len(traces),)
+    assert got.tolist() == want
+    assert [log_likelihood(model, t) for t in traces] == want
+    return want
+
+
+def _constrained_traces(sc, model, r, count, per_formula):
+    """``count`` traces from ``model``, ``per_formula`` under each random
+    formula's constraint draw."""
+    from stlfalsify.grammar import sample_expression
+
+    traces = []
+    while len(traces) < count:
+        try:
+            cs = constraints_for(sample_expression(sc.grammar, r), sc.channels, sc.horizon, r)
+        except InfeasibleError:
+            continue
+        size = min(per_formula, count - len(traces))
+        traces += sample_traces(model, sc.horizon, sc.dt, cs, rng=r, size=size)
+    return traces
+
+
+@pytest.mark.parametrize("count", [0, 1, 200])
+@pytest.mark.parametrize("name", ["lt1", "lt3", "pc1", "pc2"])
+def test_log_likelihoods_match_frozen_copy(name, count):
+    from stlfalsify.sim import scenario
+
+    sc = scenario(name)
+    r = rng(41)
+    scored = 0
+    for source in (sc.model, sc.proposal):
+        batches = [
+            sample_traces(source, sc.horizon, sc.dt, rng=r, size=count),
+            _constrained_traces(sc, source, r, count, per_formula=10),
+        ]
+        for traces in batches:
+            assert len(traces) == count
+            for model in (sc.model, sc.proposal):
+                want = _assert_scores_match_frozen(model, traces)
+                scored += sum(math.isfinite(w) for w in want)
+    assert scored == 8 * count
+
+
+def test_log_likelihoods_of_zero_probability_symbols():
+    # S carries no mass: any trace holding it scores -inf, whatever the
+    # channels before or after the categorical one add
+    probs = {**LT_PROBS, "none": 0.977, "S": 0.0}
+    cat = DisturbanceModel(channels=(DIST,), models={"disturbance": Categorical(probs)})
+    mixed = DisturbanceModel(
+        channels=(ACC, DIST, NOISE),
+        models={"a_y": GaussianProcess(1.0, 0.4), "disturbance": Categorical(probs),
+                "n_y": IndependentNormal(0.0, 0.04)},
+    )
+    uniform = Categorical({s: 1 / len(DIST.symbols) for s in DIST.symbols})
+    for model in (cat, mixed):
+        source = DisturbanceModel(channels=model.channels, models={**model.models, "disturbance": uniform})
+        traces = sample_traces(source, 12, 0.2, rng=rng(42), size=200)
+        want = _assert_scores_match_frozen(model, traces)
+        has_s = ["S" in t.values["disturbance"].tolist() for t in traces]
+        assert [w == -np.inf for w in want] == has_s
+        assert 0 < sum(has_s) < len(traces)
+    # a nan on another channel does not turn an impossible trace into nan
+    values = {**traces[has_s.index(True)].values, "a_y": np.full(12, np.nan)}
+    poisoned = dataclasses.replace(traces[0], values=values)
+    assert log_likelihood_frozen(mixed, poisoned) == -np.inf
+    assert log_likelihoods(mixed, [traces[0], poisoned])[1] == -np.inf
+
+
+def test_log_likelihoods_name_what_they_cannot_score():
+    from stlfalsify.sim import scenario
+
+    lt, pc = scenario("lt1"), scenario("pc1")
+    with pytest.raises(ValueError, match="trace 1 has no channel 'a_x' of the model"):
+        log_likelihoods(pc.model, [pc.nominal_trace(), lt.nominal_trace()])
+    with pytest.raises(ValueError, match="trace 0 has no channel 'disturbance' of the model"):
+        log_likelihood(lt.model, pc.nominal_trace())
+    model = gp_model()
+    short, longer = (sample_trace(model, m, 0.2, rng=rng(43)) for m in (5, 6))
+    with pytest.raises(ValueError, match="traces differ in step count or dt: trace 0 has 5 steps of 0.2 s, "
+                                         "trace 1 6 steps of 0.2 s"):
+        log_likelihoods(model, [short, longer])
+    slower = sample_trace(model, 5, 0.25, rng=rng(44))
+    with pytest.raises(ValueError, match="trace 2 5 steps of 0.25 s"):
+        log_likelihoods(model, [short, short, slower])

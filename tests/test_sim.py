@@ -8,7 +8,7 @@ import pytest
 import stlfalsify
 from stlfalsify.constraints import InfeasibleError, constraints_for
 from stlfalsify.grammar import sample_expression
-from stlfalsify.samplers import sample_traces
+from stlfalsify.samplers import GP_JITTER, sample_traces, se_kernel
 from stlfalsify.sim import (
     CAR_LENGTH,
     CAR_WIDTH,
@@ -387,6 +387,31 @@ def test_float_power_matches_python_pow(lo, hi):
         assert np.array_equal(got, want), f"np.float_power(x, {p}) differs from ** on this platform"
     squares = np.array([v ** 2 for v in x.tolist()])
     assert np.array_equal(np.float_power(x, 2.0), squares)
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 64, 200])
+def test_stacked_linear_algebra_matches_per_row_calls(n):
+    # The GP sampler and the likelihoods solve and multiply a batch's rows
+    # as one stacked (n, k, 1) call, and sum rows along axis 1; that keeps
+    # the draws and scores of one call per row only while numpy runs the
+    # same LAPACK and BLAS routine once per row.
+    rng = np.random.default_rng(47)
+    for k in range(1, 31):
+        L = np.linalg.cholesky(se_kernel(np.arange(k) * 0.2, 1.0, 0.4) + GP_JITTER * np.eye(k))
+        A = rng.normal(size=(k + 3, k))
+        X = rng.normal(size=(n, k))
+        stacked = X[:, :, None]
+        cases = {
+            "solve": (np.linalg.solve(L, stacked)[:, :, 0], [np.linalg.solve(L, x) for x in X]),
+            "two solves": (np.linalg.solve(L.T, np.linalg.solve(L, stacked))[:, :, 0],
+                           [np.linalg.solve(L.T, np.linalg.solve(L, x)) for x in X]),
+            "matvec": ((A @ stacked)[:, :, 0], [A @ x for x in X]),
+            "square matvec": ((L @ stacked)[:, :, 0], [L @ x for x in X]),
+            "vecdot": (np.vecdot(X, X), [np.dot(x, x) for x in X]),
+            "row sum": (np.sum(X, axis=1), [np.sum(x) for x in X]),
+        }
+        for what, (got, want) in cases.items():
+            assert np.array_equal(got, np.array(want)), f"stacked {what} differs per row at k={k}, n={n}"
 
 
 def test_lockstep_transcendentals_match_math():

@@ -36,6 +36,7 @@ from .stl import (
     ParseError,
     SignalTrace,
     TimeInterval,
+    TraceBatch,
     Always,
     canonical_text,
     depth,

@@ -3,16 +3,17 @@ failure metrics.
 
 Search, re-evaluation and the baseline all roll traces in two steps.
 ``draw_batch`` makes one constraint draw (none for the baseline) and
-samples the batch's traces under it; every draw comes from the generator
-the caller passes.  ``outcomes`` then rolls many drawn traces at once,
-without records, in one ``Scenario.fail_steps`` call (a numpy lockstep
-from ``sim.LOCKSTEP_LANES`` traces on; one lane per distinct symbol
-sequence when the model is discrete), and scores the log-likelihoods of
-the failing traces in one ``samplers.log_likelihoods`` call.  Rollouts
-and likelihoods draw no random numbers, so drawing batches first and
-rolling them afterwards gives the same draws and outcomes as rolling
-each batch as it is drawn.  ``rollouts`` rolls about ``CHUNK`` traces
-at a time, which keeps the pending traces few.
+samples a ``stl.TraceBatch`` under it; every draw comes from the
+generator the caller passes.  ``outcomes`` then rolls a batch, usually
+many drawn ones concatenated, without records, in one
+``Scenario.fail_steps`` call (a numpy lockstep from
+``sim.LOCKSTEP_LANES`` traces on; one lane per distinct symbol sequence
+when the model is discrete), and scores the failing traces in one
+``samplers.log_likelihoods`` call.  Rollouts and likelihoods draw no
+random numbers, so drawing batches first and rolling them afterwards
+gives the same draws and outcomes as rolling each batch as it is drawn.
+``rollouts`` rolls about ``CHUNK`` traces at a time, and builds a
+``SignalTrace`` only for each failing trace it returns.
 
 The baseline samples the scenario's proposal, the others its model.
 Search scores a formula with one batch of N traces (``optimize.run``
@@ -43,7 +44,7 @@ import numpy as np
 from .constraints import InfeasibleError, constraints_for
 from .samplers import DisturbanceModel, log_likelihoods, sample_traces
 from .sim import Scenario, SimResult
-from .stl import Formula, SignalTrace
+from .stl import Formula, SignalTrace, TraceBatch
 
 __all__ = [
     "MetricReport",
@@ -81,7 +82,7 @@ def draw_batch(
     formula: Formula | None,
     rng: np.random.Generator,
     size: int,
-) -> list[SignalTrace] | None:
+) -> TraceBatch | None:
     """One batch: a constraint draw for ``formula`` (none when it is None)
     and ``size`` traces from ``model`` under it, or None when the draw
     stays infeasible through the retry budget."""
@@ -92,30 +93,26 @@ def draw_batch(
         return None
 
 
-def outcomes(scenario: Scenario, traces: list[SignalTrace]) -> list[float | None]:
+def outcomes(scenario: Scenario, batch: TraceBatch) -> list[float | None]:
     """Each trace's log-likelihood under ``scenario.model`` if it fails, else None.
 
-    All traces are rolled in one ``Scenario.fail_steps`` call, which steps
-    them in lockstep when there are enough of them, and the failing ones
-    are scored in one ``log_likelihoods`` call, each to the bits of
+    The batch is rolled in one ``Scenario.fail_steps`` call, which steps
+    its traces in lockstep when there are enough of them, and the failing
+    ones are scored in one ``log_likelihoods`` call, each to the bits of
     ``log_likelihood``.  When ``scenario.model`` is discrete, each distinct
     symbol sequence is rolled and scored once, and every repeat of it
     reuses that outcome.
     """
+    index = range(len(batch))
     if scenario.model.discrete:
-        slots: dict[tuple, int] = {}  # symbol sequence -> index into `distinct`
-        distinct, index = [], []
-        for trace in traces:
-            key = tuple([tuple(col.tolist()) for col in trace.values.values()])
-            if key not in slots:
-                slots[key] = len(distinct)
-                distinct.append(trace)
-            index.append(slots[key])
-    else:
-        distinct, index = traces, range(len(traces))
-    steps = scenario.fail_steps(distinct)
-    failing = [trace for trace, step in zip(distinct, steps) if step is not None]
-    scores = iter(log_likelihoods(scenario.model, failing).tolist())
+        codes = np.concatenate([batch.blocks[ch.name] for ch in batch.channels], axis=1)
+        # one opaque key per trace: np.unique of these takes a tenth of axis=0's time
+        rows = codes.view(f"V{codes.itemsize * codes.shape[1]}")[:, 0]
+        _, first, index = np.unique(rows, return_index=True, return_inverse=True)
+        batch = batch.take(first)
+    steps = scenario.fail_steps(batch)
+    failing = [i for i, step in enumerate(steps) if step is not None]
+    scores = iter(log_likelihoods(scenario.model, batch.take(failing)).tolist())
     lls = [None if step is None else next(scores) for step in steps]
     return [lls[i] for i in index]
 
@@ -133,28 +130,23 @@ def rollouts(
     Each batch is one ``draw_batch``; a batch whose draw stays infeasible
     rolls nothing and adds ``size`` to the infeasible count.  Returns the
     failing traces, their log-likelihoods under ``scenario.model`` and the
-    infeasible count.
-
-    Rollouts and likelihoods draw no random numbers, so the batches are
-    drawn first, in order, and their traces rolled together afterwards,
-    ``CHUNK`` traces or so at a time (``outcomes``).
+    infeasible count.  The batches are drawn first, in order, and rolled
+    together afterwards, ``CHUNK`` traces or so at a time (``outcomes``).
     """
     if batches * size < 1:
         raise ValueError("trials must be at least 1")
     fails, lls, n_infeasible = [], [], 0
     per_chunk = max(1, CHUNK // size)
     for first in range(0, batches, per_chunk):
-        traces = []
-        for _ in range(min(per_chunk, batches - first)):
-            batch = draw_batch(scenario, model, formula, rng, size)
-            if batch is None:
-                n_infeasible += size
-            else:
-                traces += batch
-        for trace, ll in zip(traces, outcomes(scenario, traces)):
-            if ll is not None:
-                fails.append(trace)
-                lls.append(ll)
+        drawn = [draw_batch(scenario, model, formula, rng, size)
+                 for _ in range(min(per_chunk, batches - first))]
+        n_infeasible += size * sum(batch is None for batch in drawn)
+        drawn = [batch for batch in drawn if batch is not None]
+        if drawn:
+            chunk = TraceBatch.concat(drawn)
+            scored = outcomes(scenario, chunk)
+            fails += [chunk[i] for i, ll in enumerate(scored) if ll is not None]
+            lls += [ll for ll in scored if ll is not None]
     return fails, lls, n_infeasible
 
 

@@ -6,8 +6,9 @@ disturbance traces that satisfy it (``baseline.draw_batch``), scenario
 rollouts, and the likelihood of each failing trace under the scenario's
 model (``baseline.outcomes``).  ``run`` splits drawing from rolling: each
 cache miss draws its batch at once, in the order the search makes its
-formulas, and the pending traces are rolled together, in one lockstep,
-once ``baseline.CHUNK`` of them have gathered or the generation ends.
+formulas, and the pending ``stl.TraceBatch`` blocks are concatenated and
+rolled together, in one lockstep, once ``baseline.CHUNK`` traces have
+gathered or the generation ends; a search builds no ``SignalTrace``.
 Then ``evaluate_cost`` scores each pending formula from its outcomes, once
 per cache miss.  Rollouts draw no random numbers and tournaments read only
 the previous generation, so the draws and results are those of scoring
@@ -37,7 +38,7 @@ import numpy as np
 
 from .baseline import CHUNK, draw_batch, outcomes
 from .grammar import crossover, mutate, sample_expression
-from .stl import Formula, canonical_text
+from .stl import Formula, TraceBatch, canonical_text
 
 __all__ = ["GpConfig", "Individual", "evaluate_cost", "run"]
 
@@ -128,27 +129,23 @@ def run(scenario, config: GpConfig, progress=None) -> tuple[Individual, list[dic
     grammar = scenario.grammar
     rng = np.random.default_rng(config.seed)
     cache: dict[str, Individual] = {}
-    pending: dict[str, tuple[Formula, list | None]] = {}  # drawn, not yet rolled
-    n_pending = 0
+    pending: dict[str, tuple[Formula, TraceBatch | None]] = {}  # drawn, not yet rolled
 
     def settle():
         """Roll every pending trace together, then score each pending formula."""
-        nonlocal n_pending
-        outs = iter(outcomes(scenario, [t for _, batch in pending.values() if batch for t in batch]))
+        drawn = [batch for _, batch in pending.values() if batch is not None]
+        outs = iter(outcomes(scenario, TraceBatch.concat(drawn)) if drawn else ())
         for key, (formula, batch) in pending.items():
-            scored = None if batch is None else [next(outs) for _ in batch]
+            scored = None if batch is None else [next(outs) for _ in range(len(batch))]
             cache[key] = evaluate_cost(formula, scenario, scored)
         pending.clear()
-        n_pending = 0
 
     def lookup(formula: Formula) -> str:
-        nonlocal n_pending
         key = canonical_text(formula)
         if key not in cache and key not in pending:
             batch = draw_batch(scenario, scenario.model, formula, rng, config.samples_per_eval)
             pending[key] = (formula, batch)
-            n_pending += config.samples_per_eval
-            if n_pending >= CHUNK:
+            if len(pending) * config.samples_per_eval >= CHUNK:  # infeasible draws count too
                 settle()
         return key
 

@@ -28,10 +28,13 @@ blocks in update order (see ``truncated_mvn_sample``); the free steps of
 a GP channel with box steps then draw one ``(size, |F|)`` standard normal
 block after the chain, the draws of one ``|F|`` block per trace.
 
-Batches: the free-step conditioning and the likelihoods solve and
-multiply all traces in one stacked call on ``(size, k, 1)`` right-hand
-sides, which numpy runs as one LAPACK or BLAS call per row, so each trace
-gets the bits a call of its own would give.
+Batches: ``sample_traces`` returns a ``stl.TraceBatch``, one block per
+channel, and ``log_likelihoods`` scores one; ``sample_trace`` and
+indexing a batch build ``SignalTrace`` objects.  The free-step
+conditioning and the likelihoods solve and multiply all traces in one
+stacked call on ``(size, k, 1)`` right-hand sides, which numpy runs as
+one LAPACK or BLAS call per row, so each trace gets the bits a call of
+its own would give.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .constraints import ConstraintSet, InfeasibleError
-from .stl import CategoricalChannel, ChannelSpec, SignalTrace
+from .stl import CategoricalChannel, ChannelSpec, SignalTrace, TraceBatch
 
 __all__ = [
     "Categorical",
@@ -160,6 +163,12 @@ def _kernel_and_chol(variance, lengthscale, m, dt):
     """Cached (K, cholesky(K + jitter)) for a step grid.  Do not mutate."""
     K = se_kernel(np.arange(m) * dt, variance, lengthscale)
     return K, np.linalg.cholesky(K + GP_JITTER * variance * np.eye(m))
+
+
+@functools.cache
+def _log_det_chol(variance, lengthscale, m, dt):
+    """Cached log determinant of ``_kernel_and_chol``'s factor."""
+    return np.sum(np.log(np.diag(_kernel_and_chol(variance, lengthscale, m, dt)[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +304,7 @@ def _bounds_for(cs: ConstraintSet | None, name: str, m: int):
 
 
 def _sample_categorical(ch, model: Categorical, m, cs, rng, size) -> np.ndarray:
-    """(size, m) symbols, each step drawn by inverse CDF from one uniform.
+    """(size, m) symbol indices, each step drawn by inverse CDF from one uniform.
 
     Unconstrained steps use the model's probabilities; constrained steps
     renormalize them over the allowed mask, or fall back to uniform over
@@ -304,7 +313,6 @@ def _sample_categorical(ch, model: Categorical, m, cs, rng, size) -> np.ndarray:
     arithmetic is that of ``Generator.choice(k, p=p)`` step by step, so the
     draws equal a per-step ``rng.choice`` loop.
     """
-    symbols = np.array(ch.symbols, dtype=object)
     base = np.array([model.prob(s) for s in ch.symbols])
     p = np.tile(base / base.sum(), (m, 1))
     if cs is not None:
@@ -319,8 +327,7 @@ def _sample_categorical(ch, model: Categorical, m, cs, rng, size) -> np.ndarray:
     cdf = p.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     u = rng.random((size, m))
-    idx = (cdf <= u[:, :, None]).sum(axis=2)
-    return symbols[idx]
+    return (cdf <= u[:, :, None]).sum(axis=2)
 
 
 def _sample_normals(names, model: DisturbanceModel, m, cs, rng, size) -> np.ndarray:
@@ -398,8 +405,8 @@ def sample_traces(
     *,
     rng: np.random.Generator,
     size: int = 1,
-) -> list[SignalTrace]:
-    """Draw ``size`` traces, every one satisfying ``constraints`` if given."""
+) -> TraceBatch:
+    """Draw a batch of ``size`` traces, every one satisfying ``constraints`` if given."""
     blocks = {}  # channel name -> (size, m) values
     for i, ch in enumerate(model.channels):
         cm = model.models[ch.name]
@@ -411,10 +418,7 @@ def sample_traces(
             run = [c.name for c in itertools.takewhile(
                 lambda c: isinstance(model.models[c.name], IndependentNormal), model.channels[i:])]
             blocks.update(zip(run, _sample_normals(run, model, m, constraints, rng, size)))
-    return [
-        SignalTrace(dt=dt, channels=model.channels, values={n: b[i] for n, b in blocks.items()})
-        for i in range(size)
-    ]
+    return TraceBatch(dt=dt, channels=model.channels, blocks=blocks)
 
 
 def sample_trace(
@@ -432,54 +436,40 @@ def sample_trace(
 # Likelihood
 
 
-def log_likelihoods(model: DisturbanceModel, traces: list[SignalTrace]) -> np.ndarray:
+def log_likelihoods(model: DisturbanceModel, batch: TraceBatch | list[SignalTrace]) -> np.ndarray:
     """Log density of each trace under the unconstrained model, as an array.
 
     Channels are independent, so contributions add, in channel order.  A
     categorical symbol of zero model probability gives -inf rather than an
-    error.  Every trace must carry the model's channels, and all must share
-    one step count and ``dt``.  Each GP channel is one stacked solve and one
-    ``np.vecdot``, each normal channel one row sum, and each categorical
-    channel a running sum step by step, so every row takes the float
-    operations of scoring its trace alone.
+    error.  The batch must be on the model's channels; a list of traces is
+    made into one with ``TraceBatch.from_traces``.  Each GP channel is one
+    stacked solve and one ``np.vecdot``, each normal channel one row sum,
+    and each categorical channel one row-wise ``np.cumsum`` started from
+    the total so far, so every row takes the float operations of scoring
+    its trace alone.
     """
-    if not traces:
+    if len(batch) == 0:
         return np.empty(0)
-    m, dt = traces[0].m, traces[0].dt
-    for i, trace in enumerate(traces):
-        for ch in model.channels:
-            if ch.name not in trace.values:
-                raise ValueError(f"trace {i} has no channel {ch.name!r} of the model")
-        if (trace.m, trace.dt) != (m, dt):
-            raise ValueError(
-                f"traces differ in step count or dt: trace 0 has {m} steps of {dt} s, "
-                f"trace {i} {trace.m} steps of {trace.dt} s"
-            )
-    total = np.zeros(len(traces))
-    impossible = np.zeros(len(traces), dtype=bool)  # a zero-probability symbol
+    if not isinstance(batch, TraceBatch):
+        batch = TraceBatch.from_traces(model.channels, batch)
+    if batch.channels != model.channels:
+        raise ValueError("batch channels do not match the model")
+    total = np.zeros(len(batch))
+    impossible = np.zeros(len(batch), dtype=bool)  # -inf even where another channel is nan
     for ch in model.channels:
-        cm = model.models[ch.name]
+        cm, v = model.models[ch.name], batch.blocks[ch.name]
         if isinstance(cm, Categorical):
-            # a running sum step by step in Python floats, as for one trace
-            log_p = {s: math.log(p) for s, p in cm.probs if p > 0.0}
-            sums = []
-            for i, (trace, acc) in enumerate(zip(traces, total.tolist())):
-                for s in trace.values[ch.name].tolist():
-                    if s not in log_p:
-                        impossible[i] = True
-                        break
-                    acc += log_p[s]
-                sums.append(acc)
-            total = np.array(sums)
-            continue
-        v = np.array([t.values[ch.name] for t in traces])  # (traces, m)
-        if isinstance(cm, IndependentNormal):
+            log_p = np.array([math.log(p) if p > 0.0 else -math.inf for p in map(cm.prob, ch.symbols)])
+            steps = log_p[v]
+            impossible |= np.isneginf(steps).any(axis=1)
+            total = np.cumsum(np.column_stack([total, steps]), axis=1)[:, -1]
+        elif isinstance(cm, IndependentNormal):
             z = (v - cm.mean) / cm.std
-            total += -0.5 * np.sum(z * z, axis=1) - m * (0.5 * _LOG_2PI + math.log(cm.std))
+            total += -0.5 * np.sum(z * z, axis=1) - batch.m * (0.5 * _LOG_2PI + math.log(cm.std))
         else:
-            _, L = _kernel_and_chol(cm.variance, cm.lengthscale, m, dt)
-            w = np.linalg.solve(L, v[:, :, None])[:, :, 0]
-            total += -0.5 * np.vecdot(w, w) - np.sum(np.log(np.diag(L))) - 0.5 * m * _LOG_2PI
+            grid = (cm.variance, cm.lengthscale, batch.m, batch.dt)
+            w = np.linalg.solve(_kernel_and_chol(*grid)[1], v[:, :, None])[:, :, 0]
+            total += -0.5 * np.vecdot(w, w) - _log_det_chol(*grid) - 0.5 * batch.m * _LOG_2PI
     total[impossible] = -np.inf
     return total
 

@@ -30,21 +30,19 @@ rollout is a pure function of (config, disturbance trace).
 
 Each scenario config rolls a trace in one plain loop,
 ``config.roll(values, records)``, that keeps the whole state in local
-variables and stops at the first collision.  ``run`` passes a list and gets
-one record per step back; ``fail_step`` passes none and gets only the step
-of the first collision, which is all that a rollout that does not collide
-needs.  Per-rollout constants, such as the box extents of every fixed
-heading, are computed once before the loop.
+variables and stops at the first collision; ``run`` passes a list for one
+record per step.  Per-rollout constants, such as the box extents of every
+fixed heading, are computed once before the loop.
 
-``fail_steps`` gives the fail steps of many traces.  From
-``LOCKSTEP_LANES`` traces on it calls ``config.roll_lanes``, the only
-other copy of the dynamics: one numpy step per time step, applied to
-every trace (lane) at once, with branches turned into masks.  It does
-``roll``'s float operations in ``roll``'s order, with ``np.float_power``
-for ``**``, so each lane's fail step is ``roll``'s, bit for bit.  Below
-that count it calls ``roll`` per trace, since the lockstep's fixed cost
-of a few milliseconds per call outweighs the scalar loop's 60-100 us per
-trace.
+``fail_steps`` gives the fail steps of a ``TraceBatch``, without records.
+From ``LOCKSTEP_LANES`` traces on it hands the batch's blocks to
+``config.roll_lanes``, the only other copy of the dynamics: one numpy
+step per time step for every trace (lane) at once, branches turned into
+masks, and ``roll``'s float operations in ``roll``'s order
+(``np.float_power`` for ``**``), so each lane's fail step is ``roll``'s
+bit for bit.  Below that count it passes each trace's row to ``roll``:
+the lockstep's fixed cost of a few milliseconds per call outweighs the
+scalar loop's 60-100 us per trace.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from .samplers import (
     GaussianProcess,
     IndependentNormal,
 )
-from .stl import CategoricalChannel, ChannelSpec, ContinuousChannel, SignalTrace, write_csv
+from .stl import CategoricalChannel, ChannelSpec, ContinuousChannel, SignalTrace, TraceBatch, write_csv
 
 __all__ = [
     "idm_accel",
@@ -70,7 +68,6 @@ __all__ = [
     "SimResult",
     "Scenario",
     "run",
-    "fail_step",
     "fail_steps",
     "scenario",
     "scenario_names",
@@ -325,24 +322,17 @@ class LeftTurnConfig:
                 return k + 1
         return None
 
-    def roll_lanes(self, lanes) -> list[int | None]:
-        """``roll`` for many traces at once, one numpy step per time step.
-
-        Each lane is a ``values`` mapping holding ``horizon`` steps at
-        least; returns each lane's fail step, bit for bit as ``roll`` gives
-        it, and raises ``roll``'s error for the first lane that ``roll``
-        would raise on.  A lane that has collided is stepped on but keeps
-        its fail step; the loop stops once every lane has collided.
+    def roll_lanes(self, blocks) -> list[int | None]:
+        """``roll``'s fail step for each trace (lane) of a ``TraceBatch``'s
+        ``blocks``, of ``horizon`` steps at least, bit for bit.  A lane that
+        has collided is stepped on but keeps its fail step; the loop stops
+        once every lane has collided.
         """
-        h, n = self.horizon, len(lanes)
-        rows = [lane["disturbance"][:h].tolist() for lane in lanes]
-        # symbol codes, (h, n); an unknown symbol gets the extra last code,
-        # whose offset is a placeholder: its lane raises after the loop
-        codes = np.array([[_LT_CODES.get(s, len(LT_SYMBOLS)) for s in row] for row in rows],
-                         dtype=np.int64).reshape(n, h).T
-        offsets = _LT_OFFSET_TABLE[codes]
-        signals = np.cumsum(codes == _LT_S, axis=0) % 2 == 1
-        intents = np.cumsum(codes == _LT_L, axis=0) % 2 == 1
+        codes = blocks["disturbance"][:, : self.horizon].T  # (step, lane)
+        h, n = codes.shape
+        offsets = np.array([LT_OFFSETS[s] for s in LT_SYMBOLS])[codes]
+        signals = np.cumsum(codes == LT_SYMBOLS.index("S"), axis=0) % 2 == 1
+        intents = np.cumsum(codes == LT_SYMBOLS.index("L"), axis=0) % 2 == 1
 
         d0 = self.s_ego + self.turn_entry_y
         u_clear = d0 + self.u_clear_extra
@@ -420,21 +410,7 @@ class LeftTurnConfig:
             fail[hit & (fail == 0)] = k + 1
             if fail.all():
                 break
-
-        unknown = codes == len(LT_SYMBOLS)
-        if unknown.any():
-            # roll raises at a lane's first unknown symbol unless it collided before it
-            first = np.where(unknown.any(axis=0), unknown.argmax(axis=0), h)
-            raises = first < np.where(fail > 0, fail, h)
-            if raises.any():
-                i = int(raises.argmax())
-                raise ValueError(f"unknown disturbance symbol {rows[i][first[i]]!r}")
         return [int(s) if s else None for s in fail.tolist()]
-
-
-_LT_CODES = {s: i for i, s in enumerate(LT_SYMBOLS)}
-_LT_S, _LT_L = _LT_CODES["S"], _LT_CODES["L"]
-_LT_OFFSET_TABLE = np.array([LT_OFFSETS[s] for s in LT_SYMBOLS] + [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -551,24 +527,12 @@ class CrosswalkConfig:
                 return k + 1
         return None
 
-    def roll_lanes(self, lanes) -> list[int | None]:
-        """``roll`` for many traces at once, one numpy step per time step.
-
-        Each lane is a ``values`` mapping holding ``horizon`` steps at
-        least; returns each lane's fail step, bit for bit as ``roll`` gives
-        it.  A lane that has collided is stepped on but keeps its fail
-        step; the loop stops once every lane has collided.
-        """
-        h, n = self.horizon, len(lanes)
-
-        def steps(name: str) -> np.ndarray:  # (step, lane)
-            rows = [lane[name] for lane in lanes]
-            if any(len(row) != h for row in rows):
-                rows = [row[:h] for row in rows]
-            return np.array(rows, dtype=float).reshape(n, h).T.copy()
-
-        # the perceived x and vx only feed records
-        a_xs, a_ys, n_ys, n_vys = (steps(name) for name in ("a_x", "a_y", "n_y", "n_vy"))
+    def roll_lanes(self, blocks) -> list[int | None]:
+        """``roll`` for many traces at once, as ``LeftTurnConfig.roll_lanes``."""
+        h, n = self.horizon, len(blocks["a_x"])
+        # (step, lane); the perceived x and vx only feed records
+        a_xs, a_ys, n_ys, n_vys = (
+            np.ascontiguousarray(blocks[name][:, :h].T) for name in ("a_x", "a_y", "n_y", "n_vy"))
         dt, x_stop, b_brake, v_cruise = self.dt, self.x_stop, self.b_brake, self.v_cruise
         a_lo, a_hi = -self.b_hard, IDM_A_MAX
         ex_ego, ey_ego = _box_extents(0.0, CAR_LENGTH, CAR_WIDTH)
@@ -667,11 +631,8 @@ class Scenario:
     def run(self, trace: SignalTrace) -> SimResult:
         return run(self, trace)
 
-    def fail_step(self, trace: SignalTrace) -> int | None:
-        return fail_step(self, trace)
-
-    def fail_steps(self, traces) -> list[int | None]:
-        return fail_steps(self, traces)
+    def fail_steps(self, batch: TraceBatch) -> list[int | None]:
+        return fail_steps(self, batch)
 
     def nominal_trace(self) -> SignalTrace:
         """The zero-disturbance trace."""
@@ -692,34 +653,27 @@ class Scenario:
 LOCKSTEP_LANES = 64
 
 
-def _checked_values(scenario: Scenario, trace: SignalTrace) -> dict:
-    names = {ch.name for ch in scenario.channels}
-    if {ch.name for ch in trace.channels} != names:
+def _check(scenario: Scenario, traces: SignalTrace | TraceBatch) -> None:
+    if traces.channels != scenario.channels:
         raise ValueError("trace channels do not match the scenario")
-    if trace.m < scenario.horizon:
-        raise ValueError(f"trace has {trace.m} steps, need {scenario.horizon}")
-    return trace.values
+    if traces.m < scenario.horizon:
+        raise ValueError(f"trace has {traces.m} steps, need {scenario.horizon}")
 
 
 def run(scenario: Scenario, trace: SignalTrace) -> SimResult:
     """Roll the scenario to the horizon or the first collision, with records."""
+    _check(scenario, trace)
     records: list[dict] = []
-    step = scenario.config.roll(_checked_values(scenario, trace), records)
+    step = scenario.config.roll(trace.values, records)
     return SimResult(fail_step=step, records=tuple(records), trace=trace)
 
 
-def fail_step(scenario: Scenario, trace: SignalTrace) -> int | None:
-    """The 1-based step of the rollout's first collision, or None; no records."""
-    return scenario.config.roll(_checked_values(scenario, trace))
-
-
-def fail_steps(scenario: Scenario, traces) -> list[int | None]:
-    """``fail_step`` of each trace: in one lockstep (``config.roll_lanes``)
-    from ``LOCKSTEP_LANES`` traces on, through ``config.roll`` below."""
-    lanes = [_checked_values(scenario, trace) for trace in traces]
-    if len(lanes) < LOCKSTEP_LANES:
-        return [scenario.config.roll(values) for values in lanes]
-    return scenario.config.roll_lanes(lanes)
+def fail_steps(scenario: Scenario, batch: TraceBatch) -> list[int | None]:
+    """The 1-based step of each trace's first collision, or None; no records."""
+    _check(scenario, batch)
+    if len(batch) < LOCKSTEP_LANES:
+        return [scenario.config.roll(batch.row(i)) for i in range(len(batch))]
+    return scenario.config.roll_lanes(batch.blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ __all__ = [
     "FormulaTypeError",
     "ParseError",
     "SignalTrace",
+    "TraceBatch",
     "write_csv",
     "level",
     "root_level",
@@ -417,6 +418,70 @@ class SignalTrace:
             else:
                 values[ch.name] = np.array([number(cells[j], lineno) for lineno, cells in rows])
         return cls(dt=dt, channels=channels, values=values)
+
+
+@dataclass(frozen=True, eq=False)
+class TraceBatch:
+    """n traces of m steps on the same channels, one (n, m) block per channel.
+
+    A continuous channel's block holds floats, a categorical channel's the
+    index of each step's symbol in ``channel.symbols``.  ``batch[i]``, and
+    so iterating, builds a ``SignalTrace``.
+    """
+
+    dt: float
+    channels: tuple[ChannelSpec, ...]
+    blocks: dict[str, np.ndarray] = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.blocks[self.channels[0].name])
+
+    @property
+    def m(self) -> int:
+        return self.blocks[self.channels[0].name].shape[1]
+
+    def row(self, i: int) -> dict[str, np.ndarray]:
+        """Trace i's values, with symbols on categorical channels."""
+        return {ch.name: np.array(ch.symbols, dtype=object)[self.blocks[ch.name][i]]
+                if isinstance(ch, CategoricalChannel) else self.blocks[ch.name][i] for ch in self.channels}
+
+    def __getitem__(self, i: int) -> SignalTrace:
+        return SignalTrace(dt=self.dt, channels=self.channels, values=self.row(i))
+
+    def take(self, rows) -> "TraceBatch":
+        """The traces at ``rows``, in that order."""
+        return TraceBatch(self.dt, self.channels, {n: b[rows] for n, b in self.blocks.items()})
+
+    @staticmethod
+    def concat(batches) -> "TraceBatch":
+        """The traces of ``batches``, which share dt and channels, in order."""
+        return TraceBatch(batches[0].dt, batches[0].channels,
+                          {n: np.concatenate([b.blocks[n] for b in batches]) for n in batches[0].blocks})
+
+    @classmethod
+    def from_traces(cls, channels, traces) -> "TraceBatch":
+        """The batch of one or more ``traces`` on ``channels`` (a model's).
+
+        Every trace must carry each of the channels, declared as they are
+        (so a symbol it holds is one of theirs), and all must share one
+        step count and ``dt``.
+        """
+        channels, m, dt = tuple(channels), traces[0].m, traces[0].dt
+        for i, trace in enumerate(traces):
+            missing = [ch.name for ch in channels if ch not in trace.channels]
+            if missing:
+                raise ValueError(f"trace {i} has no channel {missing[0]!r} of the model")
+            if (trace.m, trace.dt) != (m, dt):
+                raise ValueError(f"traces differ in step count or dt: trace 0 has {m} steps of {dt} s, "
+                                 f"trace {i} {trace.m} steps of {trace.dt} s")
+
+        def block(ch):
+            rows = [trace.values[ch.name].tolist() for trace in traces]
+            if isinstance(ch, CategoricalChannel):
+                return np.array([[ch.symbols.index(s) for s in row] for row in rows], dtype=np.intp)
+            return np.array(rows, dtype=float)
+
+        return cls(dt=dt, channels=channels, blocks={ch.name: block(ch) for ch in channels})
 
 
 # ---------------------------------------------------------------------------

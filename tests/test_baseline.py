@@ -19,7 +19,7 @@ from stlfalsify.constraints import InfeasibleError, constraints_for
 from stlfalsify.optimize import GpConfig, evaluate_cost, run
 from stlfalsify.samplers import log_likelihood, sample_traces
 from stlfalsify.sim import Scenario, scenario
-from stlfalsify.stl import parse
+from stlfalsify.stl import SignalTrace, TraceBatch, parse
 
 
 def rng(seed=0):
@@ -228,17 +228,17 @@ def test_rollouts_roll_each_distinct_symbol_sequence_once(monkeypatch, name, tex
     sc = scenario(name)
     formula = parse(text, sc.channels)
     ref_fails, ref_lls, ref_inf = _rollouts_through_run(sc, sc.model, formula, rng(24), 4, 25)
-    drawn, rolled = [], []  # traces drawn, lanes rolled
+    drawn, rolled = [], []  # batches drawn, batches rolled
     real_sample, real_fail_steps = baseline.sample_traces, sim.fail_steps
 
     def recording(*args, **kwargs):
-        traces = real_sample(*args, **kwargs)
-        drawn.extend(traces)
-        return traces
+        batch = real_sample(*args, **kwargs)
+        drawn.append(batch)
+        return batch
 
-    def counting(scenario, traces):
-        rolled.extend(traces)
-        return real_fail_steps(scenario, traces)
+    def counting(scenario, batch):
+        rolled.append(batch)
+        return real_fail_steps(scenario, batch)
 
     monkeypatch.setattr(baseline, "sample_traces", recording)
     monkeypatch.setattr(sim, "fail_steps", counting)
@@ -248,13 +248,14 @@ def test_rollouts_roll_each_distinct_symbol_sequence_once(monkeypatch, name, tex
     for trace, ref in zip(traces, ref_fails):
         for ch in sc.channels:
             assert np.array_equal(trace.values[ch.name], ref.trace.values[ch.name])
+    drawn, (rolled,) = TraceBatch.concat(drawn), rolled  # one chunk
     assert len(drawn) == 100
     if sc.model.discrete:
         distinct = {tuple(tr.values["disturbance"]) for tr in drawn}
         assert len(rolled) == len(distinct) < len(drawn)
     else:
-        assert len(rolled) == len(drawn)
-        assert all(a is b for a, b in zip(rolled, drawn))
+        for ch in sc.channels:
+            assert np.array_equal(rolled.blocks[ch.name], drawn.blocks[ch.name])
 
 
 def _count_record_passes(monkeypatch) -> list:
@@ -287,6 +288,11 @@ def test_search_scoring_builds_no_records(monkeypatch):
     ind = score(parse("G_[0,1](disturbance = a_maj)", sc.channels), sc, N=10, rng=rng(23))
     assert ind.fail_count > 0
     assert calls == []
-    best, _ = run(scenario("pc1"), GpConfig(population=20, generations=2, seed=23))
-    assert best.fail_count > 0
-    assert calls == []
+    # nor any SignalTrace: a search keeps its traces as blocks
+    built = []
+    real_init = SignalTrace.__post_init__
+    monkeypatch.setattr(SignalTrace, "__post_init__", lambda self: built.append(self) or real_init(self))
+    for name, seed in (("lt1", 27), ("pc1", 23)):  # searches whose best formula fails
+        best, _ = run(scenario(name), GpConfig(population=20, generations=2, seed=seed))
+        assert best.fail_count > 0, name
+    assert calls == [] and built == []

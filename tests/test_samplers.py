@@ -23,7 +23,7 @@ from stlfalsify.samplers import (
     truncated_mvn_sample,
     truncated_normal,
 )
-from stlfalsify.stl import CategoricalChannel, ContinuousChannel, parse
+from stlfalsify.stl import CategoricalChannel, ContinuousChannel, SignalTrace, TraceBatch, parse
 
 DIST = CategoricalChannel(
     name="disturbance",
@@ -264,7 +264,8 @@ def test_sample_traces_of_size_zero_draw_nothing(name, text):
     cs = None if text is None else constraints_for(parse(text, sc.channels), sc.channels, sc.horizon, rng(21))
     r = rng(22)
     state = r.bit_generator.state
-    assert sample_traces(sc.model, sc.horizon, sc.dt, cs, rng=r, size=0) == []
+    batch = sample_traces(sc.model, sc.horizon, sc.dt, cs, rng=r, size=0)
+    assert (len(batch), batch.m, list(batch)) == (0, sc.horizon, [])
     assert r.bit_generator.state == state
 
 
@@ -407,6 +408,24 @@ def test_sample_traces_batch_size_and_determinism():
         assert x.values["disturbance"].tolist() == y.values["disturbance"].tolist()
 
 
+@pytest.mark.parametrize("name, text", [("lt1", "F_[0,5](disturbance = a_maj)"), ("pc1", "G_[9,23](a_x <= -0.4)")])
+def test_trace_batch_round_trips_through_signal_traces(name, text):
+    from stlfalsify.sim import scenario
+
+    sc = scenario(name)
+    r = rng(24)
+    cs = constraints_for(parse(text, sc.channels), sc.channels, sc.horizon, r)
+    batch = sample_traces(sc.model, sc.horizon, sc.dt, cs, rng=r, size=15)
+    again = TraceBatch.from_traces(sc.channels, list(batch))
+    joined = TraceBatch.concat([batch.take([3, 0]), batch.take(range(15))])
+    assert (len(again), again.m, again.dt, again.channels) == (15, sc.horizon, sc.dt, sc.channels)
+    for ch in sc.channels:
+        assert again.blocks[ch.name].dtype == batch.blocks[ch.name].dtype
+        assert np.array_equal(again.blocks[ch.name], batch.blocks[ch.name])
+        assert np.array_equal(joined.blocks[ch.name][2:], batch.blocks[ch.name])
+        assert np.array_equal(joined[1].values[ch.name], batch[0].values[ch.name])
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         Categorical({"a": 0.5, "b": 0.4})
@@ -477,7 +496,7 @@ def test_categorical_sampler_matches_choice_loop(size, probs, text):
     for seed in range(5):
         cs = None if text is None else constraints_for(parse(text, (DIST,)), (DIST,), m, rng(seed))
         new_rng, ref_rng = rng(100 + seed), rng(100 + seed)
-        got = _sample_categorical(DIST, model, m, cs, new_rng, size)
+        got = np.array(DIST.symbols, dtype=object)[_sample_categorical(DIST, model, m, cs, new_rng, size)]
         want = _categorical_reference(DIST, model, m, cs, ref_rng, size)
         assert got.shape == (size, m)
         assert (got == want).all()
@@ -508,7 +527,7 @@ def test_categorical_sampler_never_draws_zero_mass_symbols():
 
     model = Categorical({**LT_PROBS, "none": 0.0, "d_med": 0.986})
     got = _sample_categorical(DIST, model, 4, None, ZeroUniforms(), 3)
-    assert (got == "d_med").all()
+    assert (got == DIST.symbols.index("d_med")).all()
 
 
 def test_gp_box_blocks_never_carry_pinned_coordinates(monkeypatch):
@@ -618,7 +637,8 @@ def sample_traces_frozen(model, m, dt, constraints, r, size):
     for ch in model.channels:
         cm = model.models[ch.name]
         if isinstance(cm, Categorical):
-            columns[ch.name] = list(_sample_categorical(ch, cm, m, constraints, r, size))
+            symbols = np.array(ch.symbols, dtype=object)
+            columns[ch.name] = list(symbols[_sample_categorical(ch, cm, m, constraints, r, size)])
         elif isinstance(cm, IndependentNormal):
             lo, hi = _bounds_for(constraints, ch.name, m)
             vals = truncated_normal(
@@ -847,3 +867,16 @@ def test_log_likelihoods_name_what_they_cannot_score():
     slower = sample_trace(model, 5, 0.25, rng=rng(44))
     with pytest.raises(ValueError, match="trace 2 5 steps of 0.25 s"):
         log_likelihoods(model, [short, short, slower])
+    # log_likelihoods makes its batch with TraceBatch.from_traces, which
+    # also rejects a symbol that the model's channel does not declare: it
+    # sits on a channel declared otherwise
+    with pytest.raises(ValueError, match="trace 1 has no channel 'disturbance' of the model"):
+        TraceBatch.from_traces(lt.channels, [lt.nominal_trace(), pc.nominal_trace()])
+    with pytest.raises(ValueError, match="trace 0 has 5 steps of 0.2 s, trace 1 6 steps of 0.2 s"):
+        TraceBatch.from_traces(model.channels, [short, longer])
+    wider = (CategoricalChannel("disturbance", symbols=(*DIST.symbols, "X")),)
+    odd = SignalTrace(dt=lt.dt, channels=wider, values={"disturbance": np.array(["none"] * 23 + ["X"], dtype=object)})
+    with pytest.raises(ValueError, match="trace 1 has no channel 'disturbance' of the model"):
+        log_likelihoods(lt.model, [lt.nominal_trace(), odd])
+    with pytest.raises(ValueError, match="batch channels do not match the model"):
+        log_likelihoods(lt.model, TraceBatch.from_traces(wider, [odd]))

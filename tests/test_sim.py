@@ -1,6 +1,8 @@
+import ast
 import importlib
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,14 +23,13 @@ from stlfalsify.sim import (
     LeftTurnConfig,
     Scenario,
     boxes_overlap,
-    fail_step,
     fail_steps,
     idm_accel,
     run,
     scenario,
     scenario_names,
 )
-from stlfalsify.stl import SignalTrace, parse
+from stlfalsify.stl import CategoricalChannel, SignalTrace, TraceBatch, parse
 
 
 def lt_trace(sc: Scenario, symbols):
@@ -241,13 +242,11 @@ def test_run_rejects_short_trace():
 
 def test_fail_step_rejects_what_run_rejects():
     sc = scenario("lt1")
-    with pytest.raises(ValueError):
-        fail_step(sc, scenario("pc1").nominal_trace())
     short = SignalTrace(
         dt=sc.dt, channels=sc.channels, values={"disturbance": np.array(["none"] * 3, dtype=object)}
     )
-    with pytest.raises(ValueError):
-        fail_step(sc, short)
+    for bad in (scenario("pc1").nominal_trace(), short):
+        assert _raised(fail_steps, sc, TraceBatch.from_traces(bad.channels, [bad])) == _raised(run, sc, bad)
 
 
 # Formulas whose constraint draws push rollouts toward each scenario's failure
@@ -284,9 +283,12 @@ def test_fail_step_agrees_with_run(name):
     for model in (sc.model, sc.proposal):
         for constrained in (False, True):
             cs = constraints_for(formula, sc.channels, sc.horizon, rng) if constrained else None
-            for trace in sample_traces(model, sc.horizon, sc.dt, cs, rng=rng, size=100):
+            batch = sample_traces(model, sc.horizon, sc.dt, cs, rng=rng, size=100)
+            lockstep = fail_steps(sc, batch)
+            assert fail_steps(sc, batch.take(range(LOCKSTEP_LANES - 1))) == lockstep[: LOCKSTEP_LANES - 1]
+            for trace, step in zip(batch, lockstep):
                 res = run(sc, trace)
-                assert fail_step(sc, trace) == res.fail_step
+                assert step == res.fail_step
                 assert res.failure == (res.fail_step is not None)
                 assert [r["collision"] for r in res.records] == [overlap(r) for r in res.records]
                 steps.append(res.fail_step)
@@ -294,21 +296,23 @@ def test_fail_step_agrees_with_run(name):
     assert any(s is None for s in steps) and any(s is not None for s in steps)
 
 
-def _lockstep_traces(sc: Scenario, n: int, rng) -> list:
-    """n traces: a quarter each unconstrained from the model and the proposal,
-    the rest from either under the constraint draws of random formulas."""
+def _lockstep_traces(sc: Scenario, n: int, rng) -> TraceBatch:
+    """A batch of n traces: a quarter each unconstrained from the model and
+    the proposal, the rest from either under the constraint draws of random
+    formulas."""
     m, dt = sc.horizon, sc.dt
-    traces = sample_traces(sc.model, m, dt, None, rng=rng, size=n // 4)
-    traces += sample_traces(sc.proposal, m, dt, None, rng=rng, size=n // 4)
-    while len(traces) < n:
+    batches = [sample_traces(model, m, dt, None, rng=rng, size=n // 4) for model in (sc.model, sc.proposal)]
+    drawn = 2 * (n // 4)
+    while drawn < n:
         formula = sample_expression(sc.grammar, rng)
         try:
             cs = constraints_for(formula, sc.channels, m, rng)
         except InfeasibleError:
             continue
-        model = (sc.model, sc.proposal)[len(traces) % 2]
-        traces += sample_traces(model, m, dt, cs, rng=rng, size=min(25, n - len(traces)))
-    return traces
+        model = (sc.model, sc.proposal)[drawn % 2]
+        batches.append(sample_traces(model, m, dt, cs, rng=rng, size=min(25, n - drawn)))
+        drawn += len(batches[-1])
+    return TraceBatch.concat(batches)
 
 
 @pytest.mark.parametrize("names,per_scenario", [(("lt1", "lt2", "lt3"), 7000), (("pc1", "pc2"), 10500)])
@@ -316,10 +320,10 @@ def test_lockstep_fail_steps_match_roll(names, per_scenario):
     # over 20 000 traces per scenario kind; None means no collision
     for name in names:
         sc = scenario(name)
-        traces = _lockstep_traces(sc, per_scenario, np.random.default_rng(41))
-        want = [sc.config.roll(t.values) for t in traces]
-        assert sc.config.roll_lanes([t.values for t in traces]) == want
-        assert fail_steps(sc, traces) == want
+        batch = _lockstep_traces(sc, per_scenario, np.random.default_rng(41))
+        want = [sc.config.roll(t.values) for t in batch]
+        assert sc.config.roll_lanes(batch.blocks) == want
+        assert fail_steps(sc, batch) == want
         failing = sum(s is not None for s in want)
         assert 0 < failing < len(want), name
 
@@ -327,16 +331,14 @@ def test_lockstep_fail_steps_match_roll(names, per_scenario):
 @pytest.mark.parametrize("name", ["lt2", "pc1"])
 def test_fail_steps_agree_below_and_above_the_lockstep_lanes(name):
     sc = scenario(name)
-    traces = _lockstep_traces(sc, 3 * LOCKSTEP_LANES, np.random.default_rng(43))
-    for n in (0, 1, LOCKSTEP_LANES - 1, LOCKSTEP_LANES, len(traces)):
-        assert fail_steps(sc, traces[:n]) == [fail_step(sc, t) for t in traces[:n]]
+    batch = _lockstep_traces(sc, 3 * LOCKSTEP_LANES, np.random.default_rng(43))
+    for n in (0, 1, LOCKSTEP_LANES - 1, LOCKSTEP_LANES, len(batch)):
+        part = batch.take(range(n))
+        assert fail_steps(sc, part) == [run(sc, t).fail_step for t in part]
     # traces past the horizon roll their first horizon steps only
-    longer = [
-        SignalTrace(dt=sc.dt, channels=sc.channels,
-                    values={k: np.concatenate([v, v[:3]]) for k, v in t.values.items()})
-        for t in traces[: 2 * LOCKSTEP_LANES]
-    ]
-    assert fail_steps(sc, longer) == fail_steps(sc, traces[: 2 * LOCKSTEP_LANES])
+    part = batch.take(range(2 * LOCKSTEP_LANES))
+    longer = TraceBatch(sc.dt, sc.channels, {k: np.concatenate([v, v[:, :3]], axis=1) for k, v in part.blocks.items()})
+    assert fail_steps(sc, longer) == fail_steps(sc, part)
 
 
 def _raised(fn, *args) -> str:
@@ -345,33 +347,36 @@ def _raised(fn, *args) -> str:
     return str(info.value)
 
 
-def test_lockstep_raises_where_roll_raises():
+def test_roll_raises_on_unknown_symbols():
+    # roll reads a trace's symbols; roll_lanes reads a batch's symbol
+    # indices, which cannot name an unknown symbol
     cfg = scenario("lt1").config
     good = {"disturbance": np.array(["none"] * cfg.horizon, dtype=object)}
     late = {"disturbance": np.array(["none"] * 20 + ["zz", "none", "none", "none"], dtype=object)}
     early = {"disturbance": np.array(["none", "q"] + ["none"] * 22, dtype=object)}
     # the a_maj prefix collides at step 10, before roll reaches the unknown symbol
     crash = {"disturbance": np.array(["a_maj"] * 3 + ["none"] * 17 + ["zz"] * 4, dtype=object)}
-    assert cfg.roll(crash) == 10
-    assert cfg.roll_lanes([good, crash]) == [None, 10]
-    for lanes in ([good, late, early], [crash, early, late], [late] * LOCKSTEP_LANES):
-        want = _raised(lambda: [cfg.roll(v) for v in lanes])
-        assert _raised(cfg.roll_lanes, lanes) == want
-    assert _raised(cfg.roll_lanes, [good, late, early]) == "unknown disturbance symbol 'zz'"
+    assert cfg.roll(good) is None and cfg.roll(crash) == 10
+    assert _raised(cfg.roll, late) == "unknown disturbance symbol 'zz'"
+    assert _raised(cfg.roll, early) == "unknown disturbance symbol 'q'"
 
 
 @pytest.mark.parametrize("n", [1, LOCKSTEP_LANES - 1, LOCKSTEP_LANES, 2 * LOCKSTEP_LANES])
 def test_fail_steps_reject_what_fail_step_rejects(n):
+    # a batch that run would reject trace by trace, below and above the lane count
     sc = scenario("lt1")
     short = SignalTrace(
         dt=sc.dt, channels=sc.channels, values={"disturbance": np.array(["none"] * 3, dtype=object)}
     )
-    for bad in (short, scenario("pc1").nominal_trace()):
-        traces = [sc.nominal_trace()] * (n - 1) + [bad]
-        assert _raised(fail_steps, sc, traces) == _raised(fail_step, sc, bad)
+    # the scenario's channel name with its symbols in another order: the
+    # batch's symbol indices would read as other symbols
+    reordered = (CategoricalChannel("disturbance", symbols=LT_SYMBOLS[::-1]),)
+    for bad in (short, scenario("pc1").nominal_trace(),
+                SignalTrace(dt=sc.dt, channels=reordered, values=sc.nominal_trace().values)):
+        assert _raised(fail_steps, sc, TraceBatch.from_traces(bad.channels, [bad] * n)) == _raised(run, sc, bad)
     other = scenario("pc2")
-    assert _raised(fail_steps, other, [other.nominal_trace()] * (n - 1) + [sc.nominal_trace()]) == (
-        _raised(fail_step, other, sc.nominal_trace())
+    assert _raised(fail_steps, other, TraceBatch.from_traces(sc.channels, [sc.nominal_trace()] * n)) == (
+        _raised(run, other, sc.nominal_trace())
     )
 
 
@@ -501,3 +506,17 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_perfbench_traced_functions_resolve():
+    # perfbench wraps each function its TRACED dict names, by name, and a
+    # name that no longer resolves would crash its traced run.  The dict is
+    # read from the source: importing the runner would pin BLAS threads.
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text())
+    traced = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)]
+    assert len(traced) == 1 and traced[0]
+    for name in traced[0]:
+        module, function = name.split(".")
+        fn = getattr(importlib.import_module(f"stlfalsify.{module}"), function, None)
+        assert hasattr(fn, "__code__"), f"perfbench traces {name}, which is no function of stlfalsify"

@@ -1,19 +1,22 @@
 """The shared rollout loop, the importance-sampling baseline and the
 failure metrics.
 
-Search, re-evaluation and the baseline all roll traces in two steps.
+Search, re-evaluation and the baseline all roll traces in three steps.
 ``draw_batch`` makes one constraint draw (none for the baseline) and
-samples a ``stl.TraceBatch`` under it; every draw comes from the
-generator the caller passes.  ``outcomes`` then rolls a batch, usually
-many drawn ones concatenated, without records, in one
+draws the random numbers of a batch of traces under it
+(``samplers.draw_traces``); every draw comes from the generator the
+caller passes.  ``samplers.build_traces`` then turns many drawn batches
+into one ``stl.TraceBatch`` in one numpy pass per channel, and
+``outcomes`` rolls that batch without records, in one
 ``Scenario.fail_steps`` call (a numpy lockstep from
 ``sim.LOCKSTEP_LANES`` traces on; one lane per distinct symbol sequence
 when the model is discrete), and scores the failing traces in one
-``samplers.log_likelihoods`` call.  Rollouts and likelihoods draw no
-random numbers, so drawing batches first and rolling them afterwards
-gives the same draws and outcomes as rolling each batch as it is drawn.
-``rollouts`` rolls about ``CHUNK`` traces at a time, and builds a
-``SignalTrace`` only for each failing trace it returns.
+``samplers.log_likelihoods`` call.  Building, rollouts and likelihoods
+draw no random numbers, so drawing batches first and building and
+rolling them afterwards gives the same draws and outcomes as sampling
+and rolling each batch as it is drawn.  ``rollouts`` builds and rolls
+about ``CHUNK`` traces at a time, and builds a ``SignalTrace`` only for
+each failing trace it returns.
 
 The baseline samples the scenario's proposal, the others its model.
 Search scores a formula with one batch of N traces (``optimize.run``
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import InfeasibleError, constraints_for
-from .samplers import DisturbanceModel, log_likelihoods, sample_traces
+from .samplers import DisturbanceModel, TraceDraw, build_traces, draw_traces, log_likelihoods
 from .sim import Scenario, SimResult
 from .stl import Formula, SignalTrace, TraceBatch
 
@@ -82,13 +85,14 @@ def draw_batch(
     formula: Formula | None,
     rng: np.random.Generator,
     size: int,
-) -> TraceBatch | None:
+) -> TraceDraw | None:
     """One batch: a constraint draw for ``formula`` (none when it is None)
-    and ``size`` traces from ``model`` under it, or None when the draw
-    stays infeasible through the retry budget."""
+    and the random numbers of ``size`` traces from ``model`` under it
+    (``samplers.draw_traces``), or None when the draw stays infeasible
+    through the retry budget."""
     try:
         cs = None if formula is None else constraints_for(formula, scenario.channels, scenario.horizon, rng)
-        return sample_traces(model, scenario.horizon, scenario.dt, cs, rng=rng, size=size)
+        return draw_traces(model, scenario.horizon, scenario.dt, cs, rng=rng, size=size)
     except InfeasibleError:
         return None
 
@@ -130,8 +134,9 @@ def rollouts(
     Each batch is one ``draw_batch``; a batch whose draw stays infeasible
     rolls nothing and adds ``size`` to the infeasible count.  Returns the
     failing traces, their log-likelihoods under ``scenario.model`` and the
-    infeasible count.  The batches are drawn first, in order, and rolled
-    together afterwards, ``CHUNK`` traces or so at a time (``outcomes``).
+    infeasible count.  The batches are drawn first, in order, and built
+    and rolled together afterwards, ``CHUNK`` traces or so at a time
+    (``samplers.build_traces``, ``outcomes``).
     """
     if batches * size < 1:
         raise ValueError("trials must be at least 1")
@@ -140,10 +145,10 @@ def rollouts(
     for first in range(0, batches, per_chunk):
         drawn = [draw_batch(scenario, model, formula, rng, size)
                  for _ in range(min(per_chunk, batches - first))]
-        n_infeasible += size * sum(batch is None for batch in drawn)
-        drawn = [batch for batch in drawn if batch is not None]
+        n_infeasible += size * sum(draw is None for draw in drawn)
+        drawn = [draw for draw in drawn if draw is not None]
         if drawn:
-            chunk = TraceBatch.concat(drawn)
+            chunk = build_traces(model, scenario.horizon, scenario.dt, drawn)
             scored = outcomes(scenario, chunk)
             fails += [chunk[i] for i, ll in enumerate(scored) if ll is not None]
             lls += [ll for ll in scored if ll is not None]

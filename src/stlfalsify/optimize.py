@@ -1,18 +1,20 @@
 """Genetic programming over formulas, scored by constrained rollouts.
 
 Each candidate formula is scored by one batch of the rollout steps that
-re-evaluation and the baseline also use: a single constraint draw,
-disturbance traces that satisfy it (``baseline.draw_batch``), scenario
-rollouts, and the likelihood of each failing trace under the scenario's
-model (``baseline.outcomes``).  ``run`` splits drawing from rolling: each
-cache miss draws its batch at once, in the order the search makes its
-formulas, and the pending ``stl.TraceBatch`` blocks are concatenated and
-rolled together, in one lockstep, once ``baseline.CHUNK`` traces have
-gathered or the generation ends; a search builds no ``SignalTrace``.
-Then ``evaluate_cost`` scores each pending formula from its outcomes, once
-per cache miss.  Rollouts draw no random numbers and tournaments read only
-the previous generation, so the draws and results are those of scoring
-each formula as it is made.
+re-evaluation and the baseline also use: a single constraint draw, the
+random numbers of disturbance traces that satisfy it
+(``baseline.draw_batch``), scenario rollouts, and the likelihood of each
+failing trace under the scenario's model (``baseline.outcomes``).
+``run`` splits drawing from building and rolling: each cache miss draws
+its batch's numbers at once, in the order the search makes its
+formulas, and ``settle`` builds the pending draws into one
+``stl.TraceBatch`` (``samplers.build_traces``) and rolls it, in one
+lockstep, once ``baseline.CHUNK`` traces have gathered or the
+generation ends; a search builds no ``SignalTrace``.  Then
+``evaluate_cost`` scores each pending formula from its outcomes, once
+per cache miss.  Building and rollouts draw no random numbers and
+tournaments read only the previous generation, so the draws and results
+are those of scoring each formula as it is made.
 
 The cost averages -likelihood * failure over the batch, so low cost means
 the formula pins down likely failures.  With discrete disturbance models
@@ -38,7 +40,8 @@ import numpy as np
 
 from .baseline import CHUNK, draw_batch, outcomes
 from .grammar import crossover, mutate, sample_expression
-from .stl import Formula, TraceBatch, canonical_text
+from .samplers import TraceDraw, build_traces
+from .stl import Formula, canonical_text
 
 __all__ = ["GpConfig", "Individual", "evaluate_cost", "run"]
 
@@ -129,22 +132,24 @@ def run(scenario, config: GpConfig, progress=None) -> tuple[Individual, list[dic
     grammar = scenario.grammar
     rng = np.random.default_rng(config.seed)
     cache: dict[str, Individual] = {}
-    pending: dict[str, tuple[Formula, TraceBatch | None]] = {}  # drawn, not yet rolled
+    pending: dict[str, tuple[Formula, TraceDraw | None]] = {}  # drawn, not yet built
 
     def settle():
-        """Roll every pending trace together, then score each pending formula."""
-        drawn = [batch for _, batch in pending.values() if batch is not None]
-        outs = iter(outcomes(scenario, TraceBatch.concat(drawn)) if drawn else ())
-        for key, (formula, batch) in pending.items():
-            scored = None if batch is None else [next(outs) for _ in range(len(batch))]
+        """Build and roll every pending trace together, then score each pending formula."""
+        drawn = [draw for _, draw in pending.values() if draw is not None]
+        outs = iter(())
+        if drawn:
+            outs = iter(outcomes(scenario, build_traces(scenario.model, scenario.horizon, scenario.dt, drawn)))
+        for key, (formula, draw) in pending.items():
+            scored = None if draw is None else [next(outs) for _ in range(draw.size)]
             cache[key] = evaluate_cost(formula, scenario, scored)
         pending.clear()
 
     def lookup(formula: Formula) -> str:
         key = canonical_text(formula)
         if key not in cache and key not in pending:
-            batch = draw_batch(scenario, scenario.model, formula, rng, config.samples_per_eval)
-            pending[key] = (formula, batch)
+            draw = draw_batch(scenario, scenario.model, formula, rng, config.samples_per_eval)
+            pending[key] = (formula, draw)
             if len(pending) * config.samples_per_eval >= CHUNK:  # infeasible draws count too
                 settle()
         return key

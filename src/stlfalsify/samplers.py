@@ -16,25 +16,41 @@ it does not mix on badly conditioned blocks such as pc1's.  The remaining
 steps are then drawn from the conditional posterior.  The Gibbs chain is
 shared across a batch, which is why ``sample_traces`` takes a ``size``.
 
-Random stream: channels draw in ``model.channels`` order.  A categorical
-channel consumes exactly one uniform per step, for the whole batch at once
-in trace-major order (one ``rng.random((size, m))`` call), and maps it
-through the step's CDF with the arithmetic of ``Generator.choice``; the
-draws are those of a per-step ``rng.choice`` loop over traces and steps.
-A run of consecutive normal channels draws one ``(channels, size, m)``
-block of uniforms, channel-major, which equals one block per channel.
-The Gibbs chain consumes one uniform per coordinate update, drawn in
-blocks in update order (see ``truncated_mvn_sample``); the free steps of
-a GP channel with box steps then draw one ``(size, |F|)`` standard normal
-block after the chain, the draws of one ``|F|`` block per trace.
+Random stream: a batch's random numbers are drawn (``draw_traces``)
+before the batch is built, and how many each channel takes depends only
+on the constraint set's equality, box and free steps, never on a drawn
+value.  Channels draw in ``model.channels`` order.  A categorical
+channel takes one uniform per step, one ``(size, m)`` block in
+trace-major order, and maps it through the step's CDF with the
+arithmetic of ``Generator.choice``; the draws are those of a per-step
+``rng.choice`` loop over traces and steps.  A run of consecutive normal
+channels takes one ``(channels, size, m)`` block of uniforms,
+channel-major: consecutive ``rng.random`` calls draw what one call of
+their total size draws, so this equals one block per channel.  An
+unconstrained GP channel takes one ``(size, m)`` block of standard
+normals.  A GP channel with box steps takes the Gibbs chain's uniforms,
+one per coordinate update, in blocks in update order (see
+``truncated_mvn_sample``), and then its free steps' standard normals,
+one ``(size, |F|)`` block; with equality steps only it takes that block
+alone.  A ``(size, k)`` block of normals is the draws of one ``k``
+block per trace.
 
-Batches: ``sample_traces`` returns a ``stl.TraceBatch``, one block per
-channel, and ``log_likelihoods`` scores one; ``sample_trace`` and
-indexing a batch build ``SignalTrace`` objects.  The free-step
-conditioning and the likelihoods solve and multiply all traces in one
-stacked call on ``(size, k, 1)`` right-hand sides, which numpy runs as
-one LAPACK or BLAS call per row, so each trace gets the bits a call of
-its own would give.
+Batches: ``build_traces`` turns the draws of one or more batches of one
+size into one ``stl.TraceBatch``, one block per channel, and
+``sample_traces`` is ``build_traces`` of one ``draw_traces``;
+``log_likelihoods`` scores a batch, and ``sample_trace`` and indexing a
+batch build ``SignalTrace`` objects.  A build inverts the CDFs of every draw of a categorical channel
+or run of normal channels in one pass over their stacked masks and
+bounds, and multiplies the normals of every unconstrained GP draw by the
+kernel's factor in one ``(draws, size, m)`` product.  A
+GP channel with equality or box steps is sampled per batch as it is
+drawn, chain and conditioning, so that waiting draws hold its values,
+not its chain's uniforms.  The free-step conditioning and the
+likelihoods solve and multiply all traces in one stacked call on
+``(size, k, 1)`` right-hand sides.  numpy runs each stacked call as one
+LAPACK or BLAS call per row or per draw, and the inverse CDFs are
+element-wise, so each trace gets the bits that drawing its batch alone
+would give.
 """
 
 from __future__ import annotations
@@ -58,6 +74,9 @@ __all__ = [
     "se_kernel",
     "truncated_normal",
     "truncated_mvn_sample",
+    "TraceDraw",
+    "draw_traces",
+    "build_traces",
     "sample_trace",
     "sample_traces",
     "log_likelihood",
@@ -147,6 +166,13 @@ class DisturbanceModel:
         """Every channel is categorical, so a trace likelihood is a probability."""
         return all(isinstance(cm, Categorical) for cm in self.models.values())
 
+    @functools.cached_property
+    def _groups(self) -> list[tuple[ChannelSpec, ...]]:
+        """The channels in the order they draw: each categorical and GP
+        channel alone, and each run of consecutive normal channels together."""
+        return [tuple(group) for _, group in itertools.groupby(
+            self.channels, lambda ch: isinstance(self.models[ch.name], IndependentNormal) or ch.name)]
+
 
 # ---------------------------------------------------------------------------
 # Kernels
@@ -178,26 +204,34 @@ def _log_det_chol(variance, lengthscale, m, dt):
 def truncated_normal(mean, std, lo, hi, rng: np.random.Generator, size=None):
     """Draw from N(mean, std²) conditioned on [lo, hi], element-wise.
 
-    Inverse-CDF construction.  Right tails are reflected into left tails so
-    the CDF differences keep precision; if the interval's mass underflows
-    entirely the draw collapses to the nearest bound.
+    Inverse-CDF construction at one ``rng.random`` block of the broadcast
+    shape (see ``_truncated_normal_at``).
     """
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    shape = np.broadcast_shapes(mean.shape, std.shape, lo.shape, hi.shape,
+                                () if size is None else tuple(np.atleast_1d(size)))
+    out = _truncated_normal_at(rng.random(shape), mean, std, lo, hi)
+    return float(out) if out.ndim == 0 else out
+
+
+def _truncated_normal_at(u, mean, std, lo, hi) -> np.ndarray:
+    """N(mean, std²) conditioned on [lo, hi] at the uniforms ``u``, element-wise.
+
+    Right tails are reflected into left tails so the CDF differences keep
+    precision; if the interval's mass underflows entirely the draw
+    collapses to the nearest bound.  Every operation is element-wise, so a
+    draw does not depend on what else is in the block.
+    """
     a = (lo - mean) / std
     b = (hi - mean) / std
-    shape = np.broadcast_shapes(a.shape, b.shape, () if size is None else tuple(np.atleast_1d(size)))
-    if size is not None:
-        a = np.broadcast_to(a, shape).copy()
-        b = np.broadcast_to(b, shape).copy()
     flip = a > 0  # entire interval right of the mean: work with the mirror image
     a_w = np.where(flip, -b, a)
     b_w = np.where(flip, -a, b)
     Fa = ndtr(a_w)
     Fb = ndtr(b_w)
-    u = rng.uniform(size=a_w.shape)
     mass = Fb - Fa
     with np.errstate(invalid="ignore"):
         z = ndtri(Fa + u * mass)
@@ -209,8 +243,7 @@ def truncated_normal(mean, std, lo, hi, rng: np.random.Generator, size=None):
     z = np.where(flip, -z, z)
     # clamp in value space too: un-standardising can slip a ulp outside the
     # interval, which matters when lo == hi encodes an equality pin
-    out = np.clip(mean + std * z, lo, hi)
-    return float(out) if out.ndim == 0 else out
+    return np.clip(mean + std * z, lo, hi)
 
 
 def truncated_mvn_sample(
@@ -294,54 +327,153 @@ def truncated_mvn_sample(
 
 
 # ---------------------------------------------------------------------------
-# Trace sampling
+# Trace sampling: draw the random numbers, then build the traces
+
+
+@dataclass(frozen=True)
+class TraceDraw:
+    """The random numbers of one batch of ``size`` traces under ``constraints``.
+
+    ``numbers`` holds one entry per group of ``model._groups``, what
+    ``build_traces`` turns into the group's blocks: the ``(channels, size,
+    m)`` uniforms of a categorical channel or of a run of normal channels,
+    and for a GP channel ``(conditioned, block)``.  An unconstrained GP
+    channel's block is its ``(size, m)`` standard normals; a channel with
+    equality or box steps is sampled as it is drawn (``_conditioned_gp``),
+    and its block holds its ``(size, m)`` values: a draw waiting for its
+    build would otherwise hold its chain's ``(GIBBS_BURN_IN + (size - 1)
+    * GIBBS_THIN) * |box|`` uniforms, far more numbers than its values.
+    """
+
+    constraints: ConstraintSet | None
+    size: int
+    numbers: list = field(repr=False)
 
 
 def _bounds_for(cs: ConstraintSet | None, name: str, m: int):
+    """A continuous channel's (lower, upper) step bounds.  Do not mutate."""
     if cs is None or name not in cs.lower:
-        return np.full(m, -np.inf), np.full(m, np.inf)
+        return _unbounded(m)
     return cs.lower[name], cs.upper[name]
 
 
-def _sample_categorical(ch, model: Categorical, m, cs, rng, size) -> np.ndarray:
-    """(size, m) symbol indices, each step drawn by inverse CDF from one uniform.
+@functools.cache
+def _unbounded(m: int):
+    return np.full(m, -np.inf), np.full(m, np.inf)
+
+
+def _gp_steps(cs: ConstraintSet | None, name: str, m: int):
+    """``(lo, hi, eq, box, free)`` of a GP channel: its bounds and the
+    indices of its equality, box and free steps, which partition the
+    horizon; None when no step is an equality or box step."""
+    if cs is None:
+        return None
+    lo, hi = _bounds_for(cs, name, m)
+    eq = np.isfinite(lo) & (lo == hi)
+    box = (np.isfinite(lo) | np.isfinite(hi)) & ~eq
+    if not (eq.any() or box.any()):
+        return None
+    return lo, hi, np.flatnonzero(eq), np.flatnonzero(box), np.flatnonzero(~eq & ~box)
+
+
+def draw_traces(
+    model: DisturbanceModel,
+    m: int,
+    dt: float,
+    constraints: ConstraintSet | None = None,
+    *,
+    rng: np.random.Generator,
+    size: int = 1,
+) -> TraceDraw:
+    """The random numbers of a batch of ``size`` traces, in stream order.
+
+    How many numbers each channel takes depends only on ``constraints``'
+    equality, box and free steps, never on a drawn value.
+    """
+    numbers = []
+    for group in model._groups:
+        cm = model.models[group[0].name]
+        if not isinstance(cm, GaussianProcess):
+            numbers.append(rng.random((len(group), size, m)))
+        elif (steps := _gp_steps(constraints, group[0].name, m)) is None:
+            numbers.append((False, rng.standard_normal((size, m))))
+        else:
+            numbers.append((True, _conditioned_gp(cm, m, dt, steps, rng, size)))
+    return TraceDraw(constraints, size, numbers)
+
+
+def build_traces(model: DisturbanceModel, m: int, dt: float, draws: list[TraceDraw]) -> TraceBatch:
+    """The traces of one or more ``draws`` of ``model``, ``m`` and ``dt``,
+    all of one size, in order, as one batch.
+
+    Each group of channels is built for every draw at once: one
+    inverse-CDF pass per categorical channel or run of normal channels,
+    over a ``(draws, size, m)`` block of uniforms against each draw's
+    mask or bounds, and one ``(draws, size, m)`` product with the
+    kernel's factor for the unconstrained GP draws.
+    """
+    size = draws[0].size
+    if any(draw.size != size for draw in draws):
+        raise ValueError("draws differ in size")
+    blocks = {}
+    for group, numbers in zip(model._groups, zip(*(draw.numbers for draw in draws))):
+        cm = model.models[group[0].name]
+        names = [ch.name for ch in group]
+        if isinstance(cm, GaussianProcess):
+            values = _build_gp(cm, m, dt, numbers)[None]
+        elif isinstance(cm, Categorical):
+            values = _build_categorical(group[0], cm, m, draws, np.stack(numbers)[:, 0])[None]
+        else:
+            values = _build_normals(names, model, m, draws, np.stack(numbers, axis=1))
+        blocks.update(zip(names, values.reshape(len(names), len(draws) * size, m)))
+    return TraceBatch(dt=dt, channels=model.channels, blocks=blocks)
+
+
+def _build_normals(names, model: DisturbanceModel, m, draws, u) -> np.ndarray:
+    """(len(names), draws, size, m) values of a run of normal channels at
+    their uniforms ``u``; each draw's bounds broadcast over its traces."""
+    bounds = np.array([[_bounds_for(draw.constraints, name, m) for name in names] for draw in draws])
+    lo, hi = bounds.transpose(2, 1, 0, 3)[:, :, :, None, :]
+    mean = np.array([model.models[name].mean for name in names])[:, None, None, None]
+    std = np.array([model.models[name].std for name in names])[:, None, None, None]
+    return _truncated_normal_at(u, mean, std, lo, hi)
+
+
+def _build_categorical(ch, model: Categorical, m, draws, u) -> np.ndarray:
+    """(draws, size, m) symbol indices, each step by inverse CDF at its uniform in ``u``.
 
     Unconstrained steps use the model's probabilities; constrained steps
     renormalize them over the allowed mask, or fall back to uniform over
-    the mask when every allowed symbol has zero model mass.  The uniforms
-    come from a single ``rng.random((size, m))`` call, trace-major, and the
-    arithmetic is that of ``Generator.choice(k, p=p)`` step by step, so the
-    draws equal a per-step ``rng.choice`` loop.
+    the mask when every allowed symbol has zero model mass.  The
+    arithmetic is that of ``Generator.choice(k, p=p)`` step by step, so
+    the draws equal a per-step ``rng.choice`` loop.
     """
     base = np.array([model.prob(s) for s in ch.symbols])
-    p = np.tile(base / base.sum(), (m, 1))
-    if cs is not None:
-        mask = cs.allowed[ch.name]
-        rows = ~mask.all(axis=1)
-        if rows.any():
-            sub = mask[rows]
-            weights = base * sub
-            total = weights.sum(axis=1, keepdims=True)
-            fallback = sub / sub.sum(axis=1, keepdims=True)
-            p[rows] = np.divide(weights, total, out=fallback, where=total > 0)
+    everything = np.ones((m, base.size), dtype=bool)
+    mask = np.concatenate([everything if draw.constraints is None else draw.constraints.allowed[ch.name]
+                           for draw in draws])  # (draws * m, k)
+    p = np.tile(base / base.sum(), (mask.shape[0], 1))
+    rows = ~mask.all(axis=1)
+    if rows.any():
+        sub = mask[rows]
+        weights = base * sub
+        total = weights.sum(axis=1, keepdims=True)
+        fallback = sub / sub.sum(axis=1, keepdims=True)
+        p[rows] = np.divide(weights, total, out=fallback, where=total > 0)
     cdf = p.cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    u = rng.random((size, m))
-    return (cdf <= u[:, :, None]).sum(axis=2)
+    return (cdf.reshape(len(draws), 1, m, -1) <= u[..., None]).sum(axis=3)
 
 
-def _sample_normals(names, model: DisturbanceModel, m, cs, rng, size) -> np.ndarray:
-    """(len(names), size, m) values of consecutive normal channels.
-
-    One ``truncated_normal`` call on the whole block takes its uniforms in
-    channel-major order, so the draws equal one call per channel.
-    """
-    bounds = [_bounds_for(cs, name, m) for name in names]
-    lo = np.stack([b[0] for b in bounds])[:, None, :].repeat(size, 1)
-    hi = np.stack([b[1] for b in bounds])[:, None, :].repeat(size, 1)
-    mean = np.array([model.models[name].mean for name in names])[:, None, None]
-    std = np.array([model.models[name].std for name in names])[:, None, None]
-    return truncated_normal(mean, std, lo, hi, rng)
+def _build_gp(model: GaussianProcess, m, dt, numbers) -> np.ndarray:
+    """(draws, size, m) values of one GP channel from each draw's ``(conditioned, block)``."""
+    out = np.stack([block for _, block in numbers])
+    free = [i for i, (conditioned, _) in enumerate(numbers) if not conditioned]
+    if free:
+        # (draws, size, m) @ L.T runs each draw's own (size, m) gemm, or one
+        # gemv per row at size 1: one (n, m) gemm would move the last bits
+        out[free] = out[free] @ _kernel_and_chol(model.variance, model.lengthscale, m, dt)[1].T
+    return out
 
 
 def _gp_posterior(K, obs_idx, obs_val, jit):
@@ -356,20 +488,18 @@ def _gp_posterior(K, obs_idx, obs_val, jit):
     return Kxo @ alpha, K - V.T @ V
 
 
-def _sample_gp(ch, model: GaussianProcess, m, dt, cs, rng, size):
-    """(size, m) values.  Equality, box and free steps partition the
-    horizon, and each kind fills its own columns."""
-    K, L_full = _kernel_and_chol(model.variance, model.lengthscale, m, dt)
-    jit = GP_JITTER * model.variance  # the SE kernel's diagonal is the variance
-    lo, hi = _bounds_for(cs, ch.name, m)
-    eq = np.isfinite(lo) & (lo == hi)
-    box = (np.isfinite(lo) | np.isfinite(hi)) & ~eq
-    obs_idx = np.flatnonzero(eq)
-    mean, cov = _gp_posterior(K, obs_idx, lo[obs_idx], jit)
+def _conditioned_gp(model: GaussianProcess, m, dt, steps, rng, size) -> np.ndarray:
+    """(size, m) values of a GP channel with equality or box steps.
 
+    Equality, box and free steps partition the horizon, and each kind
+    fills its own columns: the pins, the Gibbs chain, and then the
+    conditional posterior at ``(size, |F|)`` standard normals.
+    """
+    K = _kernel_and_chol(model.variance, model.lengthscale, m, dt)[0]
+    jit = GP_JITTER * model.variance  # the SE kernel's diagonal is the variance
+    lo, hi, obs_idx, c_idx, f_idx = steps
+    mean, cov = _gp_posterior(K, obs_idx, lo[obs_idx], jit)
     out = np.empty((size, m))
-    c_idx = np.flatnonzero(box)
-    f_idx = np.flatnonzero(~eq & ~box)
     if c_idx.size:
         Ccc = cov[np.ix_(c_idx, c_idx)]
         xc = truncated_mvn_sample(mean[c_idx], Ccc, lo[c_idx], hi[c_idx], rng, size=size)
@@ -388,10 +518,7 @@ def _sample_gp(ch, model: GaussianProcess, m, dt, cs, rng, size):
             z = rng.standard_normal((size, f_idx.size))
             out[:, f_idx] = mu_f + (Lf @ z[:, :, None])[:, :, 0]
     elif f_idx.size:
-        if obs_idx.size:
-            Lf = np.linalg.cholesky(cov[np.ix_(f_idx, f_idx)] + jit * np.eye(f_idx.size))
-        else:
-            Lf = L_full  # unconstrained: reuse the cached factor
+        Lf = np.linalg.cholesky(cov[np.ix_(f_idx, f_idx)] + jit * np.eye(f_idx.size))
         out[:, f_idx] = mean[f_idx] + rng.standard_normal((size, f_idx.size)) @ Lf.T
     out[:, obs_idx] = lo[obs_idx]
     return out
@@ -406,19 +533,9 @@ def sample_traces(
     rng: np.random.Generator,
     size: int = 1,
 ) -> TraceBatch:
-    """Draw a batch of ``size`` traces, every one satisfying ``constraints`` if given."""
-    blocks = {}  # channel name -> (size, m) values
-    for i, ch in enumerate(model.channels):
-        cm = model.models[ch.name]
-        if isinstance(cm, Categorical):
-            blocks[ch.name] = _sample_categorical(ch, cm, m, constraints, rng, size)
-        elif isinstance(cm, GaussianProcess):
-            blocks[ch.name] = _sample_gp(ch, cm, m, dt, constraints, rng, size)
-        elif ch.name not in blocks:  # the first normal channel of a run draws the whole run
-            run = [c.name for c in itertools.takewhile(
-                lambda c: isinstance(model.models[c.name], IndependentNormal), model.channels[i:])]
-            blocks.update(zip(run, _sample_normals(run, model, m, constraints, rng, size)))
-    return TraceBatch(dt=dt, channels=model.channels, blocks=blocks)
+    """Draw a batch of ``size`` traces, every one satisfying ``constraints``
+    if given: the build of one draw."""
+    return build_traces(model, m, dt, [draw_traces(model, m, dt, constraints, rng=rng, size=size)])
 
 
 def sample_trace(

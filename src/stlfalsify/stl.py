@@ -452,12 +452,6 @@ class TraceBatch:
         """The traces at ``rows``, in that order."""
         return TraceBatch(self.dt, self.channels, {n: b[rows] for n, b in self.blocks.items()})
 
-    @staticmethod
-    def concat(batches) -> "TraceBatch":
-        """The traces of ``batches``, which share dt and channels, in order."""
-        return TraceBatch(batches[0].dt, batches[0].channels,
-                          {n: np.concatenate([b.blocks[n] for b in batches]) for n in batches[0].blocks})
-
     @classmethod
     def from_traces(cls, channels, traces) -> "TraceBatch":
         """The batch of one or more ``traces`` on ``channels`` (a model's).

@@ -17,9 +17,9 @@ from stlfalsify.baseline import (
 from stlfalsify.cli import _report_payload
 from stlfalsify.constraints import InfeasibleError, constraints_for
 from stlfalsify.optimize import GpConfig, evaluate_cost, run
-from stlfalsify.samplers import log_likelihood, sample_traces
+from stlfalsify.samplers import build_traces, log_likelihood, sample_traces
 from stlfalsify.sim import Scenario, scenario
-from stlfalsify.stl import SignalTrace, TraceBatch, parse
+from stlfalsify.stl import SignalTrace, parse
 
 
 def rng(seed=0):
@@ -27,9 +27,11 @@ def rng(seed=0):
 
 
 def score(formula, sc, N, rng):
-    """evaluate_cost on one batch of N traces, drawn and rolled as search does."""
-    batch = baseline.draw_batch(sc, sc.model, formula, rng, N)
-    return evaluate_cost(formula, sc, None if batch is None else baseline.outcomes(sc, batch))
+    """evaluate_cost on one batch of N traces, drawn, built and rolled as search does."""
+    draw = baseline.draw_batch(sc, sc.model, formula, rng, N)
+    if draw is None:
+        return evaluate_cost(formula, sc, None)
+    return evaluate_cost(formula, sc, baseline.outcomes(sc, build_traces(sc.model, sc.horizon, sc.dt, [draw])))
 
 
 def test_report_serializes():
@@ -155,18 +157,10 @@ def test_constraint_draws_per_batch_differ_by_caller(monkeypatch):
     assert len(draws) == 11
 
 
-def test_search_batch_shares_one_witness_step(monkeypatch):
+def test_search_batch_shares_one_witness_step():
     sc = scenario("lt1")
-    drawn = []
-    real = baseline.sample_traces
-
-    def recording(*args, **kwargs):
-        traces = real(*args, **kwargs)
-        drawn.extend(traces)
-        return traces
-
-    monkeypatch.setattr(baseline, "sample_traces", recording)
-    score(parse("F_[0,5](disturbance = a_maj)", sc.channels), sc, N=10, rng=rng(1))
+    draw = baseline.draw_batch(sc, sc.model, parse("F_[0,5](disturbance = a_maj)", sc.channels), rng(1), 10)
+    drawn = build_traces(sc.model, sc.horizon, sc.dt, [draw])
     assert len(drawn) == 10
     a_maj = np.array([tr.values["disturbance"][:6] == "a_maj" for tr in drawn])
     assert a_maj.all(axis=0).any()  # one step is a_maj in every trace
@@ -228,11 +222,11 @@ def test_rollouts_roll_each_distinct_symbol_sequence_once(monkeypatch, name, tex
     sc = scenario(name)
     formula = parse(text, sc.channels)
     ref_fails, ref_lls, ref_inf = _rollouts_through_run(sc, sc.model, formula, rng(24), 4, 25)
-    drawn, rolled = [], []  # batches drawn, batches rolled
-    real_sample, real_fail_steps = baseline.sample_traces, sim.fail_steps
+    drawn, rolled = [], []  # batches built, batches rolled
+    real_build, real_fail_steps = baseline.build_traces, sim.fail_steps
 
     def recording(*args, **kwargs):
-        batch = real_sample(*args, **kwargs)
+        batch = real_build(*args, **kwargs)
         drawn.append(batch)
         return batch
 
@@ -240,7 +234,7 @@ def test_rollouts_roll_each_distinct_symbol_sequence_once(monkeypatch, name, tex
         rolled.append(batch)
         return real_fail_steps(scenario, batch)
 
-    monkeypatch.setattr(baseline, "sample_traces", recording)
+    monkeypatch.setattr(baseline, "build_traces", recording)
     monkeypatch.setattr(sim, "fail_steps", counting)
     traces, lls, n_inf = baseline.rollouts(sc, sc.model, formula, rng(24), 4, 25)
     assert (lls, n_inf) == (ref_lls, ref_inf)
@@ -248,7 +242,7 @@ def test_rollouts_roll_each_distinct_symbol_sequence_once(monkeypatch, name, tex
     for trace, ref in zip(traces, ref_fails):
         for ch in sc.channels:
             assert np.array_equal(trace.values[ch.name], ref.trace.values[ch.name])
-    drawn, (rolled,) = TraceBatch.concat(drawn), rolled  # one chunk
+    (drawn,), (rolled,) = drawn, rolled  # one chunk, built once
     assert len(drawn) == 100
     if sc.model.discrete:
         distinct = {tuple(tr.values["disturbance"]) for tr in drawn}

@@ -6,7 +6,7 @@ import pytest
 import stlfalsify.optimize as optimize
 from stlfalsify.baseline import draw_batch, outcomes
 from stlfalsify.optimize import GpConfig, Individual, evaluate_cost, run
-from stlfalsify.samplers import Categorical, DisturbanceModel
+from stlfalsify.samplers import Categorical, DisturbanceModel, build_traces
 from stlfalsify.sim import scenario
 from stlfalsify.stl import CategoricalChannel, SignalTrace, canonical_text, parse
 
@@ -42,9 +42,11 @@ class StubScenario:
 
 
 def score(formula, sc, N, rng):
-    """evaluate_cost on one batch of N traces, drawn and rolled as ``run`` does."""
-    batch = draw_batch(sc, sc.model, formula, rng, N)
-    return evaluate_cost(formula, sc, None if batch is None else outcomes(sc, batch))
+    """evaluate_cost on one batch of N traces, drawn, built and rolled as ``run`` does."""
+    draw = draw_batch(sc, sc.model, formula, rng, N)
+    if draw is None:
+        return evaluate_cost(formula, sc, None)
+    return evaluate_cost(formula, sc, outcomes(sc, build_traces(sc.model, sc.horizon, sc.dt, [draw])))
 
 
 def test_config_validation():

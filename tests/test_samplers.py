@@ -15,6 +15,8 @@ from stlfalsify.samplers import (
     DisturbanceModel,
     GaussianProcess,
     IndependentNormal,
+    build_traces,
+    draw_traces,
     log_likelihood,
     log_likelihoods,
     sample_trace,
@@ -172,7 +174,7 @@ def _gibbs_reference(mean, cov, lo, hi, r, size):
 
 
 def _pc1_gp_boxes(count):
-    """GP box blocks exactly as ``_sample_gp`` hands them to the chain."""
+    """GP box blocks exactly as ``sample_traces`` hands them to the chain."""
     import stlfalsify.samplers as samplers
     from stlfalsify.grammar import sample_expression
     from stlfalsify.sim import scenario
@@ -251,6 +253,18 @@ def test_truncated_mvn_draws_one_uniform_per_update(d, size):
     for _ in range((GIBBS_BURN_IN + (size - 1) * GIBBS_THIN) * d):
         ref_rng.random()
     assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d, size", [(2, 1), (3, 2), (7, 15), (15, 4)])
+def test_one_uniform_block_equals_the_chains_blocks(d, size):
+    # the chain's burn-in block and its blocks for later rows are the
+    # numbers of one block of their total size: how many uniforms a chain
+    # takes is fixed by its box and row count, however they are cut
+    one, parts = rng(53), rng(53)
+    block = one.random((GIBBS_BURN_IN + (size - 1) * GIBBS_THIN) * d)
+    pieces = [parts.random(GIBBS_BURN_IN * d)] + [parts.random(GIBBS_THIN * d) for _ in range(size - 1)]
+    assert np.array_equal(block, np.concatenate(pieces))
+    assert one.bit_generator.state == parts.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -417,13 +431,64 @@ def test_trace_batch_round_trips_through_signal_traces(name, text):
     cs = constraints_for(parse(text, sc.channels), sc.channels, sc.horizon, r)
     batch = sample_traces(sc.model, sc.horizon, sc.dt, cs, rng=r, size=15)
     again = TraceBatch.from_traces(sc.channels, list(batch))
-    joined = TraceBatch.concat([batch.take([3, 0]), batch.take(range(15))])
+    joined = batch.take([3, 0, *range(15)])
     assert (len(again), again.m, again.dt, again.channels) == (15, sc.horizon, sc.dt, sc.channels)
     for ch in sc.channels:
         assert again.blocks[ch.name].dtype == batch.blocks[ch.name].dtype
         assert np.array_equal(again.blocks[ch.name], batch.blocks[ch.name])
         assert np.array_equal(joined.blocks[ch.name][2:], batch.blocks[ch.name])
         assert np.array_equal(joined[1].values[ch.name], batch[0].values[ch.name])
+
+
+# Constraint draws that give each kind of channel its kinds of steps.  lt1:
+# no constraint, then masks on one to four steps.  pc1: no constraint, a_y
+# pinned on three steps with the rest free, a_x boxed on one step (d = 1)
+# and on fifteen (d > 1) beside pins and free steps, and the normal
+# channels boxed and pinned.
+BUILD_CASES = {
+    "lt1": [None, "G_[0,3](!(none))", "(G_[0,3](!(none)) & F_[5,9]((a_maj | d_maj)))"],
+    "pc1": [
+        None,
+        "G_[3,5](a_y = 0.5)",
+        "G_[9,9](a_x <= -0.4)",
+        "(G_[9,23](a_x <= -0.4) & G_[3,5](a_x = 0.5))",
+        "(G_[0,29](n_y >= -0.5) & G_[2,2](n_x = 0.1))",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_CASES))
+def test_built_draws_match_one_sample_traces_call_per_batch(name):
+    from stlfalsify.sim import scenario
+
+    sc = scenario(name)
+    make = rng(51)
+    sets = [None if t is None else constraints_for(parse(t, sc.channels), sc.channels, sc.horizon, make)
+            for t in BUILD_CASES[name]]
+    if name == "pc1":
+        pinned, boxed = (lambda n, cs: cs.lower[n] == cs.upper[n]), (lambda n, cs: np.isfinite(cs.upper[n]))
+        assert pinned("a_y", sets[1]).sum() == 3 and not np.isfinite(sets[1].upper["a_x"]).any()
+        assert boxed("a_x", sets[2]).sum() == 1
+        assert (boxed("a_x", sets[3]) & ~pinned("a_x", sets[3])).sum() == 15 and pinned("a_x", sets[3]).sum() == 3
+        assert np.isfinite(sets[4].lower["n_y"]).all() and pinned("n_x", sets[4]).sum() == 1
+    else:
+        assert all((~cs.allowed["disturbance"].all(axis=1)).any() for cs in sets[1:])
+    for model in (sc.model, sc.proposal):
+        new_rng, ref_rng = rng(52), rng(52)
+        for size in (0, 1, 15):
+            batches = 2 * sets  # each constraint set twice, among the others
+            draws = [draw_traces(model, sc.horizon, sc.dt, cs, rng=new_rng, size=size) for cs in batches]
+            got = build_traces(model, sc.horizon, sc.dt, draws)
+            want = [sample_traces(model, sc.horizon, sc.dt, cs, rng=ref_rng, size=size) for cs in batches]
+            assert len(got) == size * len(batches)
+            for ch in sc.channels:
+                block = np.concatenate([batch.blocks[ch.name] for batch in want])
+                assert got.blocks[ch.name].dtype == block.dtype
+                assert np.array_equal(got.blocks[ch.name], block), (size, ch.name)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+    with pytest.raises(ValueError, match="draws differ in size"):
+        build_traces(sc.model, sc.horizon, sc.dt, [draw_traces(sc.model, sc.horizon, sc.dt, rng=rng(54), size=n)
+                                                   for n in (1, 2)])
 
 
 def test_model_validation():
@@ -489,14 +554,14 @@ def _categorical_reference(ch, model, m, cs, r, size):
     ],
 )
 def test_categorical_sampler_matches_choice_loop(size, probs, text):
-    from stlfalsify.samplers import _sample_categorical
-
     model = Categorical(probs)
+    one_channel = DisturbanceModel(channels=(DIST,), models={"disturbance": model})
     m = 12
     for seed in range(5):
         cs = None if text is None else constraints_for(parse(text, (DIST,)), (DIST,), m, rng(seed))
         new_rng, ref_rng = rng(100 + seed), rng(100 + seed)
-        got = np.array(DIST.symbols, dtype=object)[_sample_categorical(DIST, model, m, cs, new_rng, size)]
+        indices = sample_traces(one_channel, m, 0.18, cs, rng=new_rng, size=size).blocks["disturbance"]
+        got = np.array(DIST.symbols, dtype=object)[indices]
         want = _categorical_reference(DIST, model, m, cs, ref_rng, size)
         assert got.shape == (size, m)
         assert (got == want).all()
@@ -523,16 +588,15 @@ def test_categorical_sampler_never_draws_zero_mass_symbols():
         def random(self, shape):
             return np.zeros(shape)
 
-    from stlfalsify.samplers import _sample_categorical
-
-    model = Categorical({**LT_PROBS, "none": 0.0, "d_med": 0.986})
-    got = _sample_categorical(DIST, model, 4, None, ZeroUniforms(), 3)
-    assert (got == DIST.symbols.index("d_med")).all()
+    probs = {**LT_PROBS, "none": 0.0, "d_med": 0.986}
+    model = DisturbanceModel(channels=(DIST,), models={"disturbance": Categorical(probs)})
+    got = sample_traces(model, 4, 0.18, rng=ZeroUniforms(), size=3).blocks["disturbance"]
+    assert got.shape == (3, 4) and (got == DIST.symbols.index("d_med")).all()
 
 
 def test_gp_box_blocks_never_carry_pinned_coordinates(monkeypatch):
-    # _sample_gp conditions on equality steps before the Gibbs chain runs,
-    # so the chain only ever sees boxes with lo < hi
+    # _conditioned_gp conditions on equality steps before the Gibbs chain
+    # runs, so the chain only ever sees boxes with lo < hi
     import stlfalsify.samplers as samplers
     from stlfalsify.grammar import sample_expression
     from stlfalsify.sim import scenario
@@ -586,11 +650,36 @@ def _gp_posterior_frozen(K, obs_idx, obs_val):
     return mean, cov
 
 
+def _bounds_frozen(cs, name, m):
+    if cs is None or name not in cs.lower:
+        return np.full(m, -np.inf), np.full(m, np.inf)
+    return cs.lower[name], cs.upper[name]
+
+
+def _sample_categorical_frozen(ch, model, m, cs, r, size):
+    """(size, m) symbol indices by inverse CDF, one ``r.random((size, m))`` call."""
+    base = np.array([model.prob(s) for s in ch.symbols])
+    p = np.tile(base / base.sum(), (m, 1))
+    if cs is not None:
+        mask = cs.allowed[ch.name]
+        rows = ~mask.all(axis=1)
+        if rows.any():
+            sub = mask[rows]
+            weights = base * sub
+            total = weights.sum(axis=1, keepdims=True)
+            fallback = sub / sub.sum(axis=1, keepdims=True)
+            p[rows] = np.divide(weights, total, out=fallback, where=total > 0)
+    cdf = p.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    u = r.random((size, m))
+    return (cdf <= u[:, :, None]).sum(axis=2)
+
+
 def _sample_gp_frozen(ch, model, m, dt, cs, r, size):
-    from stlfalsify.samplers import _bounds_for, _kernel_and_chol
+    from stlfalsify.samplers import _kernel_and_chol
 
     K, L_full = _kernel_and_chol(model.variance, model.lengthscale, m, dt)
-    lo, hi = _bounds_for(cs, ch.name, m)
+    lo, hi = _bounds_frozen(cs, ch.name, m)
     eq = np.isfinite(lo) & (lo == hi)
     box = (np.isfinite(lo) | np.isfinite(hi)) & ~eq
     obs_idx = np.flatnonzero(eq)
@@ -630,17 +719,14 @@ def _sample_gp_frozen(ch, model, m, dt, cs, r, size):
 
 
 def sample_traces_frozen(model, m, dt, constraints, r, size):
-    from stlfalsify.samplers import _bounds_for, _sample_categorical
-    from stlfalsify.stl import SignalTrace
-
     columns = {}
     for ch in model.channels:
         cm = model.models[ch.name]
         if isinstance(cm, Categorical):
             symbols = np.array(ch.symbols, dtype=object)
-            columns[ch.name] = list(symbols[_sample_categorical(ch, cm, m, constraints, r, size)])
+            columns[ch.name] = list(symbols[_sample_categorical_frozen(ch, cm, m, constraints, r, size)])
         elif isinstance(cm, IndependentNormal):
-            lo, hi = _bounds_for(constraints, ch.name, m)
+            lo, hi = _bounds_frozen(constraints, ch.name, m)
             vals = truncated_normal(
                 cm.mean, cm.std, lo[None, :].repeat(size, 0), hi[None, :].repeat(size, 0), r
             )

@@ -312,7 +312,8 @@ def _lockstep_traces(sc: Scenario, n: int, rng) -> TraceBatch:
         model = (sc.model, sc.proposal)[drawn % 2]
         batches.append(sample_traces(model, m, dt, cs, rng=rng, size=min(25, n - drawn)))
         drawn += len(batches[-1])
-    return TraceBatch.concat(batches)
+    return TraceBatch(dt, sc.channels, {ch.name: np.concatenate([b.blocks[ch.name] for b in batches])
+                                        for ch in sc.channels})
 
 
 @pytest.mark.parametrize("names,per_scenario", [(("lt1", "lt2", "lt3"), 7000), (("pc1", "pc2"), 10500)])
@@ -397,14 +398,17 @@ def test_float_power_matches_python_pow(lo, hi):
 @pytest.mark.parametrize("n", [1, 2, 15, 64, 200])
 def test_stacked_linear_algebra_matches_per_row_calls(n):
     # The GP sampler and the likelihoods solve and multiply a batch's rows
-    # as one stacked (n, k, 1) call, and sum rows along axis 1; that keeps
-    # the draws and scores of one call per row only while numpy runs the
-    # same LAPACK and BLAS routine once per row.
+    # as one stacked (n, k, 1) call, and sum rows along axis 1; building a
+    # chunk multiplies its unconstrained GP rows as one (n, 1, k) @ L.T and
+    # its draws' normals as one (draws, size, k) @ L.T.  That keeps the
+    # draws and scores of one call per row or per draw only while numpy
+    # runs the same LAPACK and BLAS routine once per row or per draw.
     rng = np.random.default_rng(47)
     for k in range(1, 31):
         L = np.linalg.cholesky(se_kernel(np.arange(k) * 0.2, 1.0, 0.4) + GP_JITTER * np.eye(k))
         A = rng.normal(size=(k + 3, k))
         X = rng.normal(size=(n, k))
+        Z = rng.normal(size=(n, 15, k))
         stacked = X[:, :, None]
         cases = {
             "solve": (np.linalg.solve(L, stacked)[:, :, 0], [np.linalg.solve(L, x) for x in X]),
@@ -412,6 +416,8 @@ def test_stacked_linear_algebra_matches_per_row_calls(n):
                            [np.linalg.solve(L.T, np.linalg.solve(L, x)) for x in X]),
             "matvec": ((A @ stacked)[:, :, 0], [A @ x for x in X]),
             "square matvec": ((L @ stacked)[:, :, 0], [L @ x for x in X]),
+            "row times factor": ((X[:, None, :] @ L.T)[:, 0], [(x[None, :] @ L.T)[0] for x in X]),
+            "block times factor": (Z @ L.T, [z @ L.T for z in Z]),
             "vecdot": (np.vecdot(X, X), [np.dot(x, x) for x in X]),
             "row sum": (np.sum(X, axis=1), [np.sum(x) for x in X]),
         }

@@ -8,9 +8,11 @@ draws the random numbers of a batch of traces under it
 caller passes.  ``samplers.build_traces`` then turns many drawn batches
 into one ``stl.TraceBatch`` in one numpy pass per channel, and
 ``outcomes`` rolls that batch without records, in one
-``Scenario.fail_steps`` call (a numpy lockstep from
-``sim.LOCKSTEP_LANES`` traces on; one lane per distinct symbol sequence
-when the model is discrete), and scores the failing traces in one
+``Scenario.fail_steps`` call (a numpy lockstep from the scenario
+config's ``lockstep_lanes`` traces on, 48 on a left turn and 32 on a
+crosswalk, so a crosswalk baseline batch of 60 trials rolls in one
+lockstep; one lane per distinct symbol sequence when the model is
+discrete), and scores the failing traces in one
 ``samplers.log_likelihoods`` call.  Building, rollouts and likelihoods
 draw no random numbers, so drawing batches first and building and
 rolling them afterwards gives the same draws and outcomes as sampling

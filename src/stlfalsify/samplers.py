@@ -51,6 +51,12 @@ likelihoods solve and multiply all traces in one stacked call on
 LAPACK or BLAS call per row or per draw, and the inverse CDFs are
 element-wise, so each trace gets the bits that drawing its batch alone
 would give.
+
+scipy's normal CDF and its inverse (``scipy.special.ndtr`` and
+``ndtri``) are imported inside their only two callers,
+``_truncated_normal_at`` and ``truncated_mvn_sample``, on first use:
+importing ``scipy.special`` takes about 0.35 s, and a purely
+categorical model, the monitor and the parser never need it.
 """
 
 from __future__ import annotations
@@ -61,7 +67,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .constraints import ConstraintSet, InfeasibleError
 from .stl import CategoricalChannel, ChannelSpec, SignalTrace, TraceBatch
@@ -225,6 +230,8 @@ def _truncated_normal_at(u, mean, std, lo, hi) -> np.ndarray:
     collapses to the nearest bound.  Every operation is element-wise, so a
     draw does not depend on what else is in the block.
     """
+    from scipy.special import ndtr, ndtri  # see the module docstring
+
     a = (lo - mean) / std
     b = (hi - mean) / std
     flip = a > 0  # entire interval right of the mean: work with the mirror image
@@ -264,6 +271,8 @@ def truncated_mvn_sample(
     call draws ``(GIBBS_BURN_IN + (size - 1) * GIBBS_THIN) * d`` of them
     (none at ``size == 0``).  A single coordinate is drawn exactly.
     """
+    from scipy.special import ndtr, ndtri  # see the module docstring
+
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     lo = np.asarray(lo, dtype=float)
@@ -431,9 +440,20 @@ def build_traces(model: DisturbanceModel, m: int, dt: float, draws: list[TraceDr
 
 def _build_normals(names, model: DisturbanceModel, m, draws, u) -> np.ndarray:
     """(len(names), draws, size, m) values of a run of normal channels at
-    their uniforms ``u``; each draw's bounds broadcast over its traces."""
-    bounds = np.array([[_bounds_for(draw.constraints, name, m) for name in names] for draw in draws])
-    lo, hi = bounds.transpose(2, 1, 0, 3)[:, :, :, None, :]
+    their uniforms ``u``; each draw's bounds broadcast over its traces.
+
+    Bounds start at ±inf, and only the draws with a constraint set copy
+    theirs in; with no constraint set in the build they stay scalar.  The
+    inverse CDF is element-wise, so each value is the same either way.
+    """
+    lo, hi = -np.inf, np.inf
+    if any(draw.constraints is not None for draw in draws):
+        lo = np.full((len(names), len(draws), 1, m), -np.inf)
+        hi = np.full((len(names), len(draws), 1, m), np.inf)
+        for i, draw in enumerate(draws):
+            if draw.constraints is not None:
+                for c, name in enumerate(names):
+                    lo[c, i, 0], hi[c, i, 0] = _bounds_for(draw.constraints, name, m)
     mean = np.array([model.models[name].mean for name in names])[:, None, None, None]
     std = np.array([model.models[name].std for name in names])[:, None, None, None]
     return _truncated_normal_at(u, mean, std, lo, hi)

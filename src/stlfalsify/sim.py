@@ -35,14 +35,16 @@ record per step.  Per-rollout constants, such as the box extents of every
 fixed heading, are computed once before the loop.
 
 ``fail_steps`` gives the fail steps of a ``TraceBatch``, without records.
-From ``LOCKSTEP_LANES`` traces on it hands the batch's blocks to
+From ``config.lockstep_lanes`` traces on it hands the batch's blocks to
 ``config.roll_lanes``, the only other copy of the dynamics: one numpy
 step per time step for every trace (lane) at once, branches turned into
 masks, and ``roll``'s float operations in ``roll``'s order
 (``np.float_power`` for ``**``), so each lane's fail step is ``roll``'s
 bit for bit.  Below that count it passes each trace's row to ``roll``:
-the lockstep's fixed cost of a few milliseconds per call outweighs the
-scalar loop's 60-100 us per trace.
+the lockstep's fixed cost per call (about 1.2-1.6 ms on a crosswalk and
+3.0-3.3 ms on a left turn) outweighs the scalar loop's 40-45 us per
+crosswalk trace and 60-75 us per left-turn trace.  Each config states
+that break-even, and how it was timed, beside its dynamics.
 """
 
 from __future__ import annotations
@@ -188,6 +190,13 @@ class LeftTurnConfig:
 
     dt = 0.18
     horizon = 24
+    # Traces from which ``fail_steps`` rolls in lockstep, where ``roll_lanes``
+    # breaks even with a ``roll`` per trace.  Timed at best of 7 and of 11 on
+    # unconstrained lt1, lt2 and lt3 model and proposal traces (Python 3.11,
+    # numpy 2.4, one core of a shared 2-vCPU x86-64 host), the lockstep took
+    # 3.0-3.3 ms at 40-64 traces, the loop 2.6-3.0 ms at 40, 3.0-3.5 at 48
+    # and 3.5-4.2 at 56: even at 44-52 traces.
+    lockstep_lanes = 48
 
     lane_half = 1.85
     turn_entry_y = -6.0
@@ -432,6 +441,10 @@ class CrosswalkConfig:
 
     dt = 0.2
     horizon = 30
+    # As ``LeftTurnConfig.lockstep_lanes``, timed on pc1 and pc2 model and
+    # proposal traces: the lockstep took 1.2-1.6 ms at 24-60 traces, the
+    # loop 1.3-1.4 ms at 32 and 2.4-2.7 at 60; even at 32-40 traces.
+    lockstep_lanes = 32
 
     ego_x0 = -35.0
     v_cruise = 11.7
@@ -646,13 +659,6 @@ class Scenario:
         return SignalTrace(dt=self.dt, channels=self.channels, values=values)
 
 
-# Lanes from which ``fail_steps`` rolls in lockstep.  Timed against the
-# scalar loop on proposal and model traces, the lockstep broke even at
-# 30-50 lanes on crosswalk and 48-64 on left-turn scenarios; re-evaluation
-# and baseline batches of up to 60 traces stay on the scalar loop.
-LOCKSTEP_LANES = 64
-
-
 def _check(scenario: Scenario, traces: SignalTrace | TraceBatch) -> None:
     if traces.channels != scenario.channels:
         raise ValueError("trace channels do not match the scenario")
@@ -671,7 +677,7 @@ def run(scenario: Scenario, trace: SignalTrace) -> SimResult:
 def fail_steps(scenario: Scenario, batch: TraceBatch) -> list[int | None]:
     """The 1-based step of each trace's first collision, or None; no records."""
     _check(scenario, batch)
-    if len(batch) < LOCKSTEP_LANES:
+    if len(batch) < scenario.config.lockstep_lanes:
         return [scenario.config.roll(batch.row(i)) for i in range(len(batch))]
     return scenario.config.roll_lanes(batch.blocks)
 

@@ -290,3 +290,55 @@ def test_search_scoring_builds_no_records(monkeypatch):
         best, _ = run(scenario(name), GpConfig(population=20, generations=2, seed=seed))
         assert best.fail_count > 0, name
     assert calls == [] and built == []
+
+
+def _roll_spy(monkeypatch, config_type) -> dict:
+    """Patch ``config_type.roll`` and ``roll_lanes`` to count what they roll:
+    ``roll`` calls without and with records, and each lockstep's lanes."""
+    seen = {"roll": 0, "records": 0, "roll_lanes": []}
+    real_roll, real_lanes = config_type.roll, config_type.roll_lanes
+
+    def roll(self, values, records=None):
+        seen["roll" if records is None else "records"] += 1
+        return real_roll(self, values, records)
+
+    def roll_lanes(self, blocks):
+        seen["roll_lanes"].append(len(next(iter(blocks.values()))))
+        return real_lanes(self, blocks)
+
+    monkeypatch.setattr(config_type, "roll", roll)
+    monkeypatch.setattr(config_type, "roll_lanes", roll_lanes)
+    return seen
+
+
+@pytest.mark.parametrize("name,text,trials,seed,lockstep", [
+    ("pc1", None, 60, 25, True),  # a crosswalk baseline batch, past its 32 lanes
+    ("lt1", None, 25, 25, False),  # a left-turn baseline batch, short of its 48
+    ("pc1", "G_[0,29](n_y >= 0.8)", 1, 29, False),  # one re-evaluated trial
+])
+def test_trial_batches_roll_in_lockstep_from_the_scenarios_lane_count(monkeypatch, name, text, trials, seed, lockstep):
+    sc = scenario(name)
+    assert (trials >= sc.config.lockstep_lanes) == lockstep
+
+    def trial_batch():
+        if text is None:
+            return importance_sample(sc, trials, rng(seed))
+        return evaluate_expression(parse(text, sc.channels), sc, trials, rng(seed))
+
+    with monkeypatch.context() as frozen:  # every trace through the scalar loop
+        frozen.setattr(Scenario, "fail_steps",
+                       lambda self, batch: [self.config.roll(batch.row(i)) for i in range(len(batch))])
+        ref_report, ref_fails = trial_batch()
+    seen = _roll_spy(monkeypatch, type(sc.config))
+    report, fails = trial_batch()
+    assert report == ref_report and report.n_failures > 0
+    assert [r.records for r in fails] == [r.records for r in ref_fails]
+    assert [r.fail_step for r in fails] == [r.fail_step for r in ref_fails]
+    for res, ref in zip(fails, ref_fails):
+        for ch in sc.channels:
+            assert np.array_equal(res.trace.values[ch.name], ref.trace.values[ch.name])
+    assert seen["records"] == len(fails)  # the failing trials, rolled again for their records
+    if lockstep:
+        assert seen["roll_lanes"] == [trials] and seen["roll"] == 0
+    else:
+        assert seen["roll_lanes"] == [] and 0 < seen["roll"] <= trials

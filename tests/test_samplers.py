@@ -491,6 +491,59 @@ def test_built_draws_match_one_sample_traces_call_per_batch(name):
                                                    for n in (1, 2)])
 
 
+class EveryKthUniformZero:
+    """A generator whose every ``k``-th uniform along the stream is 0.0, so
+    that an unbounded normal step takes the inverse CDF's degenerate-mass
+    branch; other draws are those of ``default_rng(seed)``."""
+
+    def __init__(self, seed, k=7):
+        self.real, self.k, self.seen = np.random.default_rng(seed), k, 0
+
+    def random(self, shape):
+        u = self.real.random(shape)
+        flat = u.reshape(-1)  # a view
+        flat[-self.seen % self.k:: self.k] = 0.0
+        self.seen += flat.size
+        return u
+
+    def standard_normal(self, shape):
+        return self.real.standard_normal(shape)
+
+
+def test_baseline_builds_match_one_sample_traces_call_per_draw():
+    # the baseline's path: a chunk of one-trace draws, all unconstrained (the
+    # build's bounds stay scalar), or None among bounded constraint sets,
+    # including one that bounds a GP channel only
+    from stlfalsify.sim import scenario
+
+    sc = scenario("pc1")
+    make = rng(55)
+    bounded = [constraints_for(parse(t, sc.channels), sc.channels, sc.horizon, make) for t in (
+        "G_[0,29](n_y >= -0.5)",
+        "(G_[0,29](n_vy <= 0.8) & G_[2,2](n_x = 0.1))",
+        "G_[9,23](a_x <= -0.4)",
+    )]
+    chunks = {"unconstrained": [None] * 60, "mixed": [None, bounded[0], None, bounded[1], None, bounded[2]] * 10}
+    for model in (sc.proposal, sc.model):
+        for what, sets in chunks.items():
+            for make_rng in (rng, EveryKthUniformZero):
+                new_rng, ref_rng, frozen_rng = make_rng(56), make_rng(56), make_rng(56)
+                draws = [draw_traces(model, sc.horizon, sc.dt, cs, rng=new_rng, size=1) for cs in sets]
+                got = build_traces(model, sc.horizon, sc.dt, draws)
+                want = [sample_traces(model, sc.horizon, sc.dt, cs, rng=ref_rng, size=1) for cs in sets]
+                frozen = [sample_traces_frozen(model, sc.horizon, sc.dt, cs, frozen_rng, 1)[0] for cs in sets]
+                for ch in sc.channels:
+                    block = np.concatenate([batch.blocks[ch.name] for batch in want])
+                    assert np.array_equal(got.blocks[ch.name], block), (what, ch.name)
+                    assert np.array_equal(block, [trace.values[ch.name] for trace in frozen]), (what, ch.name)
+                if make_rng is EveryKthUniformZero:
+                    # some zeros fall on unbounded normal steps, where the
+                    # degenerate-mass branch returns the upper bound
+                    assert not np.isfinite(got.blocks["n_y"]).all()
+                else:
+                    assert new_rng.bit_generator.state == ref_rng.bit_generator.state == frozen_rng.bit_generator.state
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         Categorical({"a": 0.5, "b": 0.4})
@@ -966,3 +1019,44 @@ def test_log_likelihoods_name_what_they_cannot_score():
         log_likelihoods(lt.model, [lt.nominal_trace(), odd])
     with pytest.raises(ValueError, match="batch channels do not match the model"):
         log_likelihoods(lt.model, TraceBatch.from_traces(wider, [odd]))
+
+
+# ---------------------------------------------------------------------------
+# scipy.special is imported only where a truncated normal is drawn
+
+
+def test_a_categorical_pipeline_never_imports_scipy_special(tmp_path):
+    # sampling, rolling and scoring lt1 batches, a small search, the
+    # baseline and monitor on an lt1 CSV, in a fresh interpreter; then one
+    # pc1 batch, whose normal channels do import it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import stlfalsify
+
+    code = f"""
+import sys
+import numpy as np
+import stlfalsify as sf
+from stlfalsify.cli import main
+from stlfalsify.samplers import log_likelihoods
+
+sc = sf.scenario("lt1")
+rng = np.random.default_rng(61)
+batch = sf.sample_traces(sc.model, sc.horizon, sc.dt, rng=rng, size=100)
+sc.fail_steps(batch)
+log_likelihoods(sc.model, batch)
+sf.importance_sample(sc, 60, rng)
+sf.run(sc, sf.GpConfig(population=10, generations=1, seed=61))
+sc.run(batch[0]).to_csv({str(tmp_path / "lt1.csv")!r})
+assert main(["monitor", "F_[0,5](disturbance = a_maj)", {str(tmp_path / "lt1.csv")!r}, "--scenario", "lt1"]) == 0
+print("lt1", "scipy.special" in sys.modules)
+pc = sf.scenario("pc1")
+sf.sample_traces(pc.model, pc.horizon, pc.dt, rng=rng, size=1)
+print("pc1", "scipy.special" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(stlfalsify.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-2:] == ["lt1 False", "pc1 True"]

@@ -14,7 +14,6 @@ from stlfalsify.samplers import GP_JITTER, sample_traces, se_kernel
 from stlfalsify.sim import (
     CAR_LENGTH,
     CAR_WIDTH,
-    LOCKSTEP_LANES,
     PED_SIZE,
     IDM_B,
     LT_OFFSETS,
@@ -285,7 +284,11 @@ def test_fail_step_agrees_with_run(name):
             cs = constraints_for(formula, sc.channels, sc.horizon, rng) if constrained else None
             batch = sample_traces(model, sc.horizon, sc.dt, cs, rng=rng, size=100)
             lockstep = fail_steps(sc, batch)
-            assert fail_steps(sc, batch.take(range(LOCKSTEP_LANES - 1))) == lockstep[: LOCKSTEP_LANES - 1]
+            # the scalar loop just below the scenario's own lane count, the
+            # lockstep at it and at twice it
+            lanes = sc.config.lockstep_lanes
+            for n in (lanes - 1, lanes, 2 * lanes):
+                assert fail_steps(sc, batch.take(range(n))) == lockstep[:n]
             for trace, step in zip(batch, lockstep):
                 res = run(sc, trace)
                 assert step == res.fail_step
@@ -329,15 +332,26 @@ def test_lockstep_fail_steps_match_roll(names, per_scenario):
         assert 0 < failing < len(want), name
 
 
-@pytest.mark.parametrize("name", ["lt2", "pc1"])
-def test_fail_steps_agree_below_and_above_the_lockstep_lanes(name):
+@pytest.mark.parametrize("name", scenario_names())
+def test_fail_steps_agree_below_and_above_the_lockstep_lanes(monkeypatch, name):
     sc = scenario(name)
-    batch = _lockstep_traces(sc, 3 * LOCKSTEP_LANES, np.random.default_rng(43))
-    for n in (0, 1, LOCKSTEP_LANES - 1, LOCKSTEP_LANES, len(batch)):
+    lanes = sc.config.lockstep_lanes
+    calls = []  # lanes of each roll_lanes call
+    real = type(sc.config).roll_lanes
+
+    def counting(self, blocks):
+        calls.append(len(next(iter(blocks.values()))))
+        return real(self, blocks)
+
+    monkeypatch.setattr(type(sc.config), "roll_lanes", counting)
+    batch = _lockstep_traces(sc, 3 * lanes, np.random.default_rng(43))
+    for n in (0, 1, lanes - 1, lanes, 2 * lanes, len(batch)):
         part = batch.take(range(n))
+        calls.clear()
         assert fail_steps(sc, part) == [run(sc, t).fail_step for t in part]
+        assert calls == ([n] if n >= lanes else []), n
     # traces past the horizon roll their first horizon steps only
-    part = batch.take(range(2 * LOCKSTEP_LANES))
+    part = batch.take(range(2 * lanes))
     longer = TraceBatch(sc.dt, sc.channels, {k: np.concatenate([v, v[:, :3]], axis=1) for k, v in part.blocks.items()})
     assert fail_steps(sc, longer) == fail_steps(sc, part)
 
@@ -362,9 +376,12 @@ def test_roll_raises_on_unknown_symbols():
     assert _raised(cfg.roll, early) == "unknown disturbance symbol 'q'"
 
 
-@pytest.mark.parametrize("n", [1, LOCKSTEP_LANES - 1, LOCKSTEP_LANES, 2 * LOCKSTEP_LANES])
+@pytest.mark.parametrize("n", sorted({n for cfg in (LeftTurnConfig, CrosswalkConfig)
+                                       for n in (1, cfg.lockstep_lanes - 1, cfg.lockstep_lanes,
+                                                 2 * cfg.lockstep_lanes)}))
 def test_fail_steps_reject_what_fail_step_rejects(n):
-    # a batch that run would reject trace by trace, below and above the lane count
+    # a batch that run would reject trace by trace, below and above each
+    # scenario kind's lane count
     sc = scenario("lt1")
     short = SignalTrace(
         dt=sc.dt, channels=sc.channels, values={"disturbance": np.array(["none"] * 3, dtype=object)}

@@ -8,11 +8,13 @@ draws the random numbers of a batch of traces under it
 caller passes.  ``samplers.build_traces`` then turns many drawn batches
 into one ``stl.TraceBatch`` in one numpy pass per channel, and
 ``outcomes`` rolls that batch without records, in one
-``Scenario.fail_steps`` call (a numpy lockstep from the scenario
-config's ``lockstep_lanes`` traces on, 48 on a left turn and 32 on a
-crosswalk, so a crosswalk baseline batch of 60 trials rolls in one
-lockstep; one lane per distinct symbol sequence when the model is
-discrete), and scores the failing traces in one
+``Scenario.fail_steps`` call (numpy over all traces at once from the
+scenario config's ``lockstep_lanes`` traces on: a lockstep of the
+oncoming cars from 48 left-turn traces, a closed form from 3 crosswalk
+traces, so a crosswalk batch of 60 baseline trials rolls in one call
+and a single re-evaluated trial on the scalar loop; one lane per
+distinct symbol sequence when the model is discrete), and scores the
+failing traces in one
 ``samplers.log_likelihoods`` call.  Building, rollouts and likelihoods
 draw no random numbers, so drawing batches first and building and
 rolling them afterwards gives the same draws and outcomes as sampling

@@ -9,8 +9,8 @@ failing trace under the scenario's model (``baseline.outcomes``).
 its batch's numbers at once, in the order the search makes its
 formulas, and ``settle`` builds the pending draws into one
 ``stl.TraceBatch`` (``samplers.build_traces``) and rolls it, in one
-lockstep, once ``baseline.CHUNK`` traces have gathered or the
-generation ends; a search builds no ``SignalTrace``.  Then
+``Scenario.fail_steps`` call, once ``baseline.CHUNK`` traces have
+gathered or the generation ends; a search builds no ``SignalTrace``.  Then
 ``evaluate_cost`` scores each pending formula from its outcomes, once
 per cache miss.  Building and rollouts draw no random numbers and
 tournaments read only the previous generation, so the draws and results

@@ -41,9 +41,10 @@ size into one ``stl.TraceBatch``, one block per channel, and
 ``log_likelihoods`` scores a batch, and ``sample_trace`` and indexing a
 batch build ``SignalTrace`` objects.  A build inverts the CDFs of every draw of a categorical channel
 or run of normal channels in one pass over their stacked masks and
-bounds, and multiplies the normals of every unconstrained GP draw by the
-kernel's factor in one ``(draws, size, m)`` product.  A
-GP channel with equality or box steps is sampled per batch as it is
+bounds (normal steps that no constraint bounds as plain normals, which
+give the truncated inverse's bits), and multiplies the normals of every
+unconstrained GP draw by the kernel's factor in one ``(draws, size, m)``
+product.  A GP channel with equality or box steps is sampled per batch as it is
 drawn, chain and conditioning, so that waiting draws hold its values,
 not its chain's uniforms.  The free-step conditioning and the
 likelihoods solve and multiply all traces in one stacked call on
@@ -53,7 +54,7 @@ element-wise, so each trace gets the bits that drawing its batch alone
 would give.
 
 scipy's normal CDF and its inverse (``scipy.special.ndtr`` and
-``ndtri``) are imported inside their only two callers,
+``ndtri``) are imported inside their only callers, ``_normal_at``,
 ``_truncated_normal_at`` and ``truncated_mvn_sample``, on first use:
 importing ``scipy.special`` takes about 0.35 s, and a purely
 categorical model, the monitor and the parser never need it.
@@ -92,6 +93,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 GP_JITTER = 1e-8
 GIBBS_BURN_IN = 200  # sweeps before the first returned row
 GIBBS_THIN = 5  # sweeps between returned rows
+_TINY = 5e-324  # the smallest positive double: a zero uniform's stand-in
 
 
 @dataclass(frozen=True)
@@ -227,8 +229,11 @@ def _truncated_normal_at(u, mean, std, lo, hi) -> np.ndarray:
 
     Right tails are reflected into left tails so the CDF differences keep
     precision; if the interval's mass underflows entirely the draw
-    collapses to the nearest bound.  Every operation is element-wise, so a
-    draw does not depend on what else is in the block.
+    collapses to the nearest bound.  A zero uniform draws the interval's
+    low end: its lower bound, or with none ``ndtri`` of the smallest
+    positive double (about -38.5 standard deviations, clamped to the upper
+    bound), where ``ndtri(0)`` would be ``-inf``.  Every operation is
+    element-wise, so a draw does not depend on what else is in the block.
     """
     from scipy.special import ndtr, ndtri  # see the module docstring
 
@@ -245,12 +250,26 @@ def _truncated_normal_at(u, mean, std, lo, hi) -> np.ndarray:
     # Degenerate mass: clamp to the nearer endpoint of the working interval.
     bad = ~np.isfinite(z) | (mass <= 0)
     if np.any(bad):
-        z = np.where(bad, np.where(np.isfinite(a_w), a_w, b_w), z)
+        low = np.where((u == 0.0) & ~flip & (mass > 0), ndtri(_TINY), b_w)
+        z = np.where(bad, np.where(np.isfinite(a_w), a_w, low), z)
     z = np.clip(z, a_w, b_w)
     z = np.where(flip, -z, z)
     # clamp in value space too: un-standardising can slip a ulp outside the
     # interval, which matters when lo == hi encodes an equality pin
     return np.clip(mean + std * z, lo, hi)
+
+
+def _normal_at(u, mean, std) -> np.ndarray:
+    """N(mean, std²) at the uniforms ``u``: ``_truncated_normal_at`` with
+    no bounds, whose ``ndtr`` calls and clamps change no bit there, with
+    the same draw at a zero uniform.  One new array, transformed in place."""
+    from scipy.special import ndtri  # see the module docstring
+
+    z = np.maximum(u, _TINY)
+    ndtri(z, out=z)
+    z *= std
+    z += mean
+    return z
 
 
 def truncated_mvn_sample(
@@ -300,6 +319,7 @@ def truncated_mvn_sample(
         np.sqrt(cond_var).tolist(), lo.tolist(), hi.tolist(), np.diag(prec).tolist(),
     ))
     inf = math.inf
+    z_low = float(ndtri(_TINY))  # a zero uniform's draw with no lower bound
 
     def sweeps(n):
         # truncated_normal for one coordinate: ndtr(-inf) and ndtr(inf) are
@@ -317,7 +337,7 @@ def truncated_mvn_sample(
             mass = (1.0 if b == inf else float(ndtr(b))) - Fa
             z = float(ndtri(Fa + u * mass)) if mass > 0.0 else inf
             if not math.isfinite(z):  # no mass, or ndtri saturated: take the finite bound
-                z = a if math.isfinite(a) else b
+                z = a if math.isfinite(a) else z_low if u == 0.0 and not flip and mass > 0.0 else b
             z = a if a > z else z
             z = b if b < z else z
             v = mu + std_j * (-z if flip else z)
@@ -440,23 +460,30 @@ def build_traces(model: DisturbanceModel, m: int, dt: float, draws: list[TraceDr
 
 def _build_normals(names, model: DisturbanceModel, m, draws, u) -> np.ndarray:
     """(len(names), draws, size, m) values of a run of normal channels at
-    their uniforms ``u``; each draw's bounds broadcast over its traces.
+    their uniforms ``u``; each draw's bounds apply to all its traces.
 
-    Bounds start at ±inf, and only the draws with a constraint set copy
-    theirs in; with no constraint set in the build they stay scalar.  The
-    inverse CDF is element-wise, so each value is the same either way.
+    Every step is inverted as an unbounded normal (``_normal_at``), and
+    the steps that a draw's constraint set bounds are inverted again,
+    gathered as one ``(steps, size)`` block, through
+    ``_truncated_normal_at`` against their bounds.  Both are element-wise,
+    so each value is the one drawing its batch alone gives.
     """
-    lo, hi = -np.inf, np.inf
+    mean = np.array([model.models[name].mean for name in names])[:, None, None, None]
+    std = np.array([model.models[name].std for name in names])[:, None, None, None]
+    out = _normal_at(u, mean, std)
     if any(draw.constraints is not None for draw in draws):
-        lo = np.full((len(names), len(draws), 1, m), -np.inf)
-        hi = np.full((len(names), len(draws), 1, m), np.inf)
+        lo = np.full((len(names), len(draws), m), -np.inf)
+        hi = np.full((len(names), len(draws), m), np.inf)
         for i, draw in enumerate(draws):
             if draw.constraints is not None:
                 for c, name in enumerate(names):
-                    lo[c, i, 0], hi[c, i, 0] = _bounds_for(draw.constraints, name, m)
-    mean = np.array([model.models[name].mean for name in names])[:, None, None, None]
-    std = np.array([model.models[name].std for name in names])[:, None, None, None]
-    return _truncated_normal_at(u, mean, std, lo, hi)
+                    lo[c, i], hi[c, i] = _bounds_for(draw.constraints, name, m)
+        bounded = np.nonzero(np.isfinite(lo) | np.isfinite(hi))  # (channel, draw, step) of each
+        if bounded[0].size:
+            c, i, k = bounded
+            out[c, i, :, k] = _truncated_normal_at(
+                u[c, i, :, k], mean[c, 0, 0], std[c, 0, 0], lo[bounded][:, None], hi[bounded][:, None])
+    return out
 
 
 def _build_categorical(ch, model: Categorical, m, draws, u) -> np.ndarray:

@@ -28,27 +28,40 @@ other agent, with box extents projected from each agent's heading.  All
 stepping is semi-implicit Euler (velocity first, then position) and every
 rollout is a pure function of (config, disturbance trace).
 
-Each scenario config rolls a trace in one plain loop,
-``config.roll(values, records)``, that keeps the whole state in local
+In both scenarios the ego's motion depends on a trace only through the
+step at which it commits.  Each config therefore states the ego's
+dynamics once, in ``config._ego``: one scalar loop, run on first use,
+that tabulates the ``horizon + 1`` ego trajectories (commit at step 0 ...
+horizon - 1, or never) together with what a rollout reads of them (the
+time gap a waiting left-turn ego needs, a waiting crosswalk ego's
+arrival time, the ego's box extents).  Every rollout reads its row.
+
+Each config rolls a trace in one plain loop, ``config.roll(values,
+records)``, that steps only the other agent, keeps its state in local
 variables and stops at the first collision; ``run`` passes a list for one
-record per step.  Per-rollout constants, such as the box extents of every
-fixed heading, are computed once before the loop.
+record per step.
 
 ``fail_steps`` gives the fail steps of a ``TraceBatch``, without records.
 From ``config.lockstep_lanes`` traces on it hands the batch's blocks to
-``config.roll_lanes``, the only other copy of the dynamics: one numpy
-step per time step for every trace (lane) at once, branches turned into
-masks, and ``roll``'s float operations in ``roll``'s order
-(``np.float_power`` for ``**``), so each lane's fail step is ``roll``'s
-bit for bit.  Below that count it passes each trace's row to ``roll``:
-the lockstep's fixed cost per call (about 1.2-1.6 ms on a crosswalk and
-3.0-3.3 ms on a left turn) outweighs the scalar loop's 40-45 us per
-crosswalk trace and 60-75 us per left-turn trace.  Each config states
-that break-even, and how it was timed, beside its dynamics.
+``config.roll_lanes``, with ``roll``'s float operations in ``roll``'s
+order (``np.float_power`` for ``**``), so each lane's fail step is
+``roll``'s bit for bit.  On a left turn that is a numpy lockstep of the
+oncoming cars, one step per time step for every trace (lane) at once,
+branches turned into masks; the oncoming car reacts to the ego's commit,
+so the steps cannot be summed.  The pedestrian never reacts to the ego,
+so a crosswalk batch rolls in closed form: running sums of the
+pedestrian's steps, the first clearing decision, and the first overlap
+with that commit step's ego row.  Below the lane count ``fail_steps``
+passes each trace's row to ``roll``.  The fixed cost per call (about 1.4
+ms on a left turn, 0.05 ms on a crosswalk) outweighs the scalar loop's
+30 us per left-turn trace and 16-24 us per crosswalk trace up to about
+48 and 3 traces; each config states that break-even, and how it was
+timed, beside its dynamics.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -108,23 +121,15 @@ def idm_accel(gap: float, v: float, v_lead: float, v0: float = 29.0) -> float:
     return min(max(a, -IDM_B_HARD), IDM_A_MAX)
 
 
-def _idm_accel_lanes(gap, v: np.ndarray, v_lead: float, v0: float = 29.0) -> np.ndarray:
-    """``idm_accel`` on a lane array ``v``; ``gap`` None is a free road on every lane.
+def _idm_free_accel_lanes(v: np.ndarray, v0: float = 29.0) -> np.ndarray:
+    """``idm_accel`` on a free road (``gap = inf``) for a lane array ``v``.
 
     The same operations in the same order, with ``np.float_power`` for
-    ``**`` (it calls libm ``pow`` as Python does; ``np.power`` and array
-    squares may round otherwise), so each lane gets ``idm_accel``'s double.
+    ``**`` (it calls libm ``pow`` as Python does; ``np.power`` may round
+    otherwise), so each lane gets ``idm_accel``'s double: subtracting its
+    zero interaction term changes no bit.
     """
-    free = np.float_power(v / v0, IDM_DELTA)
-    if gap is None:
-        interaction = 0.0
-    else:
-        gap = np.maximum(gap, 0.01)
-        s_star = IDM_S0 + np.maximum(
-            0.0, v * IDM_HEADWAY + v * (v - v_lead) / (2.0 * math.sqrt(IDM_A_MAX * IDM_B))
-        )
-        interaction = np.float_power(s_star / gap, 2.0)
-    a = IDM_A_MAX * (1.0 - free - interaction)
+    a = IDM_A_MAX * (1.0 - np.float_power(v / v0, IDM_DELTA))  # minus a zero interaction
     return np.minimum(np.maximum(a, -IDM_B_HARD), IDM_A_MAX)
 
 
@@ -191,11 +196,12 @@ class LeftTurnConfig:
     dt = 0.18
     horizon = 24
     # Traces from which ``fail_steps`` rolls in lockstep, where ``roll_lanes``
-    # breaks even with a ``roll`` per trace.  Timed at best of 7 and of 11 on
-    # unconstrained lt1, lt2 and lt3 model and proposal traces (Python 3.11,
-    # numpy 2.4, one core of a shared 2-vCPU x86-64 host), the lockstep took
-    # 3.0-3.3 ms at 40-64 traces, the loop 2.6-3.0 ms at 40, 3.0-3.5 at 48
-    # and 3.5-4.2 at 56: even at 44-52 traces.
+    # breaks even with a ``roll`` per trace.  Timed as the median of 31
+    # alternating calls on unconstrained lt1, lt2 and lt3 model and proposal
+    # traces (Python 3.11, numpy 2.4, one core of a shared 2-vCPU x86-64
+    # host), with both reading the tabulated ego: the two took 1.4-1.5 ms
+    # each at 44-52 traces (the loop about 30 us a trace), the loop 1.0-1.5
+    # ms at 32 and the lockstep 1.4-1.6 ms; even at 44-52 traces.
     lockstep_lanes = 48
 
     lane_half = 1.85
@@ -218,17 +224,24 @@ class LeftTurnConfig:
     y_stopline = 6.0
     stop_margin = 2.0
 
-    def roll(self, values, records: list | None = None) -> int | None:
-        """Roll ``values["disturbance"]`` to the horizon or the first collision.
+    @functools.cached_property
+    def _ego(self) -> tuple[tuple[float, ...], tuple[tuple[tuple, ...], ...]]:
+        """The ego's motion, which a trace moves only through the step at
+        which the ego commits: ``(wait, rows)``.
 
-        Returns the 1-based step of the first collision, or None.  When
-        ``records`` is a list, each step's record is appended to it.
+        ``rows[c][k]`` is ``(x, y, heading, v, x_hit, ey_hit, through)``
+        after step k when the ego commits at step c, or never at ``c ==
+        horizon``: its pose and speed, whether its x extent overlaps the
+        oncoming lane (``x_hit``), the y extents' sum (``ey_hit``), and
+        whether it was through the conflict zone before the step
+        (``through``).  ``wait[k]`` is the time gap the oncoming car must
+        exceed at step k to let a waiting ego commit.
         """
         d0 = self.s_ego + self.turn_entry_y  # distance to the arc entry
         u_clear = d0 + self.u_clear_extra
         if d0 <= 0:
             raise ValueError("ego must start before the turn entry")
-        dt, arc_end, r, c = self.dt, d0 + self.arc_len, self.arc_radius, self.turn_entry_y
+        h, dt, arc_end, r, c = self.horizon, self.dt, d0 + self.arc_len, self.arc_radius, self.turn_entry_y
         y_north, x_ego_lane, x_adv = -self.s_ego, self.lane_half, -self.lane_half
         v_cap, v_cap2 = self.v_turn_max, self.v_turn_max**2
         a_lo, a_hi = -IDM_B_HARD, IDM_A_MAX
@@ -237,7 +250,59 @@ class LeftTurnConfig:
         ex_north, ey_north = _box_extents(math.pi / 2, CAR_LENGTH, CAR_WIDTH)
         ex_west, ey_west = _box_extents(math.pi, CAR_LENGTH, CAR_WIDTH)
 
-        u, v_ego, y_adv, v_adv = 0.0, self.v_ego, self.s_adv, self.v_adv
+        wait, rows = [], []
+        for commit in range(h + 1):
+            u, v_ego, row = 0.0, self.v_ego, []
+            for k in range(h):
+                if commit == h:
+                    wait.append((u_clear - u) / max((v_ego + v_cap) / 2.0, 1.0) + self.t_margin)
+                through = u >= u_clear
+                if k < commit:
+                    a_ego = idm_accel(max(d0 - u, 0.01), v_ego, 0.0)  # hold short of the turn entry
+                else:
+                    a_ego = idm_accel(math.inf, v_ego, 0.0)
+                    if u < d0:
+                        # pace the approach so the arc entry is hit at no more than the cap
+                        a_ego = min(a_ego, (v_cap2 - v_ego**2) / (2.0 * max(d0 - u, 0.1)))
+                    elif u < arc_end:
+                        a_ego = min(a_ego, (v_cap - v_ego) / dt)
+                    a_ego = min(max(a_ego, a_lo), a_hi)
+                v_ego = max(v_ego + a_ego * dt, 0.0)
+                u += v_ego * dt
+
+                # pose from path length: straight north, quarter arc, straight west
+                if u < d0:
+                    x, y, heading, ex, ey = x_ego_lane, y_north + u, math.pi / 2, ex_north, ey_north
+                elif u < arc_end:
+                    th = (u - d0) / r  # arc centre sits at (-6, -6) by symmetry
+                    x, y, heading = c + r * math.cos(th), c + r * math.sin(th), math.pi / 2 + th
+                    ex, ey = _box_extents(heading, CAR_LENGTH, CAR_WIDTH)
+                else:
+                    x, y, heading = c - (u - d0 - self.arc_len), x_ego_lane, math.pi
+                    ex, ey = ex_west, ey_west
+                row.append((x, y, heading, v_ego, abs(x - x_adv) <= ex + ex_adv, ey + ey_adv, through))
+            rows.append(tuple(row))
+        return tuple(wait), tuple(rows)
+
+    @functools.cached_property
+    def _ego_lanes(self) -> tuple[np.ndarray, ...]:
+        """``_ego``'s ``y``, ``x_hit``, ``ey_hit`` and ``through`` as
+        ``(horizon + 1, horizon)`` arrays, for ``roll_lanes``."""
+        rows = self._ego[1]
+        return tuple(np.array([[step[i] for step in row] for row in rows]) for i in (1, 4, 5, 6))
+
+    def roll(self, values, records: list | None = None) -> int | None:
+        """Roll ``values["disturbance"]`` to the horizon or the first collision.
+
+        Returns the 1-based step of the first collision, or None.  When
+        ``records`` is a list, each step's record is appended to it.  Only
+        the oncoming car is stepped; the ego reads its row of ``_ego``.
+        """
+        wait, rows = self._ego
+        dt, x_adv = self.dt, -self.lane_half
+        ego = rows[self.horizon]  # the ego waits until it commits
+
+        y_adv, v_adv = self.s_adv, self.v_adv
         signal = intent = committed = decided = False
         commit_step, mode = -1, _NORMAL
         obs0 = obs1 = 0.0  # the oncoming car's last two observed accelerations
@@ -258,20 +323,10 @@ class LeftTurnConfig:
                 or y_adv <= self.y_receded
                 or (obs0 <= self.detect_decel and obs1 <= self.detect_decel
                     and k >= self.detect_steps)
-                or (y_adv - self.y_contact) / max(v_adv, 0.1)
-                > (u_clear - u) / max((v_ego + v_cap) / 2.0, 1.0) + self.t_margin
+                or (y_adv - self.y_contact) / max(v_adv, 0.1) > wait[k]
             ):
-                committed, commit_step = True, k
-            if not committed:
-                a_ego = idm_accel(max(d0 - u, 0.01), v_ego, 0.0)  # hold short of the turn entry
-            else:
-                a_ego = idm_accel(math.inf, v_ego, 0.0)
-                if u < d0:
-                    # pace the approach so the arc entry is hit at no more than the cap
-                    a_ego = min(a_ego, (v_cap2 - v_ego**2) / (2.0 * max(d0 - u, 0.1)))
-                elif u < arc_end:
-                    a_ego = min(a_ego, (v_cap - v_ego) / dt)
-                a_ego = min(max(a_ego, a_lo), a_hi)
+                committed, commit_step, ego = True, k, rows[k]
+            x, y, heading, v_ego, x_hit, ey_hit, through = ego[k]
 
             # Oncoming car: its own turn intention makes it yield when it still
             # can.  Once the ego commits, after a reaction delay it decides once
@@ -284,7 +339,7 @@ class LeftTurnConfig:
             if committed and not decided and mode != _CONTINUE and k >= commit_step + self.react_steps:
                 decided = True
                 mode = _YIELD if v_adv**2 / (2.0 * max(gap, 0.3)) <= self.b_giveup else _CONTINUE
-            if mode == _YIELD and committed and u >= u_clear:
+            if mode == _YIELD and committed and through:
                 mode = _NORMAL  # ego is through; resume
             if mode == _YIELD:
                 a_adv = -min(self.b_yield_hard, v_adv**2 / (2.0 * max(gap - self.stop_margin, 0.3)))
@@ -293,23 +348,11 @@ class LeftTurnConfig:
             a_adv += offset
 
             v_prev = v_adv
-            v_ego = max(v_ego + a_ego * dt, 0.0)
-            u += v_ego * dt
             v_adv = max(v_adv + a_adv * dt, 0.0)
             y_adv -= v_adv * dt
             obs0, obs1 = obs1, (v_adv - v_prev) / dt
 
-            # ego pose from path length: straight north, quarter arc, straight west
-            if u < d0:
-                x, y, heading, ex, ey = x_ego_lane, y_north + u, math.pi / 2, ex_north, ey_north
-            elif u < arc_end:
-                th = (u - d0) / r  # arc centre sits at (-6, -6) by symmetry
-                x, y, heading = c + r * math.cos(th), c + r * math.sin(th), math.pi / 2 + th
-                ex, ey = _box_extents(heading, CAR_LENGTH, CAR_WIDTH)
-            else:
-                x, y, heading = c - (u - d0 - self.arc_len), x_ego_lane, math.pi
-                ex, ey = ex_west, ey_west
-            hit = abs(x - x_adv) <= ex + ex_adv and abs(y - y_adv) <= ey + ey_adv
+            hit = x_hit and abs(y - y_adv) <= ey_hit
             if records is not None:
                 records.append({
                     "t": round((k + 1) * dt, 9),
@@ -333,32 +376,23 @@ class LeftTurnConfig:
 
     def roll_lanes(self, blocks) -> list[int | None]:
         """``roll``'s fail step for each trace (lane) of a ``TraceBatch``'s
-        ``blocks``, of ``horizon`` steps at least, bit for bit.  A lane that
-        has collided is stepped on but keeps its fail step; the loop stops
-        once every lane has collided.
+        ``blocks``, of ``horizon`` steps at least, bit for bit.  The
+        oncoming cars step in lockstep and each lane's ego reads its
+        commit step's row of ``_ego_lanes``.  A lane that has collided is
+        stepped on but keeps its fail step; the loop stops once every lane
+        has collided.
         """
         codes = blocks["disturbance"][:, : self.horizon].T  # (step, lane)
         h, n = codes.shape
         offsets = np.array([LT_OFFSETS[s] for s in LT_SYMBOLS])[codes]
         signals = np.cumsum(codes == LT_SYMBOLS.index("S"), axis=0) % 2 == 1
         intents = np.cumsum(codes == LT_SYMBOLS.index("L"), axis=0) % 2 == 1
+        dt, wait = self.dt, self._ego[0]
+        ys, x_hits, ey_hits, throughs = self._ego_lanes
 
-        d0 = self.s_ego + self.turn_entry_y
-        u_clear = d0 + self.u_clear_extra
-        if d0 <= 0:
-            raise ValueError("ego must start before the turn entry")
-        dt, arc_end, r, c = self.dt, d0 + self.arc_len, self.arc_radius, self.turn_entry_y
-        y_north, x_ego_lane, x_adv = -self.s_ego, self.lane_half, -self.lane_half
-        v_cap, v_cap2 = self.v_turn_max, self.v_turn_max**2
-        a_lo, a_hi = -IDM_B_HARD, IDM_A_MAX
-        ex_adv, ey_adv = _box_extents(-math.pi / 2, CAR_LENGTH, CAR_WIDTH)
-        ex_north, ey_north = _box_extents(math.pi / 2, CAR_LENGTH, CAR_WIDTH)
-        ex_west, ey_west = _box_extents(math.pi, CAR_LENGTH, CAR_WIDTH)
-
-        u, v_ego = np.zeros(n), np.full(n, self.v_ego)
         y_adv, v_adv = np.full(n, self.s_adv), np.full(n, self.v_adv)
         committed, decided = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        commit_step, mode = np.full(n, -1), np.full(n, _NORMAL)
+        row, mode = np.full(n, self.horizon), np.full(n, _NORMAL)  # row: the commit step once committed
         obs0 = obs1 = np.zeros(n)
         fail = np.zeros(n, dtype=np.int64)
         for k in range(h):
@@ -366,56 +400,35 @@ class LeftTurnConfig:
             clear = (
                 (signal & (y_adv >= self.signal_trust_dist))
                 | (y_adv <= self.y_receded)
-                | ((y_adv - self.y_contact) / np.maximum(v_adv, 0.1)
-                   > (u_clear - u) / np.maximum((v_ego + v_cap) / 2.0, 1.0) + self.t_margin)
+                | ((y_adv - self.y_contact) / np.maximum(v_adv, 0.1) > wait[k])
             )
             if k >= self.detect_steps:
                 clear |= (obs0 <= self.detect_decel) & (obs1 <= self.detect_decel)
             commits = clear & ~committed
             committed = committed | commits
-            commit_step = np.where(commits, k, commit_step)
-            hold = _idm_accel_lanes(np.maximum(d0 - u, 0.01), v_ego, 0.0)
-            a_go = _idm_accel_lanes(None, v_ego, 0.0)
-            approach = np.minimum(
-                a_go, (v_cap2 - np.float_power(v_ego, 2.0)) / (2.0 * np.maximum(d0 - u, 0.1))
-            )
-            arc_cap = np.minimum(a_go, (v_cap - v_ego) / dt)
-            a_go = np.where(u < d0, approach, np.where(u < arc_end, arc_cap, a_go))
-            a_ego = np.where(committed, np.minimum(np.maximum(a_go, a_lo), a_hi), hold)
+            row = np.where(commits, k, row)
 
             gap = (y_adv - CAR_LENGTH / 2) - self.y_stopline
             v_adv2 = np.float_power(v_adv, 2.0)
             bearable = v_adv2 / (2.0 * np.maximum(gap, 0.3)) <= self.b_giveup
             mode = np.where((mode == _NORMAL) & intent & ~decided & bearable, _YIELD, mode)
-            decides = committed & ~decided & (mode != _CONTINUE) & (k >= commit_step + self.react_steps)
+            decides = committed & ~decided & (mode != _CONTINUE) & (k >= row + self.react_steps)
             decided = decided | decides
             mode = np.where(decides, np.where(bearable, _YIELD, _CONTINUE), mode)
-            mode = np.where((mode == _YIELD) & committed & (u >= u_clear), _NORMAL, mode)
+            mode = np.where((mode == _YIELD) & committed & throughs[row, k], _NORMAL, mode)
             a_adv = np.where(
                 mode == _YIELD,
                 -np.minimum(self.b_yield_hard, v_adv2 / (2.0 * np.maximum(gap - self.stop_margin, 0.3))),
-                _idm_accel_lanes(None, v_adv, 0.0),
+                _idm_free_accel_lanes(v_adv),
             )
             a_adv = a_adv + offsets[k]
 
             v_prev = v_adv
-            v_ego = np.maximum(v_ego + a_ego * dt, 0.0)
-            u = u + v_ego * dt
             v_adv = np.maximum(v_adv + a_adv * dt, 0.0)
             y_adv = y_adv - v_adv * dt
             obs0, obs1 = obs1, (v_adv - v_prev) / dt
 
-            north, on_arc = u < d0, u < arc_end
-            th = (u - d0) / r
-            heading = math.pi / 2 + th
-            cos_h, sin_h = np.abs(np.cos(heading)), np.abs(np.sin(heading))
-            x = np.where(north, x_ego_lane, np.where(on_arc, c + r * np.cos(th), c - (u - d0 - self.arc_len)))
-            y = np.where(north, y_north + u, np.where(on_arc, c + r * np.sin(th), x_ego_lane))
-            ex = np.where(north, ex_north, np.where(
-                on_arc, cos_h * CAR_LENGTH / 2 + sin_h * CAR_WIDTH / 2, ex_west))
-            ey = np.where(north, ey_north, np.where(
-                on_arc, sin_h * CAR_LENGTH / 2 + cos_h * CAR_WIDTH / 2, ey_west))
-            hit = (np.abs(x - x_adv) <= ex + ex_adv) & (np.abs(y - y_adv) <= ey + ey_adv)
+            hit = x_hits[row, k] & (np.abs(ys[row, k] - y_adv) <= ey_hits[row, k])
             fail[hit & (fail == 0)] = k + 1
             if fail.all():
                 break
@@ -441,10 +454,10 @@ class CrosswalkConfig:
 
     dt = 0.2
     horizon = 30
-    # As ``LeftTurnConfig.lockstep_lanes``, timed on pc1 and pc2 model and
-    # proposal traces: the lockstep took 1.2-1.6 ms at 24-60 traces, the
-    # loop 1.3-1.4 ms at 32 and 2.4-2.7 at 60; even at 32-40 traces.
-    lockstep_lanes = 32
+    # As ``LeftTurnConfig.lockstep_lanes``, timed over 201 alternating calls
+    # on pc1 and pc2 model and proposal traces: the closed form took 51-59
+    # us at 1-4 traces, the loop about 16-24 us a trace; even at 3.
+    lockstep_lanes = 3
 
     ego_x0 = -35.0
     v_cruise = 11.7
@@ -473,46 +486,83 @@ class CrosswalkConfig:
             return (-v + math.sqrt(v * v + 2 * a * dist)) / a
         return t1 + (dist - d1) / vc
 
+    @functools.cached_property
+    def _ego(self) -> tuple[tuple[float | None, ...], tuple[tuple[tuple[float, float], ...], ...]]:
+        """The ego's motion, which a trace moves only through the step at
+        which the ego commits: ``(arrive, rows)``.
+
+        ``rows[c][k]`` is the ego's ``(x, v)`` after step k when it commits
+        at step c, or never at ``c == horizon``.  ``arrive[k]`` is a waiting
+        ego's ``time_to_crosswalk`` at step k, or None where it has no
+        decision to make (it stands at or past the crosswalk).
+        """
+        h, dt, x_stop, b_brake, v_cruise = self.horizon, self.dt, self.x_stop, self.b_brake, self.v_cruise
+        a_lo, a_hi = -self.b_hard, IDM_A_MAX
+        arrive, rows = [], []
+        for commit in range(h + 1):
+            x_ego, v_ego, row = self.ego_x0, self.v_cruise, []
+            for k in range(h):
+                if commit == h:
+                    arrive.append(self.time_to_crosswalk(x_ego, v_ego) if x_ego < 0 else None)
+                d = x_stop - x_ego
+                if k >= commit:
+                    a = idm_accel(math.inf, v_ego, 0.0, v_cruise)
+                elif d <= 0.1:
+                    a = -v_ego / dt  # hold at the stop point
+                elif v_ego**2 / (2.0 * d) >= b_brake:
+                    a = -v_ego**2 / (2.0 * d)
+                else:
+                    a = idm_accel(math.inf, v_ego, 0.0, v_cruise)
+                a = min(max(a, a_lo), a_hi)
+                v_ego = max(v_ego + a * dt, 0.0)
+                x_ego += v_ego * dt
+                row.append((x_ego, v_ego))
+            rows.append(tuple(row))
+        return tuple(arrive), tuple(rows)
+
+    @functools.cached_property
+    def _ego_lanes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_ego`` for ``roll_lanes``: ``arrive`` as a ``(horizon,)`` array
+        (0.0 where it is None), where it is not None, and the ego's x as a
+        ``(horizon + 1, horizon)`` array."""
+        arrive, rows = self._ego
+        deciding = np.array([t is not None for t in arrive])
+        return (np.array([0.0 if t is None else t for t in arrive]), deciding,
+                np.array([[x for x, _ in row] for row in rows]))
+
     def roll(self, values, records: list | None = None) -> int | None:
         """Roll the six channels of ``values`` to the horizon or the first collision.
 
         Returns the 1-based step of the first collision, or None.  When
-        ``records`` is a list, each step's record is appended to it.
+        ``records`` is a list, each step's record is appended to it.  Only
+        the pedestrian is stepped; the ego reads its row of ``_ego``.
         """
+        arrive, rows = self._ego
         columns = [values[name][: self.horizon].tolist() for name in PC_CHANNEL_NAMES]
-        dt, x_stop, b_brake, v_cruise = self.dt, self.x_stop, self.b_brake, self.v_cruise
-        a_lo, a_hi = -self.b_hard, IDM_A_MAX
+        dt = self.dt
         ex_ego, ey_ego = _box_extents(0.0, CAR_LENGTH, CAR_WIDTH)
         ex_ped, ey_ped = _box_extents(math.pi / 2, PED_SIZE, PED_SIZE)
+        ex_hit, ey_hit = ex_ego + ex_ped, ey_ego + ey_ped
 
-        x_ego, v_ego, committed = self.ego_x0, self.v_cruise, False
+        ego, committed = rows[self.horizon], False  # the ego waits until it commits
         ped_x, ped_y, ped_vx, ped_vy = 0.0, self.ped_y0, 0.0, self.ped_vy0
         for k, (a_x, a_y, n_x, n_y, n_vx, n_vy) in enumerate(zip(*columns)):
             perc_x, perc_y = ped_x + n_x, ped_y + n_y
             perc_vx, perc_vy = ped_vx + n_vx, ped_vy + n_vy
-            if not committed and x_ego < 0:
+            if not committed and arrive[k] is not None:
                 # commit once the pedestrian looks clear of the lane on arrival
-                y_pred = perc_y + perc_vy * self.time_to_crosswalk(x_ego, v_ego)
+                y_pred = perc_y + perc_vy * arrive[k]
                 committed = y_pred >= self.clear_ahead or y_pred <= -self.clear_behind
-            d = x_stop - x_ego
-            if committed:
-                a = idm_accel(math.inf, v_ego, 0.0, v_cruise)
-            elif d <= 0.1:
-                a = -v_ego / dt  # hold at the stop point
-            elif v_ego**2 / (2.0 * d) >= b_brake:
-                a = -v_ego**2 / (2.0 * d)
-            else:
-                a = idm_accel(math.inf, v_ego, 0.0, v_cruise)
-            a = min(max(a, a_lo), a_hi)
+                if committed:
+                    ego = rows[k]
+            x_ego, v_ego = ego[k]
 
-            v_ego = max(v_ego + a * dt, 0.0)
-            x_ego += v_ego * dt
             ped_vx += a_x * dt
             ped_vy += a_y * dt
             ped_x += ped_vx * dt
             ped_y += ped_vy * dt
             # the ego drives along y = 0
-            hit = abs(x_ego - ped_x) <= ex_ego + ex_ped and abs(ped_y) <= ey_ego + ey_ped
+            hit = abs(x_ego - ped_x) <= ex_hit and abs(ped_y) <= ey_hit
             if records is not None:
                 records.append({
                     "t": round((k + 1) * dt, 9),
@@ -541,57 +591,36 @@ class CrosswalkConfig:
         return None
 
     def roll_lanes(self, blocks) -> list[int | None]:
-        """``roll`` for many traces at once, as ``LeftTurnConfig.roll_lanes``."""
-        h, n = self.horizon, len(blocks["a_x"])
-        # (step, lane); the perceived x and vx only feed records
-        a_xs, a_ys, n_ys, n_vys = (
-            np.ascontiguousarray(blocks[name][:, :h].T) for name in ("a_x", "a_y", "n_y", "n_vy"))
-        dt, x_stop, b_brake, v_cruise = self.dt, self.x_stop, self.b_brake, self.v_cruise
-        a_lo, a_hi = -self.b_hard, IDM_A_MAX
+        """``roll``'s fail step for each trace (lane) of a ``TraceBatch``'s
+        ``blocks``, of ``horizon`` steps at least, bit for bit, in closed
+        form.  The pedestrian never reacts to the ego, so its states are
+        running sums of its steps (``np.cumsum`` adds them in ``roll``'s
+        order, from the initial state); the ego commits at the first
+        deciding step whose prediction clears, and the trace fails at its
+        first overlap with that commit step's row of ``_ego_lanes``.
+        """
+        h, dt = self.horizon, self.dt
+        arrive, deciding, ego_x = self._ego_lanes
+        a_x, a_y, n_y, n_vy = (blocks[name][:, :h] for name in ("a_x", "a_y", "n_y", "n_vy"))
+        n = len(a_x)
         ex_ego, ey_ego = _box_extents(0.0, CAR_LENGTH, CAR_WIDTH)
         ex_ped, ey_ped = _box_extents(math.pi / 2, PED_SIZE, PED_SIZE)
 
-        x_ego, v_ego = np.full(n, self.ego_x0), np.full(n, self.v_cruise)
-        committed = np.zeros(n, dtype=bool)
-        ped_x, ped_y = np.zeros(n), np.full(n, self.ped_y0)
-        ped_vx, ped_vy = np.zeros(n), np.full(n, self.ped_vy0)
-        fail = np.zeros(n, dtype=np.int64)
-        with np.errstate(divide="ignore", invalid="ignore"):  # branches not taken
-            for k in range(h):
-                perc_y, perc_vy = ped_y + n_ys[k], ped_vy + n_vys[k]
-                deciding = ~committed & (x_ego < 0)
-                if deciding.any():
-                    y_pred = perc_y + perc_vy * self._time_to_crosswalk_lanes(x_ego, v_ego)
-                    committed = committed | (
-                        deciding & ((y_pred >= self.clear_ahead) | (y_pred <= -self.clear_behind))
-                    )
-                d = x_stop - x_ego
-                a_free = _idm_accel_lanes(None, v_ego, 0.0, v_cruise)
-                brake = np.float_power(v_ego, 2.0) / (2.0 * d)
-                a = np.where(committed, a_free, np.where(
-                    d <= 0.1, -v_ego / dt, np.where(brake >= b_brake, -brake, a_free)))
-                a = np.minimum(np.maximum(a, a_lo), a_hi)
+        def states(start, steps):  # (lane, h + 1): the state before each step and after the last
+            return np.cumsum(np.column_stack([np.full(n, start), steps]), axis=1)
 
-                v_ego = np.maximum(v_ego + a * dt, 0.0)
-                x_ego = x_ego + v_ego * dt
-                ped_vx = ped_vx + a_xs[k] * dt
-                ped_vy = ped_vy + a_ys[k] * dt
-                ped_x = ped_x + ped_vx * dt
-                ped_y = ped_y + ped_vy * dt
-                hit = (np.abs(x_ego - ped_x) <= ex_ego + ex_ped) & (np.abs(ped_y) <= ey_ego + ey_ped)
-                fail[hit & (fail == 0)] = k + 1
-                if fail.all():
-                    break
+        ped_vx = states(0.0, a_x * dt)
+        ped_vy = states(self.ped_vy0, a_y * dt)
+        ped_x = states(0.0, ped_vx[:, 1:] * dt)
+        ped_y = states(self.ped_y0, ped_vy[:, 1:] * dt)
+        # the perceived x and vx only feed records
+        y_pred = (ped_y[:, :h] + n_y) + (ped_vy[:, :h] + n_vy) * arrive
+        clears = deciding & ((y_pred >= self.clear_ahead) | (y_pred <= -self.clear_behind))
+        commit = np.where(clears.any(axis=1), clears.argmax(axis=1), h)
+        hit = ((np.abs(ego_x[commit] - ped_x[:, 1:]) <= ex_ego + ex_ped)
+               & (np.abs(ped_y[:, 1:]) <= ey_ego + ey_ped))
+        fail = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, 0)
         return [int(s) if s else None for s in fail.tolist()]
-
-    def _time_to_crosswalk_lanes(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``time_to_crosswalk`` on lanes short of the crosswalk (``x < 0``)."""
-        dist = -x
-        a, vc = IDM_A_MAX, self.v_cruise
-        t1 = (vc - v) / a
-        d1 = v * t1 + 0.5 * a * t1 * t1
-        return np.where(v >= vc, dist / v, np.where(
-            d1 >= dist, (-v + np.sqrt(v * v + 2 * a * dist)) / a, t1 + (dist - d1) / vc))
 
 
 # ---------------------------------------------------------------------------

@@ -312,7 +312,7 @@ def _roll_spy(monkeypatch, config_type) -> dict:
 
 
 @pytest.mark.parametrize("name,text,trials,seed,lockstep", [
-    ("pc1", None, 60, 25, True),  # a crosswalk baseline batch, past its 32 lanes
+    ("pc1", None, 60, 25, True),  # a crosswalk baseline batch, past its 3 lanes
     ("lt1", None, 25, 25, False),  # a left-turn baseline batch, short of its 48
     ("pc1", "G_[0,29](n_y >= 0.8)", 1, 29, False),  # one re-evaluated trial
 ])

@@ -85,6 +85,30 @@ def test_truncated_normal_scalar_and_vector_bounds():
     assert ((draws >= lo) & (draws <= hi)).all()
 
 
+def test_a_zero_uniform_draws_a_finite_value_inside_its_box():
+    # Generator.random returns 0.0 with probability 2**-53 per draw.  It
+    # draws the interval's low end: its lower bound, or with none the
+    # normal's finite low end, ndtri of the smallest positive double, or
+    # the upper bound below that.
+    low = float(ndtri(5e-324))
+    assert -40.0 < low < -38.0
+    mean, std = 0.2, 0.5
+    lo = np.array([-np.inf, -np.inf, -np.inf, 0.5, -1.0, 1.0])
+    hi = np.array([np.inf, 0.3, mean - 50 * std, np.inf, -0.25, np.inf])
+    draws = truncated_normal(mean, std, lo, hi, EveryKthUniformZero(0, k=1))
+    assert np.isfinite(draws).all() and ((lo <= draws) & (draws <= hi)).all()
+    # the fourth and sixth lie right of the mean and are worked as mirror images
+    assert draws.tolist() == [mean + std * low, mean + std * low, hi[2], 0.5, -1.0, 1.0]
+    # the Gibbs chain's coordinate updates, against the frozen one-update chain
+    for i, (b_mean, cov, b_lo, b_hi) in enumerate(_random_boxes(30)):
+        for k in (1, 3):
+            size = (1, 15)[i % 2]
+            got = truncated_mvn_sample(b_mean, cov, b_lo, b_hi, EveryKthUniformZero(60 + i, k), size=size)
+            want = _gibbs_reference(b_mean, cov, b_lo, b_hi, EveryKthUniformZero(60 + i, k), size)
+            assert np.array_equal(got, want), (i, k)
+            assert np.isfinite(got).all() and ((b_lo <= got) & (got <= b_hi)).all(), (i, k)
+
+
 # ---------------------------------------------------------------------------
 # truncated multivariate normal (Gibbs)
 
@@ -134,7 +158,8 @@ def _tn_scalar_reference(mean, std, lo, hi, r):
     else:
         z = float(ndtri(Fa + u * mass))
         if not math.isfinite(z):
-            z = a if math.isfinite(a) else b
+            # a zero uniform with no lower bound: the normal's finite low end
+            z = a if math.isfinite(a) else float(ndtri(5e-324)) if u == 0.0 and not flip else b
     z = min(max(z, a), b)
     if flip:
         z = -z
@@ -493,21 +518,31 @@ def test_built_draws_match_one_sample_traces_call_per_batch(name):
 
 class EveryKthUniformZero:
     """A generator whose every ``k``-th uniform along the stream is 0.0, so
-    that an unbounded normal step takes the inverse CDF's degenerate-mass
-    branch; other draws are those of ``default_rng(seed)``."""
+    that steps with no lower bound take the inverse CDF's zero-uniform
+    rule; other draws are those of ``default_rng(seed)``."""
 
     def __init__(self, seed, k=7):
         self.real, self.k, self.seen = np.random.default_rng(seed), k, 0
 
-    def random(self, shape):
-        u = self.real.random(shape)
+    def random(self, shape=None):
+        u = np.asarray(self.real.random(shape))
         flat = u.reshape(-1)  # a view
         flat[-self.seen % self.k:: self.k] = 0.0
         self.seen += flat.size
-        return u
+        return u if shape is not None else float(u)
 
     def standard_normal(self, shape):
         return self.real.standard_normal(shape)
+
+
+def _assert_finite_and_in_box(batch, sets):
+    """Every value of the one-trace-per-set ``batch`` is finite and inside its set's bounds."""
+    for ch in batch.channels:
+        block = batch.blocks[ch.name]
+        assert np.isfinite(block).all(), ch.name
+        for row, cs in zip(block, sets):
+            if cs is not None and ch.name in cs.lower:
+                assert ((cs.lower[ch.name] <= row) & (row <= cs.upper[ch.name])).all(), ch.name
 
 
 def test_baseline_builds_match_one_sample_traces_call_per_draw():
@@ -537,9 +572,11 @@ def test_baseline_builds_match_one_sample_traces_call_per_draw():
                     assert np.array_equal(got.blocks[ch.name], block), (what, ch.name)
                     assert np.array_equal(block, [trace.values[ch.name] for trace in frozen]), (what, ch.name)
                 if make_rng is EveryKthUniformZero:
-                    # some zeros fall on unbounded normal steps, where the
-                    # degenerate-mass branch returns the upper bound
-                    assert not np.isfinite(got.blocks["n_y"]).all()
+                    # zeros fall on unbounded normal steps and on GP box
+                    # coordinates with no lower bound: each draws the
+                    # normal's finite low end, inside its box
+                    _assert_finite_and_in_box(got, sets)
+                    assert (got.blocks["n_y"] < -5.0).any()
                 else:
                     assert new_rng.bit_generator.state == ref_rng.bit_generator.state == frozen_rng.bit_generator.state
 

@@ -12,12 +12,20 @@ from stlfalsify.constraints import InfeasibleError, constraints_for
 from stlfalsify.grammar import sample_expression
 from stlfalsify.samplers import GP_JITTER, sample_traces, se_kernel
 from stlfalsify.sim import (
+    _CONTINUE,
+    _MODES,
+    _NORMAL,
+    _YIELD,
     CAR_LENGTH,
     CAR_WIDTH,
-    PED_SIZE,
+    IDM_A_MAX,
     IDM_B,
+    IDM_B_HARD,
     LT_OFFSETS,
     LT_SYMBOLS,
+    PC_CHANNEL_NAMES,
+    PED_SIZE,
+    _box_extents,
     CrosswalkConfig,
     LeftTurnConfig,
     Scenario,
@@ -356,6 +364,367 @@ def test_fail_steps_agree_below_and_above_the_lockstep_lanes(monkeypatch, name):
     assert fail_steps(sc, longer) == fail_steps(sc, part)
 
 
+# ---------------------------------------------------------------------------
+# the rollouts against verbatim frozen copies of their earlier form, which
+# stepped the ego in every rollout; ``self`` is the scenario's config
+
+
+def _lt_roll_frozen(self, values, records: list | None = None) -> int | None:
+    """Roll ``values["disturbance"]`` to the horizon or the first collision.
+
+    Returns the 1-based step of the first collision, or None.  When
+    ``records`` is a list, each step's record is appended to it.
+    """
+    d0 = self.s_ego + self.turn_entry_y  # distance to the arc entry
+    u_clear = d0 + self.u_clear_extra
+    if d0 <= 0:
+        raise ValueError("ego must start before the turn entry")
+    dt, arc_end, r, c = self.dt, d0 + self.arc_len, self.arc_radius, self.turn_entry_y
+    y_north, x_ego_lane, x_adv = -self.s_ego, self.lane_half, -self.lane_half
+    v_cap, v_cap2 = self.v_turn_max, self.v_turn_max**2
+    a_lo, a_hi = -IDM_B_HARD, IDM_A_MAX
+    # Box extents of the fixed headings; only the ego on the arc turns.
+    ex_adv, ey_adv = _box_extents(-math.pi / 2, CAR_LENGTH, CAR_WIDTH)
+    ex_north, ey_north = _box_extents(math.pi / 2, CAR_LENGTH, CAR_WIDTH)
+    ex_west, ey_west = _box_extents(math.pi, CAR_LENGTH, CAR_WIDTH)
+
+    u, v_ego, y_adv, v_adv = 0.0, self.v_ego, self.s_adv, self.v_adv
+    signal = intent = committed = decided = False
+    commit_step, mode = -1, _NORMAL
+    obs0 = obs1 = 0.0  # the oncoming car's last two observed accelerations
+    for k, symbol in enumerate(values["disturbance"][: self.horizon].tolist()):
+        offset = LT_OFFSETS.get(symbol)
+        if offset is None:
+            raise ValueError(f"unknown disturbance symbol {symbol!r}")
+        if symbol == "S":
+            signal = not signal
+        elif symbol == "L":
+            intent = not intent
+
+        # The ego commits once the intersection looks clear: a turn signal
+        # seen from afar, the oncoming car past or visibly braking, or
+        # enough time gap to clear the conflict zone.
+        if not committed and (
+            (signal and y_adv >= self.signal_trust_dist)
+            or y_adv <= self.y_receded
+            or (obs0 <= self.detect_decel and obs1 <= self.detect_decel
+                and k >= self.detect_steps)
+            or (y_adv - self.y_contact) / max(v_adv, 0.1)
+            > (u_clear - u) / max((v_ego + v_cap) / 2.0, 1.0) + self.t_margin
+        ):
+            committed, commit_step = True, k
+        if not committed:
+            a_ego = idm_accel(max(d0 - u, 0.01), v_ego, 0.0)  # hold short of the turn entry
+        else:
+            a_ego = idm_accel(math.inf, v_ego, 0.0)
+            if u < d0:
+                # pace the approach so the arc entry is hit at no more than the cap
+                a_ego = min(a_ego, (v_cap2 - v_ego**2) / (2.0 * max(d0 - u, 0.1)))
+            elif u < arc_end:
+                a_ego = min(a_ego, (v_cap - v_ego) / dt)
+            a_ego = min(max(a_ego, a_lo), a_hi)
+
+        # Oncoming car: its own turn intention makes it yield when it still
+        # can.  Once the ego commits, after a reaction delay it decides once
+        # and for all: yield if the braking to its stop line is tolerable,
+        # else keep going.
+        gap = (y_adv - CAR_LENGTH / 2) - self.y_stopline  # front bumper to stop line
+        if mode == _NORMAL and intent and not decided:
+            if v_adv**2 / (2.0 * max(gap, 0.3)) <= self.b_giveup:
+                mode = _YIELD
+        if committed and not decided and mode != _CONTINUE and k >= commit_step + self.react_steps:
+            decided = True
+            mode = _YIELD if v_adv**2 / (2.0 * max(gap, 0.3)) <= self.b_giveup else _CONTINUE
+        if mode == _YIELD and committed and u >= u_clear:
+            mode = _NORMAL  # ego is through; resume
+        if mode == _YIELD:
+            a_adv = -min(self.b_yield_hard, v_adv**2 / (2.0 * max(gap - self.stop_margin, 0.3)))
+        else:
+            a_adv = idm_accel(math.inf, v_adv, 0.0)
+        a_adv += offset
+
+        v_prev = v_adv
+        v_ego = max(v_ego + a_ego * dt, 0.0)
+        u += v_ego * dt
+        v_adv = max(v_adv + a_adv * dt, 0.0)
+        y_adv -= v_adv * dt
+        obs0, obs1 = obs1, (v_adv - v_prev) / dt
+
+        # ego pose from path length: straight north, quarter arc, straight west
+        if u < d0:
+            x, y, heading, ex, ey = x_ego_lane, y_north + u, math.pi / 2, ex_north, ey_north
+        elif u < arc_end:
+            th = (u - d0) / r  # arc centre sits at (-6, -6) by symmetry
+            x, y, heading = c + r * math.cos(th), c + r * math.sin(th), math.pi / 2 + th
+            ex, ey = _box_extents(heading, CAR_LENGTH, CAR_WIDTH)
+        else:
+            x, y, heading = c - (u - d0 - self.arc_len), x_ego_lane, math.pi
+            ex, ey = ex_west, ey_west
+        hit = abs(x - x_adv) <= ex + ex_adv and abs(y - y_adv) <= ey + ey_adv
+        if records is not None:
+            records.append({
+                "t": round((k + 1) * dt, 9),
+                "ego_x": x,
+                "ego_y": y,
+                "ego_heading": heading,
+                "ego_v": v_ego,
+                "adv_x": x_adv,
+                "adv_y": y_adv,
+                "adv_v": v_adv,
+                "signal": signal,
+                "intent": intent,
+                "adv_mode": _MODES[mode],
+                "committed": committed,
+                "disturbance": symbol,
+                "collision": hit,
+            })
+        if hit:
+            return k + 1
+    return None
+
+
+def _pc_roll_frozen(self, values, records: list | None = None) -> int | None:
+    """Roll the six channels of ``values`` to the horizon or the first collision.
+
+    Returns the 1-based step of the first collision, or None.  When
+    ``records`` is a list, each step's record is appended to it.
+    """
+    columns = [values[name][: self.horizon].tolist() for name in PC_CHANNEL_NAMES]
+    dt, x_stop, b_brake, v_cruise = self.dt, self.x_stop, self.b_brake, self.v_cruise
+    a_lo, a_hi = -self.b_hard, IDM_A_MAX
+    ex_ego, ey_ego = _box_extents(0.0, CAR_LENGTH, CAR_WIDTH)
+    ex_ped, ey_ped = _box_extents(math.pi / 2, PED_SIZE, PED_SIZE)
+
+    x_ego, v_ego, committed = self.ego_x0, self.v_cruise, False
+    ped_x, ped_y, ped_vx, ped_vy = 0.0, self.ped_y0, 0.0, self.ped_vy0
+    for k, (a_x, a_y, n_x, n_y, n_vx, n_vy) in enumerate(zip(*columns)):
+        perc_x, perc_y = ped_x + n_x, ped_y + n_y
+        perc_vx, perc_vy = ped_vx + n_vx, ped_vy + n_vy
+        if not committed and x_ego < 0:
+            # commit once the pedestrian looks clear of the lane on arrival
+            y_pred = perc_y + perc_vy * self.time_to_crosswalk(x_ego, v_ego)
+            committed = y_pred >= self.clear_ahead or y_pred <= -self.clear_behind
+        d = x_stop - x_ego
+        if committed:
+            a = idm_accel(math.inf, v_ego, 0.0, v_cruise)
+        elif d <= 0.1:
+            a = -v_ego / dt  # hold at the stop point
+        elif v_ego**2 / (2.0 * d) >= b_brake:
+            a = -v_ego**2 / (2.0 * d)
+        else:
+            a = idm_accel(math.inf, v_ego, 0.0, v_cruise)
+        a = min(max(a, a_lo), a_hi)
+
+        v_ego = max(v_ego + a * dt, 0.0)
+        x_ego += v_ego * dt
+        ped_vx += a_x * dt
+        ped_vy += a_y * dt
+        ped_x += ped_vx * dt
+        ped_y += ped_vy * dt
+        # the ego drives along y = 0
+        hit = abs(x_ego - ped_x) <= ex_ego + ex_ped and abs(ped_y) <= ey_ego + ey_ped
+        if records is not None:
+            records.append({
+                "t": round((k + 1) * dt, 9),
+                "ego_x": x_ego,
+                "ego_y": 0.0,
+                "ego_v": v_ego,
+                "ped_x": ped_x,
+                "ped_y": ped_y,
+                "ped_vx": ped_vx,
+                "ped_vy": ped_vy,
+                "perc_x": perc_x,
+                "perc_y": perc_y,
+                "perc_vx": perc_vx,
+                "perc_vy": perc_vy,
+                "committed": committed,
+                "a_x": a_x,
+                "a_y": a_y,
+                "n_x": n_x,
+                "n_y": n_y,
+                "n_vx": n_vx,
+                "n_vy": n_vy,
+                "collision": hit,
+            })
+        if hit:
+            return k + 1
+    return None
+
+
+def _strict(records) -> list:
+    """Records as (key, type, repr) triples: repr tells -0.0 from 0.0."""
+    return [[(k, type(v).__name__, repr(v)) for k, v in rec.items()] for rec in records]
+
+
+def _assert_rolls_match_frozen(sc: Scenario, batch: TraceBatch) -> list:
+    """``run``, ``fail_steps`` and ``roll_lanes`` on ``batch`` against the
+    frozen roll: the same fail steps, and records of the same values, types
+    and zero signs.  Returns the fail steps."""
+    frozen = _lt_roll_frozen if isinstance(sc.config, LeftTurnConfig) else _pc_roll_frozen
+    want = []
+    for trace in batch:
+        records = []
+        want.append(frozen(sc.config, trace.values, records))
+        res = run(sc, trace)
+        assert res.fail_step == want[-1]
+        assert _strict(res.records) == _strict(records)
+    assert fail_steps(sc, batch) == want
+    assert sc.config.roll_lanes(batch.blocks) == want
+    return want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 60, 1024])
+@pytest.mark.parametrize("name", scenario_names())
+def test_rolls_match_their_frozen_copies(name, n):
+    sc = scenario(name)
+    steps = _assert_rolls_match_frozen(sc, _lockstep_traces(sc, n, np.random.default_rng(48)))
+    assert len(steps) == n
+    if n == 1024:
+        assert 0 < sum(s is not None for s in steps) < n
+
+
+def _batch(sc: Scenario, values: list[dict]) -> TraceBatch:
+    return TraceBatch.from_traces(sc.channels, [SignalTrace(sc.dt, sc.channels, v) for v in values])
+
+
+def _first_commit(records) -> int | None:
+    return next((i for i, rec in enumerate(records) if rec["committed"]), None)
+
+
+def test_hand_made_left_turns_reach_every_branch():
+    # (scenario, symbol prefix): (fail step, first committed step, the
+    # oncoming car's mode at each step as n/y/c)
+    cases = {
+        # the time-gap rule commits at once; the car decides to yield two
+        # steps later and resumes once the ego is through
+        ("lt1", ()): (None, 0, "nnyyyyyyyyyynnnnnnnnnnnn"),
+        # its own turn intention makes the car yield before any decision
+        ("lt1", ("L",)): (None, 0, "yyyyyyyyyyyynnnnnnnnnnnn"),
+        # braking it cannot bear: it carries on and hits the turning ego
+        ("lt1", ("a_maj", "a_maj", "a_maj")): (10, 0, "nncccccccc"),
+        # a turn signal seen from afar
+        ("lt2", ("S",)): (7, 0, "nnccccc"),
+        # the car has passed: the ego commits behind it
+        ("lt2", ()): (None, 10, "nnnnnnnnnnnncccccccccccc"),
+        # the car visibly braking, from the third step on
+        ("lt3", ("d_maj", "d_maj", "d_maj")): (None, 2, "nnnncccccccccccccccccccc"),
+        ("lt3", ("S", "L", "d_med", "a_med", "S")): (9, 0, "nnccccccc"),
+    }
+    for name in ("lt1", "lt2", "lt3"):
+        sc = scenario(name)
+        values, longer = [], []
+        for (case, prefix), (fail, commit, modes) in cases.items():
+            if case != name:
+                continue
+            symbols = np.array(list(prefix) + ["none"] * (sc.horizon - len(prefix)), dtype=object)
+            records = []
+            assert _lt_roll_frozen(sc.config, {"disturbance": symbols}, records) == fail, prefix
+            assert _first_commit(records) == commit, prefix
+            assert "".join(rec["adv_mode"][0] for rec in records) == modes, prefix
+            values.append({"disturbance": symbols})
+            longer.append({"disturbance": np.concatenate([symbols, ["a_maj"] * 3])})  # past the horizon
+        _assert_rolls_match_frozen(sc, _batch(sc, values))
+        _assert_rolls_match_frozen(sc, _batch(sc, longer))
+        # unknown symbols: the same error at the same step
+        for bad in (["q"] + ["none"] * 23, ["none"] * 20 + ["zz"] * 4, ["a_maj"] * 3 + ["none"] * 17 + ["zz"] * 4):
+            trace = {"disturbance": np.array(bad, dtype=object)}
+            try:
+                want = _lt_roll_frozen(sc.config, trace)
+            except ValueError as error:
+                want = str(error)
+            try:
+                got = sc.config.roll(trace)
+            except ValueError as error:
+                got = str(error)
+            assert got == want
+
+
+def _pc_values(sc: Scenario, m: int | None = None, **columns) -> dict:
+    """Zero channels of ``m`` steps (the horizon by default), with prefixes from ``columns``."""
+    values = {name: np.zeros(m or sc.horizon) for name in PC_CHANNEL_NAMES}
+    for name, prefix in columns.items():
+        values[name][: len(prefix)] = prefix
+    return values
+
+
+def _knife_edge(roll, values: dict, channel: str, step: int, lo: float, hi: float) -> list[dict]:
+    """Two traces one ulp apart in ``values[channel][step]``, between ``lo``
+    and ``hi``, on either side of a point where ``roll``'s fail step changes:
+    a collision or a commit decided in the last bit."""
+    def at(x):
+        out = {name: v.copy() for name, v in values.items()}
+        out[channel][step] = x
+        return out
+
+    first = roll(at(lo))
+    assert roll(at(hi)) != first, (channel, step)
+    while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if roll(at(mid)) == first else (lo, mid)
+    return [at(lo), at(hi)]
+
+
+def test_hand_made_crosswalks_reach_every_branch():
+    sc = scenario("pc1")
+    cfg = sc.config
+    a_y0, a_y_held = np.full(sc.horizon, -0.0), [0.0] * 10 + [-7.5]
+    # name: (channels, fail step, first committed step)
+    cases = {
+        # waits, brakes, and commits once the walker is across
+        "nominal": (_pc_values(sc), None, 19),
+        # -0.0 everywhere: the same rollout, and every record keeps its zero signs
+        "negative zeros": (_pc_values(sc, **{name: a_y0 for name in PC_CHANNEL_NAMES}), None, 19),
+        # a walker read as nearly stopped: commits behind it, and hits it
+        "commit behind": (_pc_values(sc, n_vy=[-1.4] * 3), 14, 0),
+        # a walker read as fast: commits ahead of it, and hits it
+        "commit ahead": (_pc_values(sc, n_vy=[4.0]), 14, 0),
+        # a walker who stops in the lane: the ego brakes, holds at the stop
+        # point and never commits
+        "never commits": (_pc_values(sc, a_y=a_y_held), None, None),
+        # a walker thrown at the ego
+        "collides at step 1": (_pc_values(sc, a_x=[-800.0], a_y=[70.0]), 1, None),
+        # a walker drifting west into the held ego at the last step
+        "collides at the last step": (_pc_values(sc, a_x=[-0.087] * sc.horizon, a_y=a_y_held), 30, None),
+        # steps past the horizon, which would collide at once, are not rolled
+        "longer than the horizon": (_pc_values(sc, sc.horizon + 3, n_vy=[-1.4] * 3), 14, 0),
+    }
+    values = []
+    for name, (trace, fail, commit) in cases.items():
+        if name == "longer than the horizon":
+            trace["a_x"][sc.horizon:] = -800.0
+        records = []
+        assert _pc_roll_frozen(cfg, trace, records) == fail, name
+        assert _first_commit(records) == commit, name
+        values.append(trace)
+    held = []
+    _pc_roll_frozen(cfg, cases["never commits"][0], held)
+    speeds = [rec["ego_v"] for rec in held]
+    # braked short of the stop point, then held there
+    assert any(b < a for a, b in zip(speeds, speeds[1:])) and speeds[-8:] == [0.0] * 8
+    assert cfg.x_stop - held[-1]["ego_x"] <= 0.1
+    zeros = []
+    _pc_roll_frozen(cfg, cases["negative zeros"][0], zeros)
+    assert repr(zeros[0]["a_x"]) == "-0.0" and repr(zeros[0]["ped_vx"]) == "0.0"
+
+    # collisions and commits decided in the last bit, on traces with
+    # noise in every channel
+    def roll(v):
+        return _pc_roll_frozen(cfg, v)
+
+    edges = []
+    for seed, channel, step, lo, hi in [
+        (0, "n_vy", 2, -1.5, 0.0), (0, "n_vy", 2, 0.0, 1.5), (0, "n_y", 6, 1.5, 3.0),
+        (1, "a_y", 0, -3.0, -1.5), (3, "a_y", 0, -3.0, -1.5), (3, "a_y", 0, -1.5, 0.0),
+        (3, "a_y", 5, -3.0, -1.5), (3, "a_y", 5, -1.5, 0.0), (4, "a_y", 0, -3.0, -1.5),
+        (5, "a_y", 0, -3.0, -1.5), (5, "n_y", 6, -3.0, -1.5),
+    ]:
+        r = np.random.default_rng(seed)
+        noisy = {name: r.normal(0.0, 0.4, sc.horizon) for name in PC_CHANNEL_NAMES}
+        edges += _knife_edge(roll, noisy, channel, step, lo, hi)
+    for batch in (values[:-1], [values[-1]], edges):
+        for name in ("pc1", "pc2"):
+            _assert_rolls_match_frozen(scenario(name), _batch(scenario(name), batch))
+
+
 def _raised(fn, *args) -> str:
     with pytest.raises(ValueError) as info:
         fn(*args)
@@ -377,11 +746,11 @@ def test_roll_raises_on_unknown_symbols():
 
 
 @pytest.mark.parametrize("n", sorted({n for cfg in (LeftTurnConfig, CrosswalkConfig)
-                                       for n in (1, cfg.lockstep_lanes - 1, cfg.lockstep_lanes,
+                                       for n in (0, 1, cfg.lockstep_lanes - 1, cfg.lockstep_lanes,
                                                  2 * cfg.lockstep_lanes)}))
 def test_fail_steps_reject_what_fail_step_rejects(n):
     # a batch that run would reject trace by trace, below and above each
-    # scenario kind's lane count
+    # scenario kind's lane count, and an empty one
     sc = scenario("lt1")
     short = SignalTrace(
         dt=sc.dt, channels=sc.channels, values={"disturbance": np.array(["none"] * 3, dtype=object)}
@@ -391,11 +760,11 @@ def test_fail_steps_reject_what_fail_step_rejects(n):
     reordered = (CategoricalChannel("disturbance", symbols=LT_SYMBOLS[::-1]),)
     for bad in (short, scenario("pc1").nominal_trace(),
                 SignalTrace(dt=sc.dt, channels=reordered, values=sc.nominal_trace().values)):
-        assert _raised(fail_steps, sc, TraceBatch.from_traces(bad.channels, [bad] * n)) == _raised(run, sc, bad)
+        batch = TraceBatch.from_traces(bad.channels, [bad]).take([0] * n)
+        assert _raised(fail_steps, sc, batch) == _raised(run, sc, bad)
     other = scenario("pc2")
-    assert _raised(fail_steps, other, TraceBatch.from_traces(sc.channels, [sc.nominal_trace()] * n)) == (
-        _raised(run, other, sc.nominal_trace())
-    )
+    batch = TraceBatch.from_traces(sc.channels, [sc.nominal_trace()]).take([0] * n)
+    assert _raised(fail_steps, other, batch) == _raised(run, other, sc.nominal_trace())
 
 
 @pytest.mark.parametrize("lo,hi", [(0.0, 40.0), (0.0, 2.0), (1e-3, 1e4)])
@@ -443,7 +812,9 @@ def test_stacked_linear_algebra_matches_per_row_calls(n):
 
 
 def test_lockstep_transcendentals_match_math():
-    # the left-turn arc (cos, sin) and the crosswalk arrival time (sqrt)
+    # the left-turn arc (cos, sin) and the crosswalk arrival time (sqrt):
+    # the tabulated ego computes them with math once, and a lockstep that
+    # computed them per lane would need numpy to give the same bits
     rng = np.random.default_rng(46)
     angles = rng.uniform(-1.0, 2.0 + math.pi / 2, 100_000)
     roots = rng.uniform(0.0, 2000.0, 100_000)

@@ -5,7 +5,6 @@ from .baseline import MetricReport, evaluate_expression, importance_sample
 from .constraints import (
     ConstraintSet,
     InfeasibleError,
-    Output,
     compile_constraints,
     constraints_for,
     sample_constraints,

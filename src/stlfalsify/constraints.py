@@ -11,10 +11,10 @@ Steps outside a window stay arbitrary.  A series root and a window past
 the horizon are read as ``stl.evaluate`` reads them (``stl.lift``,
 ``stl.check_horizon``).
 
-A scalar node's required output is an ``Output`` code.  A series node's is
-a pair of Python-int step masks: bit i of the first is set where step i
-must be true, bit i of the second where it must be false, and a step in
-neither is arbitrary.  The split rules are mask operations: ``&`` splits
+A scalar node's required output is an int code: 0 arbitrary, 1 true, 2
+false.  A series node's is a pair of Python-int step masks: bit i of the
+first is set where step i must be true, bit i of the second where it must
+be false, and a step in neither is arbitrary.  The split rules are mask operations: ``&`` splits
 the false mask with a coin mask c into ``F & ~c`` (left) and ``F & c``
 (right), ``|`` splits the true mask the same way, and ``!`` swaps the two
 masks.  Every series ``&``/``|`` node draws one coin per step, whether or
@@ -42,7 +42,6 @@ draw is infeasible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
@@ -62,11 +61,9 @@ from .stl import (
 )
 
 __all__ = [
-    "Output",
     "InfeasibleError",
     "LeafConstraint",
     "ConstraintSet",
-    "subexpression_outputs",
     "sample_constraints",
     "compile_constraints",
     "constraints_for",
@@ -78,13 +75,7 @@ EPSILON = 1e-6
 RETRIES = 10  # fresh descents constraints_for tries before giving up
 
 
-class Output(IntEnum):
-    ARBITRARY = 0
-    TRUE = 1
-    FALSE = 2
-
-
-_ARB, _TRUE, _FALSE = 0, 1, 2  # Output codes as plain ints for the descent
+_ARB, _TRUE, _FALSE = 0, 1, 2  # a scalar node's required output
 _NEG = (_ARB, _FALSE, _TRUE)  # _NEG[code] negates a scalar code
 
 
@@ -99,19 +90,6 @@ def _bit_rows(masks, m: int) -> np.ndarray:
     return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=m, bitorder="little").view(bool)
 
 
-def _mask(steps: np.ndarray) -> int:
-    """Bool per step as a step mask."""
-    return int.from_bytes(np.packbits(steps, bitorder="little").tobytes(), "little")
-
-
-def _codes(true: int, false: int, m: int) -> np.ndarray:
-    """Two step masks as int8 Output codes per step."""
-    true_at, false_at = _bit_rows((true, false), m)
-    codes = true_at.astype(np.int8)
-    codes[false_at] = _FALSE
-    return codes
-
-
 @dataclass(frozen=True)
 class LeafConstraint:
     """One comparison plus the steps where it must be true or false."""
@@ -120,11 +98,6 @@ class LeafConstraint:
     true: int  # step mask: bit i set where step i must be true
     false: int  # step mask: bit i set where step i must be false
     m: int
-
-    @property
-    def outputs(self) -> np.ndarray:
-        """int8 Output codes per step."""
-        return _codes(self.true, self.false, self.m)
 
 
 def _split_scalar(out: int, rng, is_and: bool) -> tuple[int, int]:
@@ -177,41 +150,6 @@ def _connectives(f) -> int:
     if isinstance(f, (And, Or)):
         return 1 + _connectives(f.lhs) + _connectives(f.rhs)
     raise FormulaTypeError(f"not a series formula: {f!r}")
-
-
-def subexpression_outputs(
-    op: str,
-    out,
-    rng: np.random.Generator,
-    interval: TimeInterval | None = None,
-    m: int | None = None,
-):
-    """Required outputs for the children of one operator application.
-
-    ``out`` is one Output code for scalar context or an array of codes for
-    series context; the children's codes come back as int8 of the same
-    shape.  Windowed operators ("always", "eventually") take a scalar
-    ``out`` plus their interval and the trace length ``m``, and return a
-    one-element tuple holding the child's series codes.  Series codes pass
-    through the descent's step masks, so the draws are the descent's.
-    """
-    out = np.asarray(out, dtype=np.int8)
-    if op not in ("not", "and", "or", "always", "eventually"):
-        raise ValueError(f"unknown operator {op!r}")
-    if op in ("always", "eventually"):
-        if interval is None or m is None:
-            raise ValueError(f"{op} needs interval and m")
-        return (_codes(*_window(op == "always", int(out), interval, m, rng), m),)
-    if out.ndim == 0:
-        if op == "not":
-            return (np.int8(_NEG[int(out)]),)
-        return tuple(np.int8(c) for c in _split_scalar(int(out), rng, op == "and"))
-    n = len(out)
-    true, false = _mask(out == _TRUE), _mask(out == _FALSE)
-    if op == "not":
-        return (_codes(false, true, n),)
-    (coins,) = _coin_rows(rng, 1, n)
-    return tuple(_codes(t, f, n) for t, f in _split_series(true, false, coins, op == "and"))
 
 
 def sample_constraints(

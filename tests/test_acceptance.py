@@ -20,11 +20,8 @@ from scipy import stats
 
 import stlfalsify as sf
 from stlfalsify.cli import main as cli_main
-from stlfalsify.constraints import Output, subexpression_outputs
 from stlfalsify.grammar import get_at, loci
-from stlfalsify.stl import ContinuousChannel, TimeInterval, check
-
-T, F, A = Output.TRUE, Output.FALSE, Output.ARBITRARY
+from stlfalsify.stl import CategoricalChannel, ContinuousChannel, check
 
 
 # ---------------------------------------------------------------------------
@@ -59,64 +56,86 @@ def test_01_constrained_samples_satisfy_their_formula(name):
 # 2. the minimal-restriction conversion rules, every operator x output
 
 
-def _outcome_set(op, out, n=300, **kw):
-    seen = set()
+T, F, A = "T", "F", "A"  # a step that must be true, must be false, or is free
+DIST = CategoricalChannel(name="disturbance", symbols=("none", "a_med", "a_maj", "L"))
+
+
+def _outcome_set(text, atoms, m=1, n=300):
+    """The distinct outcomes of n descents of ``text`` on an m-step trace.
+
+    An outcome holds, per symbol in ``atoms``, the m step codes that the
+    descent requires of its comparison: all A where it left no leaf.
+    """
+    formula = sf.parse(text, (DIST,))
     rng = np.random.default_rng(7)
+    seen = set()
     for _ in range(n):
-        kids = subexpression_outputs(op, out, rng, **kw)
-        seen.add(tuple(tuple(np.atleast_1d(k).tolist()) for k in kids))
+        leaves = sf.sample_constraints(formula, m, rng)
+        masks = {leaf.atom.value: (leaf.true, leaf.false) for leaf in leaves}
+        assert len(masks) == len(leaves)  # one comparison per symbol
+        seen.add(tuple(
+            tuple(T if t >> i & 1 else F if f >> i & 1 else A for i in range(m))
+            for t, f in (masks.get(a, (0, 0)) for a in atoms)
+        ))
     return seen
 
 
-def test_02_conversion_rule_table():
-    one = lambda *outs: {tuple((int(o),) for o in outs)}
+def _at(steps, mark, m):
+    """m step codes: ``mark`` at ``steps``, A elsewhere."""
+    return tuple(mark if i in steps else A for i in range(m))
 
-    # scalar boolean rules
-    assert _outcome_set("not", T) == one(F)
-    assert _outcome_set("not", F) == one(T)
-    assert _outcome_set("not", A) == one(A)
-    assert _outcome_set("and", T) == one(T, T)
-    assert _outcome_set("and", F) == one(F, A) | one(A, F)
-    assert _outcome_set("and", A) == one(A, A)
-    assert _outcome_set("or", T) == one(T, A) | one(A, T)
-    assert _outcome_set("or", F) == one(F, F)
-    assert _outcome_set("or", A) == one(A, A)
+
+def test_02_conversion_rule_table():
+    # scalar rules on a 1-step trace.  Each operand is G_[0,0](symbol), so
+    # its one leaf outputs what the operand must: T, F, or A (no leaf).  The
+    # root is required true, a "!" above a node requires it false, and the
+    # free side of a false "and" requires it arbitrary.
+    one = lambda *outs: {tuple((o,) for o in outs)}
+    P, Q, R = "G_[0,0](a_med)", "G_[0,0](a_maj)", "G_[0,0](L)"
+    PQ, RPQ = ("a_med", "a_maj"), ("L", "a_med", "a_maj")
+    assert _outcome_set(f"!{Q}", ("a_maj",)) == one(F)  # not T
+    assert _outcome_set(f"!!{Q}", ("a_maj",)) == one(T)  # not F
+    # not A: the "!" on the right gets A where a_med is F, else F
+    assert _outcome_set(f"!({P} & !{Q})", PQ) == one(F, A) | one(A, T)
+    assert _outcome_set(f"({P} & {Q})", PQ) == one(T, T)
+    assert _outcome_set(f"!({P} & {Q})", PQ) == one(F, A) | one(A, F)
+    # and A, or A: the inner node gets A where L is F, else F
+    assert _outcome_set(f"!({R} & ({P} & {Q}))", RPQ) == (
+        one(F, A, A) | one(A, F, A) | one(A, A, F)
+    )
+    assert _outcome_set(f"({P} | {Q})", PQ) == one(T, A) | one(A, T)
+    assert _outcome_set(f"!({P} | {Q})", PQ) == one(F, F)
+    assert _outcome_set(f"!({R} & ({P} | {Q}))", RPQ) == one(F, A, A) | one(A, F, F)
 
     # windowed rules over [1, 3] of a 5-step trace
-    kw = dict(interval=TimeInterval(1, 3), m=5)
-    assert _outcome_set("always", T, **kw) == {((A, T, T, T, A),)}
-    assert _outcome_set("eventually", F, **kw) == {((A, F, F, F, A),)}
-    assert _outcome_set("always", A, **kw) == {((A, A, A, A, A),)}
-    assert _outcome_set("eventually", A, **kw) == {((A, A, A, A, A),)}
+    window, free, lone = {1, 2, 3}, _at((), A, 5), _at({0}, F, 5)
+    assert _outcome_set("G_[1,3](a_maj)", ("a_maj",), m=5) == {(_at(window, T, 5),)}
+    assert _outcome_set("!F_[1,3](a_maj)", ("a_maj",), m=5) == {(_at(window, F, 5),)}
+    # an arbitrary window, on the free side of a false "and", pins nothing
+    got = _outcome_set("!(G_[0,0](a_med) & G_[1,3](a_maj))", PQ, m=5)
+    assert got == {(lone, free)} | {(free, _at({i}, F, 5)) for i in window}
+    got = _outcome_set("!(G_[0,0](a_med) & F_[1,3](a_maj))", PQ, m=5)
+    assert got == {(lone, free), (free, _at(window, F, 5))}
     # a violated "always" picks one uniform step, a satisfied "eventually"
     # one uniform witness; every window position must show up
-    for op, mark in (("always", F), ("eventually", T)):
-        picks = set()
-        for (codes,) in _outcome_set(op, mark, n=400, **kw):
-            hot = [i for i, c in enumerate(codes) if c == mark]
-            assert len(hot) == 1 and 1 <= hot[0] <= 3
-            assert all(codes[i] == A for i in range(5) if i != hot[0])
-            picks.add(hot[0])
-        assert picks == {1, 2, 3}
+    for text, mark in (("!G_[1,3](a_maj)", F), ("F_[1,3](a_maj)", T)):
+        got = _outcome_set(text, ("a_maj",), m=5, n=400)
+        assert got == {(_at({i}, mark, 5),) for i in window}
 
-    # series rules run element-wise with an independent coin per step
-    out = np.array([T, F, A], dtype=np.int8)
-    for left, right in _outcome_set("and", out, n=400):
-        assert (left[0], right[0]) == (T, T)
-        assert (left[1], right[1]) in {(int(F), int(A)), (int(A), int(F))}
-        assert (left[2], right[2]) == (A, A)
-    for left, right in _outcome_set("or", out, n=400):
-        assert (left[0], right[0]) in {(int(T), int(A)), (int(A), int(T))}
-        assert (left[1], right[1]) == (F, F)
-        assert (left[2], right[2]) == (A, A)
-    (codes,) = subexpression_outputs("not", out, np.random.default_rng(0))
-    assert codes.tolist() == [F, T, A]
-    # coins at different steps are independent: two F steps under "and"
-    # must realise all four child combinations
-    ff = np.array([F, F], dtype=np.int8)
-    combos = {(l[0], l[1]) for l, _ in _outcome_set("and", ff, n=400)}
-    assert combos == {(int(F), int(F)), (int(F), int(A)),
-                      (int(A), int(F)), (int(A), int(A))}
+    # series rules run step by step with an independent coin per step.  A
+    # window's argument is required true at some steps or false at some,
+    # never both, so each rule is read off [0, 1] of a 3-step trace, whose
+    # step 2 is free.
+    both, splits = {0, 1}, [set(), {0}, {1}, {0, 1}]
+    steps = lambda mark, *sides: {tuple(_at(s, mark, 3) for s in sides)}
+    assert _outcome_set("G_[0,1]((a_med & a_maj))", PQ, m=3, n=400) == steps(T, both, both)
+    got = _outcome_set("!F_[0,1]((a_med & a_maj))", PQ, m=3, n=400)
+    assert got == set().union(*(steps(F, s, both - s) for s in splits))
+    got = _outcome_set("G_[0,1]((a_med | a_maj))", PQ, m=3, n=400)
+    assert got == set().union(*(steps(T, s, both - s) for s in splits))
+    assert _outcome_set("!F_[0,1]((a_med | a_maj))", PQ, m=3, n=400) == steps(F, both, both)
+    assert _outcome_set("G_[0,1](!a_maj)", ("a_maj",), m=3) == steps(F, both)
+    assert _outcome_set("!F_[0,1](!a_maj)", ("a_maj",), m=3) == steps(T, both)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Unit coverage for the formula-to-constraint conversion.
 
-The conversion applies the minimal-restriction rules one operator at a
-time; every rule (operator x required output) is pinned here, both for the
+The conversion is one top-down descent, ``sample_constraints``, that applies
+the minimal-restriction rule of each operator it meets.  Every rule
+(operator x required output) is pinned here through small formulas whose
+leaves show what each node was required to output, both for the
 deterministic cases and for the coin-flip cases where the rule picks one
 child at random.
 """
+
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -12,11 +16,11 @@ import pytest
 from stlfalsify.constraints import (
     EPSILON,
     InfeasibleError,
-    Output,
+    _coin_rows,
+    _split_series,
     compile_constraints,
     constraints_for,
     sample_constraints,
-    subexpression_outputs,
 )
 from stlfalsify.grammar import GrammarSpec, loci, sample_expression
 from stlfalsify.samplers import sample_trace
@@ -48,7 +52,19 @@ DIST = CategoricalChannel(
 ACC = ContinuousChannel(name="a_y", lo=-2.0, hi=2.0)
 CHANNELS = (DIST, ACC)
 
+
+
+class Output(IntEnum):
+    """Per-step output codes, as the frozen descent below holds them."""
+
+    ARBITRARY = 0
+    TRUE = 1
+    FALSE = 2
+
+
 T, F, A = Output.TRUE, Output.FALSE, Output.ARBITRARY
+P, Q, R = "G_[0,0](a_med)", "G_[0,0](a_maj)", "G_[0,0](L)"
+PQ, RPQ = ("a_med", "a_maj"), ("L", "a_med", "a_maj")
 
 
 def rng(seed=0):
@@ -63,118 +79,137 @@ def allowed_sets(cs, ch=DIST):
     ]
 
 
-def outcomes(op, out, n=400, **kw):
-    """Set of child-output tuples the rule produces over many draws."""
-    seen = set()
+def as_masks(codes):
+    """Per-step codes as the descent's (true, false) step masks."""
+    return tuple(sum(1 << i for i in np.flatnonzero(codes == c).tolist()) for c in (T, F))
+
+
+def outcomes(text, atoms, m=1, n=400):
+    """The distinct outcomes of n descents of ``text`` on an m-step trace:
+    per symbol in ``atoms``, the m codes that its comparison must output
+    (all A where the descent left no leaf)."""
+    f = parse(text, CHANNELS)
     r = rng(42)
+    seen = set()
     for _ in range(n):
-        kids = subexpression_outputs(op, out, r, **kw)
-        seen.add(tuple(tuple(np.atleast_1d(k).tolist()) for k in kids))
+        leaves = sample_constraints(f, m, r)
+        masks = {leaf.atom.value: (leaf.true, leaf.false) for leaf in leaves}
+        assert len(masks) == len(leaves)  # one comparison per symbol
+        seen.add(tuple(
+            tuple(T if t >> i & 1 else F if f >> i & 1 else A for i in range(m))
+            for t, f in (masks.get(a, (0, 0)) for a in atoms)
+        ))
     return seen
 
 
+def one(*outs):
+    """One outcome of 1-step codes."""
+    return {tuple((o,) for o in outs)}
+
+
+def at(steps, mark, m):
+    """m step codes: ``mark`` at ``steps``, A elsewhere."""
+    return tuple(mark if i in steps else A for i in range(m))
+
+
 # ---------------------------------------------------------------------------
-# scalar rules, one operator at a time
+# scalar rules, one operator at a time.  On a 1-step trace each operand
+# G_[0,0](symbol) has one leaf, which outputs what the operand must: T, F,
+# or A (no leaf).  The root is required true, a "!" above a node requires
+# it false, and the free side of a false "and" requires it arbitrary.
 
 
 def test_not_swaps_required_output():
-    assert subexpression_outputs("not", T, rng()) == (F,)
-    assert subexpression_outputs("not", F, rng()) == (T,)
-    assert subexpression_outputs("not", A, rng()) == (A,)
+    assert outcomes(f"!{Q}", ("a_maj",)) == one(F)
+    assert outcomes(f"!!{Q}", ("a_maj",)) == one(T)
+    # the "!" on the right is required A where a_med is F, F elsewhere
+    assert outcomes(f"!({P} & !{Q})", PQ) == one(F, A) | one(A, T)
 
 
 def test_and_true_restricts_both_children():
-    assert outcomes("and", T) == {((int(T),), (int(T),))}
+    assert outcomes(f"({P} & {Q})", PQ) == one(T, T)
 
 
 def test_and_false_picks_one_false_child():
-    got = outcomes("and", F)
-    assert got == {((int(F),), (int(A),)), ((int(A),), (int(F),))}
+    assert outcomes(f"!({P} & {Q})", PQ) == one(F, A) | one(A, F)
 
 
 def test_or_true_picks_one_true_child():
-    got = outcomes("or", T)
-    assert got == {((int(T),), (int(A),)), ((int(A),), (int(T),))}
+    assert outcomes(f"({P} | {Q})", PQ) == one(T, A) | one(A, T)
 
 
 def test_or_false_restricts_both_children():
-    assert outcomes("or", F) == {((int(F),), (int(F),))}
+    assert outcomes(f"!({P} | {Q})", PQ) == one(F, F)
 
 
 def test_arbitrary_propagates_through_connectives():
-    assert outcomes("and", A) == {((int(A),), (int(A),))}
-    assert outcomes("or", A) == {((int(A),), (int(A),))}
+    # the inner node is required A where L is F, F elsewhere
+    assert outcomes(f"!({R} & ({P} & {Q}))", RPQ) == one(F, A, A) | one(A, F, A) | one(A, A, F)
+    assert outcomes(f"!({R} & ({P} | {Q}))", RPQ) == one(F, A, A) | one(A, F, F)
 
 
 def test_always_true_pins_whole_window():
-    (codes,) = subexpression_outputs("always", T, rng(), interval=TimeInterval(2, 4), m=6)
-    assert codes.tolist() == [A, A, T, T, T, A]
+    assert outcomes("G_[2,4](a_maj)", ("a_maj",), m=6) == {((A, A, T, T, T, A),)}
 
 
 def test_always_false_pins_single_uniform_step():
-    seen = set()
+    f = parse("!G_[1,3](a_maj)", CHANNELS)
     counts = np.zeros(6, dtype=int)
     r = rng(1)
     for _ in range(600):
-        (codes,) = subexpression_outputs("always", F, r, interval=TimeInterval(1, 3), m=6)
-        idx = [i for i, c in enumerate(codes) if c == F]
-        assert len(idx) == 1 and 1 <= idx[0] <= 3
-        assert all(codes[i] == A for i in range(6) if i != idx[0])
-        counts[idx[0]] += 1
-        seen.add(idx[0])
-    assert seen == {1, 2, 3}
+        (leaf,) = sample_constraints(f, 6, r)
+        assert leaf.true == 0 and leaf.false in (1 << 1, 1 << 2, 1 << 3)
+        counts[leaf.false.bit_length() - 1] += 1
     assert counts[1:4].min() > 120  # roughly uniform over the window
 
 
 def test_eventually_true_pins_single_uniform_witness():
+    f = parse("F_[0,2](a_maj)", CHANNELS)
     seen = set()
     r = rng(2)
     for _ in range(600):
-        (codes,) = subexpression_outputs("eventually", T, r, interval=TimeInterval(0, 2), m=4)
-        idx = [i for i, c in enumerate(codes) if c == T]
-        assert len(idx) == 1 and idx[0] <= 2
-        seen.add(idx[0])
+        (leaf,) = sample_constraints(f, 4, r)
+        assert leaf.false == 0 and leaf.true in (1 << 0, 1 << 1, 1 << 2)
+        seen.add(leaf.true.bit_length() - 1)
     assert seen == {0, 1, 2}
 
 
 def test_eventually_false_pins_whole_window():
-    (codes,) = subexpression_outputs("eventually", F, rng(), interval=TimeInterval(1, 2), m=4)
-    assert codes.tolist() == [A, F, F, A]
+    assert outcomes("!F_[1,2](a_maj)", ("a_maj",), m=4) == {((A, F, F, A),)}
 
 
 def test_windowed_arbitrary_leaves_everything_free():
-    for op in ("always", "eventually"):
-        (codes,) = subexpression_outputs(op, A, rng(), interval=TimeInterval(0, 3), m=4)
-        assert codes.tolist() == [A, A, A, A]
+    # the window is required A where a_med is F
+    for op in ("G", "F"):
+        got = outcomes(f"!({P} & {op}_[0,3](a_maj))", PQ, m=4)
+        assert {w for v, w in got if v == (F, A, A, A)} == {(A, A, A, A)}
 
 
 # ---------------------------------------------------------------------------
-# series rules work element-wise with per-step coins
+# series rules work step by step with per-step coins.  A window's argument
+# is required true at some steps or false at some, never both, so each rule
+# shows on [0, 1] of a 3-step trace, whose step 2 is free.
 
 
 def test_series_and_element_wise():
-    out = np.array([T, F, A], dtype=np.int8)
-    got = outcomes("and", out, n=600)
-    for left, right in got:
-        assert (left[0], right[0]) == (T, T)
-        assert {(left[1], right[1])} <= {(int(F), int(A)), (int(A), int(F))}
-        assert (left[2], right[2]) == (A, A)
-    # both coin outcomes occur at the F step
-    assert {(l[1], r[1]) for l, r in got} == {(int(F), int(A)), (int(A), int(F))}
+    assert outcomes("G_[0,1]((a_med & a_maj))", PQ, m=3) == {((T, T, A), (T, T, A))}
+    got = outcomes("!F_[1,1]((a_med & a_maj))", PQ, m=3)
+    assert got == {((A, F, A), (A, A, A)), ((A, A, A), (A, F, A))}
+    got = outcomes("G_[1,1]((a_med | a_maj))", PQ, m=3)
+    assert got == {((A, T, A), (A, A, A)), ((A, A, A), (A, T, A))}
+    assert outcomes("!F_[0,1]((a_med | a_maj))", PQ, m=3) == {((F, F, A), (F, F, A))}
 
 
 def test_series_coins_are_independent_across_steps():
-    out = np.array([F, F], dtype=np.int8)
-    combos = {
-        (left[0], left[1]) for left, _ in outcomes("and", out, n=600)
-    }
-    assert combos == {(int(F), int(F)), (int(F), int(A)), (int(A), int(F)), (int(A), int(A))}
+    both = {0, 1}
+    for text, mark in (("!F_[0,1]((a_maj & a_med))", F), ("G_[0,1]((a_maj | a_med))", T)):
+        got = outcomes(text, ("a_maj", "a_med"), m=2)
+        assert got == {(at(s, mark, 2), at(both - s, mark, 2)) for s in (set(), {0}, {1}, both)}
 
 
 def test_series_not_negates_codes():
-    out = np.array([T, F, A], dtype=np.int8)
-    (codes,) = subexpression_outputs("not", out, rng())
-    assert codes.tolist() == [F, T, A]
+    assert outcomes("G_[0,1](!a_maj)", ("a_maj",), m=3) == {((F, F, A),)}
+    assert outcomes("!F_[0,1](!a_maj)", ("a_maj",), m=3) == {((T, T, A),)}
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +222,13 @@ def test_sample_constraints_collects_leaf_codes():
     assert len(leaves) == 1
     (leaf,) = leaves
     assert leaf.atom.channel == "disturbance"
-    assert leaf.outputs.tolist() == [T, T, A, A]
+    assert (leaf.true, leaf.false, leaf.m) == (0b0011, 0, 4)
 
 
 def test_series_root_is_lifted_to_whole_horizon():
     f = parse("a_maj", CHANNELS)  # bare series formula
     leaves = sample_constraints(f, m=3, rng=rng())
-    assert leaves[0].outputs.tolist() == [T, T, T]
+    assert (leaves[0].true, leaves[0].false) == (0b111, 0)
 
 
 # Ill-typed trees, which the parser rejects, built by hand.  Each one puts
@@ -340,15 +375,8 @@ def test_retries_find_a_feasible_coin_assignment():
 
 
 # ---------------------------------------------------------------------------
-# the series rules, through the descent's step masks, against their
-# copy-and-assign definitions
-
-
-def _negate_reference(out):
-    flipped = out.copy()
-    flipped[out == Output.TRUE] = Output.FALSE
-    flipped[out == Output.FALSE] = Output.TRUE
-    return flipped
+# the series split, on the descent's step masks, against its copy-and-assign
+# definition
 
 
 def _split_reference(out, r, false_splits):
@@ -364,19 +392,17 @@ def _split_reference(out, r, false_splits):
 
 
 def test_series_helpers_match_reference_draw_for_draw():
+    # masks true at some steps and false at others, which the descent never
+    # builds, so that both rules meet every kind of step
     codes = rng(99)
     for seed in range(200):
         out = codes.integers(0, 3, size=int(codes.integers(1, 40))).astype(np.int8)
-        (got,) = subexpression_outputs("not", out, rng())
-        assert got.dtype == np.int8
-        assert np.array_equal(got, _negate_reference(out))
         for false_splits in (True, False):
             new_rng, ref_rng = rng(seed), rng(seed)
-            got = subexpression_outputs("and" if false_splits else "or", out, new_rng)
+            (coins,) = _coin_rows(new_rng, 1, len(out))
+            got = _split_series(*as_masks(out), coins, false_splits)
             want = _split_reference(out, ref_rng, false_splits)
-            for g, w in zip(got, want):
-                assert g.dtype == np.int8
-                assert np.array_equal(g, w)
+            assert got == tuple(as_masks(w) for w in want)
             assert new_rng.random() == ref_rng.random()
 
 
@@ -481,8 +507,8 @@ def test_descent_matches_frozen_two_encoding_descent(name):
         want = sample_constraints_frozen(f, sc.horizon, ref_rng)
         assert [leaf.atom for leaf in got] == [atom for atom, _ in want]
         for leaf, (_, codes) in zip(got, want):
-            assert leaf.outputs.dtype == codes.dtype == np.int8
-            assert np.array_equal(leaf.outputs, codes)
+            assert codes.dtype == np.int8 and leaf.m == sc.horizon
+            assert (leaf.true, leaf.false) == as_masks(codes)
         assert new_rng.random() == ref_rng.random()
 
 
@@ -501,7 +527,7 @@ def test_descent_matches_frozen_descent_at_any_horizon(name, m):
         want = sample_constraints_frozen(f, m, ref_rng)
         assert [leaf.atom for leaf in got] == [atom for atom, _ in want]
         for leaf, (_, codes) in zip(got, want):
-            assert np.array_equal(leaf.outputs, codes)
+            assert (leaf.true, leaf.false) == as_masks(codes)
         assert new_rng.random() == ref_rng.random()
 
 

@@ -811,18 +811,6 @@ def test_stacked_linear_algebra_matches_per_row_calls(n):
             assert np.array_equal(got, np.array(want)), f"stacked {what} differs per row at k={k}, n={n}"
 
 
-def test_lockstep_transcendentals_match_math():
-    # the left-turn arc (cos, sin) and the crosswalk arrival time (sqrt):
-    # the tabulated ego computes them with math once, and a lockstep that
-    # computed them per lane would need numpy to give the same bits
-    rng = np.random.default_rng(46)
-    angles = rng.uniform(-1.0, 2.0 + math.pi / 2, 100_000)
-    roots = rng.uniform(0.0, 2000.0, 100_000)
-    cases = ((np.cos, math.cos, angles), (np.sin, math.sin, angles), (np.sqrt, math.sqrt, roots))
-    for np_fn, math_fn, x in cases:
-        assert np.array_equal(np_fn(x), [math_fn(v) for v in x.tolist()]), np_fn.__name__
-
-
 def test_rollout_csv_is_stable(tmp_path):
     sc = scenario("lt1")
     res = sc.run(lt_trace(sc, ["a_maj", "a_maj", "a_maj"]))

@@ -1,35 +1,35 @@
-"""The shared rollout loop, the importance-sampling baseline and the
-failure metrics.
+"""The shared build-roll-score step, the importance-sampling baseline
+and the failure metrics.
 
-Search, re-evaluation and the baseline all roll traces in three steps.
+Search, re-evaluation and the baseline all roll traces in two steps.
 ``draw_batch`` makes one constraint draw (none for the baseline) and
 draws the random numbers of a batch of traces under it
 (``samplers.draw_traces``); every draw comes from the generator the
-caller passes.  ``samplers.build_traces`` then turns many drawn batches
-into one ``stl.TraceBatch`` in one numpy pass per channel, and
-``outcomes`` rolls that batch without records, in one
+caller passes.  ``roll_draws`` then takes many drawn batches in stream
+order, builds them into one ``stl.TraceBatch`` in one numpy pass per
+channel (``samplers.build_traces``), rolls it without records in one
 ``Scenario.fail_steps`` call (numpy over all traces at once from the
 scenario config's ``lockstep_lanes`` traces on: a lockstep of the
 oncoming cars from 48 left-turn traces, a closed form from 3 crosswalk
 traces, so a crosswalk batch of 60 baseline trials rolls in one call
-and a single re-evaluated trial on the scalar loop; one lane per
-distinct symbol sequence when the model is discrete), and scores the
-failing traces in one
-``samplers.log_likelihoods`` call.  Building, rollouts and likelihoods
-draw no random numbers, so drawing batches first and building and
-rolling them afterwards gives the same draws and outcomes as sampling
-and rolling each batch as it is drawn.  ``rollouts`` builds and rolls
-about ``CHUNK`` traces at a time, and builds a ``SignalTrace`` only for
-each failing trace it returns.
+and a single re-evaluated trial on the scalar loop), and scores the
+failing traces in one ``samplers.log_likelihoods`` call.  Building,
+rollouts and likelihoods draw no random numbers, and each trace's fail
+step and likelihood do not depend on the rest of its batch, so drawing
+batches first and building and rolling them afterwards gives the same
+draws and outcomes as sampling and rolling each batch as it is drawn.
+The search and the trial batches each draw about ``CHUNK`` traces per
+``roll_draws`` call.
 
 The baseline samples the scenario's proposal, the others its model.
-Search scores a formula with one batch of N traces (``optimize.run``
-drives the two steps itself); re-evaluation and the baseline run one
-batch per trial, so every re-evaluated trial gets a fresh constraint
-draw, and roll their failing traces once more for the records they
-return.  Likelihoods are always scored under the scenario's true
-disturbance model, never under the model the traces were drawn from, so
-optimizer output and the baseline are directly comparable.  Reports carry:
+Search scores a formula with one batch of N traces and rolls the
+batches of many formulas together (``optimize.run``); re-evaluation and
+the baseline run one batch per trial, so every re-evaluated trial gets a
+fresh constraint draw, and roll their failing traces once more for the
+records they return.  Likelihoods are always scored under the scenario's
+true disturbance model, never under the model the traces were drawn
+from, so optimizer output and the baseline are directly comparable.
+Reports carry:
 
 * fail rate over all trials, with a binomial standard error;
 * a likelihood statistic over the failing trajectories only.
@@ -51,15 +51,14 @@ import numpy as np
 from .constraints import InfeasibleError, constraints_for
 from .samplers import DisturbanceModel, TraceDraw, build_traces, draw_traces, log_likelihoods
 from .sim import Scenario, SimResult
-from .stl import Formula, SignalTrace, TraceBatch
+from .stl import Formula, TraceBatch
 
 __all__ = [
     "MetricReport",
     "importance_sample",
     "evaluate_expression",
-    "rollouts",
     "draw_batch",
-    "outcomes",
+    "roll_draws",
 ]
 
 GEOMEAN_STEP_PROB = "geometric_mean_step_probability"
@@ -101,62 +100,31 @@ def draw_batch(
         return None
 
 
-def outcomes(scenario: Scenario, batch: TraceBatch) -> list[float | None]:
-    """Each trace's log-likelihood under ``scenario.model`` if it fails, else None.
+def roll_draws(
+    scenario: Scenario,
+    model: DisturbanceModel,
+    drawn: list[TraceDraw | None],
+) -> tuple[TraceBatch | None, list[float | None]]:
+    """Build, roll and score drawn batches: the one step that search,
+    re-evaluation and the baseline share.
 
-    The batch is rolled in one ``Scenario.fail_steps`` call, which steps
-    its traces in lockstep when there are enough of them, and the failing
-    ones are scored in one ``log_likelihoods`` call, each to the bits of
-    ``log_likelihood``.  When ``scenario.model`` is discrete, each distinct
-    symbol sequence is rolled and scored once, and every repeat of it
-    reuses that outcome.
+    ``drawn`` holds ``draw_batch`` results in stream order, None for an
+    infeasible draw.  The feasible ones are built into one batch
+    (``samplers.build_traces``), rolled in one ``Scenario.fail_steps``
+    call and their failing traces scored under ``scenario.model`` in one
+    ``log_likelihoods`` call.  Returns that batch (None when no draw is
+    feasible) and, per trace in batch order, its log-likelihood if it
+    fails, else None.  Each trace's outcome is the one it gets rolled and
+    scored alone, whatever else is in the batch.
     """
-    index = range(len(batch))
-    if scenario.model.discrete:
-        codes = np.concatenate([batch.blocks[ch.name] for ch in batch.channels], axis=1)
-        # one opaque key per trace: np.unique of these takes a tenth of axis=0's time
-        rows = codes.view(f"V{codes.itemsize * codes.shape[1]}")[:, 0]
-        _, first, index = np.unique(rows, return_index=True, return_inverse=True)
-        batch = batch.take(first)
+    feasible = [draw for draw in drawn if draw is not None]
+    if not feasible:
+        return None, []
+    batch = build_traces(model, scenario.horizon, scenario.dt, feasible)
     steps = scenario.fail_steps(batch)
     failing = [i for i, step in enumerate(steps) if step is not None]
     scores = iter(log_likelihoods(scenario.model, batch.take(failing)).tolist())
-    lls = [None if step is None else next(scores) for step in steps]
-    return [lls[i] for i in index]
-
-
-def rollouts(
-    scenario: Scenario,
-    model: DisturbanceModel,
-    formula: Formula | None,
-    rng: np.random.Generator,
-    batches: int,
-    size: int,
-) -> tuple[list[SignalTrace], list[float], int]:
-    """Roll ``batches`` batches of ``size`` traces drawn from ``model``.
-
-    Each batch is one ``draw_batch``; a batch whose draw stays infeasible
-    rolls nothing and adds ``size`` to the infeasible count.  Returns the
-    failing traces, their log-likelihoods under ``scenario.model`` and the
-    infeasible count.  The batches are drawn first, in order, and built
-    and rolled together afterwards, ``CHUNK`` traces or so at a time
-    (``samplers.build_traces``, ``outcomes``).
-    """
-    if batches * size < 1:
-        raise ValueError("trials must be at least 1")
-    fails, lls, n_infeasible = [], [], 0
-    per_chunk = max(1, CHUNK // size)
-    for first in range(0, batches, per_chunk):
-        drawn = [draw_batch(scenario, model, formula, rng, size)
-                 for _ in range(min(per_chunk, batches - first))]
-        n_infeasible += size * sum(draw is None for draw in drawn)
-        drawn = [draw for draw in drawn if draw is not None]
-        if drawn:
-            chunk = build_traces(model, scenario.horizon, scenario.dt, drawn)
-            scored = outcomes(scenario, chunk)
-            fails += [chunk[i] for i, ll in enumerate(scored) if ll is not None]
-            lls += [ll for ll in scored if ll is not None]
-    return fails, lls, n_infeasible
+    return batch, [None if step is None else next(scores) for step in steps]
 
 
 def _trial_batch(
@@ -168,8 +136,21 @@ def _trial_batch(
 ) -> tuple[MetricReport, list[SimResult]]:
     """One batch of one trace per trial, drawn from ``model`` under fresh
     constraints for ``formula``: the report, and the failing trials rolled
-    again for their records."""
-    fails, lls, n_infeasible = rollouts(scenario, model, formula, rng, batches=trials, size=1)
+    again for their records.
+
+    The trials are drawn in order, ``CHUNK`` at a time, and each chunk is
+    built, rolled and scored in one ``roll_draws``; an infeasible draw
+    rolls nothing and counts as an infeasible trial.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    fails, lls, n_infeasible = [], [], 0
+    for first in range(0, trials, CHUNK):
+        drawn = [draw_batch(scenario, model, formula, rng, 1) for _ in range(min(CHUNK, trials - first))]
+        n_infeasible += sum(draw is None for draw in drawn)
+        batch, scored = roll_draws(scenario, model, drawn)
+        fails += [batch[i] for i, ll in enumerate(scored) if ll is not None]
+        lls += [ll for ll in scored if ll is not None]
     discrete = scenario.model.discrete
     vals = [math.exp(ll / scenario.horizon) for ll in lls] if discrete else lls
     rate = len(lls) / trials

@@ -1,20 +1,19 @@
 """Genetic programming over formulas, scored by constrained rollouts.
 
 Each candidate formula is scored by one batch of the rollout steps that
-re-evaluation and the baseline also use: a single constraint draw, the
-random numbers of disturbance traces that satisfy it
-(``baseline.draw_batch``), scenario rollouts, and the likelihood of each
-failing trace under the scenario's model (``baseline.outcomes``).
+re-evaluation and the baseline also use: a single constraint draw and
+the random numbers of disturbance traces that satisfy it
+(``baseline.draw_batch``), then scenario rollouts and the likelihood of
+each failing trace under the scenario's model (``baseline.roll_draws``).
 ``run`` splits drawing from building and rolling: each cache miss draws
 its batch's numbers at once, in the order the search makes its
-formulas, and ``settle`` builds the pending draws into one
-``stl.TraceBatch`` (``samplers.build_traces``) and rolls it, in one
-``Scenario.fail_steps`` call, once ``baseline.CHUNK`` traces have
-gathered or the generation ends; a search builds no ``SignalTrace``.  Then
-``evaluate_cost`` scores each pending formula from its outcomes, once
-per cache miss.  Building and rollouts draw no random numbers and
-tournaments read only the previous generation, so the draws and results
-are those of scoring each formula as it is made.
+formulas, and ``settle`` hands the pending draws to one ``roll_draws``
+once ``baseline.CHUNK`` traces have gathered or the generation ends; a
+search builds no ``SignalTrace``.  Then ``evaluate_cost`` scores each
+pending formula from its outcomes, once per cache miss.  Building and
+rollouts draw no random numbers and tournaments read only the previous
+generation, so the draws and results are those of scoring each formula
+as it is made.
 
 The cost averages -likelihood * failure over the batch, so low cost means
 the formula pins down likely failures.  With discrete disturbance models
@@ -38,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import CHUNK, draw_batch, outcomes
+from . import baseline
 from .grammar import crossover, mutate, sample_expression
-from .samplers import TraceDraw, build_traces
+from .samplers import TraceDraw
 from .stl import Formula, canonical_text
 
 __all__ = ["GpConfig", "Individual", "evaluate_cost", "run"]
@@ -84,7 +83,7 @@ _WORST = dict(cost=0.0, fail_count=0, mean_fail_loglik=-math.inf, n_evals=0)
 
 
 def evaluate_cost(formula: Formula, scenario, outcomes: list[float | None] | None) -> Individual:
-    """Score one formula from its batch's ``baseline.outcomes``.
+    """Score one formula from its batch's outcomes (``baseline.roll_draws``).
 
     ``outcomes`` holds one entry per trace of the formula's single
     constraint draw: the log-likelihood of a failing trace, None for one
@@ -136,10 +135,7 @@ def run(scenario, config: GpConfig, progress=None) -> tuple[Individual, list[dic
 
     def settle():
         """Build and roll every pending trace together, then score each pending formula."""
-        drawn = [draw for _, draw in pending.values() if draw is not None]
-        outs = iter(())
-        if drawn:
-            outs = iter(outcomes(scenario, build_traces(scenario.model, scenario.horizon, scenario.dt, drawn)))
+        outs = iter(baseline.roll_draws(scenario, scenario.model, [draw for _, draw in pending.values()])[1])
         for key, (formula, draw) in pending.items():
             scored = None if draw is None else [next(outs) for _ in range(draw.size)]
             cache[key] = evaluate_cost(formula, scenario, scored)
@@ -148,9 +144,9 @@ def run(scenario, config: GpConfig, progress=None) -> tuple[Individual, list[dic
     def lookup(formula: Formula) -> str:
         key = canonical_text(formula)
         if key not in cache and key not in pending:
-            draw = draw_batch(scenario, scenario.model, formula, rng, config.samples_per_eval)
+            draw = baseline.draw_batch(scenario, scenario.model, formula, rng, config.samples_per_eval)
             pending[key] = (formula, draw)
-            if len(pending) * config.samples_per_eval >= CHUNK:  # infeasible draws count too
+            if len(pending) * config.samples_per_eval >= baseline.CHUNK:  # infeasible draws count too
                 settle()
         return key
 

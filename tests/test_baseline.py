@@ -29,9 +29,7 @@ def rng(seed=0):
 def score(formula, sc, N, rng):
     """evaluate_cost on one batch of N traces, drawn, built and rolled as search does."""
     draw = baseline.draw_batch(sc, sc.model, formula, rng, N)
-    if draw is None:
-        return evaluate_cost(formula, sc, None)
-    return evaluate_cost(formula, sc, baseline.outcomes(sc, build_traces(sc.model, sc.horizon, sc.dt, [draw])))
+    return evaluate_cost(formula, sc, None if draw is None else baseline.roll_draws(sc, sc.model, [draw])[1])
 
 
 def test_report_serializes():
@@ -167,7 +165,7 @@ def test_search_batch_shares_one_witness_step():
 
 
 def _rollouts_through_run(sc, model, formula, rng, batches, size):
-    """``baseline.rollouts`` written as a loop that runs every trace with records."""
+    """The program's rollouts written as a loop that runs every trace with records."""
     fails, lls, n_infeasible = [], [], 0
     for _ in range(batches):
         try:
@@ -184,11 +182,54 @@ def _rollouts_through_run(sc, model, formula, rng, batches, size):
     return fails, lls, n_infeasible
 
 
+def _search_rollouts(sc, model, formula, rng, batches, size):
+    """``batches`` draws of ``size`` traces rolled as ``optimize.run`` rolls
+    them: handed to ``roll_draws`` once ``CHUNK`` traces have gathered.
+    Returns the failing traces, their log-likelihoods and the infeasible count."""
+    traces, lls, n_infeasible, drawn = [], [], 0, []
+    for made in range(1, batches + 1):
+        drawn.append(baseline.draw_batch(sc, model, formula, rng, size))
+        n_infeasible += size * (drawn[-1] is None)
+        if len(drawn) * size >= baseline.CHUNK or made == batches:
+            batch, scored = baseline.roll_draws(sc, model, drawn)
+            traces += [batch[i] for i, ll in enumerate(scored) if ll is not None]
+            lls += [ll for ll in scored if ll is not None]
+            drawn = []
+    return traces, lls, n_infeasible
+
+
+def _assert_same_results(sc, fails, ref_fails):
+    """The same rollouts: records, fail steps and traces, in order."""
+    assert [r.records for r in fails] == [r.records for r in ref_fails]
+    assert [r.fail_step for r in fails] == [r.fail_step for r in ref_fails]
+    for res, ref in zip(fails, ref_fails, strict=True):
+        for ch in sc.channels:
+            assert np.array_equal(res.trace.values[ch.name], ref.trace.values[ch.name])
+
+
+def _spy_roll_draws(monkeypatch, check=lambda: None) -> tuple[list, list]:
+    """Patch ``baseline.roll_draws`` to collect every failing trace it
+    rolls and its log-likelihood, in order; ``check`` runs after each call."""
+    traces, lls = [], []
+    real = baseline.roll_draws
+
+    def spying(*args):
+        batch, scored = real(*args)
+        traces.extend(batch[i] for i, ll in enumerate(scored) if ll is not None)
+        lls.extend(ll for ll in scored if ll is not None)
+        check()
+        return batch, scored
+
+    monkeypatch.setattr(baseline, "roll_draws", spying)
+    return traces, lls
+
+
 ROLLOUT_CASES = [
     ("lt1", "proposal", None, 40, 5),
     ("lt2", "model", "F_[0,1](disturbance = S)", 3, 20),
     ("pc1", "model", "G_[0,2](n_vy <= -0.8)", 2, 15),
     ("pc2", "proposal", None, 60, 1),
+    ("pc1", "model", "G_[0,2](n_vy <= -0.8)", 40, 1),
     # above the lockstep's lane count, and across a chunk boundary
     ("lt3", "proposal", None, 2100, 1),
     ("pc2", "model", "F_[0,10](n_y >= 0.5)", 150, 15),
@@ -196,38 +237,45 @@ ROLLOUT_CASES = [
 
 
 @pytest.mark.parametrize("name,which,text,batches,size", ROLLOUT_CASES)
-def test_rollouts_match_a_loop_that_runs_every_trace(name, which, text, batches, size):
+def test_rollouts_match_a_loop_that_runs_every_trace(monkeypatch, name, which, text, batches, size):
+    # one trace per batch: a re-evaluation or baseline trial; more: a search's draws
     sc = scenario(name)
     model = getattr(sc, which)
     formula = None if text is None else parse(text, sc.channels)
-    traces, lls, n_inf = baseline.rollouts(sc, model, formula, rng(21), batches, size)
     ref_fails, ref_lls, ref_inf = _rollouts_through_run(sc, model, formula, rng(21), batches, size)
-    assert traces  # the case exercises the record pass
+    assert ref_fails  # the case exercises the record pass
+    if size == 1:
+        _, lls = _spy_roll_draws(monkeypatch)
+        if formula is None:
+            assert model is sc.proposal
+            report, fails = importance_sample(sc, batches, rng(21))
+        else:
+            assert model is sc.model
+            report, fails = evaluate_expression(formula, sc, batches, rng(21))
+        n_inf = report.n_infeasible
+        assert report.n_failures == len(fails)
+    else:
+        traces, lls, n_inf = _search_rollouts(sc, model, formula, rng(21), batches, size)
+        fails = [sc.run(t) for t in traces]
     assert (lls, n_inf) == (ref_lls, ref_inf)
-    fails = [sc.run(t) for t in traces]
-    assert [r.records for r in fails] == [r.records for r in ref_fails]
-    assert [r.fail_step for r in fails] == [r.fail_step for r in ref_fails]
-    for res, ref in zip(fails, ref_fails):
-        for ch in sc.channels:
-            assert np.array_equal(res.trace.values[ch.name], ref.trace.values[ch.name])
+    _assert_same_results(sc, fails, ref_fails)
 
 
 @pytest.mark.parametrize("name,text", [
     ("lt1", "G_[0,1](disturbance = a_maj)"),
     ("pc1", "G_[0,2](n_vy <= -0.8)"),
 ])
-def test_rollouts_roll_each_distinct_symbol_sequence_once(monkeypatch, name, text):
-    # lt1's model is discrete, so repeated symbol sequences reuse one
-    # rollout and one likelihood; pc1's is not, so every trace is rolled
+def test_every_drawn_trace_is_rolled_once_per_chunk(monkeypatch, name, text):
+    # one build and one fail_steps call per chunk, whether the model is
+    # discrete (lt1) or not (pc1): every drawn trace is rolled exactly once
     sc = scenario(name)
     formula = parse(text, sc.channels)
-    ref_fails, ref_lls, ref_inf = _rollouts_through_run(sc, sc.model, formula, rng(24), 4, 25)
-    drawn, rolled = [], []  # batches built, batches rolled
+    built, rolled = [], []
     real_build, real_fail_steps = baseline.build_traces, sim.fail_steps
 
     def recording(*args, **kwargs):
         batch = real_build(*args, **kwargs)
-        drawn.append(batch)
+        built.append(batch)
         return batch
 
     def counting(scenario, batch):
@@ -236,20 +284,62 @@ def test_rollouts_roll_each_distinct_symbol_sequence_once(monkeypatch, name, tex
 
     monkeypatch.setattr(baseline, "build_traces", recording)
     monkeypatch.setattr(sim, "fail_steps", counting)
-    traces, lls, n_inf = baseline.rollouts(sc, sc.model, formula, rng(24), 4, 25)
-    assert (lls, n_inf) == (ref_lls, ref_inf)
-    assert len(traces) == len(ref_fails) > 0
-    for trace, ref in zip(traces, ref_fails):
-        for ch in sc.channels:
-            assert np.array_equal(trace.values[ch.name], ref.trace.values[ch.name])
-    (drawn,), (rolled,) = drawn, rolled  # one chunk, built once
-    assert len(drawn) == 100
-    if sc.model.discrete:
-        distinct = {tuple(tr.values["disturbance"]) for tr in drawn}
-        assert len(rolled) == len(distinct) < len(drawn)
-    else:
-        for ch in sc.channels:
-            assert np.array_equal(rolled.blocks[ch.name], drawn.blocks[ch.name])
+
+    def rolled_once(sizes):
+        assert [len(batch) for batch in built] == sizes
+        assert len(rolled) == len(built)
+        for got, drawn in zip(rolled, built):
+            for ch in sc.channels:
+                assert np.array_equal(got.blocks[ch.name], drawn.blocks[ch.name])
+        built.clear(), rolled.clear()
+
+    ref_fails, ref_lls, ref_inf = _rollouts_through_run(sc, sc.model, formula, rng(24), 4, 25)
+    traces, lls, n_inf = _search_rollouts(sc, sc.model, formula, rng(24), 4, 25)  # one chunk
+    assert (lls, n_inf) == (ref_lls, ref_inf) and ref_fails
+    _assert_same_results(sc, [sc.run(t) for t in traces], ref_fails)
+    rolled_once([100])
+
+    monkeypatch.setattr(baseline, "CHUNK", 40)
+    ref_fails, _, _ = _rollouts_through_run(sc, sc.model, formula, rng(24), 100, 1)
+    report, fails = evaluate_expression(formula, sc, 100, rng(24))
+    assert report.n_infeasible == 0 and report.n_failures > 0
+    _assert_same_results(sc, fails, ref_fails)
+    rolled_once([40, 40, 20])
+
+
+@pytest.mark.parametrize("name,text,trials", [
+    ("lt1", "G_[0,1](disturbance = a_maj)", 30),
+    ("pc1", "G_[0,2](n_vy <= -0.8)", 20),
+])
+def test_chunk_boundaries_change_nothing(monkeypatch, name, text, trials):
+    # neither a search nor a trial batch depends on where its chunks end
+    sc = scenario(name)
+    formula = parse(text, sc.channels)
+    config = GpConfig(population=120, generations=2, samples_per_eval=10, seed=27)  # past one CHUNK
+
+    rolls = []  # roll_draws calls per search
+    real = baseline.roll_draws
+    monkeypatch.setattr(baseline, "roll_draws", lambda *args: rolls.append(1) or real(*args))
+
+    def outputs():
+        rolls.clear()
+        searched = run(sc, config)
+        return (searched, len(rolls), evaluate_expression(formula, sc, trials, rng(31)),
+                importance_sample(sc, 3 * trials, rng(32)))
+
+    (ref_best, ref_history), ref_rolls, ref_reeval, ref_is = outputs()
+    assert ref_best.fail_count > 0 and ref_reeval[0].n_failures > 0 and ref_is[0].n_failures > 0
+    for chunk in (1, 7, 10**6):
+        monkeypatch.setattr(baseline, "CHUNK", chunk)
+        (best, history), n_rolls, reeval, is_ = outputs()
+        assert (best, history) == (ref_best, ref_history), chunk
+        if chunk == 10**6:  # the search's chunks move: one roll per generation ...
+            assert n_rolls == config.generations
+        else:  # ... or one per cache miss
+            assert n_rolls > ref_rolls > config.generations
+        for (report, fails), (ref_report, ref_fails) in ((reeval, ref_reeval), (is_, ref_is)):
+            assert report == ref_report, chunk
+            _assert_same_results(sc, fails, ref_fails)
 
 
 def _count_record_passes(monkeypatch) -> list:
@@ -268,10 +358,11 @@ def _count_record_passes(monkeypatch) -> list:
 def test_rollouts_run_only_the_failing_traces_with_records(monkeypatch):
     sc = scenario("lt1")
     calls = _count_record_passes(monkeypatch)
-    traces, _, _ = baseline.rollouts(sc, sc.proposal, None, rng(22), batches=200, size=1)
-    assert 0 < len(traces) < 200
-    assert calls == []
+    passes_while_rolling = []
+    traces, _ = _spy_roll_draws(monkeypatch, check=lambda: passes_while_rolling.append(len(calls)))
     report, fails = importance_sample(sc, trials=200, rng=rng(22))
+    assert 0 < len(traces) < 200
+    assert passes_while_rolling == [0]  # the rollouts run no trace with records
     assert len(calls) == len(fails) == report.n_failures == len(traces)
     assert all(trace is res.trace for trace, res in zip(calls, fails))
 
@@ -332,11 +423,7 @@ def test_trial_batches_roll_in_lockstep_from_the_scenarios_lane_count(monkeypatc
     seen = _roll_spy(monkeypatch, type(sc.config))
     report, fails = trial_batch()
     assert report == ref_report and report.n_failures > 0
-    assert [r.records for r in fails] == [r.records for r in ref_fails]
-    assert [r.fail_step for r in fails] == [r.fail_step for r in ref_fails]
-    for res, ref in zip(fails, ref_fails):
-        for ch in sc.channels:
-            assert np.array_equal(res.trace.values[ch.name], ref.trace.values[ch.name])
+    _assert_same_results(sc, fails, ref_fails)
     assert seen["records"] == len(fails)  # the failing trials, rolled again for their records
     if lockstep:
         assert seen["roll_lanes"] == [trials] and seen["roll"] == 0

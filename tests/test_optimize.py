@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import stlfalsify.optimize as optimize
-from stlfalsify.baseline import draw_batch, outcomes
+from stlfalsify.baseline import draw_batch, roll_draws
 from stlfalsify.optimize import GpConfig, Individual, evaluate_cost, run
-from stlfalsify.samplers import Categorical, DisturbanceModel, build_traces
+from stlfalsify.samplers import Categorical, DisturbanceModel
 from stlfalsify.sim import scenario
 from stlfalsify.stl import CategoricalChannel, SignalTrace, canonical_text, parse
 
@@ -44,9 +44,7 @@ class StubScenario:
 def score(formula, sc, N, rng):
     """evaluate_cost on one batch of N traces, drawn, built and rolled as ``run`` does."""
     draw = draw_batch(sc, sc.model, formula, rng, N)
-    if draw is None:
-        return evaluate_cost(formula, sc, None)
-    return evaluate_cost(formula, sc, outcomes(sc, build_traces(sc.model, sc.horizon, sc.dt, [draw])))
+    return evaluate_cost(formula, sc, None if draw is None else roll_draws(sc, sc.model, [draw])[1])
 
 
 def test_config_validation():

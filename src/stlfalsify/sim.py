@@ -39,7 +39,12 @@ arrival time, the ego's box extents).  Every rollout reads its row.
 Each config rolls a trace in one plain loop, ``config.roll(values,
 records)``, that steps only the other agent, keeps its state in local
 variables and stops at the first collision; ``run`` passes a list for one
-record per step.
+record per step.  A left-turn ego can touch the oncoming car only while
+its box overlaps the oncoming lane, so ``config._stops`` tabulates, per
+ego row, the step from which no collision can come any more: without
+records, ``roll`` stops there, and ``roll_lanes`` once every lane has
+collided or reached its stop.  An lt1 ego commits at step 0 and stops
+after 10 of the 24 steps.
 
 ``fail_steps`` gives the fail steps of a ``TraceBatch``, without records.
 From ``config.lockstep_lanes`` traces on it hands the batch's blocks to
@@ -52,11 +57,12 @@ so the steps cannot be summed.  The pedestrian never reacts to the ego,
 so a crosswalk batch rolls in closed form: running sums of the
 pedestrian's steps, the first clearing decision, and the first overlap
 with that commit step's ego row.  Below the lane count ``fail_steps``
-passes each trace's row to ``roll``.  The fixed cost per call (about 1.4
-ms on a left turn, 0.05 ms on a crosswalk) outweighs the scalar loop's
-30 us per left-turn trace and 16-24 us per crosswalk trace up to about
-48 and 3 traces; each config states that break-even, and how it was
-timed, beside its dynamics.
+passes each trace's row to ``roll``.  A lockstep call costs about 0.3 ms
+on lt1 (every lane stops by step 10), 0.65-0.75 ms on lt2 and lt3 and
+0.05 ms on a crosswalk, against the scalar loop's 6 us per lt1 trace,
+11-13 us per lt2 or lt3 trace and 16-24 us per crosswalk trace, so the
+two break even at about 48-60 and 3 traces; each config states its
+break-even, and how it was timed, beside its dynamics.
 """
 
 from __future__ import annotations
@@ -199,9 +205,12 @@ class LeftTurnConfig:
     # breaks even with a ``roll`` per trace.  Timed as the median of 31
     # alternating calls on unconstrained lt1, lt2 and lt3 model and proposal
     # traces (Python 3.11, numpy 2.4, one core of a shared 2-vCPU x86-64
-    # host), with both reading the tabulated ego: the two took 1.4-1.5 ms
-    # each at 44-52 traces (the loop about 30 us a trace), the loop 1.0-1.5
-    # ms at 32 and the lockstep 1.4-1.6 ms; even at 44-52 traces.
+    # host), with both reading the tabulated ego and stopping at ``_stops``:
+    # at 48 traces the loop took 0.29-0.64 ms (6-13 us a trace) and the
+    # lockstep 0.31-0.74 ms; even at 52-56 traces on lt1 and lt2, 56-60 on
+    # lt3.  Between 48 and 60 traces the two differ by 0.1 ms a call at
+    # most, and the pipeline's batches (5 and 25 trials, search chunks of
+    # about a thousand traces) fall on either side, so the count stays 48.
     lockstep_lanes = 48
 
     lane_half = 1.85
@@ -291,16 +300,35 @@ class LeftTurnConfig:
         rows = self._ego[1]
         return tuple(np.array([[step[i] for step in row] for row in rows]) for i in (1, 4, 5, 6))
 
+    @functools.cached_property
+    def _stops(self) -> tuple[int, ...]:
+        """``stops[c]``: the step from which an ego in row c of ``_ego`` can
+        no longer be hit.  Only the ego's box overlapping the oncoming lane
+        (``x_hit``) lets the cars touch, so for a committed row it is one
+        past the row's last such step, or 0.  A waiting ego (``c ==
+        horizon``) may still commit: its stop is the first step k at which
+        no row c >= k overlaps at step k or later.
+        """
+        h, rows = self.horizon, self._ego[1]
+        last = [max((k for k, step in enumerate(row) if step[4]), default=-1) for row in rows]
+        waiting = next(k for k in range(h + 1) if max(last[k:]) < k)
+        return tuple(k + 1 for k in last[:h]) + (waiting,)
+
     def roll(self, values, records: list | None = None) -> int | None:
         """Roll ``values["disturbance"]`` to the horizon or the first collision.
 
         Returns the 1-based step of the first collision, or None.  When
         ``records`` is a list, each step's record is appended to it.  Only
         the oncoming car is stepped; the ego reads its row of ``_ego``.
+        Without records, stepping ends at the ego row's ``_stops`` step,
+        from which no collision can come; the remaining symbols are still
+        checked, so an unknown one raises as the full loop would.
         """
         wait, rows = self._ego
         dt, x_adv = self.dt, -self.lane_half
         ego = rows[self.horizon]  # the ego waits until it commits
+        stops = self._stops if records is None else (self.horizon,) * (self.horizon + 1)
+        stop = stops[self.horizon]
 
         y_adv, v_adv = self.s_adv, self.v_adv
         signal = intent = committed = decided = False
@@ -310,6 +338,8 @@ class LeftTurnConfig:
             offset = LT_OFFSETS.get(symbol)
             if offset is None:
                 raise ValueError(f"unknown disturbance symbol {symbol!r}")
+            if k >= stop:
+                continue
             if symbol == "S":
                 signal = not signal
             elif symbol == "L":
@@ -325,7 +355,7 @@ class LeftTurnConfig:
                     and k >= self.detect_steps)
                 or (y_adv - self.y_contact) / max(v_adv, 0.1) > wait[k]
             ):
-                committed, commit_step, ego = True, k, rows[k]
+                committed, commit_step, ego, stop = True, k, rows[k], stops[k]
             x, y, heading, v_ego, x_hit, ey_hit, through = ego[k]
 
             # Oncoming car: its own turn intention makes it yield when it still
@@ -378,16 +408,16 @@ class LeftTurnConfig:
         """``roll``'s fail step for each trace (lane) of a ``TraceBatch``'s
         ``blocks``, of ``horizon`` steps at least, bit for bit.  The
         oncoming cars step in lockstep and each lane's ego reads its
-        commit step's row of ``_ego_lanes``.  A lane that has collided is
-        stepped on but keeps its fail step; the loop stops once every lane
-        has collided.
+        commit step's row of ``_ego_lanes``.  A lane that has collided, or
+        passed its row's ``_stops`` step, is stepped on but keeps its fail
+        step; the loop stops once every lane has done either.
         """
         codes = blocks["disturbance"][:, : self.horizon].T  # (step, lane)
         h, n = codes.shape
         offsets = np.array([LT_OFFSETS[s] for s in LT_SYMBOLS])[codes]
         signals = np.cumsum(codes == LT_SYMBOLS.index("S"), axis=0) % 2 == 1
         intents = np.cumsum(codes == LT_SYMBOLS.index("L"), axis=0) % 2 == 1
-        dt, wait = self.dt, self._ego[0]
+        dt, wait, stops = self.dt, self._ego[0], np.array(self._stops)
         ys, x_hits, ey_hits, throughs = self._ego_lanes
 
         y_adv, v_adv = np.full(n, self.s_adv), np.full(n, self.v_adv)
@@ -430,7 +460,7 @@ class LeftTurnConfig:
 
             hit = x_hits[row, k] & (np.abs(ys[row, k] - y_adv) <= ey_hits[row, k])
             fail[hit & (fail == 0)] = k + 1
-            if fail.all():
+            if ((fail > 0) | (stops[row] <= k + 1)).all():
                 break
         return [int(s) if s else None for s in fail.tolist()]
 

@@ -745,6 +745,70 @@ def test_roll_raises_on_unknown_symbols():
     assert _raised(cfg.roll, early) == "unknown disturbance symbol 'q'"
 
 
+@pytest.mark.parametrize("name", ["lt1", "lt2", "lt3"])
+def test_left_turn_stops_bound_every_overlap(name):
+    # _stops recomputed from the steps at which each row of _ego sets x_hit
+    cfg = scenario(name).config
+    rows, stops, h = cfg._ego[1], cfg._stops, cfg.horizon
+    hits = [[k for k, step in enumerate(row) if step[4]] for row in rows]
+    assert len(stops) == h + 1 and hits[h] == []  # a waiting ego never overlaps the lane
+    for c in range(h):
+        assert stops[c] == (hits[c][-1] + 1 if hits[c] else 0)
+    # from its stop on, a waiting ego cannot be hit at whatever step it
+    # commits; one step earlier it can
+    wait = stops[h]
+    assert all(k < wait for c in range(wait, h + 1) for k in hits[c])
+    assert wait > 0 and any(k >= wait - 1 for c in range(wait - 1, h + 1) for k in hits[c])
+    if name == "lt1":
+        assert [s - 1 for s in stops[:17]] == [9, 10, 10, 11, 12, 13, 14, 16, 17, 19, 20, 22, 23, 23, 23, 23, 23]
+        assert hits[17:] == [[]] * 8 and wait == 17
+
+
+def test_early_stop_matches_the_full_loop():
+    # roll without records stops at its row's stop step; run's records path
+    # steps to the horizon, and roll_lanes steps every lane until none can
+    # collide.  Model and proposal traces, and constrained draws that put
+    # rare symbols late, in batches on both sides of the lockstep lanes.
+    late_formulas = ("F_[12,20](disturbance = L)", "G_[10,23](!disturbance = none)")
+    rng = np.random.default_rng(29)
+    at_stop = after_wait = 0
+    for name in ("lt1", "lt2", "lt3"):
+        sc = scenario(name)
+        lanes, stops = sc.config.lockstep_lanes, sc.config._stops
+        batches = [sample_traces(model, sc.horizon, sc.dt, None, rng=rng, size=2 * lanes)
+                   for model in (sc.model, sc.proposal)]
+        for text in late_formulas:
+            formula = parse(text, sc.channels)
+            for model in (sc.model, sc.proposal):
+                for _ in range(4):
+                    cs = constraints_for(formula, sc.channels, sc.horizon, rng)
+                    batches.append(sample_traces(model, sc.horizon, sc.dt, cs, rng=rng, size=lanes // 2))
+        steps = []
+        for batch in batches:
+            want = []
+            for trace in batch:
+                res = run(sc, trace)
+                assert len(res.records) == (res.fail_step or sc.horizon)
+                assert sc.config.roll(trace.values) == res.fail_step
+                want.append(res.fail_step)
+                if res.failure:
+                    commit = _first_commit(res.records)
+                    at_stop += res.fail_step == stops[commit]
+                    after_wait += commit > 0
+            for n in (lanes - 1, lanes, len(batch)):
+                if n <= len(batch):
+                    assert fail_steps(sc, batch.take(range(n))) == want[:n]
+            assert sc.config.roll_lanes(batch.blocks) == want
+            steps += want
+        assert 0 < sum(s is not None for s in steps) < len(steps), name
+    # No left-turn trace is known to collide after step 10 (a search for
+    # one found none), so the sample guards the stops where collisions do
+    # come: at the last step a row can overlap, which a stop one step
+    # earlier would lose, and after an ego that waited commits, which a
+    # waiting stop at or before that commit would lose.
+    assert at_stop > 0 and after_wait > 0
+
+
 @pytest.mark.parametrize("n", sorted({n for cfg in (LeftTurnConfig, CrosswalkConfig)
                                        for n in (0, 1, cfg.lockstep_lanes - 1, cfg.lockstep_lanes,
                                                  2 * cfg.lockstep_lanes)}))

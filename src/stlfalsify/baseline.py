@@ -8,12 +8,10 @@ draws the random numbers of a batch of traces under it
 caller passes.  ``roll_draws`` then takes many drawn batches in stream
 order, builds them into one ``stl.TraceBatch`` in one numpy pass per
 channel (``samplers.build_traces``), rolls it without records in one
-``Scenario.fail_steps`` call (numpy over all traces at once from the
-scenario config's ``lockstep_lanes`` traces on: a lockstep of the
-oncoming cars from 48 left-turn traces, a closed form from 3 crosswalk
-traces, so a crosswalk batch of 60 baseline trials rolls in one call
-and a single re-evaluated trial on the scalar loop), and scores the
-failing traces in one ``samplers.log_likelihoods`` call.  Building,
+``Scenario.fail_steps`` call (a crosswalk batch of any size in closed
+form, a left-turn batch in one lockstep of the oncoming cars from its
+config's lane count on and one trace at a time below it), and scores
+the failing traces in one ``samplers.log_likelihoods`` call.  Building,
 rollouts and likelihoods draw no random numbers, and each trace's fail
 step and likelihood do not depend on the rest of its batch, so drawing
 batches first and building and rolling them afterwards gives the same

@@ -46,23 +46,20 @@ records, ``roll`` stops there, and ``roll_lanes`` once every lane has
 collided or reached its stop.  An lt1 ego commits at step 0 and stops
 after 10 of the 24 steps.
 
-``fail_steps`` gives the fail steps of a ``TraceBatch``, without records.
-From ``config.lockstep_lanes`` traces on it hands the batch's blocks to
-``config.roll_lanes``, with ``roll``'s float operations in ``roll``'s
-order (``np.float_power`` for ``**``), so each lane's fail step is
-``roll``'s bit for bit.  On a left turn that is a numpy lockstep of the
-oncoming cars, one step per time step for every trace (lane) at once,
-branches turned into masks; the oncoming car reacts to the ego's commit,
-so the steps cannot be summed.  The pedestrian never reacts to the ego,
-so a crosswalk batch rolls in closed form: running sums of the
-pedestrian's steps, the first clearing decision, and the first overlap
-with that commit step's ego row.  Below the lane count ``fail_steps``
-passes each trace's row to ``roll``.  A lockstep call costs about 0.3 ms
-on lt1 (every lane stops by step 10), 0.65-0.75 ms on lt2 and lt3 and
-0.05 ms on a crosswalk, against the scalar loop's 6 us per lt1 trace,
-11-13 us per lt2 or lt3 trace and 16-24 us per crosswalk trace, so the
-two break even at about 48-60 and 3 traces; each config states its
-break-even, and how it was timed, beside its dynamics.
+``fail_steps`` gives the fail steps of a ``TraceBatch``, without records:
+it hands the batch's blocks to ``config.fail_steps``, which computes
+with ``roll``'s float operations in ``roll``'s order (``np.float_power``
+for ``**``), so each trace's fail step is ``roll``'s bit for bit.  The
+pedestrian never reacts to the ego, so a crosswalk batch of any size
+rolls in closed form: running sums of the pedestrian's steps, the first
+clearing decision, and the first overlap with that commit step's ego
+row; the crosswalk's ``roll`` serves records only.  The oncoming car
+reacts to the ego's commit, so its steps cannot be summed: a left-turn
+batch rolls in ``roll_lanes``, a numpy lockstep of the oncoming cars,
+one step per time step for every trace (lane) at once, branches turned
+into masks, or, below the lane count the config states beside its
+dynamics, where the lockstep's fixed cost outweighs it, through ``roll``
+per trace.
 """
 
 from __future__ import annotations
@@ -99,6 +96,7 @@ __all__ = [
 
 # IDM parameters of every driver in both scenarios; only the desired
 # velocity differs, and the crosswalk ego passes its cruise speed.
+IDM_V0 = 29.0  # desired velocity, m/s
 IDM_S0 = 5.0  # minimum spacing, m
 IDM_A_MAX = 3.0  # m/s^2
 IDM_B = 2.0  # comfortable deceleration, m/s^2
@@ -107,7 +105,7 @@ IDM_HEADWAY = 1.5  # s
 IDM_DELTA = 4.0
 
 
-def idm_accel(gap: float, v: float, v_lead: float, v0: float = 29.0) -> float:
+def idm_accel(gap: float, v: float, v_lead: float, v0: float = IDM_V0) -> float:
     """IDM acceleration toward a leader ``gap`` metres ahead at desired speed ``v0``.
 
     A free road is ``gap = inf``.  The desired-gap term is floored at zero
@@ -127,15 +125,15 @@ def idm_accel(gap: float, v: float, v_lead: float, v0: float = 29.0) -> float:
     return min(max(a, -IDM_B_HARD), IDM_A_MAX)
 
 
-def _idm_free_accel_lanes(v: np.ndarray, v0: float = 29.0) -> np.ndarray:
-    """``idm_accel`` on a free road (``gap = inf``) for a lane array ``v``.
+def _idm_free_accel_lanes(v: np.ndarray) -> np.ndarray:
+    """``idm_accel`` on a free road (``gap = inf``) at ``IDM_V0`` for a lane array ``v``.
 
     The same operations in the same order, with ``np.float_power`` for
     ``**`` (it calls libm ``pow`` as Python does; ``np.power`` may round
     otherwise), so each lane gets ``idm_accel``'s double: subtracting its
     zero interaction term changes no bit.
     """
-    a = IDM_A_MAX * (1.0 - np.float_power(v / v0, IDM_DELTA))  # minus a zero interaction
+    a = IDM_A_MAX * (1.0 - np.float_power(v / IDM_V0, IDM_DELTA))  # minus a zero interaction
     return np.minimum(np.maximum(a, -IDM_B_HARD), IDM_A_MAX)
 
 
@@ -206,11 +204,14 @@ class LeftTurnConfig:
     # alternating calls on unconstrained lt1, lt2 and lt3 model and proposal
     # traces (Python 3.11, numpy 2.4, one core of a shared 2-vCPU x86-64
     # host), with both reading the tabulated ego and stopping at ``_stops``:
-    # at 48 traces the loop took 0.29-0.64 ms (6-13 us a trace) and the
-    # lockstep 0.31-0.74 ms; even at 52-56 traces on lt1 and lt2, 56-60 on
-    # lt3.  Between 48 and 60 traces the two differ by 0.1 ms a call at
-    # most, and the pipeline's batches (5 and 25 trials, search chunks of
-    # about a thousand traces) fall on either side, so the count stays 48.
+    # a lockstep call costs about 0.3 ms on lt1 (every lane stops by step
+    # 10) and 0.65-0.75 ms on lt2 and lt3, the loop 6 us per lt1 trace and
+    # 11-13 us per lt2 or lt3 trace; at 48 traces the loop took 0.29-0.64 ms
+    # and the lockstep 0.31-0.74 ms; even at 52-56 traces on lt1 and lt2,
+    # 56-60 on lt3.  Between 48 and 60 traces the two differ by 0.1 ms a
+    # call at most, and the pipeline's batches fall on either side: 5- and
+    # 25-trace trial batches on the loop, 300-500-trace claim and CLI
+    # batches and search chunks of about a thousand traces in lockstep.
     lockstep_lanes = 48
 
     lane_half = 1.85
@@ -404,6 +405,15 @@ class LeftTurnConfig:
                 return k + 1
         return None
 
+    def fail_steps(self, blocks) -> list[int | None]:
+        """``roll``'s fail step for each trace of a ``TraceBatch``'s
+        ``blocks``: ``roll_lanes`` from the lane count on, else ``roll`` on
+        each row of the symbol block, decoded once."""
+        codes = blocks["disturbance"]
+        if len(codes) >= self.lockstep_lanes:
+            return self.roll_lanes(blocks)
+        return [self.roll({"disturbance": row}) for row in np.array(LT_SYMBOLS, dtype=object)[codes]]
+
     def roll_lanes(self, blocks) -> list[int | None]:
         """``roll``'s fail step for each trace (lane) of a ``TraceBatch``'s
         ``blocks``, of ``horizon`` steps at least, bit for bit.  The
@@ -484,10 +494,6 @@ class CrosswalkConfig:
 
     dt = 0.2
     horizon = 30
-    # As ``LeftTurnConfig.lockstep_lanes``, timed over 201 alternating calls
-    # on pc1 and pc2 model and proposal traces: the closed form took 51-59
-    # us at 1-4 traces, the loop about 16-24 us a trace; even at 3.
-    lockstep_lanes = 3
 
     ego_x0 = -35.0
     v_cruise = 11.7
@@ -552,7 +558,7 @@ class CrosswalkConfig:
 
     @functools.cached_property
     def _ego_lanes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_ego`` for ``roll_lanes``: ``arrive`` as a ``(horizon,)`` array
+        """``_ego`` for ``fail_steps``: ``arrive`` as a ``(horizon,)`` array
         (0.0 where it is None), where it is not None, and the ego's x as a
         ``(horizon + 1, horizon)`` array."""
         arrive, rows = self._ego
@@ -566,6 +572,7 @@ class CrosswalkConfig:
         Returns the 1-based step of the first collision, or None.  When
         ``records`` is a list, each step's record is appended to it.  Only
         the pedestrian is stepped; the ego reads its row of ``_ego``.
+        ``run`` calls it for the records; ``fail_steps`` rolls without them.
         """
         arrive, rows = self._ego
         columns = [values[name][: self.horizon].tolist() for name in PC_CHANNEL_NAMES]
@@ -620,7 +627,7 @@ class CrosswalkConfig:
                 return k + 1
         return None
 
-    def roll_lanes(self, blocks) -> list[int | None]:
+    def fail_steps(self, blocks) -> list[int | None]:
         """``roll``'s fail step for each trace (lane) of a ``TraceBatch``'s
         ``blocks``, of ``horizon`` steps at least, bit for bit, in closed
         form.  The pedestrian never reacts to the ego, so its states are
@@ -736,9 +743,7 @@ def run(scenario: Scenario, trace: SignalTrace) -> SimResult:
 def fail_steps(scenario: Scenario, batch: TraceBatch) -> list[int | None]:
     """The 1-based step of each trace's first collision, or None; no records."""
     _check(scenario, batch)
-    if len(batch) < scenario.config.lockstep_lanes:
-        return [scenario.config.roll(batch.row(i)) for i in range(len(batch))]
-    return scenario.config.roll_lanes(batch.blocks)
+    return scenario.config.fail_steps(batch.blocks)
 
 
 # ---------------------------------------------------------------------------

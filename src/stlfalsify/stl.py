@@ -440,13 +440,11 @@ class TraceBatch:
     def m(self) -> int:
         return self.blocks[self.channels[0].name].shape[1]
 
-    def row(self, i: int) -> dict[str, np.ndarray]:
-        """Trace i's values, with symbols on categorical channels."""
-        return {ch.name: np.array(ch.symbols, dtype=object)[self.blocks[ch.name][i]]
-                if isinstance(ch, CategoricalChannel) else self.blocks[ch.name][i] for ch in self.channels}
-
     def __getitem__(self, i: int) -> SignalTrace:
-        return SignalTrace(dt=self.dt, channels=self.channels, values=self.row(i))
+        """Trace i, with symbols on categorical channels."""
+        values = {ch.name: np.array(ch.symbols, dtype=object)[self.blocks[ch.name][i]]
+                  if isinstance(ch, CategoricalChannel) else self.blocks[ch.name][i] for ch in self.channels}
+        return SignalTrace(dt=self.dt, channels=self.channels, values=values)
 
     def take(self, rows) -> "TraceBatch":
         """The traces at ``rows``, in that order."""
@@ -743,13 +741,10 @@ def render_natural_language(
     """Readable English for a formula.
 
     ``dt`` converts step indices to seconds.  ``phrases`` optionally maps
-    ``(channel, symbol)`` pairs, or plain channel names, to scenario wording
-    such as "the vehicle performs a major acceleration".
+    ``(channel, symbol)`` pairs to scenario wording such as "the vehicle
+    performs a major acceleration".
     """
     phrases = phrases or {}
-
-    def name_of(ch: str) -> str:
-        return phrases.get(ch, ch)
 
     def walk(f) -> str:
         if isinstance(f, Cmp):
@@ -757,9 +752,9 @@ def render_natural_language(
                 key = (f.channel, f.value)
                 if key in phrases:
                     return phrases[key]
-                return f"{name_of(f.channel)} equals {f.value}"
+                return f"{f.channel} equals {f.value}"
             verb = {"<=": "is at most", ">=": "is at least", "=": "equals"}[f.op]
-            return f"{name_of(f.channel)} {verb} {f.value:g}"
+            return f"{f.channel} {verb} {f.value:g}"
         if isinstance(f, Not):
             return f"it is not the case that {walk(f.arg)}"
         if isinstance(f, And):

@@ -384,32 +384,38 @@ def test_search_scoring_builds_no_records(monkeypatch):
 
 
 def _roll_spy(monkeypatch, config_type) -> dict:
-    """Patch ``config_type.roll`` and ``roll_lanes`` to count what they roll:
-    ``roll`` calls without and with records, and each lockstep's lanes."""
-    seen = {"roll": 0, "records": 0, "roll_lanes": []}
-    real_roll, real_lanes = config_type.roll, config_type.roll_lanes
+    """Patch ``config_type.roll`` and its numpy batch roll (the left turn's
+    lockstep ``roll_lanes``, the crosswalk's closed-form ``fail_steps``) to
+    count what they roll: ``roll`` calls without and with records, and the
+    lanes of each numpy call."""
+    seen = {"roll": 0, "records": 0, "lanes": []}
+    numpy_roll = "roll_lanes" if config_type is sim.LeftTurnConfig else "fail_steps"
+    real_roll, real_lanes = config_type.roll, getattr(config_type, numpy_roll)
 
     def roll(self, values, records=None):
         seen["roll" if records is None else "records"] += 1
         return real_roll(self, values, records)
 
-    def roll_lanes(self, blocks):
-        seen["roll_lanes"].append(len(next(iter(blocks.values()))))
+    def lanes(self, blocks):
+        seen["lanes"].append(len(next(iter(blocks.values()))))
         return real_lanes(self, blocks)
 
     monkeypatch.setattr(config_type, "roll", roll)
-    monkeypatch.setattr(config_type, "roll_lanes", roll_lanes)
+    monkeypatch.setattr(config_type, numpy_roll, lanes)
     return seen
 
 
 @pytest.mark.parametrize("name,text,trials,seed,lockstep", [
-    ("pc1", None, 60, 25, True),  # a crosswalk baseline batch, past its 3 lanes
-    ("lt1", None, 25, 25, False),  # a left-turn baseline batch, short of its 48
-    ("pc1", "G_[0,29](n_y >= 0.8)", 1, 29, False),  # one re-evaluated trial
+    ("pc1", None, 60, 25, True),  # a crosswalk baseline batch, in closed form
+    ("lt1", None, 25, 25, False),  # a left-turn baseline batch, short of its lane count
+    ("pc1", "G_[0,29](n_y >= 0.8)", 1, 29, True),  # one re-evaluated trial, in closed form too
 ])
 def test_trial_batches_roll_in_lockstep_from_the_scenarios_lane_count(monkeypatch, name, text, trials, seed, lockstep):
+    # a crosswalk batch rolls in closed form at any size, a left-turn one in
+    # lockstep from its config's lane count on
     sc = scenario(name)
-    assert (trials >= sc.config.lockstep_lanes) == lockstep
+    if isinstance(sc.config, sim.LeftTurnConfig):
+        assert (trials >= sc.config.lockstep_lanes) == lockstep
 
     def trial_batch():
         if text is None:
@@ -418,7 +424,7 @@ def test_trial_batches_roll_in_lockstep_from_the_scenarios_lane_count(monkeypatc
 
     with monkeypatch.context() as frozen:  # every trace through the scalar loop
         frozen.setattr(Scenario, "fail_steps",
-                       lambda self, batch: [self.config.roll(batch.row(i)) for i in range(len(batch))])
+                       lambda self, batch: [self.config.roll(t.values) for t in batch])
         ref_report, ref_fails = trial_batch()
     seen = _roll_spy(monkeypatch, type(sc.config))
     report, fails = trial_batch()
@@ -426,6 +432,6 @@ def test_trial_batches_roll_in_lockstep_from_the_scenarios_lane_count(monkeypatc
     _assert_same_results(sc, fails, ref_fails)
     assert seen["records"] == len(fails)  # the failing trials, rolled again for their records
     if lockstep:
-        assert seen["roll_lanes"] == [trials] and seen["roll"] == 0
+        assert seen["lanes"] == [trials] and seen["roll"] == 0
     else:
-        assert seen["roll_lanes"] == [] and 0 < seen["roll"] <= trials
+        assert seen["lanes"] == [] and 0 < seen["roll"] <= trials

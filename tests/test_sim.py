@@ -278,24 +278,28 @@ def _pc_overlap(rec):
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_fail_step_agrees_with_run(name):
-    # 100 traces under each of the model and the proposal, with and without
-    # a constraint draw: 400 per scenario, 2000 over the five.  Every
-    # record's collision flag also matches the reference box test on the
-    # poses it reports.
+    # 100 traces (more on a left turn whose lane count asks for more) under
+    # each of the model and the proposal, with and without a constraint
+    # draw: 400 per scenario, 2000 over the five.  Every record's collision
+    # flag also matches the reference box test on the poses it reports.
     sc = scenario(name)
-    overlap = _lt_overlap if name.startswith("lt") else _pc_overlap
+    if isinstance(sc.config, LeftTurnConfig):
+        # the scalar loop just below the lane count, the lockstep at it and
+        # at twice it, and over the whole batch
+        lanes = sc.config.lockstep_lanes
+        size, parts, overlap = max(100, 2 * lanes + 1), (lanes - 1, lanes, 2 * lanes), _lt_overlap
+    else:
+        # the closed form at every size
+        size, parts, overlap = 100, (0, 1, 2, 3), _pc_overlap
     formula = parse(AGREEMENT_FORMULAS[name[:2]], sc.channels)
     rng = np.random.default_rng(17)
     steps = []
     for model in (sc.model, sc.proposal):
         for constrained in (False, True):
             cs = constraints_for(formula, sc.channels, sc.horizon, rng) if constrained else None
-            batch = sample_traces(model, sc.horizon, sc.dt, cs, rng=rng, size=100)
+            batch = sample_traces(model, sc.horizon, sc.dt, cs, rng=rng, size=size)
             lockstep = fail_steps(sc, batch)
-            # the scalar loop just below the scenario's own lane count, the
-            # lockstep at it and at twice it
-            lanes = sc.config.lockstep_lanes
-            for n in (lanes - 1, lanes, 2 * lanes):
+            for n in parts:
                 assert fail_steps(sc, batch.take(range(n))) == lockstep[:n]
             for trace, step in zip(batch, lockstep):
                 res = run(sc, trace)
@@ -303,7 +307,7 @@ def test_fail_step_agrees_with_run(name):
                 assert res.failure == (res.fail_step is not None)
                 assert [r["collision"] for r in res.records] == [overlap(r) for r in res.records]
                 steps.append(res.fail_step)
-    assert len(steps) == 400
+    assert len(steps) == 4 * size
     assert any(s is None for s in steps) and any(s is not None for s in steps)
 
 
@@ -327,6 +331,13 @@ def _lockstep_traces(sc: Scenario, n: int, rng) -> TraceBatch:
                                         for ch in sc.channels})
 
 
+def _numpy_roll(config):
+    """The config's numpy roll of a whole batch: the left turn's lockstep
+    ``roll_lanes``, which its ``fail_steps`` takes only from its lane count
+    on, and the crosswalk's closed-form ``fail_steps``."""
+    return config.roll_lanes if isinstance(config, LeftTurnConfig) else config.fail_steps
+
+
 @pytest.mark.parametrize("names,per_scenario", [(("lt1", "lt2", "lt3"), 7000), (("pc1", "pc2"), 10500)])
 def test_lockstep_fail_steps_match_roll(names, per_scenario):
     # over 20 000 traces per scenario kind; None means no collision
@@ -334,13 +345,13 @@ def test_lockstep_fail_steps_match_roll(names, per_scenario):
         sc = scenario(name)
         batch = _lockstep_traces(sc, per_scenario, np.random.default_rng(41))
         want = [sc.config.roll(t.values) for t in batch]
-        assert sc.config.roll_lanes(batch.blocks) == want
+        assert _numpy_roll(sc.config)(batch.blocks) == want
         assert fail_steps(sc, batch) == want
         failing = sum(s is not None for s in want)
         assert 0 < failing < len(want), name
 
 
-@pytest.mark.parametrize("name", scenario_names())
+@pytest.mark.parametrize("name", ["lt1", "lt2", "lt3"])
 def test_fail_steps_agree_below_and_above_the_lockstep_lanes(monkeypatch, name):
     sc = scenario(name)
     lanes = sc.config.lockstep_lanes
@@ -362,6 +373,37 @@ def test_fail_steps_agree_below_and_above_the_lockstep_lanes(monkeypatch, name):
     part = batch.take(range(2 * lanes))
     longer = TraceBatch(sc.dt, sc.channels, {k: np.concatenate([v, v[:, :3]], axis=1) for k, v in part.blocks.items()})
     assert fail_steps(sc, longer) == fail_steps(sc, part)
+
+
+@pytest.mark.parametrize("name", ["pc1", "pc2"])
+def test_crosswalk_batches_roll_in_one_closed_form_call(monkeypatch, name):
+    # a batch of any size from 0 to 60 makes one closed-form call and no
+    # record-free roll, with run's fail steps
+    sc = scenario(name)
+    batch = _lockstep_traces(sc, 60, np.random.default_rng(43))
+    want = [run(sc, t).fail_step for t in batch]
+    calls = []  # lanes of each closed-form call, and None for each record-free roll
+    real_lanes, real_roll = CrosswalkConfig.fail_steps, CrosswalkConfig.roll
+
+    def lanes(self, blocks):
+        calls.append(len(next(iter(blocks.values()))))
+        return real_lanes(self, blocks)
+
+    def roll(self, values, records=None):
+        if records is None:
+            calls.append(None)
+        return real_roll(self, values, records)
+
+    monkeypatch.setattr(CrosswalkConfig, "fail_steps", lanes)
+    monkeypatch.setattr(CrosswalkConfig, "roll", roll)
+    for n in range(len(batch) + 1):
+        part = batch.take(range(n))
+        calls.clear()
+        assert fail_steps(sc, part) == want[:n]
+        assert calls == [n], n
+    # traces past the horizon roll their first horizon steps only
+    longer = TraceBatch(sc.dt, sc.channels, {k: np.concatenate([v, v[:, :3]], axis=1) for k, v in batch.blocks.items()})
+    assert fail_steps(sc, longer) == want
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +599,9 @@ def _strict(records) -> list:
 
 
 def _assert_rolls_match_frozen(sc: Scenario, batch: TraceBatch) -> list:
-    """``run``, ``fail_steps`` and ``roll_lanes`` on ``batch`` against the
-    frozen roll: the same fail steps, and records of the same values, types
-    and zero signs.  Returns the fail steps."""
+    """``run``, ``fail_steps`` and the config's numpy roll on ``batch``
+    against the frozen roll: the same fail steps, and records of the same
+    values, types and zero signs.  Returns the fail steps."""
     frozen = _lt_roll_frozen if isinstance(sc.config, LeftTurnConfig) else _pc_roll_frozen
     want = []
     for trace in batch:
@@ -569,7 +611,7 @@ def _assert_rolls_match_frozen(sc: Scenario, batch: TraceBatch) -> list:
         assert res.fail_step == want[-1]
         assert _strict(res.records) == _strict(records)
     assert fail_steps(sc, batch) == want
-    assert sc.config.roll_lanes(batch.blocks) == want
+    assert _numpy_roll(sc.config)(batch.blocks) == want
     return want
 
 
@@ -809,12 +851,13 @@ def test_early_stop_matches_the_full_loop():
     assert at_stop > 0 and after_wait > 0
 
 
-@pytest.mark.parametrize("n", sorted({n for cfg in (LeftTurnConfig, CrosswalkConfig)
-                                       for n in (0, 1, cfg.lockstep_lanes - 1, cfg.lockstep_lanes,
-                                                 2 * cfg.lockstep_lanes)}))
+_LT_LANES = LeftTurnConfig.lockstep_lanes
+
+
+@pytest.mark.parametrize("n", sorted({0, 1, 2, 3, 6, _LT_LANES - 1, _LT_LANES, 2 * _LT_LANES}))
 def test_fail_steps_reject_what_fail_step_rejects(n):
-    # a batch that run would reject trace by trace, below and above each
-    # scenario kind's lane count, and an empty one
+    # a batch that run would reject trace by trace: an empty one, small
+    # ones, and either side of the left turn's lane count
     sc = scenario("lt1")
     short = SignalTrace(
         dt=sc.dt, channels=sc.channels, values={"disturbance": np.array(["none"] * 3, dtype=object)}

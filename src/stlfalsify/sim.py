@@ -36,9 +36,12 @@ horizon - 1, or never) together with what a rollout reads of them (the
 time gap a waiting left-turn ego needs, a waiting crosswalk ego's
 arrival time, the ego's box extents).  Every rollout reads its row.
 
-Each config rolls a trace in one plain loop, ``config.roll(values,
+Each config rolls a trace in one plain loop, ``config.roll(row,
 records)``, that steps only the other agent, keeps its state in local
-variables and stops at the first collision; ``run`` passes a list for one
+variables and stops at the first collision.  Every rollout reads one row
+format, a trace's row of each ``TraceBatch`` block: symbol indices on a
+categorical channel, floats on a continuous one.  ``run`` is the one
+place a ``SignalTrace`` becomes such a row, and it passes a list for one
 record per step.  A left-turn ego can touch the oncoming car only while
 its box overlaps the oncoming lane, so ``config._stops`` tabulates, per
 ego row, the step from which no collision can come any more: without
@@ -59,7 +62,7 @@ batch rolls in ``roll_lanes``, a numpy lockstep of the oncoming cars,
 one step per time step for every trace (lane) at once, branches turned
 into masks, or, below the lane count the config states beside its
 dynamics, where the lockstep's fixed cost outweighs it, through ``roll``
-per trace.
+on each row of the symbol block.
 """
 
 from __future__ import annotations
@@ -176,6 +179,10 @@ LT_DISTURBANCES = {
 }
 LT_SYMBOLS = tuple(LT_DISTURBANCES)
 LT_OFFSETS = {s: offset for s, (offset, _, _) in LT_DISTURBANCES.items()}
+# What the rollouts read of a symbol index into ``LT_SYMBOLS``: each
+# index's offset, and the indices of the signal and intention toggles.
+_LT_CODE_OFFSETS = tuple(LT_OFFSETS.values())
+_LT_SIGNAL, _LT_INTENT = LT_SYMBOLS.index("S"), LT_SYMBOLS.index("L")
 _NORMAL, _YIELD, _CONTINUE = range(3)  # the oncoming car's modes
 _MODES = ("normal", "yield", "continue")
 
@@ -315,15 +322,16 @@ class LeftTurnConfig:
         waiting = next(k for k in range(h + 1) if max(last[k:]) < k)
         return tuple(k + 1 for k in last[:h]) + (waiting,)
 
-    def roll(self, values, records: list | None = None) -> int | None:
-        """Roll ``values["disturbance"]`` to the horizon or the first collision.
+    def roll(self, row, records: list | None = None) -> int | None:
+        """Roll ``row["disturbance"]``, a trace's symbols as indices into
+        ``LT_SYMBOLS`` (a row of a ``TraceBatch`` block), to the horizon or
+        the first collision.
 
         Returns the 1-based step of the first collision, or None.  When
         ``records`` is a list, each step's record is appended to it.  Only
         the oncoming car is stepped; the ego reads its row of ``_ego``.
         Without records, stepping ends at the ego row's ``_stops`` step,
-        from which no collision can come; the remaining symbols are still
-        checked, so an unknown one raises as the full loop would.
+        from which no collision can come.
         """
         wait, rows = self._ego
         dt, x_adv = self.dt, -self.lane_half
@@ -335,15 +343,12 @@ class LeftTurnConfig:
         signal = intent = committed = decided = False
         commit_step, mode = -1, _NORMAL
         obs0 = obs1 = 0.0  # the oncoming car's last two observed accelerations
-        for k, symbol in enumerate(values["disturbance"][: self.horizon].tolist()):
-            offset = LT_OFFSETS.get(symbol)
-            if offset is None:
-                raise ValueError(f"unknown disturbance symbol {symbol!r}")
+        for k, code in enumerate(row["disturbance"][: self.horizon].tolist()):
             if k >= stop:
-                continue
-            if symbol == "S":
+                return None
+            if code == _LT_SIGNAL:
                 signal = not signal
-            elif symbol == "L":
+            elif code == _LT_INTENT:
                 intent = not intent
 
             # The ego commits once the intersection looks clear: a turn signal
@@ -376,7 +381,7 @@ class LeftTurnConfig:
                 a_adv = -min(self.b_yield_hard, v_adv**2 / (2.0 * max(gap - self.stop_margin, 0.3)))
             else:
                 a_adv = idm_accel(math.inf, v_adv, 0.0)
-            a_adv += offset
+            a_adv += _LT_CODE_OFFSETS[code]
 
             v_prev = v_adv
             v_adv = max(v_adv + a_adv * dt, 0.0)
@@ -398,7 +403,7 @@ class LeftTurnConfig:
                     "intent": intent,
                     "adv_mode": _MODES[mode],
                     "committed": committed,
-                    "disturbance": symbol,
+                    "disturbance": LT_SYMBOLS[code],
                     "collision": hit,
                 })
             if hit:
@@ -408,11 +413,11 @@ class LeftTurnConfig:
     def fail_steps(self, blocks) -> list[int | None]:
         """``roll``'s fail step for each trace of a ``TraceBatch``'s
         ``blocks``: ``roll_lanes`` from the lane count on, else ``roll`` on
-        each row of the symbol block, decoded once."""
+        each row of the symbol block."""
         codes = blocks["disturbance"]
         if len(codes) >= self.lockstep_lanes:
             return self.roll_lanes(blocks)
-        return [self.roll({"disturbance": row}) for row in np.array(LT_SYMBOLS, dtype=object)[codes]]
+        return [self.roll({"disturbance": row}) for row in codes]
 
     def roll_lanes(self, blocks) -> list[int | None]:
         """``roll``'s fail step for each trace (lane) of a ``TraceBatch``'s
@@ -424,9 +429,9 @@ class LeftTurnConfig:
         """
         codes = blocks["disturbance"][:, : self.horizon].T  # (step, lane)
         h, n = codes.shape
-        offsets = np.array([LT_OFFSETS[s] for s in LT_SYMBOLS])[codes]
-        signals = np.cumsum(codes == LT_SYMBOLS.index("S"), axis=0) % 2 == 1
-        intents = np.cumsum(codes == LT_SYMBOLS.index("L"), axis=0) % 2 == 1
+        offsets = np.array(_LT_CODE_OFFSETS)[codes]
+        signals = np.cumsum(codes == _LT_SIGNAL, axis=0) % 2 == 1
+        intents = np.cumsum(codes == _LT_INTENT, axis=0) % 2 == 1
         dt, wait, stops = self.dt, self._ego[0], np.array(self._stops)
         ys, x_hits, ey_hits, throughs = self._ego_lanes
 
@@ -478,7 +483,24 @@ class LeftTurnConfig:
 # ---------------------------------------------------------------------------
 # Pedestrian crosswalk
 
-PC_CHANNEL_NAMES = ("a_x", "a_y", "n_x", "n_y", "n_vx", "n_vy")
+# The crosswalk's disturbance channels, in channel order: each one's
+# threshold bound (its range is [-bound, bound]) and which of a scenario's
+# sigmas it takes: the pedestrian's acceleration ("acc", a Gaussian process
+# over time) or the noise on its perceived position ("pos") or velocity
+# ("vel", independent normals).
+PC_CHANNELS = (
+    ("a_x", 2.0, "acc"),
+    ("a_y", 2.0, "acc"),
+    ("n_x", 1.0, "pos"),
+    ("n_y", 1.0, "pos"),
+    ("n_vx", 2.0, "vel"),
+    ("n_vy", 2.0, "vel"),
+)
+PC_CHANNEL_NAMES = tuple(name for name, _, _ in PC_CHANNELS)
+# The ego's box extents (heading east) plus the pedestrian's (heading
+# north): the two touch where their centres are no farther apart in x and y.
+_PC_HIT_BOX = tuple(e + p for e, p in zip(_box_extents(0.0, CAR_LENGTH, CAR_WIDTH),
+                                         _box_extents(math.pi / 2, PED_SIZE, PED_SIZE)))
 
 
 @dataclass(frozen=True)
@@ -566,20 +588,18 @@ class CrosswalkConfig:
         return (np.array([0.0 if t is None else t for t in arrive]), deciding,
                 np.array([[x for x, _ in row] for row in rows]))
 
-    def roll(self, values, records: list | None = None) -> int | None:
-        """Roll the six channels of ``values`` to the horizon or the first collision.
+    def roll(self, row, records: list) -> int | None:
+        """Roll the six channels of ``row`` to the horizon or the first
+        collision, appending each step's record to ``records``.
 
-        Returns the 1-based step of the first collision, or None.  When
-        ``records`` is a list, each step's record is appended to it.  Only
-        the pedestrian is stepped; the ego reads its row of ``_ego``.
-        ``run`` calls it for the records; ``fail_steps`` rolls without them.
+        Returns the 1-based step of the first collision, or None.  Only the
+        pedestrian is stepped; the ego reads its row of ``_ego``.  It serves
+        ``run``'s records; ``fail_steps`` rolls without them.
         """
         arrive, rows = self._ego
-        columns = [values[name][: self.horizon].tolist() for name in PC_CHANNEL_NAMES]
+        columns = [row[name][: self.horizon].tolist() for name in PC_CHANNEL_NAMES]
         dt = self.dt
-        ex_ego, ey_ego = _box_extents(0.0, CAR_LENGTH, CAR_WIDTH)
-        ex_ped, ey_ped = _box_extents(math.pi / 2, PED_SIZE, PED_SIZE)
-        ex_hit, ey_hit = ex_ego + ex_ped, ey_ego + ey_ped
+        ex_hit, ey_hit = _PC_HIT_BOX
 
         ego, committed = rows[self.horizon], False  # the ego waits until it commits
         ped_x, ped_y, ped_vx, ped_vy = 0.0, self.ped_y0, 0.0, self.ped_vy0
@@ -600,29 +620,28 @@ class CrosswalkConfig:
             ped_y += ped_vy * dt
             # the ego drives along y = 0
             hit = abs(x_ego - ped_x) <= ex_hit and abs(ped_y) <= ey_hit
-            if records is not None:
-                records.append({
-                    "t": round((k + 1) * dt, 9),
-                    "ego_x": x_ego,
-                    "ego_y": 0.0,
-                    "ego_v": v_ego,
-                    "ped_x": ped_x,
-                    "ped_y": ped_y,
-                    "ped_vx": ped_vx,
-                    "ped_vy": ped_vy,
-                    "perc_x": perc_x,
-                    "perc_y": perc_y,
-                    "perc_vx": perc_vx,
-                    "perc_vy": perc_vy,
-                    "committed": committed,
-                    "a_x": a_x,
-                    "a_y": a_y,
-                    "n_x": n_x,
-                    "n_y": n_y,
-                    "n_vx": n_vx,
-                    "n_vy": n_vy,
-                    "collision": hit,
-                })
+            records.append({
+                "t": round((k + 1) * dt, 9),
+                "ego_x": x_ego,
+                "ego_y": 0.0,
+                "ego_v": v_ego,
+                "ped_x": ped_x,
+                "ped_y": ped_y,
+                "ped_vx": ped_vx,
+                "ped_vy": ped_vy,
+                "perc_x": perc_x,
+                "perc_y": perc_y,
+                "perc_vx": perc_vx,
+                "perc_vy": perc_vy,
+                "committed": committed,
+                "a_x": a_x,
+                "a_y": a_y,
+                "n_x": n_x,
+                "n_y": n_y,
+                "n_vx": n_vx,
+                "n_vy": n_vy,
+                "collision": hit,
+            })
             if hit:
                 return k + 1
         return None
@@ -640,8 +659,7 @@ class CrosswalkConfig:
         arrive, deciding, ego_x = self._ego_lanes
         a_x, a_y, n_y, n_vy = (blocks[name][:, :h] for name in ("a_x", "a_y", "n_y", "n_vy"))
         n = len(a_x)
-        ex_ego, ey_ego = _box_extents(0.0, CAR_LENGTH, CAR_WIDTH)
-        ex_ped, ey_ped = _box_extents(math.pi / 2, PED_SIZE, PED_SIZE)
+        ex_hit, ey_hit = _PC_HIT_BOX
 
         def states(start, steps):  # (lane, h + 1): the state before each step and after the last
             return np.cumsum(np.column_stack([np.full(n, start), steps]), axis=1)
@@ -654,8 +672,7 @@ class CrosswalkConfig:
         y_pred = (ped_y[:, :h] + n_y) + (ped_vy[:, :h] + n_vy) * arrive
         clears = deciding & ((y_pred >= self.clear_ahead) | (y_pred <= -self.clear_behind))
         commit = np.where(clears.any(axis=1), clears.argmax(axis=1), h)
-        hit = ((np.abs(ego_x[commit] - ped_x[:, 1:]) <= ex_ego + ex_ped)
-               & (np.abs(ped_y[:, 1:]) <= ey_ego + ey_ped))
+        hit = (np.abs(ego_x[commit] - ped_x[:, 1:]) <= ex_hit) & (np.abs(ped_y[:, 1:]) <= ey_hit)
         fail = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, 0)
         return [int(s) if s else None for s in fail.tolist()]
 
@@ -733,10 +750,17 @@ def _check(scenario: Scenario, traces: SignalTrace | TraceBatch) -> None:
 
 
 def run(scenario: Scenario, trace: SignalTrace) -> SimResult:
-    """Roll the scenario to the horizon or the first collision, with records."""
+    """Roll the scenario to the horizon or the first collision, with records.
+
+    The one place a trace becomes the row that ``config.roll`` reads, as a
+    ``TraceBatch`` block holds it: a categorical channel's symbols as
+    indices into its symbols, a continuous channel's floats as they are.
+    """
     _check(scenario, trace)
+    row = {ch.name: np.array([ch.symbols.index(s) for s in trace.values[ch.name].tolist()], dtype=np.intp)
+           if isinstance(ch, CategoricalChannel) else trace.values[ch.name] for ch in scenario.channels}
     records: list[dict] = []
-    step = scenario.config.roll(trace.values, records)
+    step = scenario.config.roll(row, records)
     return SimResult(fail_step=step, records=tuple(records), trace=trace)
 
 
@@ -763,45 +787,26 @@ def _lt_scenario(name: str, inits: tuple[float, float, float, float]) -> Scenari
     )
 
 
-def _pc_scenario(name: str, sigma_acc: float, sigma_pos: float, sigma_vel: float) -> Scenario:
+def _pc_scenario(name: str, **sigmas: float) -> Scenario:
+    """A crosswalk scenario whose model takes ``sigmas`` (by ``PC_CHANNELS``'
+    names) and whose proposal takes them doubled."""
     cfg = CrosswalkConfig()
-    channels = (
-        ContinuousChannel("a_x", -2.0, 2.0),
-        ContinuousChannel("a_y", -2.0, 2.0),
-        ContinuousChannel("n_x", -1.0, 1.0),
-        ContinuousChannel("n_y", -1.0, 1.0),
-        ContinuousChannel("n_vx", -2.0, 2.0),
-        ContinuousChannel("n_vy", -2.0, 2.0),
-    )
+    channels = tuple(ContinuousChannel(ch, -bound, bound) for ch, bound, _ in PC_CHANNELS)
 
-    def models(s_acc, s_pos, s_vel):
-        return {
-            "a_x": GaussianProcess(s_acc**2, cfg.gp_lengthscale),
-            "a_y": GaussianProcess(s_acc**2, cfg.gp_lengthscale),
-            "n_x": IndependentNormal(0.0, s_pos**2),
-            "n_y": IndependentNormal(0.0, s_pos**2),
-            "n_vx": IndependentNormal(0.0, s_vel**2),
-            "n_vy": IndependentNormal(0.0, s_vel**2),
-        }
+    def model(variance):  # of a channel's sigma
+        return DisturbanceModel(channels=channels, models={
+            ch: GaussianProcess(variance(sigmas[s]), cfg.gp_lengthscale) if s == "acc"
+            else IndependentNormal(0.0, variance(sigmas[s])) for ch, _, s in PC_CHANNELS})
 
-    model = DisturbanceModel(channels=channels, models=models(sigma_acc, sigma_pos, sigma_vel))
-    doubled = DisturbanceModel(
-        channels=channels, models=models(2 * sigma_acc, 2 * sigma_pos, 2 * sigma_vel)
-    )
-    return Scenario(
-        name=name,
-        config=cfg,
-        model=model,
-        proposal=doubled,
-    )
+    return Scenario(name=name, config=cfg, model=model(lambda s: s**2), proposal=model(lambda s: (2 * s)**2))
 
 
 _BUILTIN = {
     "lt1": lambda: _lt_scenario("lt1", (15.0, 9.0, 29.0, 10.0)),
     "lt2": lambda: _lt_scenario("lt2", (15.0, 9.0, 29.0, 20.0)),
     "lt3": lambda: _lt_scenario("lt3", (19.0, 9.0, 43.0, 29.0)),
-    "pc1": lambda: _pc_scenario("pc1", 1.0, 0.2, 0.5),
-    "pc2": lambda: _pc_scenario("pc2", 1.0, 1.0, 1.0),
+    "pc1": lambda: _pc_scenario("pc1", acc=1.0, pos=0.2, vel=0.5),
+    "pc2": lambda: _pc_scenario("pc2", acc=1.0, pos=1.0, vel=1.0),
 }
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "SignalTrace",
     "TraceBatch",
     "write_csv",
-    "level",
     "root_level",
     "depth",
     "check",
@@ -222,24 +221,14 @@ def _channel_map(channels) -> dict[str, ChannelSpec]:
     return out
 
 
-def level(formula: Formula) -> Level:
-    """Scalar or series: ``check``'s walk without the channel checks."""
-    return _typed(formula, None)
-
-
 def check(formula: Formula, channels) -> Level:
     """Validate a formula against ``channels`` and return its level.
 
-    Raises FormulaTypeError at the first node of the wrong level or at a
-    comparison of an unknown channel, an undeclared symbol or a threshold
-    outside the channel's declared range.
+    One top-down walk raises FormulaTypeError at the first node of the
+    wrong level or at a comparison of an unknown channel, an undeclared
+    symbol or a threshold outside the channel's declared range.
     """
-    return _typed(formula, _channel_map(channels))
-
-
-def _typed(formula: Formula, by_name) -> Level:
-    """The root's level, after one top-down walk that checks every node's
-    level and, given a channel map, every comparison against it."""
+    by_name = _channel_map(channels)
 
     def walk(f: Formula, lvl: Level):
         if isinstance(f, Not):
@@ -250,8 +239,7 @@ def _typed(formula: Formula, by_name) -> Level:
         elif isinstance(f, (Always, Eventually)) and lvl is Level.SCALAR:
             walk(f.arg, Level.SERIES)
         elif isinstance(f, Cmp) and lvl is Level.SERIES:
-            if by_name is not None:
-                _check_atom(f, by_name)
+            _check_atom(f, by_name)
         else:  # canonical_text raises in turn at a node that is no formula
             raise FormulaTypeError(f"not a {lvl.value} formula: {canonical_text(f)}")
 

@@ -422,9 +422,10 @@ def test_trial_batches_roll_in_lockstep_from_the_scenarios_lane_count(monkeypatc
             return importance_sample(sc, trials, rng(seed))
         return evaluate_expression(parse(text, sc.channels), sc, trials, rng(seed))
 
-    with monkeypatch.context() as frozen:  # every trace through the scalar loop
-        frozen.setattr(Scenario, "fail_steps",
-                       lambda self, batch: [self.config.roll(t.values) for t in batch])
+    with monkeypatch.context() as frozen:  # every trace's row of the blocks through the scalar loop, with records
+        frozen.setattr(Scenario, "fail_steps", lambda self, batch: [
+            self.config.roll({name: block[i] for name, block in batch.blocks.items()}, [])
+            for i in range(len(batch))])
         ref_report, ref_fails = trial_batch()
     seen = _roll_spy(monkeypatch, type(sc.config))
     report, fails = trial_batch()

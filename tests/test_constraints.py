@@ -40,7 +40,6 @@ from stlfalsify.stl import (
     TimeInterval,
     check,
     evaluate,
-    level,
     parse,
     root_level,
 )
@@ -254,7 +253,6 @@ def _trace(m):
 
 
 READERS = {
-    "level": level,
     "check": lambda f: check(f, CHANNELS),
     "evaluate": lambda f: evaluate(f, _trace(3)),
     "loci": loci,

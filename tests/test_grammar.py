@@ -34,8 +34,8 @@ from stlfalsify.stl import (
     canonical_text,
     check,
     depth,
-    level,
     parse,
+    root_level,
 )
 
 CHANNELS = (
@@ -57,9 +57,8 @@ def test_sampled_formulas_are_well_typed():
     rng = np.random.default_rng(7)
     for _ in range(300):
         f = sample_expression(GRAMMAR, rng)
-        assert level(f) is Level.SCALAR
+        assert check(f, CHANNELS) is Level.SCALAR
         assert depth(f) <= MAX_DEPTH_DEFAULT
-        check(f, CHANNELS)
         assert all(get_at(f, s.path) <= GRAMMAR.t_max for s in loci(f) if s.kind == ("T",))
 
 
@@ -83,9 +82,8 @@ def test_mutate_preserves_typing():
     f = sample_expression(GRAMMAR, rng)
     for _ in range(300):
         f = mutate(f, GRAMMAR, rng)
-        assert level(f) is Level.SCALAR
+        assert check(f, CHANNELS) is Level.SCALAR
         assert depth(f) <= MAX_DEPTH_DEFAULT
-        check(f, CHANNELS)
         assert all(get_at(f, s.path) <= GRAMMAR.t_max for s in loci(f) if s.kind == ("T",))
 
 
@@ -103,9 +101,8 @@ def test_crossover_preserves_typing_and_root():
         recipient = sample_expression(GRAMMAR, rng)
         child = crossover(donor, recipient, GRAMMAR, rng)
         assert type(child) is type(recipient)
-        assert level(child) is Level.SCALAR
+        assert check(child, CHANNELS) is Level.SCALAR
         assert depth(child) <= MAX_DEPTH_DEFAULT
-        check(child, CHANNELS)
         assert all(get_at(child, s.path) <= GRAMMAR.t_max for s in loci(child) if s.kind == ("T",))
 
 
@@ -133,11 +130,11 @@ def test_loci_cover_every_node_kind():
 
 
 def _loci_by_node_level(formula):
-    """Reference: tag every node by calling ``level`` on it."""
+    """Reference: tag every node by calling ``root_level`` on it."""
     out = []
 
     def walk(f, path, d):
-        tag = "B" if level(f) is Level.SCALAR else "S"
+        tag = "B" if root_level(f) is Level.SCALAR else "S"
         out.append(NodeLocus(path, (tag,), d))
         if isinstance(f, Cmp):
             out.append(NodeLocus(path + (0,), ("X", f.channel), d))
@@ -231,8 +228,12 @@ def _loci_frozen(formula):
             out.append(NodeLocus(path + (1,), ("T",), d))
             walk(f.arg, path + (2,), d + 1, "S")
 
-    walk(formula, (), 1, "B" if level(formula) is Level.SCALAR else "S")
+    walk(formula, (), 1, "B" if check(formula, _FROZEN_CHANNELS) is Level.SCALAR else "S")
     return out
+
+
+# every channel of the grammars that the frozen copies serve
+_FROZEN_CHANNELS = scenario("lt1").channels + scenario("pc1").channels
 
 
 def _get_at_frozen(formula, path):

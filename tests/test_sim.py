@@ -10,7 +10,7 @@ import pytest
 import stlfalsify
 from stlfalsify.constraints import InfeasibleError, constraints_for
 from stlfalsify.grammar import sample_expression
-from stlfalsify.samplers import GP_JITTER, sample_traces, se_kernel
+from stlfalsify.samplers import GP_JITTER, GaussianProcess, IndependentNormal, sample_traces, se_kernel
 from stlfalsify.sim import (
     _CONTINUE,
     _MODES,
@@ -36,7 +36,7 @@ from stlfalsify.sim import (
     scenario,
     scenario_names,
 )
-from stlfalsify.stl import CategoricalChannel, SignalTrace, TraceBatch, parse
+from stlfalsify.stl import CategoricalChannel, ContinuousChannel, SignalTrace, TraceBatch, parse
 
 
 def lt_trace(sc: Scenario, symbols):
@@ -141,6 +141,29 @@ def test_left_turn_disturbances_are_pinned(name):
         ("disturbance", "S"): "the oncoming car toggles its turn signal",
         ("disturbance", "L"): "the oncoming car decides to turn",
     }
+
+
+@pytest.mark.parametrize("name,model,proposal", [
+    # acceleration, position and velocity variances: sigma**2 and (2 * sigma)**2
+    ("pc1", (1.0, 0.04000000000000001, 0.25), (4.0, 0.16000000000000003, 1.0)),
+    ("pc2", (1.0, 1.0, 1.0), (4.0, 4.0, 4.0)),
+])
+def test_crosswalk_models_are_pinned(name, model, proposal):
+    sc = scenario(name)
+    assert PC_CHANNEL_NAMES == ("a_x", "a_y", "n_x", "n_y", "n_vx", "n_vy")
+    assert sc.channels == (
+        ContinuousChannel("a_x", -2.0, 2.0), ContinuousChannel("a_y", -2.0, 2.0),
+        ContinuousChannel("n_x", -1.0, 1.0), ContinuousChannel("n_y", -1.0, 1.0),
+        ContinuousChannel("n_vx", -2.0, 2.0), ContinuousChannel("n_vy", -2.0, 2.0),
+    )
+    for got, (acc, pos, vel) in ((sc.model, model), (sc.proposal, proposal)):
+        assert got.channels == sc.channels
+        assert got.models == {
+            "a_x": GaussianProcess(acc, 0.4), "a_y": GaussianProcess(acc, 0.4),
+            "n_x": IndependentNormal(0.0, pos), "n_y": IndependentNormal(0.0, pos),
+            "n_vx": IndependentNormal(0.0, vel), "n_vy": IndependentNormal(0.0, vel),
+        }
+        assert list(got.models) == list(PC_CHANNEL_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +354,12 @@ def _lockstep_traces(sc: Scenario, n: int, rng) -> TraceBatch:
                                         for ch in sc.channels})
 
 
+def _rows(batch: TraceBatch) -> list[dict]:
+    """Each trace of ``batch`` as the row that ``config.roll`` reads: its
+    row of each block."""
+    return [{name: block[i] for name, block in batch.blocks.items()} for i in range(len(batch))]
+
+
 def _numpy_roll(config):
     """The config's numpy roll of a whole batch: the left turn's lockstep
     ``roll_lanes``, which its ``fail_steps`` takes only from its lane count
@@ -344,7 +373,8 @@ def test_lockstep_fail_steps_match_roll(names, per_scenario):
     for name in names:
         sc = scenario(name)
         batch = _lockstep_traces(sc, per_scenario, np.random.default_rng(41))
-        want = [sc.config.roll(t.values) for t in batch]
+        lt = isinstance(sc.config, LeftTurnConfig)  # the crosswalk rolls with records only
+        want = [sc.config.roll(row, None if lt else []) for row in _rows(batch)]
         assert _numpy_roll(sc.config)(batch.blocks) == want
         assert fail_steps(sc, batch) == want
         failing = sum(s is not None for s in want)
@@ -378,21 +408,20 @@ def test_fail_steps_agree_below_and_above_the_lockstep_lanes(monkeypatch, name):
 @pytest.mark.parametrize("name", ["pc1", "pc2"])
 def test_crosswalk_batches_roll_in_one_closed_form_call(monkeypatch, name):
     # a batch of any size from 0 to 60 makes one closed-form call and no
-    # record-free roll, with run's fail steps
+    # roll, with run's fail steps
     sc = scenario(name)
     batch = _lockstep_traces(sc, 60, np.random.default_rng(43))
     want = [run(sc, t).fail_step for t in batch]
-    calls = []  # lanes of each closed-form call, and None for each record-free roll
+    calls = []  # lanes of each closed-form call, and None for each roll
     real_lanes, real_roll = CrosswalkConfig.fail_steps, CrosswalkConfig.roll
 
     def lanes(self, blocks):
         calls.append(len(next(iter(blocks.values()))))
         return real_lanes(self, blocks)
 
-    def roll(self, values, records=None):
-        if records is None:
-            calls.append(None)
-        return real_roll(self, values, records)
+    def roll(self, row, records):
+        calls.append(None)
+        return real_roll(self, row, records)
 
     monkeypatch.setattr(CrosswalkConfig, "fail_steps", lanes)
     monkeypatch.setattr(CrosswalkConfig, "roll", roll)
@@ -667,18 +696,27 @@ def test_hand_made_left_turns_reach_every_branch():
             longer.append({"disturbance": np.concatenate([symbols, ["a_maj"] * 3])})  # past the horizon
         _assert_rolls_match_frozen(sc, _batch(sc, values))
         _assert_rolls_match_frozen(sc, _batch(sc, longer))
-        # unknown symbols: the same error at the same step
-        for bad in (["q"] + ["none"] * 23, ["none"] * 20 + ["zz"] * 4, ["a_maj"] * 3 + ["none"] * 17 + ["zz"] * 4):
-            trace = {"disturbance": np.array(bad, dtype=object)}
-            try:
-                want = _lt_roll_frozen(sc.config, trace)
-            except ValueError as error:
-                want = str(error)
-            try:
-                got = sc.config.roll(trace)
-            except ValueError as error:
-                got = str(error)
-            assert got == want
+
+
+@pytest.mark.parametrize("name", ["lt1", "lt2", "lt3"])
+def test_every_symbol_at_every_step_rolls_as_its_frozen_copy(name):
+    # one symbol at one step of an otherwise quiet trace, for every symbol
+    # and step: each symbol index's offset and toggle as run encodes it,
+    # as roll reads it below the lockstep lanes and as roll_lanes reads it
+    sc = scenario(name)
+    h, lanes = sc.horizon, sc.config.lockstep_lanes
+    values = []
+    for symbol in LT_SYMBOLS:
+        for k in range(h):
+            symbols = np.array(["none"] * h, dtype=object)
+            symbols[k] = symbol
+            values.append({"disturbance": symbols})
+    batch = _batch(sc, values)
+    want = _assert_rolls_match_frozen(sc, batch)  # run, and fail_steps and roll_lanes on all 168
+    assert len(want) == len(LT_SYMBOLS) * h > lanes
+    below = [fail_steps(sc, batch.take(range(i, min(i + lanes - 1, len(batch)))))
+             for i in range(0, len(batch), lanes - 1)]
+    assert sum(below, []) == want
 
 
 def _pc_values(sc: Scenario, m: int | None = None, **columns) -> dict:
@@ -773,20 +811,6 @@ def _raised(fn, *args) -> str:
     return str(info.value)
 
 
-def test_roll_raises_on_unknown_symbols():
-    # roll reads a trace's symbols; roll_lanes reads a batch's symbol
-    # indices, which cannot name an unknown symbol
-    cfg = scenario("lt1").config
-    good = {"disturbance": np.array(["none"] * cfg.horizon, dtype=object)}
-    late = {"disturbance": np.array(["none"] * 20 + ["zz", "none", "none", "none"], dtype=object)}
-    early = {"disturbance": np.array(["none", "q"] + ["none"] * 22, dtype=object)}
-    # the a_maj prefix collides at step 10, before roll reaches the unknown symbol
-    crash = {"disturbance": np.array(["a_maj"] * 3 + ["none"] * 17 + ["zz"] * 4, dtype=object)}
-    assert cfg.roll(good) is None and cfg.roll(crash) == 10
-    assert _raised(cfg.roll, late) == "unknown disturbance symbol 'zz'"
-    assert _raised(cfg.roll, early) == "unknown disturbance symbol 'q'"
-
-
 @pytest.mark.parametrize("name", ["lt1", "lt2", "lt3"])
 def test_left_turn_stops_bound_every_overlap(name):
     # _stops recomputed from the steps at which each row of _ego sets x_hit
@@ -828,10 +852,10 @@ def test_early_stop_matches_the_full_loop():
         steps = []
         for batch in batches:
             want = []
-            for trace in batch:
+            for trace, row in zip(batch, _rows(batch)):
                 res = run(sc, trace)
                 assert len(res.records) == (res.fail_step or sc.horizon)
-                assert sc.config.roll(trace.values) == res.fail_step
+                assert sc.config.roll(row) == res.fail_step
                 want.append(res.fail_step)
                 if res.failure:
                     commit = _first_commit(res.records)

@@ -20,7 +20,6 @@ from stlfalsify.stl import (
     depth,
     eval_series,
     evaluate,
-    level,
     parse,
     render_natural_language,
 )
@@ -85,24 +84,24 @@ def test_cmp_rejects_symbol_inequalities():
 
 def test_levels():
     atom = Cmp("a_y", "<=", 0.5)
-    assert level(atom) is Level.SERIES
-    assert level(Not(atom)) is Level.SERIES
+    assert check(atom, CHANNELS) is Level.SERIES
+    assert check(Not(atom), CHANNELS) is Level.SERIES
     g = Always(TimeInterval(0, 3), atom)
-    assert level(g) is Level.SCALAR
-    assert level(And(g, Not(g))) is Level.SCALAR
+    assert check(g, CHANNELS) is Level.SCALAR
+    assert check(And(g, Not(g)), CHANNELS) is Level.SCALAR
 
 
 def test_mixed_level_connective_rejected():
     atom = Cmp("a_y", ">=", 0.0)
     g = Always(TimeInterval(0, 1), atom)
     with pytest.raises(FormulaTypeError):
-        level(And(atom, g))
+        check(And(atom, g), CHANNELS)
 
 
 def test_windowed_operator_needs_series_argument():
     g = Always(TimeInterval(0, 1), Cmp("a_y", "<=", 0.0))
     with pytest.raises(FormulaTypeError):
-        level(Always(TimeInterval(0, 1), g))
+        check(Always(TimeInterval(0, 1), g), CHANNELS)
 
 
 def test_depth_counts_formula_nodes_only():

@@ -57,7 +57,14 @@ scipy's normal CDF and its inverse (``scipy.special.ndtr`` and
 ``ndtri``) are imported inside their only callers, ``_normal_at``,
 ``_truncated_normal_at`` and ``truncated_mvn_sample``, on first use:
 importing ``scipy.special`` takes about 0.35 s, and a purely
-categorical model, the monitor and the parser never need it.
+categorical model, the monitor and the parser never need it.  The
+Gibbs chain makes three scalar calls per coordinate update, so it takes
+their scalar entry points, which return a Python float without a
+ufunc's or an array method's call overhead: ``cython_special.ndtr``'s
+double specialisation and ``cython_special.ndtri`` (about 3 ms to
+import after ``scipy.special``) and BLAS ``ddot`` from
+``scipy.linalg.blas`` (about 45 ms after ``scipy.special``), also
+imported only inside ``truncated_mvn_sample``.
 """
 
 from __future__ import annotations
@@ -289,8 +296,19 @@ def truncated_mvn_sample(
     one ``rng.random`` block for the burn-in and one per later row, so a
     call draws ``(GIBBS_BURN_IN + (size - 1) * GIBBS_THIN) * d`` of them
     (none at ``size == 0``).  A single coordinate is drawn exactly.
+
+    An update calls BLAS ``ddot`` and the Cython scalar ``ndtr`` and
+    ``ndtri`` (see the module docstring) where the frozen chain in the
+    tests calls ``ndarray.dot`` and the ufuncs.  Each entry point runs
+    the same routine as its counterpart (numpy's 1-d dot is the same
+    OpenBLAS ``ddot`` kernel, a ufunc loop calls the same C function per
+    element), and the float operations and their order are unchanged,
+    so the draws keep their bits; the tests pin both premises.
     """
-    from scipy.special import ndtr, ndtri  # see the module docstring
+    from scipy.linalg.blas import ddot  # both: see the module docstring
+    from scipy.special import cython_special
+
+    ndtr, ndtri = cython_special.ndtr["double"], cython_special.ndtri
 
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -315,27 +333,27 @@ def truncated_mvn_sample(
     x = start.tolist()
     delta_l = delta.tolist()  # Python-float mirror of delta
     coords = list(zip(
-        range(d), [prec[j].dot for j in range(d)], mean.tolist(), cond_var.tolist(),
+        range(d), list(prec), mean.tolist(), cond_var.tolist(),
         np.sqrt(cond_var).tolist(), lo.tolist(), hi.tolist(), np.diag(prec).tolist(),
     ))
     inf = math.inf
-    z_low = float(ndtri(_TINY))  # a zero uniform's draw with no lower bound
+    z_low = ndtri(_TINY)  # a zero uniform's draw with no lower bound
 
     def sweeps(n):
         # truncated_normal for one coordinate: ndtr(-inf) and ndtr(inf) are
         # exactly 0 and 1, and the clamps are min(max(...)) without the calls.
-        for u, (j, dot, m_j, var_j, std_j, lo_j, hi_j, p_jj) in zip(
+        for u, (j, prec_j, m_j, var_j, std_j, lo_j, hi_j, p_jj) in zip(
             rng.random(n * d).tolist(), coords * n
         ):
-            mu = m_j - var_j * (float(dot(delta)) - p_jj * delta_l[j])
+            mu = m_j - var_j * (ddot(prec_j, delta) - p_jj * delta_l[j])
             a = (lo_j - mu) / std_j
             b = (hi_j - mu) / std_j
             flip = a > 0.0  # work on the left tail, where CDF differences keep precision
             if flip:
                 a, b = -b, -a
-            Fa = 0.0 if a == -inf else float(ndtr(a))
-            mass = (1.0 if b == inf else float(ndtr(b))) - Fa
-            z = float(ndtri(Fa + u * mass)) if mass > 0.0 else inf
+            Fa = 0.0 if a == -inf else ndtr(a)
+            mass = (1.0 if b == inf else ndtr(b)) - Fa
+            z = ndtri(Fa + u * mass) if mass > 0.0 else inf
             if not math.isfinite(z):  # no mass, or ndtri saturated: take the finite bound
                 z = a if math.isfinite(a) else z_low if u == 0.0 and not flip and mass > 0.0 else b
             z = a if a > z else z

@@ -270,6 +270,83 @@ def test_truncated_mvn_matches_the_one_update_chain():
         assert new_rng.random() == ref_rng.random(), i
 
 
+def _bits(x):
+    """Each float's IEEE bits, so that signed zeros and nans compare too."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _tail_boxes():
+    """Boxes far out in the tails, where the chain's non-finite branch runs.
+
+    At d = 1, 2 and 15, on a weakly correlated and on pc1's SE kernel:
+    each coordinate gets one bound 35-45 conditional standard deviations
+    from its mean, on a random side (right-hand boxes are worked as mirror
+    images), or a narrow box 39-45 out, where ndtr(b) - ndtr(a) underflows
+    to 0 (ndtr is 0 below about -38.5).
+    """
+    r = rng(74)
+    boxes = []
+    for d in (1, 2, 15):
+        for cov in (0.7 * np.eye(d) + 0.3 * np.ones((d, d)), se_kernel(np.arange(d) * 0.2, 1.0, 0.4)):
+            prec = np.linalg.inv(cov + GP_JITTER * np.eye(d))
+            sd = 1.0 / np.sqrt(np.diag(prec))
+            for narrow in (False, True):
+                mean = r.normal(0.0, 0.5, size=d)
+                side = np.where(r.random(d) < 0.5, -1.0, 1.0)
+                near = mean + side * r.uniform(39.0 if narrow else 35.0, 45.0, size=d) * sd
+                far = near + side * (r.uniform(1e-3, 1.0, size=d) * sd if narrow else np.inf)
+                boxes.append((mean, cov, np.minimum(near, far), np.maximum(near, far)))
+    return boxes
+
+
+@pytest.mark.parametrize("size", [1, 15])
+def test_truncated_mvn_matches_the_one_update_chain_in_the_tails(size):
+    for i, (mean, cov, lo, hi) in enumerate(_tail_boxes()):
+        new_rng, ref_rng = rng(2000 + i), rng(2000 + i)
+        got = truncated_mvn_sample(mean, cov, lo, hi, new_rng, size=size)
+        want = _gibbs_reference(mean, cov, lo, hi, ref_rng, size)
+        assert _bits(got).tolist() == _bits(want).tolist(), i
+        assert np.isfinite(got).all() and ((lo <= got) & (got <= hi)).all(), i
+        assert new_rng.random() == ref_rng.random(), i
+
+
+def test_blas_ddot_matches_ndarray_dot():
+    # truncated_mvn_sample takes each precision row's dot with BLAS ddot
+    # (scipy.linalg.blas) where _gibbs_reference takes prec[j] @ delta.
+    # The chain keeps its draws only while both run the same kernel.
+    from scipy.linalg.blas import ddot
+
+    r = rng(75)
+    for k in range(1, 31):
+        cov = se_kernel(np.arange(k) * 0.2, 1.0, 0.4)  # pc1's GP block of k steps
+        prec = np.linalg.inv(cov + GP_JITTER * np.eye(k))
+        rows = list(prec) + list(r.normal(size=(100, k)) * 10.0 ** r.uniform(-3, 6, size=(100, 1)))
+        deltas = r.normal(size=(len(rows), k)) * 10.0 ** r.uniform(-4, 1, size=(len(rows), 1))
+        for row, delta in zip(rows, deltas):
+            got = ddot(row, delta)
+            assert type(got) is float
+            assert _bits(got) == _bits(row.dot(delta)) == _bits(row @ delta), k
+
+
+def test_cython_ndtr_and_ndtri_match_the_ufuncs():
+    # truncated_mvn_sample calls the Cython scalar ndtr and ndtri where
+    # _gibbs_reference calls the scipy.special ufuncs
+    from scipy.special import cython_special
+
+    r = rng(76)
+    edges = [math.inf, -math.inf, 0.0, -0.0, 38.5, -38.5, 40.0, -40.0, math.nan]
+    x = np.concatenate([r.normal(0.0, 1.0, 50_000), r.normal(0.0, 15.0, 50_000), edges])
+    scalar_ndtr = cython_special.ndtr["double"]
+    got = [scalar_ndtr(v) for v in x.tolist()]
+    assert all(type(v) is float for v in got)
+    assert _bits(got).tolist() == _bits(ndtr(x)).tolist()
+    p = np.concatenate([r.random(100_000), 10.0 ** -r.uniform(0.0, 323.0, 100_000), edges,
+                        [0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0]])
+    got = [cython_special.ndtri(v) for v in p.tolist()]
+    assert all(type(v) is float for v in got)
+    assert _bits(got).tolist() == _bits(ndtri(p)).tolist()
+
+
 @pytest.mark.parametrize("d, size", [(2, 1), (3, 2), (7, 15), (15, 4)])
 def test_truncated_mvn_draws_one_uniform_per_update(d, size):
     mean, cov, lo, hi = _random_boxes(d)[d - 1]  # the box of dimension d
@@ -1065,7 +1142,9 @@ def test_log_likelihoods_name_what_they_cannot_score():
 def test_a_categorical_pipeline_never_imports_scipy_special(tmp_path):
     # sampling, rolling and scoring lt1 batches, a small search, the
     # baseline and monitor on an lt1 CSV, in a fresh interpreter; then one
-    # pc1 batch, whose normal channels do import it
+    # pc1 batch, whose normal channels do import it.  scipy.linalg (the
+    # Gibbs chain's BLAS ddot) waits for the first chain: a constrained
+    # pc1 batch imports it, an unconstrained one does not.
     import os
     import subprocess
     import sys
@@ -1089,11 +1168,14 @@ sf.importance_sample(sc, 60, rng)
 sf.run(sc, sf.GpConfig(population=10, generations=1, seed=61))
 sc.run(batch[0]).to_csv({str(tmp_path / "lt1.csv")!r})
 assert main(["monitor", "F_[0,5](disturbance = a_maj)", {str(tmp_path / "lt1.csv")!r}, "--scenario", "lt1"]) == 0
-print("lt1", "scipy.special" in sys.modules)
+print("lt1", "scipy.special" in sys.modules, "scipy.linalg" in sys.modules)
 pc = sf.scenario("pc1")
 sf.sample_traces(pc.model, pc.horizon, pc.dt, rng=rng, size=1)
-print("pc1", "scipy.special" in sys.modules)
+print("pc1", "scipy.special" in sys.modules, "scipy.linalg" in sys.modules)
+cs = sf.constraints_for(sf.parse("G_[9,23](a_x <= -0.4)", pc.channels), pc.channels, pc.horizon, rng)
+sf.sample_traces(pc.model, pc.horizon, pc.dt, cs, rng=rng, size=1)
+print("pc1 constrained", "scipy.linalg" in sys.modules)
 """
     env = {**os.environ, "PYTHONPATH": str(Path(stlfalsify.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[-2:] == ["lt1 False", "pc1 True"]
+    assert out.splitlines()[-3:] == ["lt1 False False", "pc1 True False", "pc1 constrained True"]

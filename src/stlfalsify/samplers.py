@@ -58,13 +58,17 @@ scipy's normal CDF and its inverse (``scipy.special.ndtr`` and
 ``_truncated_normal_at`` and ``truncated_mvn_sample``, on first use:
 importing ``scipy.special`` takes about 0.35 s, and a purely
 categorical model, the monitor and the parser never need it.  The
-Gibbs chain makes three scalar calls per coordinate update, so it takes
+Gibbs chain makes a few scalar calls per coordinate update (a dot
+product, ``ndtr`` at each finite bound and ``ndtri``), so it takes
 their scalar entry points, which return a Python float without a
 ufunc's or an array method's call overhead: ``cython_special.ndtr``'s
 double specialisation and ``cython_special.ndtri`` (about 3 ms to
 import after ``scipy.special``) and BLAS ``ddot`` from
 ``scipy.linalg.blas`` (about 45 ms after ``scipy.special``), also
-imported only inside ``truncated_mvn_sample``.
+imported only inside ``truncated_mvn_sample``.  Each update's body is
+chosen once per call by its coordinate's bound shape, upper only,
+lower only or any other, and writes its coordinate through a
+``memoryview`` of the array that ``ddot`` reads.
 """
 
 from __future__ import annotations
@@ -304,6 +308,20 @@ def truncated_mvn_sample(
     OpenBLAS ``ddot`` kernel, a ufunc loop calls the same C function per
     element), and the float operations and their order are unchanged,
     so the draws keep their bits; the tests pin both premises.
+
+    Which update a coordinate takes is decided once per call, by its
+    bound shape.  A coordinate with an upper bound only has ``a = -inf``,
+    so its update has no ``a``, no mirror image, ``Fa = 0`` and no lower
+    clamp.  One with a lower bound only has ``b = inf`` and no upper
+    clamp; it keeps the mirrored update (bound right of the conditional
+    mean) and the plain one.  Two-sided, free and pinned coordinates take
+    the general update.  Each one-sided body is the general one with only
+    the operations that the infinite bound fixes taken out, and every
+    float operation left keeps its order, so the draws are those of the
+    general update; the tests pin each shape.  The new coordinate goes
+    into the array that ``ddot`` reads through a ``memoryview``, which
+    stores the same double as ``ndarray.__setitem__`` at a fraction of
+    its cost.
     """
     from scipy.linalg.blas import ddot  # both: see the module docstring
     from scipy.special import cython_special
@@ -330,11 +348,17 @@ def truncated_mvn_sample(
     cond_var = 1.0 / np.diag(prec)
     start = np.clip(mean, lo, hi)  # feasible start; clip is a no-op on infinite bounds
     delta = start - mean  # the array each row's dot reads, kept in step with x
+    delta_w = memoryview(delta)  # writes the doubles that ddot reads, without ndarray.__setitem__
     x = start.tolist()
     delta_l = delta.tolist()  # Python-float mirror of delta
+    # each coordinate's bound shape, decided once: upper only, lower only,
+    # or anything else (two-sided, free, pinned), which takes the general update
+    UPPER, LOWER, OTHER = 1, 2, 0
+    shape = np.where(np.isneginf(lo) & np.isfinite(hi), UPPER,
+                     np.where(np.isfinite(lo) & np.isposinf(hi), LOWER, OTHER))
     coords = list(zip(
         range(d), list(prec), mean.tolist(), cond_var.tolist(),
-        np.sqrt(cond_var).tolist(), lo.tolist(), hi.tolist(), np.diag(prec).tolist(),
+        np.sqrt(cond_var).tolist(), lo.tolist(), hi.tolist(), np.diag(prec).tolist(), shape.tolist(),
     ))
     inf = math.inf
     z_low = ndtri(_TINY)  # a zero uniform's draw with no lower bound
@@ -342,27 +366,53 @@ def truncated_mvn_sample(
     def sweeps(n):
         # truncated_normal for one coordinate: ndtr(-inf) and ndtr(inf) are
         # exactly 0 and 1, and the clamps are min(max(...)) without the calls.
-        for u, (j, prec_j, m_j, var_j, std_j, lo_j, hi_j, p_jj) in zip(
+        # The one-sided bodies are the general one (the last) minus what
+        # their infinite bound fixes.
+        for u, (j, prec_j, m_j, var_j, std_j, lo_j, hi_j, p_jj, s) in zip(
             rng.random(n * d).tolist(), coords * n
         ):
             mu = m_j - var_j * (ddot(prec_j, delta) - p_jj * delta_l[j])
-            a = (lo_j - mu) / std_j
-            b = (hi_j - mu) / std_j
-            flip = a > 0.0  # work on the left tail, where CDF differences keep precision
-            if flip:
-                a, b = -b, -a
-            Fa = 0.0 if a == -inf else ndtr(a)
-            mass = (1.0 if b == inf else ndtr(b)) - Fa
-            z = ndtri(Fa + u * mass) if mass > 0.0 else inf
-            if not math.isfinite(z):  # no mass, or ndtri saturated: take the finite bound
-                z = a if math.isfinite(a) else z_low if u == 0.0 and not flip and mass > 0.0 else b
-            z = a if a > z else z
-            z = b if b < z else z
-            v = mu + std_j * (-z if flip else z)
-            v = lo_j if lo_j > v else v
-            v = hi_j if hi_j < v else v
+            if s == UPPER:
+                b = (hi_j - mu) / std_j
+                mass = ndtr(b)
+                p = u * mass  # Fa + u * mass with Fa = 0
+                # p == 0: a zero uniform's low end, or no mass, or p underflowed
+                z = ndtri(p) if p > 0.0 else z_low if u == 0.0 and mass > 0.0 else b
+                z = b if b < z else z
+                v = mu + std_j * z
+                v = hi_j if hi_j < v else v
+            elif s == LOWER:
+                a = (lo_j - mu) / std_j
+                if a > 0.0:  # mirrored: the upper-only body on [-inf, -a]
+                    b = -a
+                    p = u * ndtr(b)
+                    z = ndtri(p) if p > 0.0 else b
+                    z = b if b < z else z
+                    v = mu + std_j * -z
+                else:  # a <= 0 leaves at least half the mass; ndtri is inf only at Fa + u * mass == 1
+                    Fa = ndtr(a)
+                    z = ndtri(Fa + u * (1.0 - Fa))
+                    z = a if a > z or z == inf else z
+                    v = mu + std_j * z
+                v = lo_j if lo_j > v else v
+            else:
+                a = (lo_j - mu) / std_j
+                b = (hi_j - mu) / std_j
+                flip = a > 0.0  # work on the left tail, where CDF differences keep precision
+                if flip:
+                    a, b = -b, -a
+                Fa = 0.0 if a == -inf else ndtr(a)
+                mass = (1.0 if b == inf else ndtr(b)) - Fa
+                z = ndtri(Fa + u * mass) if mass > 0.0 else inf
+                if not math.isfinite(z):  # no mass, or ndtri saturated: take the finite bound
+                    z = a if math.isfinite(a) else z_low if u == 0.0 and not flip and mass > 0.0 else b
+                z = a if a > z else z
+                z = b if b < z else z
+                v = mu + std_j * (-z if flip else z)
+                v = lo_j if lo_j > v else v
+                v = hi_j if hi_j < v else v
             x[j] = v
-            delta[j] = delta_l[j] = v - m_j
+            delta_w[j] = delta_l[j] = v - m_j
 
     sweeps(GIBBS_BURN_IN)
     out = np.empty((size, d))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
@@ -310,6 +311,107 @@ def test_truncated_mvn_matches_the_one_update_chain_in_the_tails(size):
         assert new_rng.random() == ref_rng.random(), i
 
 
+BOUND_SHAPES = ("upper", "lower", "two-sided", "free", "pinned")
+
+
+def _bounds_of_shape(shape, near, width):
+    """``(lo, hi)`` in which every coordinate has bounds of one ``shape``:
+    ``near`` is the bound (the lower one of a two-sided box, the value of
+    a pinned one) and ``near + width`` a two-sided box's other end."""
+    lo, hi = np.full(near.shape, -np.inf), np.full(near.shape, np.inf)
+    if shape in ("upper", "pinned"):
+        hi = near.copy()
+    if shape in ("lower", "two-sided", "pinned"):
+        lo = near.copy()
+    if shape == "two-sided":
+        hi = near + width
+    return lo, hi
+
+
+def _shape_boxes(shape, tail):
+    """Boxes in which every coordinate has bounds of one ``shape``.
+
+    At d = 2 and 15, on a diagonal, a weakly correlated and pc1's SE
+    kernel.  Bounds alternate sides of the mean, 35-45 conditional standard
+    deviations out with ``tail`` (a two-sided box 39-45 out and narrow,
+    where ndtr(b) - ndtr(a) underflows) and within 2 of it without.  A
+    lower bound right of a coordinate's conditional mean takes the mirrored
+    update, one left of it the plain update; on the diagonal kernel the
+    conditional mean is the mean, so both run in every lower-only box.
+    Without ``tail`` the first coordinate's bound is its mean, which a
+    diagonal kernel's chain meets exactly: there the plain update's CDF
+    sum rounds to 1 at the largest uniform below 1, and ndtri saturates.
+    """
+    r = rng(77)
+    boxes = []
+    for d in (2, 15):
+        for cov in (np.diag(r.uniform(0.5, 2.0, size=d)), 0.7 * np.eye(d) + 0.3 * np.ones((d, d)),
+                    se_kernel(np.arange(d) * 0.2, 4.0, 0.4)):
+            sd = 1.0 / np.sqrt(np.diag(np.linalg.inv(cov + GP_JITTER * np.max(np.diag(cov)) * np.eye(d))))
+            mean = r.normal(0.0, 0.5, size=d)
+            side = np.where(np.arange(d) % 2, 1.0, -1.0)
+            if tail:
+                out = r.uniform(39.0 if shape == "two-sided" else 35.0, 45.0, size=d)
+                width = r.uniform(1e-3, 1.0, size=d) * sd
+            else:
+                out = r.uniform(0.0, 2.0, size=d)
+                out[0] = 0.0
+                width = r.uniform(0.05, 2.0, size=d) * sd
+            boxes.append((mean, cov, *_bounds_of_shape(shape, mean + side * out * sd, width)))
+    return boxes
+
+
+@pytest.mark.parametrize("size", [1, 15])
+@pytest.mark.parametrize("shape", BOUND_SHAPES)
+def test_every_bound_shape_matches_the_one_update_chain(shape, size):
+    # truncated_mvn_sample picks each coordinate's update by its bound shape
+    # (upper only, lower only, or the general one); boxes of one shape run
+    # the same update at every coordinate
+    for tail in (False, True):
+        for i, (mean, cov, lo, hi) in enumerate(_shape_boxes(shape, tail)):
+            finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
+            assert {"upper": ~finite_lo & finite_hi, "lower": finite_lo & ~finite_hi,
+                    "two-sided": finite_lo & (lo < hi), "free": ~finite_lo & ~finite_hi,
+                    "pinned": finite_lo & (lo == hi)}[shape].all()
+            # a plain generator, every k-th uniform 0.0, every uniform the largest below 1
+            for k in (None, 1, 3, "top"):
+                seed = 3000 + 10 * i + (k if k in (1, 3) else 0)
+                new_rng, ref_rng = (rng(seed) if k is None else AllUniformsTop() if k == "top"
+                                    else EveryKthUniformZero(seed, k) for _ in "ab")
+                got = truncated_mvn_sample(mean, cov, lo, hi, new_rng, size=size)
+                want = _gibbs_reference(mean, cov, lo, hi, ref_rng, size)
+                assert _bits(got).tolist() == _bits(want).tolist(), (tail, i, k)
+                assert np.isfinite(got).all() and ((lo <= got) & (got <= hi)).all(), (tail, i, k)
+                assert getattr(new_rng, "real", new_rng).random() == getattr(ref_rng, "real", ref_rng).random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_truncated_mvn_draw_lies_inside_its_box(data):
+    d = data.draw(st.integers(1, 30), label="d")
+    r = rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="SE kernel"):
+        cov = se_kernel(np.arange(d) * 0.2, r.uniform(0.2, 4.0), r.uniform(0.1, 1.0))
+    else:
+        A = r.normal(size=(d, d))
+        cov = A @ A.T / d + 0.1 * np.eye(d)
+    mean = r.normal(0.0, 1.0, size=d)
+    sd = np.sqrt(np.diag(cov))
+    shapes = data.draw(st.lists(st.sampled_from(BOUND_SHAPES), min_size=d, max_size=d), label="shapes")
+    # each bound up to 45 marginal standard deviations from the mean
+    near = mean + sd * data.draw(st.lists(st.floats(-45.0, 45.0), min_size=d, max_size=d), label="bounds")
+    width = sd * data.draw(st.lists(st.floats(0.0, 5.0), min_size=d, max_size=d), label="widths")
+    lo, hi = np.full(d, -np.inf), np.full(d, np.inf)
+    for shape in BOUND_SHAPES:
+        of_shape = np.array(shapes) == shape
+        s_lo, s_hi = _bounds_of_shape(shape, near, width)
+        lo[of_shape], hi[of_shape] = s_lo[of_shape], s_hi[of_shape]
+    size = data.draw(st.integers(1, 20), label="size")
+    draws = truncated_mvn_sample(mean, cov, lo, hi, r, size=size)
+    assert draws.shape == (size, d)
+    assert np.isfinite(draws).all() and ((lo <= draws) & (draws <= hi)).all()
+
+
 def test_blas_ddot_matches_ndarray_dot():
     # truncated_mvn_sample takes each precision row's dot with BLAS ddot
     # (scipy.linalg.blas) where _gibbs_reference takes prec[j] @ delta.
@@ -610,6 +712,15 @@ class EveryKthUniformZero:
 
     def standard_normal(self, shape):
         return self.real.standard_normal(shape)
+
+
+class AllUniformsTop:
+    """A generator whose every uniform is the largest double below 1."""
+
+    TOP = 1.0 - 2.0**-53
+
+    def random(self, shape=None):
+        return self.TOP if shape is None else np.full(shape, self.TOP)
 
 
 def _assert_finite_and_in_box(batch, sets):

@@ -57,18 +57,9 @@ scipy's normal CDF and its inverse (``scipy.special.ndtr`` and
 ``ndtri``) are imported inside their only callers, ``_normal_at``,
 ``_truncated_normal_at`` and ``truncated_mvn_sample``, on first use:
 importing ``scipy.special`` takes about 0.35 s, and a purely
-categorical model, the monitor and the parser never need it.  The
-Gibbs chain makes a few scalar calls per coordinate update (a dot
-product, ``ndtr`` at each finite bound and ``ndtri``), so it takes
-their scalar entry points, which return a Python float without a
-ufunc's or an array method's call overhead: ``cython_special.ndtr``'s
-double specialisation and ``cython_special.ndtri`` (about 3 ms to
-import after ``scipy.special``) and BLAS ``ddot`` from
-``scipy.linalg.blas`` (about 45 ms after ``scipy.special``), also
-imported only inside ``truncated_mvn_sample``.  Each update's body is
-chosen once per call by its coordinate's bound shape, upper only,
-lower only or any other, and writes its coordinate through a
-``memoryview`` of the array that ``ddot`` reads.
+categorical model, the monitor and the parser never need it.
+``truncated_mvn_sample``'s docstring gives the Gibbs chain's scalar
+entry points and update bodies, and why.
 """
 
 from __future__ import annotations
@@ -301,10 +292,15 @@ def truncated_mvn_sample(
     call draws ``(GIBBS_BURN_IN + (size - 1) * GIBBS_THIN) * d`` of them
     (none at ``size == 0``).  A single coordinate is drawn exactly.
 
-    An update calls BLAS ``ddot`` and the Cython scalar ``ndtr`` and
-    ``ndtri`` (see the module docstring) where the frozen chain in the
-    tests calls ``ndarray.dot`` and the ufuncs.  Each entry point runs
-    the same routine as its counterpart (numpy's 1-d dot is the same
+    An update makes a few scalar calls (a dot product, ``ndtr`` at each
+    finite bound and ``ndtri``), so it takes their scalar entry points,
+    which return a Python float without a ufunc's or an array method's
+    call overhead: BLAS ``ddot`` from ``scipy.linalg.blas`` and
+    ``cython_special.ndtr``'s double specialisation and
+    ``cython_special.ndtri``, imported here on first use (about 45 ms and
+    3 ms to import after ``scipy.special``).  The frozen chain in the
+    tests calls ``ndarray.dot`` and the ufuncs instead.  Each entry point
+    runs the same routine as its counterpart (numpy's 1-d dot is the same
     OpenBLAS ``ddot`` kernel, a ufunc loop calls the same C function per
     element), and the float operations and their order are unchanged,
     so the draws keep their bits; the tests pin both premises.
@@ -323,7 +319,7 @@ def truncated_mvn_sample(
     stores the same double as ``ndarray.__setitem__`` at a fraction of
     its cost.
     """
-    from scipy.linalg.blas import ddot  # both: see the module docstring
+    from scipy.linalg.blas import ddot  # both: see the docstring
     from scipy.special import cython_special
 
     ndtr, ndtri = cython_special.ndtr["double"], cython_special.ndtri
@@ -447,25 +443,13 @@ class TraceDraw:
     numbers: list = field(repr=False)
 
 
-def _bounds_for(cs: ConstraintSet | None, name: str, m: int):
-    """A continuous channel's (lower, upper) step bounds.  Do not mutate."""
-    if cs is None or name not in cs.lower:
-        return _unbounded(m)
-    return cs.lower[name], cs.upper[name]
-
-
-@functools.cache
-def _unbounded(m: int):
-    return np.full(m, -np.inf), np.full(m, np.inf)
-
-
-def _gp_steps(cs: ConstraintSet | None, name: str, m: int):
+def _gp_steps(cs: ConstraintSet | None, name: str):
     """``(lo, hi, eq, box, free)`` of a GP channel: its bounds and the
     indices of its equality, box and free steps, which partition the
     horizon; None when no step is an equality or box step."""
     if cs is None:
         return None
-    lo, hi = _bounds_for(cs, name, m)
+    lo, hi = cs.lower[name], cs.upper[name]
     eq = np.isfinite(lo) & (lo == hi)
     box = (np.isfinite(lo) | np.isfinite(hi)) & ~eq
     if not (eq.any() or box.any()):
@@ -492,7 +476,7 @@ def draw_traces(
         cm = model.models[group[0].name]
         if not isinstance(cm, GaussianProcess):
             numbers.append(rng.random((len(group), size, m)))
-        elif (steps := _gp_steps(constraints, group[0].name, m)) is None:
+        elif (steps := _gp_steps(constraints, group[0].name)) is None:
             numbers.append((False, rng.standard_normal((size, m))))
         else:
             numbers.append((True, _conditioned_gp(cm, m, dt, steps, rng, size)))
@@ -543,9 +527,9 @@ def _build_normals(names, model: DisturbanceModel, m, draws, u) -> np.ndarray:
         lo = np.full((len(names), len(draws), m), -np.inf)
         hi = np.full((len(names), len(draws), m), np.inf)
         for i, draw in enumerate(draws):
-            if draw.constraints is not None:
+            if (cs := draw.constraints) is not None:
                 for c, name in enumerate(names):
-                    lo[c, i], hi[c, i] = _bounds_for(draw.constraints, name, m)
+                    lo[c, i], hi[c, i] = cs.lower[name], cs.upper[name]
         bounded = np.nonzero(np.isfinite(lo) | np.isfinite(hi))  # (channel, draw, step) of each
         if bounded[0].size:
             c, i, k = bounded
@@ -668,22 +652,20 @@ def sample_trace(
 # Likelihood
 
 
-def log_likelihoods(model: DisturbanceModel, batch: TraceBatch | list[SignalTrace]) -> np.ndarray:
-    """Log density of each trace under the unconstrained model, as an array.
+def log_likelihoods(model: DisturbanceModel, batch: TraceBatch) -> np.ndarray:
+    """Log density of each trace of ``batch`` under the unconstrained
+    model, as an array.
 
     Channels are independent, so contributions add, in channel order.  A
     categorical symbol of zero model probability gives -inf rather than an
-    error.  The batch must be on the model's channels; a list of traces is
-    made into one with ``TraceBatch.from_traces``.  Each GP channel is one
-    stacked solve and one ``np.vecdot``, each normal channel one row sum,
-    and each categorical channel one row-wise ``np.cumsum`` started from
-    the total so far, so every row takes the float operations of scoring
-    its trace alone.
+    error.  The batch must be on the model's channels.  Each GP channel is
+    one stacked solve and one ``np.vecdot``, each normal channel one row
+    sum, and each categorical channel one row-wise ``np.cumsum`` started
+    from the total so far, so every row takes the float operations of
+    scoring its trace alone.
     """
     if len(batch) == 0:
         return np.empty(0)
-    if not isinstance(batch, TraceBatch):
-        batch = TraceBatch.from_traces(model.channels, batch)
     if batch.channels != model.channels:
         raise ValueError("batch channels do not match the model")
     total = np.zeros(len(batch))
@@ -708,5 +690,5 @@ def log_likelihoods(model: DisturbanceModel, batch: TraceBatch | list[SignalTrac
 
 def log_likelihood(model: DisturbanceModel, trace: SignalTrace) -> float:
     """Log density of one trace under the unconstrained model
-    (``log_likelihoods`` of a one-trace batch)."""
-    return float(log_likelihoods(model, [trace])[0])
+    (``log_likelihoods`` of its one-trace batch on the model's channels)."""
+    return float(log_likelihoods(model, TraceBatch.from_traces(model.channels, [trace]))[0])

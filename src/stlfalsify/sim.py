@@ -93,7 +93,6 @@ __all__ = [
     "scenario",
     "scenario_names",
     "LT_SYMBOLS",
-    "LT_OFFSETS",
 ]
 
 
@@ -108,11 +107,13 @@ IDM_HEADWAY = 1.5  # s
 IDM_DELTA = 4.0
 
 
-def idm_accel(gap: float, v: float, v_lead: float, v0: float = IDM_V0) -> float:
-    """IDM acceleration toward a leader ``gap`` metres ahead at desired speed ``v0``.
+def idm_accel(gap: float, v: float, *, v0: float = IDM_V0) -> float:
+    """IDM acceleration toward a standing leader ``gap`` metres ahead at
+    desired speed ``v0``.
 
-    A free road is ``gap = inf``.  The desired-gap term is floored at zero
-    (a fast-approaching leader cannot make the desired gap negative), and
+    A free road is ``gap = inf``; the one finite gap, the turn entry that a
+    waiting left-turn ego holds short of, does not move, so the desired
+    gap's approach term is ``v * v``.  That term is floored at zero, and
     the result is clamped to [-2b, a_max].
     """
     free = (v / v0) ** IDM_DELTA
@@ -121,7 +122,7 @@ def idm_accel(gap: float, v: float, v_lead: float, v0: float = IDM_V0) -> float:
     else:
         gap = max(gap, 0.01)
         s_star = IDM_S0 + max(
-            0.0, v * IDM_HEADWAY + v * (v - v_lead) / (2.0 * math.sqrt(IDM_A_MAX * IDM_B))
+            0.0, v * IDM_HEADWAY + v * v / (2.0 * math.sqrt(IDM_A_MAX * IDM_B))
         )
         interaction = (s_star / gap) ** 2
     a = IDM_A_MAX * (1.0 - free - interaction)
@@ -153,15 +154,6 @@ def _box_extents(heading: float, length: float, width: float) -> tuple[float, fl
     return c * length / 2 + s * width / 2, s * length / 2 + c * width / 2
 
 
-def boxes_overlap(pose_a, dims_a, pose_b, dims_b) -> bool:
-    """Closed axis-aligned overlap test; touching edges count as contact."""
-    xa, ya, ha = pose_a
-    xb, yb, hb = pose_b
-    exa, eya = _box_extents(ha, *dims_a)
-    exb, eyb = _box_extents(hb, *dims_b)
-    return abs(xa - xb) <= exa + exb and abs(ya - yb) <= eya + eyb
-
-
 # ---------------------------------------------------------------------------
 # Left turn
 
@@ -178,10 +170,9 @@ LT_DISTURBANCES = {
     "L": (0.0, 1e-3, "the oncoming car decides to turn"),
 }
 LT_SYMBOLS = tuple(LT_DISTURBANCES)
-LT_OFFSETS = {s: offset for s, (offset, _, _) in LT_DISTURBANCES.items()}
 # What the rollouts read of a symbol index into ``LT_SYMBOLS``: each
 # index's offset, and the indices of the signal and intention toggles.
-_LT_CODE_OFFSETS = tuple(LT_OFFSETS.values())
+_LT_CODE_OFFSETS = tuple(offset for offset, _, _ in LT_DISTURBANCES.values())
 _LT_SIGNAL, _LT_INTENT = LT_SYMBOLS.index("S"), LT_SYMBOLS.index("L")
 _NORMAL, _YIELD, _CONTINUE = range(3)  # the oncoming car's modes
 _MODES = ("normal", "yield", "continue")
@@ -275,9 +266,9 @@ class LeftTurnConfig:
                     wait.append((u_clear - u) / max((v_ego + v_cap) / 2.0, 1.0) + self.t_margin)
                 through = u >= u_clear
                 if k < commit:
-                    a_ego = idm_accel(max(d0 - u, 0.01), v_ego, 0.0)  # hold short of the turn entry
+                    a_ego = idm_accel(max(d0 - u, 0.01), v_ego)  # hold short of the turn entry
                 else:
-                    a_ego = idm_accel(math.inf, v_ego, 0.0)
+                    a_ego = idm_accel(math.inf, v_ego)
                     if u < d0:
                         # pace the approach so the arc entry is hit at no more than the cap
                         a_ego = min(a_ego, (v_cap2 - v_ego**2) / (2.0 * max(d0 - u, 0.1)))
@@ -380,7 +371,7 @@ class LeftTurnConfig:
             if mode == _YIELD:
                 a_adv = -min(self.b_yield_hard, v_adv**2 / (2.0 * max(gap - self.stop_margin, 0.3)))
             else:
-                a_adv = idm_accel(math.inf, v_adv, 0.0)
+                a_adv = idm_accel(math.inf, v_adv)
             a_adv += _LT_CODE_OFFSETS[code]
 
             v_prev = v_adv
@@ -545,14 +536,16 @@ class CrosswalkConfig:
         return t1 + (dist - d1) / vc
 
     @functools.cached_property
-    def _ego(self) -> tuple[tuple[float | None, ...], tuple[tuple[tuple[float, float], ...], ...]]:
+    def _ego(self) -> tuple[tuple[float, ...], tuple[tuple[tuple[float, float], ...], ...]]:
         """The ego's motion, which a trace moves only through the step at
         which the ego commits: ``(arrive, rows)``.
 
         ``rows[c][k]`` is the ego's ``(x, v)`` after step k when it commits
         at step c, or never at ``c == horizon``.  ``arrive[k]`` is a waiting
-        ego's ``time_to_crosswalk`` at step k, or None where it has no
-        decision to make (it stands at or past the crosswalk).
+        ego's ``time_to_crosswalk`` at step k.  A waiting ego holds at
+        ``x_stop``, short of the crosswalk, so it has a decision to make at
+        every step; a layout whose waiting ego reaches the crosswalk raises
+        ValueError.
         """
         h, dt, x_stop, b_brake, v_cruise = self.horizon, self.dt, self.x_stop, self.b_brake, self.v_cruise
         a_lo, a_hi = -self.b_hard, IDM_A_MAX
@@ -561,16 +554,18 @@ class CrosswalkConfig:
             x_ego, v_ego, row = self.ego_x0, self.v_cruise, []
             for k in range(h):
                 if commit == h:
-                    arrive.append(self.time_to_crosswalk(x_ego, v_ego) if x_ego < 0 else None)
+                    if x_ego >= 0:
+                        raise ValueError("a waiting ego must stop short of the crosswalk")
+                    arrive.append(self.time_to_crosswalk(x_ego, v_ego))
                 d = x_stop - x_ego
                 if k >= commit:
-                    a = idm_accel(math.inf, v_ego, 0.0, v_cruise)
+                    a = idm_accel(math.inf, v_ego, v0=v_cruise)
                 elif d <= 0.1:
                     a = -v_ego / dt  # hold at the stop point
                 elif v_ego**2 / (2.0 * d) >= b_brake:
                     a = -v_ego**2 / (2.0 * d)
                 else:
-                    a = idm_accel(math.inf, v_ego, 0.0, v_cruise)
+                    a = idm_accel(math.inf, v_ego, v0=v_cruise)
                 a = min(max(a, a_lo), a_hi)
                 v_ego = max(v_ego + a * dt, 0.0)
                 x_ego += v_ego * dt
@@ -579,14 +574,11 @@ class CrosswalkConfig:
         return tuple(arrive), tuple(rows)
 
     @functools.cached_property
-    def _ego_lanes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _ego_lanes(self) -> tuple[np.ndarray, np.ndarray]:
         """``_ego`` for ``fail_steps``: ``arrive`` as a ``(horizon,)`` array
-        (0.0 where it is None), where it is not None, and the ego's x as a
-        ``(horizon + 1, horizon)`` array."""
+        and the ego's x as a ``(horizon + 1, horizon)`` array."""
         arrive, rows = self._ego
-        deciding = np.array([t is not None for t in arrive])
-        return (np.array([0.0 if t is None else t for t in arrive]), deciding,
-                np.array([[x for x, _ in row] for row in rows]))
+        return np.array(arrive), np.array([[x for x, _ in row] for row in rows])
 
     def roll(self, row, records: list) -> int | None:
         """Roll the six channels of ``row`` to the horizon or the first
@@ -606,7 +598,7 @@ class CrosswalkConfig:
         for k, (a_x, a_y, n_x, n_y, n_vx, n_vy) in enumerate(zip(*columns)):
             perc_x, perc_y = ped_x + n_x, ped_y + n_y
             perc_vx, perc_vy = ped_vx + n_vx, ped_vy + n_vy
-            if not committed and arrive[k] is not None:
+            if not committed:
                 # commit once the pedestrian looks clear of the lane on arrival
                 y_pred = perc_y + perc_vy * arrive[k]
                 committed = y_pred >= self.clear_ahead or y_pred <= -self.clear_behind
@@ -651,12 +643,12 @@ class CrosswalkConfig:
         ``blocks``, of ``horizon`` steps at least, bit for bit, in closed
         form.  The pedestrian never reacts to the ego, so its states are
         running sums of its steps (``np.cumsum`` adds them in ``roll``'s
-        order, from the initial state); the ego commits at the first
-        deciding step whose prediction clears, and the trace fails at its
+        order, from the initial state); the ego commits at the first step
+        whose prediction clears, and the trace fails at its
         first overlap with that commit step's row of ``_ego_lanes``.
         """
         h, dt = self.horizon, self.dt
-        arrive, deciding, ego_x = self._ego_lanes
+        arrive, ego_x = self._ego_lanes
         a_x, a_y, n_y, n_vy = (blocks[name][:, :h] for name in ("a_x", "a_y", "n_y", "n_vy"))
         n = len(a_x)
         ex_hit, ey_hit = _PC_HIT_BOX
@@ -670,7 +662,7 @@ class CrosswalkConfig:
         ped_y = states(self.ped_y0, ped_vy[:, 1:] * dt)
         # the perceived x and vx only feed records
         y_pred = (ped_y[:, :h] + n_y) + (ped_vy[:, :h] + n_vy) * arrive
-        clears = deciding & ((y_pred >= self.clear_ahead) | (y_pred <= -self.clear_behind))
+        clears = (y_pred >= self.clear_ahead) | (y_pred <= -self.clear_behind)
         commit = np.where(clears.any(axis=1), clears.argmax(axis=1), h)
         hit = (np.abs(ego_x[commit] - ped_x[:, 1:]) <= ex_hit) & (np.abs(ped_y[:, 1:]) <= ey_hit)
         fail = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, 0)

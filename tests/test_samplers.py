@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
-from stlfalsify.constraints import InfeasibleError, constraints_for
+from stlfalsify.constraints import ConstraintSet, InfeasibleError, constraints_for
 from stlfalsify.samplers import (
     GIBBS_BURN_IN,
     GIBBS_THIN,
@@ -605,6 +605,20 @@ def test_gp_box_constraints_are_respected():
         assert tr.values["a_y"][5] == 0.0
 
 
+@pytest.mark.parametrize("model, other", [
+    (gp_model(), DIST),
+    (DisturbanceModel(channels=(NOISE,), models={"n_y": IndependentNormal(0.0, 0.04)}), DIST),
+    (cat_model(), NOISE),
+], ids=["gp", "normal", "categorical"])
+def test_a_constraint_set_of_other_channels_is_refused(model, other):
+    # every ConstraintSet holds bounds or a mask for each channel it was
+    # compiled on, and the samplers read them directly: one compiled on
+    # other channels names the missing channel
+    (ch,) = model.channels
+    with pytest.raises(KeyError, match=ch.name):
+        sample_traces(model, 5, 0.2, ConstraintSet((other,), 5), rng=rng(13), size=3)
+
+
 def test_gp_loglik_matches_scipy():
     model = gp_model()
     tr = sample_trace(model, 6, 0.2, rng=rng(15))
@@ -1154,8 +1168,8 @@ def _assert_scores_match_frozen(model, traces):
 
 
 def _constrained_traces(sc, model, r, count, per_formula):
-    """``count`` traces from ``model``, ``per_formula`` under each random
-    formula's constraint draw."""
+    """A batch of ``count`` traces from ``model``, ``per_formula`` under
+    each random formula's constraint draw, made with ``TraceBatch.from_traces``."""
     from stlfalsify.grammar import sample_expression
 
     traces = []
@@ -1166,7 +1180,9 @@ def _constrained_traces(sc, model, r, count, per_formula):
             continue
         size = min(per_formula, count - len(traces))
         traces += sample_traces(model, sc.horizon, sc.dt, cs, rng=r, size=size)
-    return traces
+    if not traces:  # from_traces needs a trace: an empty draw's batch
+        return sample_traces(model, sc.horizon, sc.dt, rng=r, size=0)
+    return TraceBatch.from_traces(sc.channels, traces)
 
 
 @pytest.mark.parametrize("count", [0, 1, 200])
@@ -1212,28 +1228,30 @@ def test_log_likelihoods_of_zero_probability_symbols():
     values = {**traces[has_s.index(True)].values, "a_y": np.full(12, np.nan)}
     poisoned = dataclasses.replace(traces[0], values=values)
     assert log_likelihood_frozen(mixed, poisoned) == -np.inf
-    assert log_likelihoods(mixed, [traces[0], poisoned])[1] == -np.inf
+    assert log_likelihoods(mixed, TraceBatch.from_traces(mixed.channels, [traces[0], poisoned]))[1] == -np.inf
 
 
 def test_log_likelihoods_name_what_they_cannot_score():
     from stlfalsify.sim import scenario
 
+    def scores(model, traces):  # of the batch that TraceBatch.from_traces makes
+        return log_likelihoods(model, TraceBatch.from_traces(model.channels, traces))
+
     lt, pc = scenario("lt1"), scenario("pc1")
     with pytest.raises(ValueError, match="trace 1 has no channel 'a_x' of the model"):
-        log_likelihoods(pc.model, [pc.nominal_trace(), lt.nominal_trace()])
+        scores(pc.model, [pc.nominal_trace(), lt.nominal_trace()])
     with pytest.raises(ValueError, match="trace 0 has no channel 'disturbance' of the model"):
         log_likelihood(lt.model, pc.nominal_trace())
     model = gp_model()
     short, longer = (sample_trace(model, m, 0.2, rng=rng(43)) for m in (5, 6))
     with pytest.raises(ValueError, match="traces differ in step count or dt: trace 0 has 5 steps of 0.2 s, "
                                          "trace 1 6 steps of 0.2 s"):
-        log_likelihoods(model, [short, longer])
+        scores(model, [short, longer])
     slower = sample_trace(model, 5, 0.25, rng=rng(44))
     with pytest.raises(ValueError, match="trace 2 5 steps of 0.25 s"):
-        log_likelihoods(model, [short, short, slower])
-    # log_likelihoods makes its batch with TraceBatch.from_traces, which
-    # also rejects a symbol that the model's channel does not declare: it
-    # sits on a channel declared otherwise
+        scores(model, [short, short, slower])
+    # TraceBatch.from_traces also rejects a symbol that the model's channel
+    # does not declare: it sits on a channel declared otherwise
     with pytest.raises(ValueError, match="trace 1 has no channel 'disturbance' of the model"):
         TraceBatch.from_traces(lt.channels, [lt.nominal_trace(), pc.nominal_trace()])
     with pytest.raises(ValueError, match="trace 0 has 5 steps of 0.2 s, trace 1 6 steps of 0.2 s"):
@@ -1241,7 +1259,7 @@ def test_log_likelihoods_name_what_they_cannot_score():
     wider = (CategoricalChannel("disturbance", symbols=(*DIST.symbols, "X")),)
     odd = SignalTrace(dt=lt.dt, channels=wider, values={"disturbance": np.array(["none"] * 23 + ["X"], dtype=object)})
     with pytest.raises(ValueError, match="trace 1 has no channel 'disturbance' of the model"):
-        log_likelihoods(lt.model, [lt.nominal_trace(), odd])
+        scores(lt.model, [lt.nominal_trace(), odd])
     with pytest.raises(ValueError, match="batch channels do not match the model"):
         log_likelihoods(lt.model, TraceBatch.from_traces(wider, [odd]))
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import stlfalsify
 from stlfalsify.constraints import InfeasibleError, constraints_for
@@ -21,15 +22,19 @@ from stlfalsify.sim import (
     IDM_A_MAX,
     IDM_B,
     IDM_B_HARD,
-    LT_OFFSETS,
+    IDM_DELTA,
+    IDM_HEADWAY,
+    IDM_S0,
+    IDM_V0,
+    LT_DISTURBANCES,
     LT_SYMBOLS,
     PC_CHANNEL_NAMES,
     PED_SIZE,
+    _LT_CODE_OFFSETS,
     _box_extents,
     CrosswalkConfig,
     LeftTurnConfig,
     Scenario,
-    boxes_overlap,
     fail_steps,
     idm_accel,
     run,
@@ -63,39 +68,86 @@ def pc_trace(sc: Scenario, **columns):
 
 
 def test_idm_free_road_acceleration():
-    assert idm_accel(math.inf, 0.0, 0.0) == pytest.approx(3.0)
-    assert idm_accel(math.inf, 29.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert idm_accel(math.inf, 0.0) == pytest.approx(3.0)
+    assert idm_accel(math.inf, 29.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_idm_closing_on_slower_lead():
-    # frozen reference value for a 20 m gap at matched speeds
-    assert idm_accel(20.0, 10.0, 10.0) == pytest.approx(
-        -0.042415956317220505, abs=1e-9
-    )
+def test_idm_closing_on_a_standing_leader():
+    # at 10 m/s the desired gap is 5 + 15 + 100 / (2 sqrt 6), about 40.4 m:
+    # 20 m short of a standing leader brakes at the clamp, 60 m short of it
+    # at a frozen reference value
+    assert idm_accel(20.0, 10.0) == -IDM_B_HARD
+    assert idm_accel(60.0, 10.0) == pytest.approx(1.5966146706874522, abs=1e-9)
 
 
 def test_idm_braking_is_clamped():
-    a = idm_accel(0.5, 25.0, 0.0)
+    a = idm_accel(0.5, 25.0)
     assert a == pytest.approx(-2.0 * IDM_B)
+
+
+def test_idm_desired_speed_is_keyword_only():
+    # a stale positional leader speed must not be read as a desired speed
+    with pytest.raises(TypeError):
+        idm_accel(math.inf, 10.0, 0.0)
+
+
+def _idm_accel_moving_leader(gap, v, v_lead, v0=IDM_V0):
+    """The IDM acceleration with a leader moving at ``v_lead``, as the
+    scenarios computed it when every leader's speed was passed in."""
+    free = (v / v0) ** IDM_DELTA
+    if math.isinf(gap):
+        interaction = 0.0
+    else:
+        gap = max(gap, 0.01)
+        s_star = IDM_S0 + max(
+            0.0, v * IDM_HEADWAY + v * (v - v_lead) / (2.0 * math.sqrt(IDM_A_MAX * IDM_B))
+        )
+        interaction = (s_star / gap) ** 2
+    a = IDM_A_MAX * (1.0 - free - interaction)
+    return min(max(a, -IDM_B_HARD), IDM_A_MAX)
+
+
+@given(
+    gap=st.floats(0.01, 200.0) | st.just(math.inf),
+    v=st.floats(0.0, 40.0) | st.sampled_from([0.0, -0.0]),
+    v0=st.sampled_from([IDM_V0, CrosswalkConfig.v_cruise]),
+)
+def test_idm_matches_the_moving_leader_form_at_a_standing_leader(gap, v, v0):
+    want = _idm_accel_moving_leader(gap, v, 0.0, v0)
+    got = idm_accel(gap, v, v0=v0)
+    assert got.hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------
 # collision geometry
 
 
-def test_boxes_overlap_axis_aligned():
-    a = (0.0, 0.0, 0.0)
-    assert boxes_overlap(a, (4.5, 2.0), (4.0, 0.0, 0.0), (4.5, 2.0))
-    assert not boxes_overlap(a, (4.5, 2.0), (5.0, 0.0, 0.0), (4.5, 2.0))
-    # closed overlap: exact touching counts
-    assert boxes_overlap(a, (4.5, 2.0), (4.5, 0.0, 0.0), (4.5, 2.0))
+def _overlap(pose_a, dims_a, pose_b, dims_b) -> bool:
+    """The reference box test: closed axis-aligned overlap of the boxes of
+    two poses ``(x, y, heading)``; touching edges count as contact."""
+    xa, ya, ha = pose_a
+    xb, yb, hb = pose_b
+    exa, eya = _box_extents(ha, *dims_a)
+    exb, eyb = _box_extents(hb, *dims_b)
+    return abs(xa - xb) <= exa + exb and abs(ya - yb) <= eya + eyb
 
 
-def test_boxes_overlap_uses_heading_extents():
-    a = (0.0, 0.0, 0.0)
-    # a rotated car reaches further in y than its width alone
+def test_box_extents_axis_aligned():
+    # a 4.5 m x 2 m box heading east reaches 2.25 m in x and 1 m in y; two
+    # of them side by side overlap 4 m apart, not 5 m apart, and touch
+    # 4.5 m apart, which the closed test counts as contact
+    assert _box_extents(0.0, 4.5, 2.0) == (2.25, 1.0)
+    for x, hit in ((4.0, True), (5.0, False), (4.5, True)):
+        assert _overlap((0.0, 0.0, 0.0), (4.5, 2.0), (x, 0.0, 0.0), (4.5, 2.0)) == hit
+
+
+def test_box_extents_follow_the_heading():
+    # a car rotated by pi/2 reaches further in y than its width alone
+    ex, ey = _box_extents(math.pi / 2, CAR_LENGTH, CAR_WIDTH)
+    assert ex == pytest.approx(CAR_WIDTH / 2) and ey == pytest.approx(CAR_LENGTH / 2)
     close = (0.0, CAR_WIDTH / 2 + CAR_LENGTH / 2 - 0.1, math.pi / 2)
-    assert boxes_overlap(a, (CAR_LENGTH, CAR_WIDTH), close, (CAR_LENGTH, CAR_WIDTH))
+    assert _overlap((0.0, 0.0, 0.0), (CAR_LENGTH, CAR_WIDTH), close, (CAR_LENGTH, CAR_WIDTH))
+    assert not _overlap((0.0, 0.0, 0.0), (CAR_LENGTH, CAR_WIDTH), close[:2] + (0.0,), (CAR_LENGTH, CAR_WIDTH))
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +173,11 @@ def test_lt_channel_has_alias_for_signal_symbol():
 def test_left_turn_disturbances_are_pinned(name):
     # the symbol order fixes the categorical CDF, and so every lt draw
     assert LT_SYMBOLS == ("none", "d_med", "d_maj", "a_med", "a_maj", "S", "L")
-    assert list(LT_OFFSETS.items()) == [
+    assert list(_LT_OFFSETS.items()) == [
         ("none", 0.0), ("d_med", -1.5), ("d_maj", -3.0), ("a_med", 1.5),
         ("a_maj", 3.0), ("S", 0.0), ("L", 0.0),
     ]
+    assert _LT_CODE_OFFSETS == tuple(_LT_OFFSETS.values())
     sc = scenario(name)
     assert sc.channels[0].symbols == LT_SYMBOLS
     assert sc.model.models["disturbance"].probs == (
@@ -290,13 +343,13 @@ AGREEMENT_FORMULAS = {
 def _lt_overlap(rec):
     ego = (rec["ego_x"], rec["ego_y"], rec["ego_heading"])
     adv = (rec["adv_x"], rec["adv_y"], -math.pi / 2)
-    return boxes_overlap(ego, (CAR_LENGTH, CAR_WIDTH), adv, (CAR_LENGTH, CAR_WIDTH))
+    return _overlap(ego, (CAR_LENGTH, CAR_WIDTH), adv, (CAR_LENGTH, CAR_WIDTH))
 
 
 def _pc_overlap(rec):
     ego = (rec["ego_x"], rec["ego_y"], 0.0)
     ped = (rec["ped_x"], rec["ped_y"], math.pi / 2)
-    return boxes_overlap(ego, (CAR_LENGTH, CAR_WIDTH), ped, (PED_SIZE, PED_SIZE))
+    return _overlap(ego, (CAR_LENGTH, CAR_WIDTH), ped, (PED_SIZE, PED_SIZE))
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -437,7 +490,11 @@ def test_crosswalk_batches_roll_in_one_closed_form_call(monkeypatch, name):
 
 # ---------------------------------------------------------------------------
 # the rollouts against verbatim frozen copies of their earlier form, which
-# stepped the ego in every rollout; ``self`` is the scenario's config
+# stepped the ego in every rollout; ``self`` is the scenario's config.
+# Since then only their call sites changed: ``idm_accel`` takes no leader
+# speed (every leader stands), and the offsets by symbol are a table here.
+
+_LT_OFFSETS = {s: offset for s, (offset, _, _) in LT_DISTURBANCES.items()}
 
 
 def _lt_roll_frozen(self, values, records: list | None = None) -> int | None:
@@ -464,7 +521,7 @@ def _lt_roll_frozen(self, values, records: list | None = None) -> int | None:
     commit_step, mode = -1, _NORMAL
     obs0 = obs1 = 0.0  # the oncoming car's last two observed accelerations
     for k, symbol in enumerate(values["disturbance"][: self.horizon].tolist()):
-        offset = LT_OFFSETS.get(symbol)
+        offset = _LT_OFFSETS.get(symbol)
         if offset is None:
             raise ValueError(f"unknown disturbance symbol {symbol!r}")
         if symbol == "S":
@@ -485,9 +542,9 @@ def _lt_roll_frozen(self, values, records: list | None = None) -> int | None:
         ):
             committed, commit_step = True, k
         if not committed:
-            a_ego = idm_accel(max(d0 - u, 0.01), v_ego, 0.0)  # hold short of the turn entry
+            a_ego = idm_accel(max(d0 - u, 0.01), v_ego)  # hold short of the turn entry
         else:
-            a_ego = idm_accel(math.inf, v_ego, 0.0)
+            a_ego = idm_accel(math.inf, v_ego)
             if u < d0:
                 # pace the approach so the arc entry is hit at no more than the cap
                 a_ego = min(a_ego, (v_cap2 - v_ego**2) / (2.0 * max(d0 - u, 0.1)))
@@ -511,7 +568,7 @@ def _lt_roll_frozen(self, values, records: list | None = None) -> int | None:
         if mode == _YIELD:
             a_adv = -min(self.b_yield_hard, v_adv**2 / (2.0 * max(gap - self.stop_margin, 0.3)))
         else:
-            a_adv = idm_accel(math.inf, v_adv, 0.0)
+            a_adv = idm_accel(math.inf, v_adv)
         a_adv += offset
 
         v_prev = v_adv
@@ -577,13 +634,13 @@ def _pc_roll_frozen(self, values, records: list | None = None) -> int | None:
             committed = y_pred >= self.clear_ahead or y_pred <= -self.clear_behind
         d = x_stop - x_ego
         if committed:
-            a = idm_accel(math.inf, v_ego, 0.0, v_cruise)
+            a = idm_accel(math.inf, v_ego, v0=v_cruise)
         elif d <= 0.1:
             a = -v_ego / dt  # hold at the stop point
         elif v_ego**2 / (2.0 * d) >= b_brake:
             a = -v_ego**2 / (2.0 * d)
         else:
-            a = idm_accel(math.inf, v_ego, 0.0, v_cruise)
+            a = idm_accel(math.inf, v_ego, v0=v_cruise)
         a = min(max(a, a_lo), a_hi)
 
         v_ego = max(v_ego + a * dt, 0.0)
@@ -803,6 +860,26 @@ def test_hand_made_crosswalks_reach_every_branch():
     for batch in (values[:-1], [values[-1]], edges):
         for name in ("pc1", "pc2"):
             _assert_rolls_match_frozen(scenario(name), _batch(scenario(name), batch))
+
+
+@pytest.mark.parametrize("name", ["pc1", "pc2"])
+def test_a_waiting_crosswalk_ego_decides_at_every_step(name):
+    # a waiting ego holds at x_stop, short of the crosswalk, so at every step
+    # it has a finite arrival time, taken where it stands before the step
+    cfg = scenario(name).config
+    arrive, rows = cfg._ego
+    before = [(cfg.ego_x0, cfg.v_cruise)] + list(rows[cfg.horizon][:-1])
+    assert len(arrive) == len(before) == cfg.horizon
+    assert all(x < 0 for x, _ in before) and all(math.isfinite(t) for t in arrive)
+    assert list(arrive) == [cfg.time_to_crosswalk(x, v) for x, v in before]
+
+
+def test_a_waiting_crosswalk_ego_past_the_crosswalk_is_refused():
+    class StopPastTheCrosswalk(CrosswalkConfig):
+        x_stop = 2.0
+
+    with pytest.raises(ValueError, match="stop short of the crosswalk"):
+        StopPastTheCrosswalk()._ego
 
 
 def _raised(fn, *args) -> str:

@@ -6,7 +6,10 @@ The digest covers, for each search configuration below:
   - re-evaluation reports of the best formula and of the scenario's fixed
     formulas, with every failing trial's fail step, records and trace;
   - an importance-sampling baseline report with its failing trials;
-and constrained pc1 batches of 200 traces (every channel's block).
+constrained pc1 batches of 200 traces (every channel's block); and, on
+lt1, lt2 and pc1, three ``constraints_for`` calls on each of 300 grammar
+formulas (every fourth one cut to a series root), each call's arrays or
+error message and the generator's next number after the three.
 Floats enter as their exact hex form, arrays as their raw bytes, so two
 checkouts print the same digest only if they draw and compute the same
 bits.  Each part's own digest goes to stderr, to show where two checkouts
@@ -16,7 +19,7 @@ Configurations: the benchmark's `left-turn` search (lt1 at the default
 GpConfig cut to 2 generations, seed 7) and `crosswalk` search (pc1,
 population 400, 2 generations, 15 samples, seed 3), plus a small lt2 and
 pc2 search (population 50, 2 generations, seed 5).  It imports the
-`src` of its own checkout and takes about 5 s on one core.
+`src` of its own checkout and takes about 6 s on one core.
 
     python3 scripts/digest.py
 
@@ -48,6 +51,7 @@ RUNS = [
     ("pc2", sf.GpConfig(population=50, generations=2, samples_per_eval=15, seed=5),
      ["F_[0,10](n_y >= 0.5)"], 100, 300),
 ]
+DESCENTS = ["lt1", "lt2", "pc1"]  # scenarios whose grammar formulas are descended
 BATCHES = ["G_[9,23](a_x <= -0.4)", PC_BLOATED, "G_[3,8]((a_y >= 0.3 & a_y <= 1.2)) & G_[0,4](n_vy <= -0.5)"]
 
 
@@ -94,6 +98,28 @@ def trials(sc, text, n, seed):
     return [vars(report), [[f.fail_step, f.records, f.trace.values] for f in fails]]
 
 
+def first_series(f):
+    """The argument of the leftmost window: a series root."""
+    while isinstance(f, (sf.Not, sf.And, sf.Or)):
+        f = f.arg if isinstance(f, sf.Not) else f.lhs
+    return f.arg
+
+
+def descents(sc, formulas):
+    """Three constraint draws per formula, each from its own generator."""
+    out = []
+    for i, f in enumerate(formulas):
+        rng = np.random.default_rng(i)
+        for _ in range(3):
+            try:
+                cs = sf.constraints_for(f, sc.channels, sc.horizon, rng)
+                out.append([cs.lower, cs.upper, cs.allowed])
+            except sf.InfeasibleError as e:
+                out.append(str(e))
+        out.append(rng.random())
+    return out
+
+
 def parts():
     for name, config, texts, reeval_trials, is_trials in RUNS:
         sc = sf.scenario(name)
@@ -110,6 +136,12 @@ def parts():
         cs = sf.constraints_for(sf.parse(text, pc.channels), pc.channels, pc.horizon, rng)
         batch = sf.sample_traces(pc.model, pc.horizon, pc.dt, cs, rng=rng, size=200)
         yield f"pc1 batch {i}", batch.blocks
+    for k, name in enumerate(DESCENTS):
+        sc = sf.scenario(name)
+        make = np.random.default_rng([17, k])  # lt1 and lt2 share a grammar, not formulas
+        formulas = [sf.sample_expression(sc.grammar, make) for _ in range(300)]
+        formulas[::4] = [first_series(f) for f in formulas[::4]]
+        yield f"{name} descents", descents(sc, formulas)
 
 
 def main():

@@ -4,6 +4,7 @@ likely failure trajectories in simulated driving scenarios."""
 from .baseline import MetricReport, evaluate_expression, importance_sample
 from .constraints import (
     ConstraintSet,
+    DescentPlan,
     InfeasibleError,
     compile_constraints,
     constraints_for,

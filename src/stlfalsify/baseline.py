@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import InfeasibleError, constraints_for
+from .constraints import DescentPlan, InfeasibleError, constraints_for
 from .samplers import DisturbanceModel, TraceDraw, build_traces, draw_traces, log_likelihoods
 from .sim import Scenario, SimResult
 from .stl import Formula, TraceBatch
@@ -83,12 +83,13 @@ class MetricReport:
 def draw_batch(
     scenario: Scenario,
     model: DisturbanceModel,
-    formula: Formula | None,
+    formula: Formula | DescentPlan | None,
     rng: np.random.Generator,
     size: int,
 ) -> TraceDraw | None:
-    """One batch: a constraint draw for ``formula`` (none when it is None)
-    and the random numbers of ``size`` traces from ``model`` under it
+    """One batch: a constraint draw for ``formula``, a formula or its
+    ``DescentPlan`` for the scenario (no draw when it is None), and the
+    random numbers of ``size`` traces from ``model`` under it
     (``samplers.draw_traces``), or None when the draw stays infeasible
     through the retry budget."""
     try:
@@ -136,15 +137,17 @@ def _trial_batch(
     constraints for ``formula``: the report, and the failing trials rolled
     again for their records.
 
-    The trials are drawn in order, ``CHUNK`` at a time, and each chunk is
-    built, rolled and scored in one ``roll_draws``; an infeasible draw
-    rolls nothing and counts as an infeasible trial.
+    Every trial draws its constraints from one descent plan of
+    ``formula``.  The trials are drawn in order, ``CHUNK`` at a time, and
+    each chunk is built, rolled and scored in one ``roll_draws``; an
+    infeasible draw rolls nothing and counts as an infeasible trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    plan = None if formula is None else DescentPlan(formula, scenario.channels, scenario.horizon)
     fails, lls, n_infeasible = [], [], 0
     for first in range(0, trials, CHUNK):
-        drawn = [draw_batch(scenario, model, formula, rng, 1) for _ in range(min(CHUNK, trials - first))]
+        drawn = [draw_batch(scenario, model, plan, rng, 1) for _ in range(min(CHUNK, trials - first))]
         n_infeasible += sum(draw is None for draw in drawn)
         batch, scored = roll_draws(scenario, model, drawn)
         fails += [batch[i] for i, ll in enumerate(scored) if ll is not None]

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .baseline import evaluate_expression, importance_sample
-from .constraints import InfeasibleError, constraints_for
+from .constraints import DescentPlan, InfeasibleError, constraints_for
 from .grammar import MAX_DEPTH_DEFAULT
 from .optimize import P_CROSSOVER, P_MUTATE, P_REPRODUCE, TOURNAMENT_SIZE, GpConfig, run
 from .samplers import sample_trace
@@ -277,9 +277,10 @@ def cmd_sample(cfg: dict, formula_text: str) -> int:
     formula = _parse_formula(formula_text, sc.channels)
     out_dir = _make_dir(cfg["out"])
     rng = np.random.default_rng(cfg["seed"])
+    plan = DescentPlan(formula, sc.channels, sc.horizon)
     for i in range(count):
         try:
-            cs = constraints_for(formula, sc.channels, sc.horizon, rng)
+            cs = constraints_for(plan, sc.channels, sc.horizon, rng)
             trace = sample_trace(sc.model, sc.horizon, sc.dt, cs, rng=rng)
         except InfeasibleError as exc:
             print(f"infeasible: {exc}", file=sys.stderr)

@@ -28,6 +28,24 @@ generator in the same state: numpy serves each coin from one 32-bit half
 of the bit generator's output, and the buffered half lives in the
 generator state, not in the call (``tests/test_constraints.py`` pins this).
 
+The descent walks a ``DescentPlan``, compiled once per formula, channels
+and horizon: the scalar nodes in preorder with their "!"s folded in, and
+each window's interval mask and connective count.  A window's argument
+always receives one non-empty mask, true or false, so each comparison's
+mask is that mask cut by some of the window's coin rows; a window's leaf
+table lists, per comparison, which side the mask lands on and which rows,
+set or clear, cut it.  It is built the first time the window is required
+true (or false), so a plan descended once costs a tree walk.  Re-evaluation
+and the CLI's ``sample`` draw every trial from one plan; the search builds
+one per evaluated formula.
+
+A plan gives the same results as the tree descent at less cost in two
+cases.  When every comparison reads one categorical channel, the walk
+keeps which steps require or refuse each symbol; once some step has no
+symbol left it stops making leaves, still makes every draw, and raises the
+error that compiling would.  A plan whose descent draws nothing has one
+constraint set (or one error), so ``constraints_for`` compiles it once.
+
 The leaves of the descent are comparisons annotated with their two step
 masks.  Compiling them intersects everything into per-channel boxes: an
 interval [lower, upper] per step for continuous channels and a per-step
@@ -55,7 +73,6 @@ from .stl import (
     FormulaTypeError,
     Not,
     Or,
-    TimeInterval,
     check_horizon,
     lift,
 )
@@ -64,6 +81,7 @@ __all__ = [
     "InfeasibleError",
     "LeafConstraint",
     "ConstraintSet",
+    "DescentPlan",
     "sample_constraints",
     "compile_constraints",
     "constraints_for",
@@ -100,60 +118,215 @@ class LeafConstraint:
     m: int
 
 
-def _split_scalar(out: int, rng, is_and: bool) -> tuple[int, int]:
-    """Children of a scalar and/or: a true "and" (false "or") copies to
-    both, a false "and" (true "or") lands on a random side."""
-    one_side = _FALSE if is_and else _TRUE
-    if out != one_side:
-        return out, out
-    if rng.integers(2):
-        return one_side, _ARB
-    return _ARB, one_side
-
-
-def _split_series(true: int, false: int, coins: int, is_and: bool):
-    """Children's (true, false) masks of a series and/or: the steps that
-    split go right where ``coins`` has a bit and left elsewhere."""
-    if is_and:
-        return (true, false & ~coins), (true, false & coins)
-    return (true & ~coins, false), (true & coins, false)
-
-
-def _window(is_always: bool, out: int, interval: TimeInterval, m: int, rng) -> tuple[int, int]:
-    """The (true, false) masks of a windowed operator's argument."""
-    check_horizon(interval, m)
-    if out == _ARB:
-        return 0, 0
-    if is_always == (out == _TRUE):
-        steps = ((1 << (interval.hi - interval.lo + 1)) - 1) << interval.lo
-    else:
-        steps = 1 << int(rng.integers(interval.lo, interval.hi + 1))
-    return (steps, 0) if out == _TRUE else (0, steps)
-
-
 def _coin_rows(rng, k: int, m: int) -> list[int]:
-    """k coin masks of m steps from one block draw, row by row."""
-    if k == 0:
-        return []
+    """k coin masks of m steps from one block draw, row by row, then their
+    complements: the masks that ``_leaf_table``'s cut indices name."""
     packed = np.packbits(rng.integers(0, 2, size=(k, m)), axis=1, bitorder="little")
     width = packed.shape[1]
     raw = packed.tobytes()
-    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(k)]
+    rows = [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(k)]
+    return rows + [~row for row in rows]
 
 
-def _connectives(f) -> int:
-    """The number of and/or nodes in a series formula."""
+def _series_atoms(f, atoms: list) -> int:
+    """Append the comparisons of the series formula ``f`` to ``atoms``,
+    left to right, and return its number of and/or nodes."""
     if isinstance(f, Cmp):
+        atoms.append(f)
         return 0
     if isinstance(f, Not):
-        return _connectives(f.arg)
+        return _series_atoms(f.arg, atoms)
     if isinstance(f, (And, Or)):
-        return 1 + _connectives(f.lhs) + _connectives(f.rhs)
+        return 1 + _series_atoms(f.lhs, atoms) + _series_atoms(f.rhs, atoms)
     raise FormulaTypeError(f"not a series formula: {f!r}")
 
 
+def _leaf_table(f, live_true: bool, cuts: tuple, k: int, rows, table: list) -> None:
+    """Append one ``(atom, to_true, cuts)`` entry per comparison of ``f``.
+
+    The window's one non-empty mask reaches ``f`` as its true mask when
+    ``live_true``, else as its false mask, cut by the coin rows in
+    ``cuts``: index r keeps the steps where row r is set (a right child),
+    k + r those where it is clear (a left child).  ``rows`` yields the
+    and/or nodes' coin rows in preorder.
+    """
+    if isinstance(f, Cmp):
+        table.append((f, live_true, cuts))
+    elif isinstance(f, Not):
+        _leaf_table(f.arg, not live_true, cuts, k, rows, table)
+    else:
+        r = next(rows)
+        split = isinstance(f, And) != live_true  # "&" splits the false mask, "|" the true one
+        left, right = (cuts + (k + r,), cuts + (r,)) if split else (cuts, cuts)
+        _leaf_table(f.lhs, live_true, left, k, rows, table)
+        _leaf_table(f.rhs, live_true, right, k, rows, table)
+
+
+class _Split:
+    """A scalar and/or node; its left child comes next in preorder."""
+
+    __slots__ = ("flip", "one_side", "rhs")
+
+    def __init__(self, flip: bool, is_and: bool):
+        self.flip = flip  # an odd number of "!" between it and its parent
+        self.one_side = _FALSE if is_and else _TRUE  # the output that one child alone gives
+        self.rhs = 0  # its right child's preorder index
+
+
+class _Window:
+    """A windowed node: its interval as a step mask, its argument's
+    and/or count and, built on first use, one leaf table per output."""
+
+    __slots__ = ("flip", "always", "lo", "hi", "steps", "arg", "k", "tables")
+
+    def __init__(self, flip: bool, f, m: int, atoms: list):
+        check_horizon(f.interval, m)
+        self.flip = flip
+        self.always = isinstance(f, Always)
+        self.lo, self.hi = f.interval.lo, f.interval.hi
+        self.steps = ((1 << (self.hi - self.lo + 1)) - 1) << self.lo
+        self.arg = f.arg
+        self.k = _series_atoms(f.arg, atoms)
+        self.tables: dict[int, list] = {}
+
+    def leaves(self, out: int) -> list:
+        """The leaf table of the window required ``out`` (true or false)."""
+        table = self.tables.get(out)
+        if table is None:
+            table = self.tables[out] = []
+            _leaf_table(self.arg, out == _TRUE, (), self.k, iter(range(self.k)), table)
+        return table
+
+
+class _Symbols:
+    """The steps where a categorical channel's leaves so far require or
+    refuse each symbol.  Leaves only add steps, so once some step has no
+    symbol left (the condition ``_allowed`` raises on) it stays so."""
+
+    __slots__ = ("n", "required", "refused", "any_required")
+
+    def __init__(self, ch: CategoricalChannel):
+        self.n = len(ch.symbols)
+        self.required: dict[str, int] = {}
+        self.refused: dict[str, int] = {}
+        self.any_required = 0
+
+    def conflicts(self, value: str, to_true: bool, mask: int) -> bool:
+        """Add one leaf's steps; True once some step has no symbol left."""
+        if to_true:
+            mine = self.required.get(value, 0)
+            # the symbol is refused there, or another one is required there
+            clash = mask & (self.refused.get(value, 0) | (self.any_required & ~mine))
+            self.required[value] = mine | mask
+            self.any_required |= mask
+            return clash != 0
+        refused = self.refused[value] = self.refused.get(value, 0) | mask
+        if mask & self.required.get(value, 0):
+            return True
+        if len(self.refused) < self.n:
+            return False
+        for steps in self.refused.values():  # every symbol refused at one step
+            refused &= steps
+        return refused != 0
+
+
+def _watched(atoms: list, channels: tuple) -> CategoricalChannel | None:
+    """The categorical channel that every comparison reads, when there is
+    one and it knows every symbol they name."""
+    names = {atom.channel for atom in atoms}
+    ch = next((ch for ch in channels if {ch.name} == names), None)
+    if isinstance(ch, CategoricalChannel) and all(atom.value in ch.symbols for atom in atoms):
+        return ch
+    return None
+
+
+class DescentPlan:
+    """The descent of one formula, compiled for its channels and horizon.
+
+    ``sample_constraints`` and ``constraints_for`` walk it in place of the
+    formula tree, with the same draws.  A node of the wrong level or a
+    window past the horizon raises here, before anything is drawn.
+    """
+
+    def __init__(self, formula: Formula, channels, m: int):
+        self.channels = tuple(channels)
+        self.m = m
+        self.nodes: list = []  # _Split and _Window nodes in preorder
+        atoms: list[Cmp] = []
+        self._add(lift(formula, m), False, atoms)
+        self.watch = _watched(atoms, self.channels)
+        self.draw_free: bool | None = None  # whether a walk draws nothing; set by the first walk
+        self.outcome = None  # a draw-free plan's ConstraintSet, or its error text
+
+    def _add(self, f, flip: bool, atoms: list) -> None:
+        while isinstance(f, Not):
+            f, flip = f.arg, not flip
+        if isinstance(f, (Always, Eventually)):
+            self.nodes.append(_Window(flip, f, self.m, atoms))
+        elif isinstance(f, (And, Or)):
+            node = _Split(flip, isinstance(f, And))
+            self.nodes.append(node)
+            self._add(f.lhs, False, atoms)
+            node.rhs = len(self.nodes)
+            self._add(f.rhs, False, atoms)
+        else:
+            raise FormulaTypeError(f"not a scalar formula: {f!r}")
+
+    def walk(self, rng: np.random.Generator) -> list[LeafConstraint]:
+        """One descent: the leaves, or InfeasibleError once the watched
+        channel has a step with no symbol left, after every draw."""
+        m, nodes, watch = self.m, self.nodes, self.watch
+        outs = [_TRUE] * len(nodes)  # each node's output, as its parent requires it
+        leaves: list[LeafConstraint] = []
+        symbols = None if watch is None else _Symbols(watch)
+        conflict = drew = False
+        for i, node in enumerate(nodes):
+            out = _NEG[outs[i]] if node.flip else outs[i]
+            if type(node) is _Split:
+                if out != node.one_side:
+                    outs[i + 1] = outs[node.rhs] = out
+                elif rng.integers(2):  # one child alone gives it: a random side
+                    outs[i + 1], outs[node.rhs], drew = out, _ARB, True
+                else:
+                    outs[i + 1], outs[node.rhs], drew = _ARB, out, True
+                continue
+            if out == _ARB:
+                steps = 0
+            elif node.always == (out == _TRUE):
+                steps = node.steps
+            else:  # a false "always" or a true "eventually" pins one step
+                steps, drew = 1 << int(rng.integers(node.lo, node.hi + 1)), True
+            if node.k:  # an arbitrary window still draws its coins
+                coins, drew = _coin_rows(rng, node.k, m), True
+            if not steps or conflict:
+                continue
+            for atom, to_true, cuts in node.leaves(out):
+                mask = steps
+                for j in cuts:
+                    mask &= coins[j]
+                if not mask:
+                    continue
+                leaves.append(LeafConstraint(atom, mask, 0, m) if to_true else LeafConstraint(atom, 0, mask, m))
+                if symbols is not None and symbols.conflicts(atom.value, to_true, mask):
+                    conflict = True
+                    break
+        self.draw_free = not drew
+        if conflict:
+            raise InfeasibleError(f"no symbol left on channel {watch.name}")
+        return leaves
+
+
+def _plan(formula, channels, m: int) -> DescentPlan:
+    """``formula`` itself if it is a plan for ``m`` steps, else its plan."""
+    if not isinstance(formula, DescentPlan):
+        return DescentPlan(formula, channels, m)
+    if formula.m != m:
+        raise ValueError("the plan was made for another horizon")
+    return formula
+
+
 def sample_constraints(
-    formula: Formula,
+    formula: Formula | DescentPlan,
     m: int,
     rng: np.random.Generator,
 ) -> list[LeafConstraint]:
@@ -161,42 +334,13 @@ def sample_constraints(
     comparison must output.
 
     Returns one LeafConstraint per comparison whose outputs are not
-    everywhere arbitrary, in left-to-right leaf order.  Besides a window
-    past the horizon, a node of the wrong level raises FormulaTypeError:
-    the descent raises at a comparison whose output is a scalar, and the
-    walk that counts a window's connectives at a window inside its argument.
+    everywhere arbitrary, in left-to-right leaf order.  A window past the
+    horizon or a node of the wrong level raises FormulaTypeError.  A plan
+    that watches a categorical channel raises InfeasibleError, with the
+    message ``compile_constraints`` would give, once some step has no
+    symbol left; it still makes the rest of its draws.
     """
-    formula = lift(formula, m)
-    leaves: list[LeafConstraint] = []
-
-    def series(f, true, false, coins):  # coins: one mask per and/or, in preorder
-        if isinstance(f, Cmp):
-            if true or false:
-                leaves.append(LeafConstraint(f, true, false, m))
-        elif isinstance(f, Not):
-            series(f.arg, false, true, coins)
-        else:
-            left, right = _split_series(true, false, next(coins), isinstance(f, And))
-            series(f.lhs, *left, coins)
-            series(f.rhs, *right, coins)
-
-    def scalar(f, out):  # branches in order of how common the node is
-        if isinstance(f, (Always, Eventually)):
-            true, false = _window(isinstance(f, Always), out, f.interval, m, rng)
-            coins = _coin_rows(rng, _connectives(f.arg), m)
-            if true or false:  # an arbitrary window still draws its coins
-                series(f.arg, true, false, iter(coins))
-        elif isinstance(f, (And, Or)):
-            left, right = _split_scalar(out, rng, isinstance(f, And))
-            scalar(f.lhs, left)
-            scalar(f.rhs, right)
-        elif isinstance(f, Not):
-            scalar(f.arg, _NEG[out])
-        else:
-            raise FormulaTypeError(f"not a scalar formula: {f!r}")
-
-    scalar(formula, _TRUE)
-    return leaves
+    return _plan(formula, (), m).walk(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +454,7 @@ def compile_constraints(
 
 
 def constraints_for(
-    formula: Formula,
+    formula: Formula | DescentPlan,
     channels,
     m: int,
     rng: np.random.Generator,
@@ -319,14 +463,31 @@ def constraints_for(
 
     Different coin flips in the descent can rescue a draw whose first
     attempt contradicted itself, so up to ``RETRIES`` fresh attempts are
-    made before giving up.
+    made before giving up.  ``formula`` may be a DescentPlan made for
+    ``channels`` and ``m``, so that many draws build it once.  A
+    draw-free plan gives the same outcome on every attempt, so it is
+    compiled once and its outcome kept for every later call.
     """
+    plan = _plan(formula, channels, m)
+    if plan.channels != tuple(channels):
+        raise ValueError("the plan was made for other channels")
+    if isinstance(plan.outcome, ConstraintSet):
+        return plan.outcome
+    if plan.outcome is not None:
+        raise InfeasibleError(plan.outcome)
     last = None
     for _ in range(RETRIES):
         try:
-            return compile_constraints(sample_constraints(formula, m, rng), channels, m)
+            cs = compile_constraints(sample_constraints(plan, m, rng), channels, m)
         except InfeasibleError as e:
-            last = e
-    raise InfeasibleError(
-        f"no feasible constraints after {RETRIES} attempts: {last}"
-    )
+            last = str(e)  # the error itself would hold this frame in a cycle only gc frees
+            if plan.draw_free:  # the other attempts would repeat this one
+                break
+        else:
+            if plan.draw_free:
+                plan.outcome = cs
+            return cs
+    message = f"no feasible constraints after {RETRIES} attempts: {last}"
+    if plan.draw_free:
+        plan.outcome = message
+    raise InfeasibleError(message)

@@ -8,6 +8,7 @@ deterministic cases and for the coin-flip cases where the rule picks one
 child at random.
 """
 
+import gc
 from enum import IntEnum
 
 import numpy as np
@@ -15,9 +16,9 @@ import pytest
 
 from stlfalsify.constraints import (
     EPSILON,
+    DescentPlan,
     InfeasibleError,
-    _coin_rows,
-    _split_series,
+    LeafConstraint,
     compile_constraints,
     constraints_for,
     sample_constraints,
@@ -373,38 +374,6 @@ def test_retries_find_a_feasible_coin_assignment():
 
 
 # ---------------------------------------------------------------------------
-# the series split, on the descent's step masks, against its copy-and-assign
-# definition
-
-
-def _split_reference(out, r, false_splits):
-    one_side = Output.FALSE if false_splits else Output.TRUE
-    left = out.copy()
-    right = out.copy()
-    split = out == one_side
-    to_right = split & (r.integers(0, 2, size=out.shape) == 1)
-    to_left = split & ~to_right
-    left[to_right] = Output.ARBITRARY
-    right[to_left] = Output.ARBITRARY
-    return left, right
-
-
-def test_series_helpers_match_reference_draw_for_draw():
-    # masks true at some steps and false at others, which the descent never
-    # builds, so that both rules meet every kind of step
-    codes = rng(99)
-    for seed in range(200):
-        out = codes.integers(0, 3, size=int(codes.integers(1, 40))).astype(np.int8)
-        for false_splits in (True, False):
-            new_rng, ref_rng = rng(seed), rng(seed)
-            (coins,) = _coin_rows(new_rng, 1, len(out))
-            got = _split_series(*as_masks(out), coins, false_splits)
-            want = _split_reference(out, ref_rng, false_splits)
-            assert got == tuple(as_masks(w) for w in want)
-            assert new_rng.random() == ref_rng.random()
-
-
-# ---------------------------------------------------------------------------
 # the descent against a frozen copy of its two-encoding form, which held a
 # scalar output as an Output member and a series output as int8 codes
 
@@ -527,6 +496,111 @@ def test_descent_matches_frozen_descent_at_any_horizon(name, m):
         for leaf, (_, codes) in zip(got, want):
             assert (leaf.true, leaf.false) == as_masks(codes)
         assert new_rng.random() == ref_rng.random()
+
+
+# ---------------------------------------------------------------------------
+# constraints_for, walking a plan or a formula, against the frozen descent in
+# the retry loop as it stood before plans: same sets, errors and draws
+
+
+def constraints_for_frozen(formula, channels, m, r):
+    """The retry loop as it stood with the tree descent: a fresh frozen
+    descent and a full compile per attempt, ten attempts."""
+    last = None
+    for _ in range(10):
+        leaves = [LeafConstraint(atom, *as_masks(codes), m) for atom, codes in sample_constraints_frozen(formula, m, r)]
+        try:
+            return compile_constraints(leaves, channels, m)
+        except InfeasibleError as e:
+            last = e
+    raise InfeasibleError(f"no feasible constraints after 10 attempts: {last}")
+
+
+def _drawn(draw, n, seed):
+    """n draws by ``draw(r)`` from one generator: each constraint set's
+    arrays or each error's type and text, then the generator's next number."""
+    r = rng(seed)
+    out = []
+    for _ in range(n):
+        try:
+            cs = draw(r)
+        except InfeasibleError as e:
+            out.append((type(e), str(e)))
+        else:
+            out.append([{name: a.tolist() for name, a in arrays.items()}
+                        for arrays in (cs.lower, cs.upper, cs.allowed)])
+    return out, r.random()
+
+
+def _assert_plan_draws_match_frozen(f, channels, m, seed, n=3):
+    plan = DescentPlan(f, channels, m)
+    want = _drawn(lambda r: constraints_for_frozen(f, channels, m, r), n, seed)
+    assert _drawn(lambda r: constraints_for(plan, channels, m, r), n, seed) == want
+    assert _drawn(lambda r: constraints_for(f, channels, m, r), n, seed) == want
+
+
+@pytest.mark.parametrize("name,seed", [("lt1", 7), ("lt2", 8), ("lt3", 9), ("pc1", 10)])
+def test_retry_loop_matches_frozen_retry_loop(name, seed):
+    sc = scenario(name)
+    make = rng(seed)  # the left turns share a grammar: a seed each gives other formulas
+    for i in range(150):
+        f = sample_expression(sc.grammar, make)
+        if i % 4 == 0:
+            f = _first_series(f)
+        _assert_plan_draws_match_frozen(f, sc.channels, sc.horizon, i)
+
+
+LT_BLOATED = ("(G_[0,1]((!!!(!disturbance = a_maj | disturbance = S)"
+              " | (disturbance = a_maj & disturbance = d_maj)))"
+              " & !(F_[6,9](disturbance = S) & G_[12,20]((disturbance = none | disturbance = d_med))))")
+_ALL_BUT_L = " & ".join(f"G_[0,0](!disturbance = {s})" for s in DIST.symbols[:-1])
+
+
+@pytest.mark.parametrize("text", [
+    LT_BLOATED,  # no symbol left at a first-window step on three of its four coin patterns
+    "G_[0,1]((disturbance = a_maj & disturbance = d_maj))",
+    "(F_[0,3](disturbance = a_maj) & G_[2,2](!disturbance = a_maj))",  # required and refused at one step
+    "(G_[0,1](disturbance = a_maj) & F_[0,3](disturbance = a_maj))",  # required twice, still feasible
+    "(!F_[0,3](disturbance = S) & !G_[1,2](disturbance = S))",  # refused twice, still feasible
+    f"({_ALL_BUT_L} & F_[0,1](!disturbance = L))",  # every symbol refused at step 0 on half the draws
+    f"({_ALL_BUT_L} & G_[0,0](!disturbance = L))",  # every symbol refused, on every draw
+    "(G_[0,1](disturbance = a_maj) & G_[3,4](!disturbance = S))",  # draw-free, feasible
+    "(G_[0,2](disturbance = a_maj) & G_[2,3](disturbance = none))",  # draw-free, infeasible
+])
+def test_hand_built_lt1_draws_match_frozen_retry_loop(text):
+    sc = scenario("lt1")
+    for seed in range(20):
+        _assert_plan_draws_match_frozen(parse(text, sc.channels), sc.channels, sc.horizon, seed, n=5)
+
+
+@pytest.mark.parametrize("text", [
+    "G_[9,23](a_x <= -0.4)",  # draw-free, feasible
+    "(G_[0,2](a_x <= -0.4) & G_[1,1](a_x >= 0.5))",  # draw-free, infeasible
+])
+def test_draw_free_continuous_draws_match_frozen_retry_loop(text):
+    sc = scenario("pc1")
+    for seed in range(5):
+        _assert_plan_draws_match_frozen(parse(text, sc.channels), sc.channels, sc.horizon, seed, n=5)
+
+
+@pytest.mark.parametrize("text", [LT_BLOATED, "G_[0,1]((disturbance = a_maj & disturbance = d_maj))"])
+def test_failed_attempts_leave_no_reference_cycles(text):
+    # A failed attempt's error, kept with its traceback, would tie the
+    # retry loop's frame into a cycle that only the garbage collector
+    # frees, and the collector would then run in whatever comes next.
+    sc = scenario("lt1")
+    f = parse(text, sc.channels)
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(5):
+            try:
+                constraints_for(f, sc.channels, sc.horizon, rng(seed))
+            except InfeasibleError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("m", [1, 3, 7, 24, 64, 65, 70])

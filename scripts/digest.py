@@ -6,10 +6,11 @@ The digest covers, for each search configuration below:
   - re-evaluation reports of the best formula and of the scenario's fixed
     formulas, with every failing trial's fail step, records and trace;
   - an importance-sampling baseline report with its failing trials;
-constrained pc1 batches of 200 traces (every channel's block); and, on
-lt1, lt2 and pc1, three ``constraints_for`` calls on each of 300 grammar
+constrained pc1 batches of 200 traces (every channel's block); on lt1,
+lt2 and pc1, three ``constraints_for`` calls on each of 300 grammar
 formulas (every fourth one cut to a series root), each call's arrays or
-error message and the generator's next number after the three.
+error message and the generator's next number after the three; and the
+CLI bundles below, each command's files, stdout, stderr and exit status.
 Floats enter as their exact hex form, arrays as their raw bytes, so two
 checkouts print the same digest only if they draw and compute the same
 bits.  Each part's own digest goes to stderr, to show where two checkouts
@@ -18,8 +19,19 @@ part.
 Configurations: the benchmark's `left-turn` search (lt1 at the default
 GpConfig cut to 2 generations, seed 7) and `crosswalk` search (pc1,
 population 400, 2 generations, 15 samples, seed 3), plus a small lt2 and
-pc2 search (population 50, 2 generations, seed 5).  It imports the
-`src` of its own checkout and takes about 6 s on one core.
+pc2 search (population 50, 2 generations, seed 5).
+
+CLI bundles, all at seed 5: ``optimize --pop 50 --gens 2 --trials 100``
+and ``baseline --trials 200`` on every scenario (lt1, lt2, lt3, pc1 and
+pc2; lt3's ego table and pc2's models differ from the others');
+``sample 'F_[0,5](n_vy <= -0.5)' --trials 10`` on pc1; and two lt1
+samples with ``--trials 10``: one that draws coins and witness steps, and
+the bloated left-turn formula of perfbench, which runs out of retries on
+one trace and exits 3.  Each command runs in process, inside one
+temporary directory, with a relative ``--out``, so what it prints does
+not depend on where the checkout sits.
+
+It imports the `src` of its own checkout and takes about 5 s on one core.
 
     python3 scripts/digest.py
 
@@ -27,7 +39,11 @@ To compare two checkouts, run each one's copy and compare the two lines.
 """
 
 import hashlib
+import io
+import os
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +51,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import stlfalsify as sf  # noqa: E402
+from stlfalsify import cli  # noqa: E402
 
 LT_BLOATED = ("(G_[0,1]((!!!(!disturbance = a_maj | disturbance = S)"
               " | (disturbance = a_maj & disturbance = d_maj)))"
@@ -53,6 +70,16 @@ RUNS = [
 ]
 DESCENTS = ["lt1", "lt2", "pc1"]  # scenarios whose grammar formulas are descended
 BATCHES = ["G_[9,23](a_x <= -0.4)", PC_BLOATED, "G_[3,8]((a_y >= 0.3 & a_y <= 1.2)) & G_[0,4](n_vy <= -0.5)"]
+BUNDLES = [  # bundle name, CLI arguments but --seed and --out
+    *[(f"{sc}-{cmd}", [cmd, "--scenario", sc, *args])
+      for sc in ["lt1", "lt2", "lt3", "pc1", "pc2"]
+      for cmd, args in [("optimize", ["--pop", "50", "--gens", "2", "--trials", "100"]),
+                        ("baseline", ["--trials", "200"])]],
+    ("pc1-sample", ["sample", "F_[0,5](n_vy <= -0.5)", "--scenario", "pc1", "--trials", "10"]),
+    ("lt1-sample", ["sample", "F_[0,5]((disturbance = a_maj | disturbance = d_maj)) & G_[8,12](!disturbance = S)",
+                    "--scenario", "lt1", "--trials", "10"]),
+    ("lt1-sample-bloated", ["sample", LT_BLOATED, "--scenario", "lt1", "--trials", "10"]),
+]
 
 
 def feed(h, obj):
@@ -84,6 +111,8 @@ def feed(h, obj):
         h.update(b"N")
     elif isinstance(obj, str):
         h.update(b"s%d:" % len(obj) + obj.encode())
+    elif isinstance(obj, bytes):
+        h.update(b"b%d:" % len(obj) + obj)
     else:
         raise TypeError(f"cannot digest {type(obj).__name__}")
 
@@ -120,6 +149,17 @@ def descents(sc, formulas):
     return out
 
 
+def bundle(name, args):
+    """Run the CLI's ``args`` at seed 5 with ``--out name`` in the current
+    directory: every file of the bundle, then stdout, stderr and exit status."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = cli.main([*args, "--seed", "5", "--out", name])
+    files = sorted(path for path in Path(name).rglob("*") if path.is_file())
+    return [[[path.relative_to(name).as_posix(), path.read_bytes()] for path in files],
+            out.getvalue(), err.getvalue(), status]
+
+
 def parts():
     for name, config, texts, reeval_trials, is_trials in RUNS:
         sc = sf.scenario(name)
@@ -142,6 +182,14 @@ def parts():
         formulas = [sf.sample_expression(sc.grammar, make) for _ in range(300)]
         formulas[::4] = [first_series(f) for f in formulas[::4]]
         yield f"{name} descents", descents(sc, formulas)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, args in BUNDLES:
+                yield f"{name} bundle", bundle(name, args)
+        finally:
+            os.chdir(home)
 
 
 def main():

@@ -37,24 +37,28 @@ table lists, per comparison, which side the mask lands on and which rows,
 set or clear, cut it.  It is built the first time the window is required
 true (or false), so a plan descended once costs a tree walk.  Re-evaluation
 and the CLI's ``sample`` draw every trial from one plan; the search builds
-one per evaluated formula.
+one per evaluated formula.  Building a plan checks, before any draw, each
+node's level, each window against the horizon and, given channels, each
+comparison as ``stl.check`` does (``stl._check_atom``).
 
 A plan gives the same results as the tree descent at less cost in two
-cases.  When every comparison reads one categorical channel, the walk
-keeps which steps require or refuse each symbol; once some step has no
-symbol left it stops making leaves, still makes every draw, and raises the
-error that compiling would.  A plan whose descent draws nothing has one
+cases.  On every categorical channel the walk keeps which steps require or
+refuse each symbol (``_Symbols``); once some step of one has no symbol
+left it stops making leaves, still makes every draw, and raises the error
+that compiling would.  A plan whose descent draws nothing has one
 constraint set (or one error), so ``constraints_for`` compiles it once.
 
 The leaves of the descent are comparisons annotated with their two step
 masks.  Compiling them intersects everything into per-channel boxes: an
 interval [lower, upper] per step for continuous channels and a per-step
-mask of allowed symbols for categorical ones, built from one allowed-steps
-mask per symbol.  Falsified inequalities shift the boundary by a small
-epsilon so that sampling the complement stays a closed interval; a
-falsified equality on a continuous channel removes only a measure-zero set
-and tightens nothing, unless the step is pinned to that value: then the
-draw is infeasible.
+mask of allowed symbols for categorical ones.  One ``_Symbols`` per
+categorical channel takes the leaves in order, and the first leaf that
+leaves a step with no symbol raises, before any continuous check.
+Falsified inequalities shift the boundary by a small epsilon so that
+sampling the complement stays a closed interval; a falsified equality on
+a continuous channel removes only a measure-zero set and tightens
+nothing, unless the step is pinned to that value: then the draw is
+infeasible.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ from .stl import (
     FormulaTypeError,
     Not,
     Or,
+    _check_atom,
     check_horizon,
     lift,
 )
@@ -200,13 +205,15 @@ class _Window:
 
 class _Symbols:
     """The steps where a categorical channel's leaves so far require or
-    refuse each symbol.  Leaves only add steps, so once some step has no
-    symbol left (the condition ``_allowed`` raises on) it stays so."""
+    refuse each symbol; the walk and the compile keep one for every
+    categorical channel.  A symbol is allowed at a step unless it is refused
+    there or another symbol is required there.  Leaves only add steps, so
+    once some step has no symbol left it stays so."""
 
-    __slots__ = ("n", "required", "refused", "any_required")
+    __slots__ = ("ch", "required", "refused", "any_required")
 
     def __init__(self, ch: CategoricalChannel):
-        self.n = len(ch.symbols)
+        self.ch = ch
         self.required: dict[str, int] = {}
         self.refused: dict[str, int] = {}
         self.any_required = 0
@@ -223,29 +230,27 @@ class _Symbols:
         refused = self.refused[value] = self.refused.get(value, 0) | mask
         if mask & self.required.get(value, 0):
             return True
-        if len(self.refused) < self.n:
+        if len(self.refused) < len(self.ch.symbols):
             return False
         for steps in self.refused.values():  # every symbol refused at one step
             refused &= steps
         return refused != 0
 
-
-def _watched(atoms: list, channels: tuple) -> CategoricalChannel | None:
-    """The categorical channel that every comparison reads, when there is
-    one and it knows every symbol they name."""
-    names = {atom.channel for atom in atoms}
-    ch = next((ch for ch in channels if {ch.name} == names), None)
-    if isinstance(ch, CategoricalChannel) and all(atom.value in ch.symbols for atom in atoms):
-        return ch
-    return None
+    def allowed(self, m: int) -> np.ndarray:
+        """The (m, len(symbols)) allowed mask, while every step has a symbol
+        left (and so at most one required)."""
+        full, req = (1 << m) - 1, self.any_required
+        steps = [full & ~(self.refused.get(s, 0) | (req & ~self.required.get(s, 0))) for s in self.ch.symbols]
+        return _bit_rows(steps, m).T
 
 
 class DescentPlan:
     """The descent of one formula, compiled for its channels and horizon.
 
     ``sample_constraints`` and ``constraints_for`` walk it in place of the
-    formula tree, with the same draws.  A node of the wrong level or a
-    window past the horizon raises here, before anything is drawn.
+    formula tree, with the same draws.  A node of the wrong level, a window
+    past the horizon or a comparison that ``stl.check`` refuses on
+    ``channels`` raises here, before anything is drawn.
     """
 
     def __init__(self, formula: Formula, channels, m: int):
@@ -254,7 +259,11 @@ class DescentPlan:
         self.nodes: list = []  # _Split and _Window nodes in preorder
         atoms: list[Cmp] = []
         self._add(lift(formula, m), False, atoms)
-        self.watch = _watched(atoms, self.channels)
+        if self.channels:  # a plan of sample_constraints has none
+            by_name = {ch.name: ch for ch in self.channels}
+            for atom in atoms:
+                _check_atom(atom, by_name)
+        self.categorical = [ch for ch in self.channels if isinstance(ch, CategoricalChannel)]
         self.draw_free: bool | None = None  # whether a walk draws nothing; set by the first walk
         self.outcome = None  # a draw-free plan's ConstraintSet, or its error text
 
@@ -273,13 +282,15 @@ class DescentPlan:
             raise FormulaTypeError(f"not a scalar formula: {f!r}")
 
     def walk(self, rng: np.random.Generator) -> list[LeafConstraint]:
-        """One descent: the leaves, or InfeasibleError once the watched
-        channel has a step with no symbol left, after every draw."""
-        m, nodes, watch = self.m, self.nodes, self.watch
+        """One descent: the leaves, or, once a step of some channel has no
+        symbol left, InfeasibleError after every draw.  It keeps one
+        ``_Symbols`` for every categorical channel."""
+        m, nodes = self.m, self.nodes
         outs = [_TRUE] * len(nodes)  # each node's output, as its parent requires it
         leaves: list[LeafConstraint] = []
-        symbols = None if watch is None else _Symbols(watch)
-        conflict = drew = False
+        symbols = {ch.name: _Symbols(ch) for ch in self.categorical}
+        empty = None  # the first channel left with a step of no symbol
+        drew = False
         for i, node in enumerate(nodes):
             out = _NEG[outs[i]] if node.flip else outs[i]
             if type(node) is _Split:
@@ -298,7 +309,7 @@ class DescentPlan:
                 steps, drew = 1 << int(rng.integers(node.lo, node.hi + 1)), True
             if node.k:  # an arbitrary window still draws its coins
                 coins, drew = _coin_rows(rng, node.k, m), True
-            if not steps or conflict:
+            if not steps or empty:
                 continue
             for atom, to_true, cuts in node.leaves(out):
                 mask = steps
@@ -307,12 +318,13 @@ class DescentPlan:
                 if not mask:
                     continue
                 leaves.append(LeafConstraint(atom, mask, 0, m) if to_true else LeafConstraint(atom, 0, mask, m))
-                if symbols is not None and symbols.conflicts(atom.value, to_true, mask):
-                    conflict = True
+                acc = symbols.get(atom.channel)
+                if acc is not None and acc.conflicts(atom.value, to_true, mask):
+                    empty = atom.channel
                     break
         self.draw_free = not drew
-        if conflict:
-            raise InfeasibleError(f"no symbol left on channel {watch.name}")
+        if empty:
+            raise InfeasibleError(f"no symbol left on channel {empty}")
         return leaves
 
 
@@ -336,9 +348,9 @@ def sample_constraints(
     Returns one LeafConstraint per comparison whose outputs are not
     everywhere arbitrary, in left-to-right leaf order.  A window past the
     horizon or a node of the wrong level raises FormulaTypeError.  A plan
-    that watches a categorical channel raises InfeasibleError, with the
-    message ``compile_constraints`` would give, once some step has no
-    symbol left; it still makes the rest of its draws.
+    made with channels raises InfeasibleError, with the message
+    ``compile_constraints`` would give, once some step of a categorical
+    channel has no symbol left; it still makes the rest of its draws.
     """
     return _plan(formula, (), m).walk(rng)
 
@@ -368,54 +380,32 @@ class ConstraintSet:
                 self.upper[ch.name] = np.full(m, np.inf)
 
 
-def _allowed(ch: CategoricalChannel, true_for: dict, false_for: dict, m: int) -> np.ndarray:
-    """The (m, len(ch.symbols)) allowed mask of a categorical channel.
-
-    ``true_for`` and ``false_for`` map a symbol to the steps where some
-    leaf requires the channel to equal it, or to differ from it.  A symbol
-    is allowed at the steps where it is neither required to differ nor
-    another symbol required.
-    """
-    full = (1 << m) - 1
-    steps = []
-    for s in ch.symbols:
-        blocked = false_for.get(s, 0)
-        for v, true in true_for.items():
-            if v != s:
-                blocked |= true
-        steps.append(full & ~blocked)
-    some = 0
-    for mask in steps:
-        some |= mask
-    if some != full:
-        raise InfeasibleError(f"no symbol left on channel {ch.name}")
-    return _bit_rows(steps, m).T
-
-
 def compile_constraints(
     leaves: list[LeafConstraint], channels, m: int
 ) -> ConstraintSet:
-    """Intersect leaf constraints into one feasible ConstraintSet."""
+    """Intersect leaf constraints into one feasible ConstraintSet.
+
+    Every comparison must pass ``stl.check`` on ``channels``.  The leaves
+    go in order into one ``_Symbols`` for every categorical channel, and
+    the first that leaves a step with no symbol raises, before any
+    continuous check.
+    """
     cs = ConstraintSet(channels, m)
     by_name = {ch.name: ch for ch in cs.channels}
-    symbol_steps = {  # per categorical channel: symbol -> (true steps, false steps)
-        ch.name: ({}, {}) for ch in cs.channels if isinstance(ch, CategoricalChannel)
-    }
+    symbols = {ch.name: _Symbols(ch) for ch in cs.channels if isinstance(ch, CategoricalChannel)}
     continuous = []
     for leaf in leaves:
         atom = leaf.atom
-        if atom.channel not in by_name:
-            raise FormulaTypeError(f"unknown channel {atom.channel!r}")
+        _check_atom(atom, by_name)
         if leaf.m != m:
             raise ValueError("leaf output length differs from horizon")
-        if atom.channel in symbol_steps:
-            true_for, false_for = symbol_steps[atom.channel]
-            if leaf.true:
-                true_for[atom.value] = true_for.get(atom.value, 0) | leaf.true
-            if leaf.false:
-                false_for[atom.value] = false_for.get(atom.value, 0) | leaf.false
-        else:
+        acc = symbols.get(atom.channel)
+        if acc is None:
             continuous.append(leaf)
+        elif (leaf.true and acc.conflicts(atom.value, True, leaf.true)) or (
+            leaf.false and acc.conflicts(atom.value, False, leaf.false)
+        ):
+            raise InfeasibleError(f"no symbol left on channel {atom.channel}")
     # one conversion for every continuous leaf: rows 2i and 2i + 1 are
     # leaf i's true and false steps
     masks = [mask for leaf in continuous for mask in (leaf.true, leaf.false)]
@@ -448,8 +438,8 @@ def compile_constraints(
     for name in cs.lower:
         if (cs.lower[name] > cs.upper[name]).any():
             raise InfeasibleError(f"empty interval on channel {name}")
-    for name, (true_for, false_for) in symbol_steps.items():
-        cs.allowed[name] = _allowed(by_name[name], true_for, false_for, m)
+    for name, acc in symbols.items():
+        cs.allowed[name] = acc.allowed(m)
     return cs
 
 

@@ -13,6 +13,7 @@ from enum import IntEnum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stlfalsify.constraints import (
     EPSILON,
@@ -23,9 +24,9 @@ from stlfalsify.constraints import (
     constraints_for,
     sample_constraints,
 )
-from stlfalsify.grammar import GrammarSpec, loci, sample_expression
+from stlfalsify.grammar import GrammarSpec, crossover, loci, mutate, sample_expression
 from stlfalsify.samplers import sample_trace
-from stlfalsify.sim import scenario
+from stlfalsify.sim import scenario, scenario_names
 from stlfalsify.stl import (
     Always,
     And,
@@ -374,6 +375,108 @@ def test_retries_find_a_feasible_coin_assignment():
 
 
 # ---------------------------------------------------------------------------
+# one categorical rule and one comparison check.  MIXED has two categorical
+# channels and one continuous one; no scenario has both kinds.
+
+GEAR = CategoricalChannel(name="gear", symbols=("p", "d", "r"))
+LIGHT = CategoricalChannel(name="light", symbols=("red", "green"))
+MIXED = (GEAR, LIGHT, ACC)
+
+
+def _allowed_oracle(leaves, m):
+    """Per categorical channel of MIXED, per step, the set of symbols that
+    no leaf refuses there while no other is required there; or the channel
+    of the first leaf after which some step has none."""
+    categorical = {ch.name: ch for ch in (GEAR, LIGHT)}
+    required = {name: [set() for _ in range(m)] for name in categorical}
+    refused = {name: [set() for _ in range(m)] for name in categorical}
+
+    def allowed(name, i):
+        return {s for s in categorical[name].symbols if s not in refused[name][i] and not required[name][i] - {s}}
+
+    for leaf in leaves:
+        name = leaf.atom.channel
+        if name not in categorical:
+            continue
+        for i in range(m):
+            if leaf.true >> i & 1:
+                required[name][i].add(leaf.atom.value)
+            if leaf.false >> i & 1:
+                refused[name][i].add(leaf.atom.value)
+        if not all(allowed(name, i) for i in range(m)):
+            return name
+    return {name: [allowed(name, i) for i in range(m)] for name in categorical}
+
+
+@st.composite
+def _mixed_leaf_sets(draw):
+    m = draw(st.integers(1, 8))
+    mask = st.integers(0, (1 << m) - 1)
+    atom = st.one_of(
+        st.sampled_from([Cmp(ch.name, "=", s) for ch in (GEAR, LIGHT) for s in ch.symbols]),
+        st.builds(Cmp, st.just("a_y"), st.sampled_from(["<=", ">=", "="]), st.sampled_from([-1.0, 0.0, 1.0])),
+    )
+    return m, draw(st.lists(st.builds(LeafConstraint, atom, mask, mask, st.just(m)), max_size=10))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mixed_leaf_sets())
+def test_compiled_symbol_masks_match_an_enumeration(drawn):
+    m, leaves = drawn
+    want = _allowed_oracle(leaves, m)
+    if isinstance(want, str):
+        with pytest.raises(InfeasibleError, match=f"^no symbol left on channel {want}$"):
+            compile_constraints(leaves, MIXED, m)
+        return
+    try:
+        cs = compile_constraints(leaves, MIXED, m)
+    except InfeasibleError as e:  # only a continuous check may fail now
+        assert not str(e).startswith("no symbol left")
+        return
+    for ch in (GEAR, LIGHT):
+        got = cs.allowed[ch.name]
+        assert got.shape == (m, len(ch.symbols))
+        for i in range(m):
+            assert {s for s, ok in zip(ch.symbols, got[i].tolist()) if ok} == want[ch.name][i]
+
+
+# comparisons that ``check`` refuses on CHANNELS: an undeclared symbol, an
+# unknown channel and a threshold outside a_y's [-2, 2]
+REFUSED = [Cmp("disturbance", "=", "d_min"), Cmp("speed", "<=", 1.0), Cmp("a_y", ">=", 2.5)]
+
+
+@pytest.mark.parametrize("atom", REFUSED)
+def test_a_refused_comparison_raises_before_any_draw(atom):
+    # the witness of the first window would draw before the second is reached
+    f = And(Eventually(TimeInterval(0, 2), Cmp("a_y", "<=", 0.5)), Always(TimeInterval(1, 2), atom))
+    with pytest.raises(FormulaTypeError) as want:
+        check(f, CHANNELS)
+    r = rng(3)
+    state = r.bit_generator.state
+    for build in (lambda: DescentPlan(f, CHANNELS, 3), lambda: constraints_for(f, CHANNELS, 3, r)):
+        with pytest.raises(FormulaTypeError) as got:
+            build()
+        assert str(got.value) == str(want.value)
+    assert r.bit_generator.state == state
+    leaves = [LeafConstraint(Cmp("a_y", "<=", 0.5), 0b001, 0, 3), LeafConstraint(atom, 0b110, 0, 3)]
+    with pytest.raises(FormulaTypeError) as got:
+        compile_constraints(leaves, CHANNELS, 3)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(scenario_names()), st.integers(0, 2**32 - 1))
+def test_grammar_formulas_pass_check(name, seed):
+    # the premise of checking every comparison before the descent draws:
+    # the search's own formulas never raise there
+    sc = scenario(name)
+    r = rng(seed)
+    a, b = sample_expression(sc.grammar, r), sample_expression(sc.grammar, r)
+    for f in (a, b, mutate(a, sc.grammar, r), crossover(a, b, sc.grammar, r), crossover(b, a, sc.grammar, r)):
+        check(f, sc.channels)
+
+
+# ---------------------------------------------------------------------------
 # the descent against a frozen copy of its two-encoding form, which held a
 # scalar output as an Output member and a series output as int8 codes
 
@@ -539,15 +642,25 @@ def _assert_plan_draws_match_frozen(f, channels, m, seed, n=3):
     assert _drawn(lambda r: constraints_for(f, channels, m, r), n, seed) == want
 
 
-@pytest.mark.parametrize("name,seed", [("lt1", 7), ("lt2", 8), ("lt3", 9), ("pc1", 10)])
-def test_retry_loop_matches_frozen_retry_loop(name, seed):
+def _setting(name):
+    """A scenario's channels, grammar and horizon; "mixed" is MIXED at 6
+    steps, where a walk stops early on either of two categorical channels
+    and a draw can hold a categorical and a continuous conflict at once."""
+    if name == "mixed":
+        return MIXED, GrammarSpec(channels=MIXED, t_max=5), 6
     sc = scenario(name)
+    return sc.channels, sc.grammar, sc.horizon
+
+
+@pytest.mark.parametrize("name,seed", [("lt1", 7), ("lt2", 8), ("lt3", 9), ("pc1", 10), ("mixed", 11)])
+def test_retry_loop_matches_frozen_retry_loop(name, seed):
+    channels, grammar, m = _setting(name)
     make = rng(seed)  # the left turns share a grammar: a seed each gives other formulas
     for i in range(150):
-        f = sample_expression(sc.grammar, make)
+        f = sample_expression(grammar, make)
         if i % 4 == 0:
             f = _first_series(f)
-        _assert_plan_draws_match_frozen(f, sc.channels, sc.horizon, i)
+        _assert_plan_draws_match_frozen(f, channels, m, i)
 
 
 LT_BLOATED = ("(G_[0,1]((!!!(!disturbance = a_maj | disturbance = S)"
